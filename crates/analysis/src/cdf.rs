@@ -91,11 +91,15 @@ pub struct Histogram {
 
 impl Default for Histogram {
     fn default() -> Self {
-        Self::new(200)
+        Self::new(Self::DEFAULT_BINS)
     }
 }
 
 impl Histogram {
+    /// Bin count of [`Histogram::default`] — and of every window
+    /// histogram, whose bins must line up to merge.
+    pub const DEFAULT_BINS: usize = 200;
+
     /// Creates a histogram with `bins` equal-width bins over `(0, 1]`
     /// plus a dedicated zero bucket.
     pub fn new(bins: usize) -> Self {
@@ -137,6 +141,11 @@ impl Histogram {
         for &b in &self.bins {
             fnv.write_u64(b);
         }
+    }
+
+    /// Number of bins over `(0, 1]` (the zero bucket not counted).
+    pub fn bin_count(&self) -> usize {
+        self.bins.len()
     }
 
     /// Total recorded values.

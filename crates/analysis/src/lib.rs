@@ -30,8 +30,8 @@ pub mod windows;
 pub use cdf::{Cdf, Histogram};
 pub use fingerprint::Fnv;
 pub use figures::{Figure, Series};
-pub use loss::{LossAccum, MethodSummary};
+pub use loss::{LossAccum, LossShape, MethodSummary};
 pub use tables::{
     render_table5, render_table6, render_table7, scenario_stamp, Table5Row, Table6, Table7Row,
 };
-pub use windows::WindowAccum;
+pub use windows::{WindowAccum, WindowShape};

@@ -132,6 +132,17 @@ impl CellArrays {
     }
 }
 
+/// What [`LossAccum::merge`] requires both sides to agree on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LossShape {
+    /// Host count.
+    pub n: usize,
+    /// Analysis-method count.
+    pub methods: usize,
+    /// Redundancy degree (see [`LossAccum::depth`]).
+    pub depth: usize,
+}
+
 /// Streaming per-path loss/latency accumulator.
 #[derive(Debug)]
 pub struct LossAccum {
@@ -308,6 +319,13 @@ impl LossAccum {
     /// sends; 2 for the paper's pair-shaped sets).
     pub fn depth(&self) -> usize {
         self.max_legs
+    }
+
+    /// The dimensions a merge partner must share. Deserialization has
+    /// already tied the cell arrays to them, so equal shapes are all
+    /// [`Self::merge`] needs.
+    pub fn shape(&self) -> LossShape {
+        LossShape { n: self.n, methods: self.methods, depth: self.max_legs }
     }
 
     /// The best-of-first-j loss curve for a method: element `j - 1` is

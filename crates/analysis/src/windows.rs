@@ -23,6 +23,20 @@ struct OpenWin {
     used: bool,
 }
 
+/// What [`WindowAccum::merge`] requires both sides to agree on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WindowShape {
+    /// Window width, microseconds.
+    pub width_us: u64,
+    /// Host count.
+    pub n: usize,
+    /// Analysis-method count.
+    pub methods: usize,
+    /// No window is open (see [`WindowAccum::is_finished`]); a merge
+    /// needs this true on both sides.
+    pub finished: bool,
+}
+
 /// Streaming fixed-width window accumulator.
 ///
 /// The open-window cells are stored structure-of-arrays: the hot
@@ -68,7 +82,7 @@ impl WindowAccum {
             win: vec![0; cells],
             sent: vec![0; cells],
             lost: vec![0; cells],
-            hist: (0..methods).map(|_| Histogram::new(200)).collect(),
+            hist: (0..methods).map(|_| Histogram::default()).collect(),
             thresholds: vec![[0; 10]; methods],
             windows: vec![0; methods],
         }
@@ -147,6 +161,18 @@ impl WindowAccum {
     /// after the last outcome).
     pub fn is_finished(&self) -> bool {
         self.win.iter().all(|&w| w == 0)
+    }
+
+    /// The dimensions and state a merge partner must share.
+    /// Deserialization has already tied the cell and per-method arrays
+    /// to them, so equal (finished) shapes are all [`Self::merge`] needs.
+    pub fn shape(&self) -> WindowShape {
+        WindowShape {
+            width_us: self.width_us,
+            n: self.n,
+            methods: self.hist.len(),
+            finished: self.is_finished(),
+        }
     }
 
     /// Folds another *finished* accumulator into this one.
@@ -303,6 +329,13 @@ impl serde::Deserialize for WindowAccum {
                 "WindowAccum: per-method lengths disagree (hist {methods}, thresholds {}, windows {})",
                 w.thresholds.len(),
                 w.windows.len()
+            )));
+        }
+        if let Some(h) = w.hist.iter().find(|h| h.bin_count() != Histogram::DEFAULT_BINS) {
+            return Err(serde::Error::new(format!(
+                "WindowAccum: a histogram has {} bins, every window histogram has {}",
+                h.bin_count(),
+                Histogram::DEFAULT_BINS
             )));
         }
         if w.win.len() != w.n * w.n * methods {

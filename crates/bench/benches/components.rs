@@ -107,7 +107,7 @@ fn bench_routing(c: &mut Criterion) {
                 alive: true,
             })
             .collect();
-        table.on_metrics(netsim::HostId(peer), &entries, now);
+        table.ingest_full(netsim::HostId(peer), &entries, now);
     }
     let mut g = c.benchmark_group("components/routing");
     g.throughput(Throughput::Elements(1));
@@ -366,7 +366,7 @@ fn bench_table_sparse_lookup(c: &mut Criterion) {
             })
             .filter(|e| e.peer != netsim::HostId(peer))
             .collect();
-        table.on_metrics(netsim::HostId(peer), &entries, now);
+        table.ingest_full(netsim::HostId(peer), &entries, now);
     }
     let mut g = c.benchmark_group("components/table_sparse_lookup");
     g.throughput(Throughput::Elements(1));

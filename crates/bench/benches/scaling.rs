@@ -53,14 +53,14 @@ fn bench_scaling(c: &mut Criterion) {
         // stable across machines and code changes that keep determinism.
         let probe = {
             let (topo, cfg) = build(n);
-            mpath_core::shard::run_sharded(topo, cfg)
+            mpath_core::run_experiment(topo, cfg)
         };
         assert!(probe.collector.resolved > 0, "{n}-host run must resolve pairs");
         g.throughput(Throughput::Elements(probe.collector.resolved));
         g.bench_function(format!("sim_5s_{n}_hosts"), |b| {
             b.iter(|| {
                 let (topo, cfg) = build(n);
-                black_box(mpath_core::shard::run_sharded(topo, cfg).collector.resolved)
+                black_box(mpath_core::run_experiment(topo, cfg).collector.resolved)
             })
         });
     }

@@ -536,7 +536,7 @@ fn run_scenario(spec: &ScenarioSpec, args: &Args) {
         eprintln!("[repro] running scenario `{}` for {} simulated...", spec.name, job.duration());
         let mut cfg = job.config();
         cfg.shards = args.shards;
-        mpath_core::shard::run_sharded(job.spec.topology(job.seed), cfg)
+        mpath_core::run_experiment(job.spec.topology(job.seed), cfg)
     };
     let stamp = scenario_stamp(&out.scenario, out.spec_digest);
     if spec.round_trip {
@@ -715,7 +715,7 @@ fn do_scale_sweep(args: &Args) {
         cfg.dissemination = args.dissem;
         cfg.scenario = format!("scale-sweep-{n}");
         let t0 = std::time::Instant::now();
-        let (out, diag) = mpath_core::shard::run_sharded_diag(topo, cfg);
+        let (out, diag) = mpath_core::shard::run_sharded(topo, cfg);
         let wall = t0.elapsed().as_secs_f64();
         // One discrete event per underlay send plus one per delivery;
         // timers and sweeps ride along free-ish.

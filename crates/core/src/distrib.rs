@@ -9,11 +9,14 @@
 //! to *workers* ([`run_worker`]) over a small TCP protocol; each worker
 //! rebuilds the identical plan locally from the [`CampaignJob`] it
 //! received at handshake, simulates the leased slice, and ships the
-//! [`ExperimentOutput`] back. The coordinator merges results in slice
-//! order with [`crate::report::merge_outputs`] — the same fold the
-//! in-process sharded runner uses — so the distributed report is
-//! byte-identical to `run_sharded` on one machine, for any number of
-//! workers, joining and leaving in any order.
+//! [`ExperimentOutput`] back. The coordinator is one more source for the
+//! one merger: each accepted result goes to the same
+//! [`crate::shard::SliceMerger`] the in-process executor feeds, which
+//! folds it the moment its predecessors are in — so the distributed
+//! report is byte-identical to [`crate::run_experiment`] on one machine,
+//! for any number of workers, joining and leaving in any order, and the
+//! coordinator holds one accumulator plus whatever arrived early, never
+//! every slice output.
 //!
 //! # Wire format
 //!
@@ -59,20 +62,25 @@
 //! slow, not dead, and both finish — are byte-identical, and the
 //! coordinator keeps the first copy per slice index and counts the rest
 //! ([`ServeReport::duplicates`]). Re-leasing therefore never risks the
-//! merge: the result buffer is slice-indexed and idempotent.
+//! merge: the merger sees each slice index exactly once.
+//!
+//! A result is bytes from outside the process. Beyond the strict serde
+//! of every field, its scenario digest and its whole *shape* (method
+//! names, host count, accumulator dimensions, no open windows) are
+//! checked against the job before it may reach the merger; a lying
+//! worker loses its connection and its leases, like any protocol error,
+//! and the campaign goes on.
 //!
 //! Workers treat a vanished coordinator *after* handshake as "campaign
 //! finished without me" and exit cleanly
 //! ([`WorkerReport::coordinator_closed`]): the coordinator only exits
 //! once every slice has resolved, so there is nothing left to do.
 
-use crate::experiment::{ExperimentConfig, ExperimentOutput, OUTPUT_WIRE_VERSION};
-use crate::report;
+use crate::experiment::{run_slice, ExperimentConfig, ExperimentOutput, OUTPUT_WIRE_VERSION};
 use crate::scenario::ScenarioSpec;
-use crate::shard::SlicePlan;
+use crate::shard::{SliceMerger, SlicePlan};
 use netsim::SimDuration;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -165,7 +173,7 @@ impl CampaignJob {
     }
 
     /// Simulates slice `k` of the plan — exactly what the in-process
-    /// sharded runner would compute for that slot.
+    /// executor computes for that index.
     ///
     /// # Panics
     ///
@@ -173,11 +181,8 @@ impl CampaignJob {
     pub fn run_slice_index(&self, k: usize) -> ExperimentOutput {
         let cfg = self.config();
         let plan = SlicePlan::new(&cfg);
-        let s = plan.slices()[k];
-        let mut c = cfg;
-        c.seed = s.seed;
-        c.duration = s.duration;
-        crate::experiment::run_slice(self.spec.topology(self.seed), c, s.start)
+        let topo = self.spec.topology(self.seed);
+        run_slice(topo, plan.slice_config(&cfg, k), plan.slices()[k].start).0
     }
 }
 
@@ -348,7 +353,7 @@ impl Default for ServeOptions {
 /// What a finished [`serve_campaign`] hands back.
 pub struct ServeReport {
     /// The merged campaign output — byte-identical to a local
-    /// `run_sharded` of the same job.
+    /// [`crate::run_experiment`] of the same job.
     pub output: ExperimentOutput,
     /// Slices in the plan.
     pub slices: usize,
@@ -358,9 +363,10 @@ pub struct ServeReport {
     pub releases: u64,
     /// Duplicate slice results received and ignored.
     pub duplicates: u64,
-    /// High-water mark of out-of-order results the streaming merge held
-    /// back while waiting for a predecessor slice. Purely in-order
-    /// arrival peaks at 1 (each result is folded the moment it lands).
+    /// [`SliceMerger::peak_parked`] of the campaign's merge: the
+    /// high-water mark of results held at once while waiting for a
+    /// predecessor slice. Purely in-order arrival peaks at 1 (each
+    /// result is folded the moment it lands).
     pub peak_buffered: usize,
 }
 
@@ -409,14 +415,10 @@ struct CoordState {
     /// output itself has been folded away so a late duplicate can still
     /// be checked against the copy that won.
     fingerprints: Vec<Option<u64>>,
-    /// Streaming merge accumulator: slices `[0, next_merge)` already
-    /// folded in slice order. Results never pile up waiting for the end
-    /// of the campaign — each is merged the moment its predecessors are.
-    merged: Option<ExperimentOutput>,
-    next_merge: usize,
-    /// Out-of-order results parked until their predecessors arrive.
-    buffered: BTreeMap<usize, ExperimentOutput>,
-    peak_buffered: usize,
+    /// The streaming in-order fold: results never pile up waiting for
+    /// the end of the campaign — each is merged the moment its
+    /// predecessors are.
+    merger: SliceMerger,
     pending: usize,
     connections: u64,
     releases: u64,
@@ -425,7 +427,9 @@ struct CoordState {
 
 struct Coord {
     job: CampaignJob,
-    expected_digest: u64,
+    /// `job.config()`, kept to hold every result to the job's stamp
+    /// and shape before it can reach the merger's asserts.
+    cfg: ExperimentConfig,
     opts: ServeOptions,
     state: Mutex<CoordState>,
     done: Notify,
@@ -433,18 +437,15 @@ struct Coord {
 
 impl Coord {
     fn new(job: CampaignJob, slices: usize, opts: ServeOptions) -> Coord {
-        let expected_digest = job.spec.digest();
+        let cfg = job.config();
         Coord {
             job,
-            expected_digest,
+            cfg,
             opts,
             state: Mutex::new(CoordState {
                 slices: (0..slices).map(|_| SliceState::Unleased).collect(),
                 fingerprints: vec![None; slices],
-                merged: None,
-                next_merge: 0,
-                buffered: BTreeMap::new(),
-                peak_buffered: 0,
+                merger: SliceMerger::default(),
                 pending: slices,
                 connections: 0,
                 releases: 0,
@@ -510,18 +511,22 @@ impl Coord {
         }
     }
 
-    /// Records a slice result idempotently and folds it into the
-    /// streaming merge as soon as every lower-indexed slice has been
-    /// folded. The first copy per index wins; later copies must carry
+    /// Records a slice result idempotently and hands it to the streaming
+    /// merge. The first copy per index wins; later copies must carry
     /// the same fingerprint (slices are pure functions of the job, so a
     /// disagreeing duplicate means a nondeterministic worker — a
     /// campaign-poisoning bug, rejected loudly) and only bump
     /// [`ServeReport::duplicates`].
+    ///
+    /// A result is input from outside the process: its scenario stamp
+    /// and its whole shape are checked against the job *before* the
+    /// state lock is taken, because the merge asserts on a mismatch, and
+    /// a panic under the lock would poison it for every other connection.
     fn record(&self, slice: usize, output: ExperimentOutput) -> io::Result<()> {
-        if output.spec_digest != self.expected_digest {
+        let hosts = self.job.spec.topology.hosts();
+        if let Some(field) = output.shape_mismatch(&self.cfg, hosts) {
             return Err(proto_err(format!(
-                "result for slice {slice} ran digest {:#018x}, campaign is {:#018x}",
-                output.spec_digest, self.expected_digest
+                "result for slice {slice} does not fit the campaign: {field}"
             )));
         }
         let mut st = self.state.lock().unwrap();
@@ -542,24 +547,7 @@ impl Coord {
         st.fingerprints[slice] = Some(output.fingerprint());
         st.slices[slice] = SliceState::Done;
         st.pending -= 1;
-        // Stream the merge: park the result, then fold every contiguous
-        // run starting at `next_merge`. Because `merge_outputs` is a
-        // strict left fold into its first element, folding pairwise as
-        // results arrive is bit-identical to one big fold at the end —
-        // and the coordinator's resident set is one accumulator plus
-        // whatever arrived out of order, not every slice output.
-        st.buffered.insert(slice, output);
-        st.peak_buffered = st.peak_buffered.max(st.buffered.len());
-        while let Some(next) = {
-            let k = st.next_merge;
-            st.buffered.remove(&k)
-        } {
-            st.merged = Some(match st.merged.take() {
-                None => next,
-                Some(acc) => report::merge_outputs(vec![acc, next]),
-            });
-            st.next_merge += 1;
-        }
+        st.merger.push(slice, output);
         if st.pending == 0 {
             self.done.notify_waiters();
         }
@@ -665,14 +653,14 @@ pub fn serve_campaign(
         io::Result::Ok(())
     })?;
     let mut st = coord.state.lock().unwrap();
-    assert_eq!(st.next_merge, slices, "pending hit zero with unmerged slices");
+    let merger = std::mem::take(&mut st.merger);
     Ok(ServeReport {
-        output: st.merged.take().expect("a campaign has at least one slice"),
+        peak_buffered: merger.peak_parked(),
+        output: merger.finish(slices),
         slices,
         connections: st.connections,
         releases: st.releases,
         duplicates: st.duplicates,
-        peak_buffered: st.peak_buffered,
     })
 }
 
@@ -831,7 +819,7 @@ pub fn run_worker<A: std::net::ToSocketAddrs + Send + 'static>(
 mod tests {
     use super::*;
     use crate::scenario::ScenarioRegistry;
-    use crate::shard::run_sharded;
+    use crate::run_experiment;
     use std::io::Cursor;
 
     fn small_job() -> CampaignJob {
@@ -950,6 +938,17 @@ mod tests {
         let mut alien = foreign.run_slice_index(1);
         alien.spec_digest ^= 1;
         assert!(coord.record(1, alien).is_err());
+        // So is a digest-correct result of the wrong shape — as an error
+        // naming slice and field, not as a merge assert under the state
+        // lock, which the honest copy can therefore still take.
+        let mut short = job.run_slice_index(1);
+        short.names.pop();
+        let err = coord.record(1, short).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let msg = err.to_string();
+        assert!(msg.contains("slice 1") && msg.contains("`names`"), "got: {msg}");
+        coord.record(1, job.run_slice_index(1)).unwrap();
+        assert!(coord.finished());
     }
 
     #[test]
@@ -966,7 +965,7 @@ mod tests {
         });
         let report = coordinator.join().unwrap();
         let wr = worker.join().unwrap();
-        let local = run_sharded(job.spec.topology(job.seed), job.config());
+        let local = run_experiment(job.spec.topology(job.seed), job.config());
         assert_eq!(report.output.fingerprint(), local.fingerprint());
         assert_eq!(report.slices, 4);
         assert_eq!(wr.slices_run, 4);

@@ -18,8 +18,8 @@
 //!    paper, resolving pairs, filtering host failures and streaming
 //!    outcomes into the loss and window statistics.
 
-use crate::method::MethodSet;
-use analysis::{Fnv, LossAccum, WindowAccum};
+use crate::method::{MethodSet, MAX_PROBE_LEGS};
+use analysis::{Fnv, LossAccum, LossShape, WindowAccum, WindowShape};
 use netsim::{
     Delivery, EventQueue, HostId, LoadProfile, NetCounters, Rng, SimDuration, SimTime, Topology,
 };
@@ -113,6 +113,11 @@ impl ExperimentConfig {
     }
 }
 
+/// Width of the Figure 3 windows.
+const WIN20: SimDuration = SimDuration::from_mins(20);
+/// Width of the Table 6 windows.
+const WIN60: SimDuration = SimDuration::from_hours(1);
+
 /// Everything a run produces.
 pub struct ExperimentOutput {
     /// Name of the scenario that produced this run.
@@ -159,6 +164,33 @@ impl ExperimentOutput {
     /// Pairs discarded by the §4.1 host-failure filter.
     pub fn discarded(&self) -> u64 {
         self.collector.discarded
+    }
+
+    /// Why this output cannot be a result — a slice or their merge — of
+    /// running `cfg` on an `n`-host testbed: the first field whose stamp
+    /// or shape differs, or `None` when everything
+    /// [`crate::report::merge_outputs`] asserts on agrees. The
+    /// coordinator asks before merging a wire-received result, so a
+    /// malformed one is a protocol error instead of a failed assert.
+    pub fn shape_mismatch(&self, cfg: &ExperimentConfig, n: usize) -> Option<String> {
+        fn differs<T: PartialEq + std::fmt::Debug>(field: &str, got: T, want: T) -> Option<String> {
+            (got != want).then(|| format!("`{field}` is {got:?}, the job produces {want:?}"))
+        }
+        let methods = cfg.methods.total();
+        let depth = cfg.methods.max_legs().max(1);
+        let window = |width: SimDuration| WindowShape {
+            width_us: width.as_micros(),
+            n,
+            methods,
+            finished: true,
+        };
+        differs("scenario", &self.scenario, &cfg.scenario)
+            .or_else(|| differs("spec_digest", self.spec_digest, cfg.spec_digest))
+            .or_else(|| differs("names", &self.names, &cfg.methods.names()))
+            .or_else(|| differs("n", self.n, n))
+            .or_else(|| differs("loss", self.loss.shape(), LossShape { n, methods, depth }))
+            .or_else(|| differs("win20", self.win20.shape(), window(WIN20)))
+            .or_else(|| differs("win60", self.win60.shape(), window(WIN60)))
     }
 
     /// A stable 64-bit fingerprint over the *entire* output state —
@@ -312,24 +344,39 @@ enum Ev {
     Wake(u16),
     /// A packet reaches a host.
     Arrive { to: u16, packet: Packet },
-    /// The delayed second leg of a dd probe.
-    Leg { src: u16, dst: u16, id: u64, method: u8, leg: u8, tag: RouteTag, exclude: Option<Route> },
-    /// A delayed leg of an `all_prior` probe: carries every route the
-    /// earlier legs actually took, and (unlike [`Ev::Leg`]) chains — the
-    /// handler schedules the next leg so it can append its own route.
-    DiverseLeg { src: u16, dst: u16, id: u64, method: u8, leg: u8, prior: Vec<Route> },
+    /// A delayed leg of a multi-packet probe. Its tactic is
+    /// `methods[method].legs[leg]`; `avoid` holds the routes of earlier
+    /// legs this one must steer around. The handler enqueues the next
+    /// leg (see [`Runner::send_legs`]).
+    Leg { src: u16, dst: u16, id: u64, method: u8, leg: u8, avoid: AvoidSet },
     /// Collector sweep.
     Sweep,
 }
 
-/// Which previously-used routes a measurement leg must steer around.
-enum Avoid<'a> {
-    /// First leg, or a non-`distinct` copy: no constraint.
-    None,
-    /// §3.2 pairwise diversity: avoid the first copy's path only.
-    First(Route),
-    /// Full diversity (`all_prior`): avoid every prior leg's path.
-    Prior(&'a [Route]),
+/// The routes of earlier legs that a later leg of the same probe must
+/// steer around: empty for same-path probes, the first copy's route
+/// under §3.2 pairwise diversity (`distinct`), every earlier copy's
+/// under full diversity (`all_prior`). Inline and `Copy` — the last of
+/// [`MAX_PROBE_LEGS`] legs avoids at most `MAX_PROBE_LEGS - 1` routes —
+/// so a delayed leg carries it through the event queue without a heap
+/// allocation.
+#[derive(Clone, Copy)]
+struct AvoidSet {
+    routes: [Route; MAX_PROBE_LEGS - 1],
+    len: u8,
+}
+
+impl AvoidSet {
+    const EMPTY: AvoidSet = AvoidSet { routes: [Route::Direct; MAX_PROBE_LEGS - 1], len: 0 };
+
+    fn push(&mut self, route: Route) {
+        self.routes[self.len as usize] = route;
+        self.len += 1;
+    }
+
+    fn as_slice(&self) -> &[Route] {
+        &self.routes[..self.len as usize]
+    }
 }
 
 fn policy_for(tag: RouteTag) -> Policy {
@@ -375,10 +422,10 @@ impl Runner {
         // catches hand-assembled method sets whose leg count the wire
         // format (and the collector's probe records) cannot carry.
         assert!(
-            cfg.methods.max_legs() <= crate::method::MAX_PROBE_LEGS,
+            cfg.methods.max_legs() <= MAX_PROBE_LEGS,
             "method set sends {} legs but the wire caps probes at {}",
             cfg.methods.max_legs(),
-            crate::method::MAX_PROBE_LEGS
+            MAX_PROBE_LEGS
         );
         let root = Rng::new(cfg.seed ^ 0x00E0_77E5_7A11_BEEF);
         let mesh = topo.probe_mesh().cloned();
@@ -403,8 +450,8 @@ impl Runner {
         // pair-shaped sets keep the exact historical accumulator layout.
         let loss = LossAccum::with_depth(n, total_methods, cfg.methods.max_legs());
         // total_methods counts real methods plus inferred views.
-        let win20 = WindowAccum::new(n, total_methods, SimDuration::from_mins(20));
-        let win60 = WindowAccum::new(n, total_methods, SimDuration::from_hours(1));
+        let win20 = WindowAccum::new(n, total_methods, WIN20);
+        let win60 = WindowAccum::new(n, total_methods, WIN60);
         Runner {
             rng: root.derive(7),
             cfg,
@@ -464,7 +511,7 @@ impl Runner {
         method: u8,
         leg: u8,
         tag: RouteTag,
-        avoid: Avoid<'_>,
+        avoid: &[Route],
     ) -> Route {
         let kind = if self.cfg.round_trip { MeasureKind::Request } else { MeasureKind::OneWay };
         let sent_local_us = self.local(src, now);
@@ -480,13 +527,10 @@ impl Runner {
         });
         self.measure_legs += 1;
         let node = &mut self.nodes[src as usize];
-        let route = match avoid {
-            Avoid::None => node.route(HostId(dst), policy_for(tag), now),
-            // §3.2: the second copy of a multi-path pair travels a
-            // distinct path.
-            Avoid::First(first) => node.route_diverse(HostId(dst), policy_for(tag), now, first),
-            Avoid::Prior(prior) => node.route_avoiding(HostId(dst), policy_for(tag), now, prior),
-        };
+        // §3.2: a later copy of a multi-path probe travels a path
+        // distinct from the ones in `avoid`; with nothing to avoid this
+        // is the plain policy route.
+        let route = node.route_avoiding(HostId(dst), policy_for(tag), now, avoid);
         let pkt = Packet::Measure {
             id,
             method,
@@ -521,7 +565,6 @@ impl Runner {
         }
         let midx = self.cycles[h as usize] % self.cfg.methods.methods.len();
         self.cycles[h as usize] += 1;
-        let method = self.cfg.methods.methods[midx].clone();
         let dst = if let Some(mesh) = &self.mesh {
             // Sparse mesh: probe a uniform neighbor. One RNG draw, like
             // the clique path, so the knob only redirects destinations.
@@ -536,66 +579,53 @@ impl Runner {
             dst
         };
         let id = self.rng.next_u64();
-        let first_route =
-            self.send_measure(now, h, dst, id, midx as u8, 0, method.legs[0], Avoid::None);
-        if method.all_prior && method.legs.len() > 1 {
-            // Full diversity: every copy steers around every earlier
-            // copy's actual route, not just the first one's.
-            if method.gap == SimDuration::ZERO {
-                let mut prior = vec![first_route];
-                for (leg, &tag) in method.legs.iter().enumerate().skip(1) {
-                    let r = self.send_measure(
-                        now,
-                        h,
-                        dst,
-                        id,
-                        midx as u8,
-                        leg as u8,
-                        tag,
-                        Avoid::Prior(&prior),
-                    );
-                    prior.push(r);
-                }
-            } else {
-                // Delayed legs chain through DiverseLeg: each handler
-                // appends its route before scheduling the next, so every
-                // leg sees all actual predecessors.
-                self.q.push(
-                    now + method.gap,
-                    Ev::DiverseLeg {
-                        src: h,
-                        dst,
-                        id,
-                        method: midx as u8,
-                        leg: 1,
-                        prior: vec![first_route],
-                    },
-                );
+        self.send_legs(now, h, dst, id, midx as u8, 0, AvoidSet::EMPTY, true);
+    }
+
+    /// The one probe-leg path. Sends leg `leg` of probe `id` at `now`
+    /// (unless the source process is down — a crashed host skips its
+    /// copy, the probe goes on), then every following leg that is due
+    /// at the same instant (gap 0), and enqueues the first leg that is
+    /// not: leg *k+1* rides one gap behind leg *k*, so a gapped probe
+    /// is a chain of [`Ev::Leg`] events, each carrying the avoid set its
+    /// predecessors built.
+    ///
+    /// Which routes enter the set is all that separates the probe
+    /// families: `all_prior` adds every leg's actual route, `distinct`
+    /// only the first leg's ("every later copy avoids the first copy's
+    /// path" — copies beyond the second may still share a detour, as
+    /// two `rand` legs may), same-path probes none.
+    #[allow(clippy::too_many_arguments)]
+    fn send_legs(
+        &mut self,
+        now: SimTime,
+        src: u16,
+        dst: u16,
+        id: u64,
+        method: u8,
+        mut leg: u8,
+        mut avoid: AvoidSet,
+        src_up: bool,
+    ) {
+        let m = &self.cfg.methods.methods[method as usize];
+        let (legs, gap, distinct, all_prior) = (m.legs.len() as u8, m.gap, m.distinct, m.all_prior);
+        loop {
+            let route = src_up.then(|| {
+                let tag = self.cfg.methods.methods[method as usize].legs[leg as usize];
+                self.send_measure(now, src, dst, id, method, leg, tag, avoid.as_slice())
+            });
+            leg += 1;
+            if leg == legs {
+                return;
             }
-            return;
-        }
-        // Redundant copies: leg i rides i gaps behind the first. §3.2's
-        // path diversity generalizes as "every later copy avoids the
-        // first copy's path" — copies beyond the second may still share
-        // a detour with each other, exactly as two `rand` legs may.
-        for (leg, &tag) in method.legs.iter().enumerate().skip(1) {
-            let exclude = if method.distinct { Some(first_route) } else { None };
-            if method.gap == SimDuration::ZERO {
-                self.send_measure(
-                    now,
-                    h,
-                    dst,
-                    id,
-                    midx as u8,
-                    leg as u8,
-                    tag,
-                    exclude.map_or(Avoid::None, Avoid::First),
-                );
-            } else {
-                self.q.push(
-                    now + method.gap * leg as u64,
-                    Ev::Leg { src: h, dst, id, method: midx as u8, leg: leg as u8, tag, exclude },
-                );
+            if let Some(route) = route {
+                if all_prior || (distinct && leg == 1) {
+                    avoid.push(route);
+                }
+            }
+            if gap != SimDuration::ZERO {
+                self.q.push(now + gap, Ev::Leg { src, dst, id, method, leg, avoid });
+                return;
             }
         }
     }
@@ -731,45 +761,9 @@ impl Runner {
                 Ev::Wake(h) => self.on_wake(now, h, end),
                 Ev::NodeTimer(h) => self.on_node_timer(now, h),
                 Ev::Arrive { to, packet } => self.on_arrive(now, to, packet),
-                Ev::Leg { src, dst, id, method, leg, tag, exclude } => {
-                    if self.net.host_up(HostId(src), now) {
-                        self.send_measure(
-                            now,
-                            src,
-                            dst,
-                            id,
-                            method,
-                            leg,
-                            tag,
-                            exclude.map_or(Avoid::None, Avoid::First),
-                        );
-                    }
-                }
-                Ev::DiverseLeg { src, dst, id, method, leg, mut prior } => {
-                    let m = &self.cfg.methods.methods[method as usize];
-                    let tag = m.legs[leg as usize];
-                    let gap = m.gap;
-                    let legs = m.legs.len() as u8;
-                    if self.net.host_up(HostId(src), now) {
-                        let r = self.send_measure(
-                            now,
-                            src,
-                            dst,
-                            id,
-                            method,
-                            leg,
-                            tag,
-                            Avoid::Prior(&prior),
-                        );
-                        prior.push(r);
-                    }
-                    let next = leg + 1;
-                    if next < legs {
-                        self.q.push(
-                            now + gap,
-                            Ev::DiverseLeg { src, dst, id, method, leg: next, prior },
-                        );
-                    }
+                Ev::Leg { src, dst, id, method, leg, avoid } => {
+                    let src_up = self.net.host_up(HostId(src), now);
+                    self.send_legs(now, src, dst, id, method, leg, avoid, src_up);
                 }
                 Ev::Sweep => {
                     self.drain_outcomes(now);
@@ -817,14 +811,11 @@ impl Runner {
 /// window statistics all see the true campaign timeline because the
 /// network processes are functions of absolute time and initialise
 /// lazily at first observation.
-pub(crate) fn run_slice(topo: Topology, cfg: ExperimentConfig, start: SimTime) -> ExperimentOutput {
-    Runner::new(topo, cfg, start).run().0
-}
-
-/// [`run_slice`] plus a diagnostic side channel: the summed link-state
-/// table footprint (bytes) over all nodes at slice end. The diagnostic
-/// never enters [`ExperimentOutput`], so byte identity is untouched.
-pub(crate) fn run_slice_diag(
+///
+/// Beside the output rides one diagnostic: the summed link-state table
+/// footprint (bytes) over all nodes at slice end. It never enters
+/// [`ExperimentOutput`], so byte identity is untouched.
+pub(crate) fn run_slice(
     topo: Topology,
     cfg: ExperimentConfig,
     start: SimTime,
@@ -838,7 +829,7 @@ pub(crate) fn run_slice_diag(
 /// executed on [`ExperimentConfig::shards`] worker threads; results are
 /// byte-identical for every shard count (see [`crate::shard`]).
 pub fn run_experiment(topo: Topology, cfg: ExperimentConfig) -> ExperimentOutput {
-    crate::shard::run_sharded(topo, cfg)
+    crate::shard::run_sharded(topo, cfg).0
 }
 
 #[cfg(test)]
@@ -980,6 +971,35 @@ mod tests {
         let seq = run(true, 0);
         assert!(seq.summary("k!").unwrap().pairs > 30);
         assert!(seq.measure_legs >= 4 * seq.summary("k!").unwrap().pairs);
+    }
+
+    #[test]
+    fn three_leg_gapped_probes_chain_every_leg_under_both_diversity_rules() {
+        // Three legs 10 ms apart: legs 1 and 2 are each enqueued by
+        // their predecessor. `distinct` steers both off leg 0's route
+        // only; `all_prior` also steers leg 2 off leg 1's.
+        let cfg = |all_prior, shards| {
+            let legs = vec![RouteTag::Direct, RouteTag::Rand, RouteTag::Rand];
+            let mut cfg = quick_cfg(k_leg_set(all_prior, legs, 10), 59, 60);
+            cfg.slice_width = SimDuration::from_mins(15);
+            cfg.shards = shards;
+            cfg
+        };
+        let run = |all_prior, shards| {
+            run_experiment(Topology::synthetic(5, 0.01, 59), cfg(all_prior, shards))
+        };
+        let distinct = run(false, 1);
+        let all_prior = run(true, 1);
+        for out in [&distinct, &all_prior] {
+            assert!(out.collector.resolved > 100);
+            assert_eq!(out.measure_legs, 3 * out.collector.resolved, "a probe lost a leg");
+            // The shape the coordinator holds wire results to is the
+            // shape the runner really produces, depth 3 included.
+            assert_eq!(out.shape_mismatch(&cfg(true, 1), 5), None);
+        }
+        assert_ne!(distinct.fingerprint(), all_prior.fingerprint());
+        assert_eq!(distinct.fingerprint(), run(false, 4).fingerprint());
+        assert_eq!(all_prior.fingerprint(), run(true, 4).fingerprint());
     }
 
     #[test]

@@ -26,17 +26,26 @@
 //!   distribution at first observation, so an offset start costs
 //!   nothing).
 //!
-//! Per-slice accumulators are then merged **in ascending slice order**
-//! ([`crate::report::merge_outputs`]): u64 counters sum exactly, and
-//! the f64 latency sums always fold in the same order, so the merged
-//! report is bit-stable.
+//! # One executor, one merger
+//!
+//! Every way of running a campaign is the same three steps: derive the
+//! plan, simulate slices in any order on any worker, and hand each
+//! `(slice index, output)` to a [`SliceMerger`]. The merger is the only
+//! code that folds slice outputs ([`crate::report::merge_outputs`]): it
+//! folds a result the moment all of its predecessors are in and parks
+//! it until then, so the fold always runs **in ascending slice order** —
+//! u64 counters sum exactly, the f64 latency sums always fold in the
+//! same order, and the merged report is bit-stable — while the resident
+//! set is one accumulator plus whatever arrived early, never every
+//! slice output. [`run_sharded`] feeds it from local threads;
+//! [`crate::distrib`] feeds it from TCP workers.
 //!
 //! # The determinism invariant
 //!
 //! **Results depend on `(seed, duration, slice_width)` and never on
-//! [`ExperimentConfig::shards`].** Shards are worker threads pulling
-//! slice indices from a shared counter; each result lands in its
-//! slice's slot and the merge walks the slots in order, so thread
+//! [`ExperimentConfig::shards`].** Shards are worker threads claiming
+//! slice indices from a shared counter; scheduling decides only *when*
+//! a slice's output reaches the merger, never where it folds, so thread
 //! scheduling is invisible. `shards = 8` on a laptop, `shards = 1` in
 //! CI and `shards = 96` on a build server all produce byte-identical
 //! reports — `tests/sharding_equivalence.rs` and a property test
@@ -47,10 +56,10 @@
 //! sequential runner with the master seed itself, so pre-sharding
 //! results are preserved bit for bit.
 
-use crate::experiment::{run_slice, run_slice_diag, ExperimentConfig, ExperimentOutput};
+use crate::experiment::{run_slice, ExperimentConfig, ExperimentOutput};
 use crate::report;
 use netsim::{Rng, SimDuration, SimTime, Topology};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::collections::BTreeMap;
 use std::sync::Mutex;
 
 /// One independently simulated slice of the campaign.
@@ -128,6 +137,20 @@ impl SlicePlan {
         &self.slices
     }
 
+    /// The configuration slice `k` simulates under: the campaign's,
+    /// with the slice's own RNG universe and measurement period.
+    ///
+    /// # Panics
+    ///
+    /// If `k` is outside the plan.
+    pub fn slice_config(&self, campaign: &ExperimentConfig, k: usize) -> ExperimentConfig {
+        let s = &self.slices[k];
+        let mut cfg = campaign.clone();
+        cfg.seed = s.seed;
+        cfg.duration = s.duration;
+        cfg
+    }
+
     /// Number of slices.
     pub fn len(&self) -> usize {
         self.slices.len()
@@ -153,60 +176,68 @@ pub fn resolve_shards(cfg: &ExperimentConfig) -> usize {
         .unwrap_or(1)
 }
 
-/// Executes the campaign's slice plan on up to `shards` worker threads
-/// and merges the per-slice outputs in slice order.
+/// The in-order streaming fold of slice outputs — the only merge.
 ///
-/// This is the engine behind [`crate::run_experiment`]; the output is
-/// byte-identical for every shard count.
-pub fn run_sharded(topo: Topology, cfg: ExperimentConfig) -> ExperimentOutput {
-    let plan = SlicePlan::new(&cfg);
-    let workers = resolve_shards(&cfg).min(plan.len()).max(1);
-    let slice_cfg = |s: &Slice| {
-        let mut c = cfg.clone();
-        c.seed = s.seed;
-        c.duration = s.duration;
-        c
-    };
-    let outputs: Vec<ExperimentOutput> = if workers == 1 {
-        // Move the topology into the last slice instead of cloning it:
-        // a large mesh's segment table is by far the biggest allocation
-        // in the process, and the single-slice case (every short run)
-        // used to copy it once for nothing.
-        let mut topo = Some(topo);
-        let last = plan.len() - 1;
-        plan.slices()
-            .iter()
-            .enumerate()
-            .map(|(i, s)| {
-                let t =
-                    if i == last { topo.take().expect("last slice runs once") } else { topo.as_ref().expect("topology lives until the last slice").clone() };
-                run_slice(t, slice_cfg(s), s.start)
-            })
-            .collect()
-    } else {
-        // Work-stealing over slice indices. Scheduling decides only
-        // *when* a slice runs; its result always lands in slot `index`
-        // and the merge below walks slots in order, so the output is
-        // schedule-invariant.
-        let next = AtomicUsize::new(0);
-        let results: Vec<Mutex<Option<ExperimentOutput>>> =
-            plan.slices().iter().map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let k = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(s) = plan.slices().get(k) else { break };
-                    let out = run_slice(topo.clone(), slice_cfg(s), s.start);
-                    *results[k].lock().expect("result slot poisoned") = Some(out);
-                });
-            }
-        });
-        results
-            .into_iter()
-            .map(|m| m.into_inner().expect("result slot poisoned").expect("slice ran"))
-            .collect()
-    };
-    report::merge_outputs(outputs)
+/// Accepts `(slice index, output)` in any order. A result whose
+/// predecessors have all been folded is folded at once (and so is every
+/// parked successor it unblocks); any other is parked until they have.
+/// Because [`report::merge_outputs`] is a strict left fold into its
+/// first element, folding pairwise as results arrive is bit-identical
+/// to one big fold over the whole plan at the end.
+#[derive(Default)]
+pub struct SliceMerger {
+    /// Slices `[0, next)` folded in slice order.
+    merged: Option<ExperimentOutput>,
+    next: usize,
+    /// Early results waiting for a predecessor.
+    parked: BTreeMap<usize, ExperimentOutput>,
+    peak_parked: usize,
+}
+
+impl SliceMerger {
+    /// Hands slice `index`'s output to the fold.
+    ///
+    /// # Panics
+    ///
+    /// If `index` was pushed before (sources deduplicate: the local
+    /// executor claims each index once, the coordinator keeps the first
+    /// copy per slice), or if the output's shape disagrees with its
+    /// predecessors' (see [`report::merge_outputs`]).
+    pub fn push(&mut self, index: usize, output: ExperimentOutput) {
+        assert!(
+            index >= self.next && self.parked.insert(index, output).is_none(),
+            "slice {index} pushed twice"
+        );
+        self.peak_parked = self.peak_parked.max(self.parked.len());
+        while let Some(next) = self.parked.remove(&self.next) {
+            self.merged = Some(match self.merged.take() {
+                None => next,
+                Some(acc) => report::merge_outputs(vec![acc, next]),
+            });
+            self.next += 1;
+        }
+    }
+
+    /// High-water mark of results held at once, counting each arrival
+    /// before it folds: purely in-order arrival peaks at 1.
+    pub fn peak_parked(&self) -> usize {
+        self.peak_parked
+    }
+
+    /// The merged output of a `slices`-slice plan.
+    ///
+    /// # Panics
+    ///
+    /// Unless exactly the slices `0..slices` were pushed.
+    pub fn finish(self, slices: usize) -> ExperimentOutput {
+        assert!(
+            self.next == slices && self.parked.is_empty(),
+            "merged {} of {slices} slices with {} parked",
+            self.next,
+            self.parked.len()
+        );
+        self.merged.expect("a plan has at least one slice")
+    }
 }
 
 /// Out-of-band diagnostics from a campaign run. Nothing here crosses
@@ -218,40 +249,87 @@ pub struct CampaignDiag {
     /// [`overlay::table::LinkStateTable::approx_bytes`], sampled at each
     /// slice's end.
     pub peak_table_bytes: u64,
+    /// [`SliceMerger::peak_parked`] of the run's merge.
+    pub peak_parked: usize,
 }
 
-/// [`run_sharded`] with a diagnostic side channel. Runs the slice plan
-/// sequentially (the diagnostics consumer is the scaling harness, which
-/// runs one slice anyway); the report is byte-identical to
-/// [`run_sharded`] at any shard count because the merge order is the
-/// slice order either way.
-pub fn run_sharded_diag(topo: Topology, cfg: ExperimentConfig) -> (ExperimentOutput, CampaignDiag) {
+/// Executes the campaign's slice plan on up to `shards` worker threads,
+/// merging the per-slice outputs in slice order as they finish.
+///
+/// This is the engine behind [`crate::run_experiment`]; the output is
+/// byte-identical for every shard count.
+pub fn run_sharded(topo: Topology, cfg: ExperimentConfig) -> (ExperimentOutput, CampaignDiag) {
     let plan = SlicePlan::new(&cfg);
-    let slice_cfg = |s: &Slice| {
-        let mut c = cfg.clone();
-        c.seed = s.seed;
-        c.duration = s.duration;
-        c
-    };
-    let mut topo = Some(topo);
+    let workers = resolve_shards(&cfg).min(plan.len());
+    execute(&plan, workers, topo, |s, topo| {
+        run_slice(topo, plan.slice_config(&cfg, s.index), s.start)
+    })
+}
+
+/// What the workers of one [`execute`] share.
+struct Exec {
+    /// Next unclaimed slice index.
+    next: usize,
+    /// The campaign topology, until the last slice takes it.
+    topo: Option<Topology>,
+    merger: SliceMerger,
+    diag: CampaignDiag,
+}
+
+/// The one slice executor: `workers` claim slice indices in order, `run`
+/// each on its own copy of the topology, and feed the merger.
+///
+/// The claim hands the topology out under the same lock as the index —
+/// a clone for every slice but the last, which *takes* it: a large
+/// mesh's segment table is by far the biggest allocation in the
+/// process, and a one-slice plan (every short run) must not copy it for
+/// nothing.
+fn execute<R>(
+    plan: &SlicePlan,
+    workers: usize,
+    topo: Topology,
+    run: R,
+) -> (ExperimentOutput, CampaignDiag)
+where
+    R: Fn(&Slice, Topology) -> (ExperimentOutput, u64) + Sync,
+{
+    const POISONED: &str = "another slice worker panicked";
     let last = plan.len() - 1;
-    let mut diag = CampaignDiag::default();
-    let outputs: Vec<ExperimentOutput> = plan
-        .slices()
-        .iter()
-        .enumerate()
-        .map(|(i, s)| {
-            let t = if i == last {
-                topo.take().expect("last slice runs once")
+    let shared = Mutex::new(Exec {
+        next: 0,
+        topo: Some(topo),
+        merger: SliceMerger::default(),
+        diag: CampaignDiag::default(),
+    });
+    let work = || loop {
+        let (slice, topo) = {
+            let mut st = shared.lock().expect(POISONED);
+            let Some(slice) = plan.slices().get(st.next) else { break };
+            st.next += 1;
+            let topo = if slice.index == last {
+                st.topo.take().expect("the last slice is claimed once")
             } else {
-                topo.as_ref().expect("topology lives until the last slice").clone()
+                st.topo.as_ref().expect("the last slice is claimed last").clone()
             };
-            let (out, table_bytes) = run_slice_diag(t, slice_cfg(s), s.start);
-            diag.peak_table_bytes = diag.peak_table_bytes.max(table_bytes);
-            out
-        })
-        .collect();
-    (report::merge_outputs(outputs), diag)
+            (slice, topo)
+        };
+        let (out, table_bytes) = run(slice, topo);
+        let mut st = shared.lock().expect(POISONED);
+        st.diag.peak_table_bytes = st.diag.peak_table_bytes.max(table_bytes);
+        st.merger.push(slice.index, out);
+    };
+    if workers > 1 {
+        std::thread::scope(|scope| {
+            for _ in 0..workers {
+                scope.spawn(work);
+            }
+        });
+    } else {
+        work();
+    }
+    let mut st = shared.into_inner().expect(POISONED);
+    st.diag.peak_parked = st.merger.peak_parked();
+    (st.merger.finish(plan.len()), st.diag)
 }
 
 #[cfg(test)]
@@ -327,11 +405,50 @@ mod tests {
             let topo = Topology::synthetic(4, 0.02, 5);
             let mut c = cfg(8, 2); // 4 slices
             c.shards = shards;
-            run_sharded(topo, c)
+            run_sharded(topo, c).0
         };
         let seq = run(1);
         let par = run(4);
         assert_eq!(seq.fingerprint(), par.fingerprint());
         assert!(seq.measure_legs > 0, "the sliced run must move traffic");
+    }
+
+    #[test]
+    fn one_worker_feeds_the_merger_in_order() {
+        let mut c = cfg(8, 1);
+        c.shards = 1;
+        let (_, diag) = run_sharded(Topology::synthetic(4, 0.02, 5), c);
+        assert_eq!(diag.peak_parked, 1, "each slice folds the moment it lands");
+        assert!(diag.peak_table_bytes > 0);
+    }
+
+    #[test]
+    fn two_workers_never_park_more_than_the_worker_count() {
+        // Forced interleaving, not luck: a barrier at the end of every
+        // slice makes the two workers finish in lockstep, so neither can
+        // lap the other. Each round then pushes one adjacent pair of
+        // slices in either order — at most two results parked — and the
+        // outputs of a whole campaign never pile up until its end.
+        let c = cfg(8, 1);
+        let plan = SlicePlan::new(&c);
+        assert_eq!(plan.len(), 8);
+        let lockstep = std::sync::Barrier::new(2);
+        let (out, diag) = execute(&plan, 2, Topology::synthetic(4, 0.02, 5), |s, topo| {
+            let done = run_slice(topo, plan.slice_config(&c, s.index), s.start);
+            lockstep.wait();
+            done
+        });
+        assert!(diag.peak_parked <= 2, "parked {} results on 2 workers", diag.peak_parked);
+        let (seq, _) = run_sharded(Topology::synthetic(4, 0.02, 5), c);
+        assert_eq!(out.fingerprint(), seq.fingerprint());
+    }
+
+    #[test]
+    #[should_panic(expected = "slice 1 pushed twice")]
+    fn merger_refuses_a_second_copy_of_a_slice() {
+        let slice = || run_sharded(Topology::synthetic(4, 0.02, 5), cfg(1, 1)).0;
+        let mut m = SliceMerger::default();
+        m.push(1, slice());
+        m.push(1, slice());
     }
 }

@@ -9,7 +9,9 @@
 use crate::impair::Impairment;
 use bytes::Bytes;
 use netsim::{HostId, Rng, SimTime};
-use overlay::{Delivered, NodeConfig, OverlayNode, Packet, Policy, Transmit};
+use overlay::{
+    Delivered, DisseminationMode, NodeConfig, OverlayNode, Packet, Policy, Transmit,
+};
 use parking_lot::Mutex;
 use std::net::SocketAddr;
 use std::sync::Arc;
@@ -167,7 +169,14 @@ async fn node_loop(
 ) {
     let start = Instant::now();
     let now_sim = |at: Instant| SimTime::from_micros(at.duration_since(start).as_micros() as u64);
-    let mut node = OverlayNode::new(cfg.me, cfg.peers.len(), cfg.node, cfg.seed, SimTime::ZERO);
+    let mut node = OverlayNode::new_with_dissemination(
+        cfg.me,
+        cfg.peers.len(),
+        cfg.node,
+        cfg.seed,
+        SimTime::ZERO,
+        DisseminationMode::FullSnapshot,
+    );
     let mut rng = Rng::new(cfg.seed ^ 0x11FE);
     // Address book: HostId index → socket address.
     let addr_of: Vec<SocketAddr> = cfg.peers.clone();

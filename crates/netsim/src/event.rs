@@ -27,10 +27,10 @@
 //!
 //! Keys `(time, seq)` are unique and totally ordered, so heap pops are
 //! deterministic and the pop sequence is **identical** to an ordered
-//! heap's, which [`ReferenceEventQueue`] (the pre-calendar
-//! implementation) exists to prove — `netsim`'s equivalence property
-//! test drives both through random interleaved push/pop schedules,
-//! including dense same-instant bursts, and asserts equal pop sequences.
+//! heap's. The pre-calendar heap lives on as test support to prove it:
+//! the property tests in `tests/event_queue_equivalence.rs` drive both
+//! through random interleaved push/pop schedules, including dense
+//! same-instant bursts, and assert equal pop sequences.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
@@ -247,73 +247,6 @@ impl<E> EventQueue<E> {
     }
 }
 
-/// The original binary-heap event queue, kept as the executable
-/// specification of the ordering contract: pop order is ascending
-/// `(time, seq)`, i.e. time-ordered with FIFO ties.
-///
-/// [`EventQueue`] must stay pop-for-pop identical to this; the
-/// `event_queue_equivalence` property test in `crates/netsim/tests`
-/// drives both through random schedules and asserts exactly that. Keep
-/// this implementation boring.
-pub struct ReferenceEventQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
-    seq: u64,
-    popped: u64,
-}
-
-impl<E> Default for ReferenceEventQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> ReferenceEventQueue<E> {
-    /// Creates an empty queue.
-    pub fn new() -> Self {
-        ReferenceEventQueue { heap: BinaryHeap::new(), seq: 0, popped: 0 }
-    }
-
-    /// Schedules `event` at instant `at`.
-    pub fn push(&mut self, at: SimTime, event: E) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(Entry { at, seq, event });
-    }
-
-    /// Removes and returns the earliest event.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.heap.pop().map(|e| {
-            self.popped += 1;
-            (e.at, e.event)
-        })
-    }
-
-    /// The instant of the next event without removing it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.at)
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True when no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Total number of events ever scheduled.
-    pub fn scheduled(&self) -> u64 {
-        self.seq
-    }
-
-    /// Total number of events ever dispatched.
-    pub fn dispatched(&self) -> u64 {
-        self.popped
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -456,22 +389,5 @@ mod tests {
             assert_eq!(q.pop(), Some((t, l)));
         }
         assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn reference_queue_matches_on_a_fixed_schedule() {
-        let mut a = EventQueue::new();
-        let mut b = ReferenceEventQueue::new();
-        let times = [5u64, 5, 3, 70_000_000, 3, 0, 5, 120_000_000, 70_000_000, 1];
-        for (i, &t) in times.iter().enumerate() {
-            a.push(SimTime::from_micros(t), i);
-            b.push(SimTime::from_micros(t), i);
-        }
-        while let Some(x) = b.pop() {
-            assert_eq!(a.pop(), Some(x));
-        }
-        assert_eq!(a.pop(), None);
-        assert_eq!(a.scheduled(), b.scheduled());
-        assert_eq!(a.dispatched(), b.dispatched());
     }
 }

@@ -44,7 +44,7 @@ pub mod time;
 pub mod topology;
 
 pub use clock::ClockModel;
-pub use event::{EventQueue, ReferenceEventQueue};
+pub use event::EventQueue;
 pub use latency::{Episode, LatencyModel};
 pub use load::LoadProfile;
 pub use loss::{GeParams, GilbertElliott};

@@ -4,8 +4,28 @@
 //! [`EventQueue`] pops the exact `(time, event)` sequence of
 //! [`ReferenceEventQueue`], the original ordered binary heap.
 
-use netsim::{EventQueue, ReferenceEventQueue, SimTime};
+mod support;
+
+use netsim::{EventQueue, SimTime};
 use proptest::prelude::*;
+use support::ReferenceEventQueue;
+
+#[test]
+fn reference_queue_matches_on_a_fixed_schedule() {
+    let mut a = EventQueue::new();
+    let mut b = ReferenceEventQueue::new();
+    let times = [5u64, 5, 3, 70_000_000, 3, 0, 5, 120_000_000, 70_000_000, 1];
+    for (i, &t) in times.iter().enumerate() {
+        a.push(SimTime::from_micros(t), i);
+        b.push(SimTime::from_micros(t), i);
+    }
+    while let Some(x) = b.pop() {
+        assert_eq!(a.pop(), Some(x));
+    }
+    assert_eq!(a.pop(), None);
+    assert_eq!(a.scheduled(), b.scheduled());
+    assert_eq!(a.dispatched(), b.dispatched());
+}
 
 #[derive(Debug, Clone)]
 enum Op {

@@ -103,17 +103,12 @@ pub struct OverlayNode {
 }
 
 impl OverlayNode {
-    /// Creates a node for a mesh of `n` nodes with the default
-    /// full-snapshot dissemination. `seed` controls all node randomness
+    /// Creates a node for a mesh of `n` nodes running the given
+    /// dissemination strategy. `seed` controls all node randomness
     /// (probe ids, jitter, random intermediates); `start` is the instant
-    /// probing begins.
-    pub fn new(me: HostId, n: usize, cfg: NodeConfig, seed: u64, start: SimTime) -> Self {
-        Self::new_with_dissemination(me, n, cfg, seed, start, DisseminationMode::FullSnapshot)
-    }
-
-    /// Creates a node running the given dissemination strategy. The
-    /// disseminator gets its own derived RNG stream, so the default mode
-    /// consumes exactly the draws the pre-dissemination node did.
+    /// probing begins. The disseminator gets its own derived RNG stream,
+    /// so [`DisseminationMode::FullSnapshot`] consumes exactly the draws
+    /// the pre-dissemination node did.
     pub fn new_with_dissemination(
         me: HostId,
         n: usize,
@@ -289,20 +284,10 @@ impl OverlayNode {
         self.table.route(dst, policy, now, &mut self.rng)
     }
 
-    /// Selects a route to `dst` distinct from `exclude` (the second copy
-    /// of a 2-redundant pair, §3.2).
-    pub fn route_diverse(
-        &mut self,
-        dst: HostId,
-        policy: Policy,
-        now: SimTime,
-        exclude: Route,
-    ) -> Route {
-        self.table.route_diverse(dst, policy, now, &mut self.rng, exclude)
-    }
-
-    /// Selects a route to `dst` distinct from every route in `avoid`
-    /// (leg k of a k-redundant probe under full prior-leg diversity).
+    /// Selects a route to `dst` distinct from every route in `avoid`:
+    /// the first copy's path for a §3.2 pair, every earlier copy's under
+    /// full prior-leg diversity, nothing (plain [`Self::route`]) when
+    /// `avoid` is empty.
     pub fn route_avoiding(
         &mut self,
         dst: HostId,
@@ -339,7 +324,14 @@ mod tests {
     use bytes::Bytes;
 
     fn node(me: u16, n: usize) -> OverlayNode {
-        OverlayNode::new(HostId(me), n, NodeConfig::default(), 42 + me as u64, SimTime::ZERO)
+        OverlayNode::new_with_dissemination(
+            HostId(me),
+            n,
+            NodeConfig::default(),
+            42 + me as u64,
+            SimTime::ZERO,
+            DisseminationMode::FullSnapshot,
+        )
     }
 
     #[test]

@@ -186,12 +186,6 @@ impl LinkStateTable {
         &self.direct[peer.idx()]
     }
 
-    /// Ingests a peer's piggybacked metric vector (full-snapshot
-    /// semantics: the peer's previous vector is replaced wholesale).
-    pub fn on_metrics(&mut self, from: HostId, entries: &[MetricEntry], now: SimTime) {
-        self.ingest_full(from, entries, now);
-    }
-
     /// Ingests a *complete* advertisement from `from`: every previously
     /// known entry is discarded and the new ones are stamped `now`.
     pub fn ingest_full(&mut self, from: HostId, entries: &[MetricEntry], now: SimTime) {
@@ -279,32 +273,15 @@ impl LinkStateTable {
         }
     }
 
-    /// Selects a route toward `dst` that is *distinct* from `exclude` —
-    /// the second copy of a 2-redundant pair must travel "on each
-    /// distinct paths" (§3.2). When the policy's best route collides
-    /// with `exclude`, the best allowed alternative is taken, even if it
-    /// is worse than the excluded one; with no information at all the
-    /// fallback is a random intermediate.
-    pub fn route_diverse(
-        &self,
-        dst: HostId,
-        policy: Policy,
-        now: SimTime,
-        rng: &mut Rng,
-        exclude: Route,
-    ) -> Route {
-        // One excluded route is the k = 2 case of full diversity; the
-        // avoiding path consumes RNG draws identically, so historical
-        // results are bit-preserved.
-        self.route_avoiding(dst, policy, now, rng, &[exclude])
-    }
-
     /// Selects a route toward `dst` distinct from *every* route in
-    /// `avoid` — leg k of a k-redundant probe under full (all prior
-    /// legs) diversity. With one entry this is exactly
-    /// [`Self::route_diverse`]. Best effort: when the mesh offers no
-    /// unused path, a random detour (possibly colliding) is taken, as in
-    /// the 2-leg case.
+    /// `avoid` — the later copies of a redundant probe must travel "on
+    /// each distinct paths" (§3.2). One entry is the paper's 2-redundant
+    /// pair (avoid the first copy's path), more are leg k under full
+    /// prior-leg diversity, and an empty slice is plain [`Self::route`].
+    /// When the policy's best route is excluded the best allowed
+    /// alternative is taken, even if it is worse; with no information at
+    /// all, or no unused path left, the fallback is a random detour
+    /// (possibly colliding).
     pub fn route_avoiding(
         &self,
         dst: HostId,
@@ -475,7 +452,7 @@ impl LinkStateTable {
 mod tests {
     use super::*;
 
-    fn table(n: usize) -> LinkStateTable {
+    pub(super) fn table(n: usize) -> LinkStateTable {
         LinkStateTable::new(
             HostId(0),
             n,
@@ -488,7 +465,7 @@ mod tests {
         )
     }
 
-    fn feed_direct(t: &mut LinkStateTable, peer: u16, losses: usize, successes: usize, lat_ms: u64) {
+    pub(super) fn feed_direct(t: &mut LinkStateTable, peer: u16, losses: usize, successes: usize, lat_ms: u64) {
         for _ in 0..losses {
             t.direct_mut(HostId(peer)).record_loss();
         }
@@ -498,8 +475,8 @@ mod tests {
         }
     }
 
-    fn vector_from(t: &mut LinkStateTable, from: u16, toward: u16, loss: f64, lat_ms: u32, at: SimTime) {
-        t.on_metrics(
+    pub(super) fn vector_from(t: &mut LinkStateTable, from: u16, toward: u16, loss: f64, lat_ms: u32, at: SimTime) {
+        t.ingest_full(
             HostId(from),
             &[MetricEntry {
                 peer: HostId(toward),
@@ -744,43 +721,8 @@ mod tests {
 
 #[cfg(test)]
 mod diverse_tests {
+    use super::tests::{feed_direct, table, vector_from};
     use super::*;
-
-    fn table(n: usize) -> LinkStateTable {
-        LinkStateTable::new(
-            HostId(0),
-            n,
-            100,
-            0.1,
-            5,
-            SimDuration::from_secs(90),
-            0.01,
-            0.05,
-        )
-    }
-
-    fn feed_direct(t: &mut LinkStateTable, peer: u16, losses: usize, successes: usize, lat_ms: u64) {
-        for _ in 0..losses {
-            t.direct_mut(HostId(peer)).record_loss();
-        }
-        for _ in 0..successes {
-            t.direct_mut(HostId(peer))
-                .record_success(SimTime::from_secs(1), SimDuration::from_millis(lat_ms));
-        }
-    }
-
-    fn vector_from(t: &mut LinkStateTable, from: u16, toward: u16, loss: f64, lat_ms: u32, at: SimTime) {
-        t.on_metrics(
-            HostId(from),
-            &[MetricEntry {
-                peer: HostId(toward),
-                loss_e4: (loss * 10_000.0) as u16,
-                lat_us: lat_ms * 1000,
-                alive: true,
-            }],
-            at,
-        );
-    }
 
     #[test]
     fn excluding_direct_forces_an_intermediate() {
@@ -793,7 +735,7 @@ mod diverse_tests {
         vector_from(&mut t, 1, 4, 0.0, 10, now);
         vector_from(&mut t, 2, 4, 0.0, 10, now);
         let mut rng = Rng::new(1);
-        let r = t.route_diverse(HostId(4), Policy::MinLoss, now, &mut rng, Route::Direct);
+        let r = t.route_avoiding(HostId(4), Policy::MinLoss, now, &mut rng, &[Route::Direct]);
         // Must pick the cleanest intermediate, never direct.
         assert_eq!(r, Route::Via(HostId(1)));
     }
@@ -806,7 +748,7 @@ mod diverse_tests {
         feed_direct(&mut t, 1, 0, 100, 10);
         vector_from(&mut t, 1, 3, 0.0, 10, now);
         let mut rng = Rng::new(2);
-        let r = t.route_diverse(HostId(3), Policy::MinLoss, now, &mut rng, Route::Via(HostId(1)));
+        let r = t.route_avoiding(HostId(3), Policy::MinLoss, now, &mut rng, &[Route::Via(HostId(1))]);
         assert_eq!(r, Route::Direct, "clean direct beats the remaining detours");
     }
 
@@ -815,7 +757,7 @@ mod diverse_tests {
         let t = table(5);
         let mut rng = Rng::new(3);
         for _ in 0..500 {
-            let r = t.route_diverse(HostId(4), Policy::Random, SimTime::ZERO, &mut rng, Route::Via(HostId(1)));
+            let r = t.route_avoiding(HostId(4), Policy::Random, SimTime::ZERO, &mut rng, &[Route::Via(HostId(1))]);
             assert_ne!(r, Route::Via(HostId(1)), "excluded intermediate reused");
             assert_ne!(r, Route::Via(HostId(0)), "via self");
             assert_ne!(r, Route::Via(HostId(4)), "via destination");
@@ -826,7 +768,7 @@ mod diverse_tests {
     fn no_information_falls_back_to_random_detour() {
         let t = table(6);
         let mut rng = Rng::new(4);
-        let r = t.route_diverse(HostId(3), Policy::MinLoss, SimTime::from_secs(9), &mut rng, Route::Direct);
+        let r = t.route_avoiding(HostId(3), Policy::MinLoss, SimTime::from_secs(9), &mut rng, &[Route::Direct]);
         assert!(matches!(r, Route::Via(_)), "diversity demands *some* other path: {r:?}");
     }
 
@@ -840,7 +782,7 @@ mod diverse_tests {
         vector_from(&mut t, 1, 4, 0.0, 30, now);
         vector_from(&mut t, 2, 4, 0.0, 20, now);
         let mut rng = Rng::new(5);
-        let r = t.route_diverse(HostId(4), Policy::MinLat, now, &mut rng, Route::Direct);
+        let r = t.route_avoiding(HostId(4), Policy::MinLat, now, &mut rng, &[Route::Direct]);
         assert_eq!(r, Route::Via(HostId(2)), "15+20 beats 30+30");
     }
 
@@ -857,7 +799,7 @@ mod diverse_tests {
         feed_direct(&mut t, 2, 0, 100, 40);
         vector_from(&mut t, 2, 3, 0.0, 40, now);
         let mut rng = Rng::new(6);
-        let r = t.route_diverse(HostId(3), Policy::MinLoss, now, &mut rng, Route::Direct);
+        let r = t.route_avoiding(HostId(3), Policy::MinLoss, now, &mut rng, &[Route::Direct]);
         assert_eq!(r, Route::Via(HostId(2)), "dead hop 1 must be skipped");
     }
 
@@ -880,8 +822,8 @@ mod diverse_tests {
         // 6-node mesh toward host 5: direct plus intermediates 1..=4 all
         // usable, ranked by loss. Successive legs of a 4-redundant probe
         // under full diversity must each take a route none of the prior
-        // legs used — in particular legs 3 and 4, which `route_diverse`
-        // (first-leg-only exclusion) cannot guarantee.
+        // legs used — in particular legs 3 and 4, which excluding the
+        // first leg alone cannot guarantee.
         let mut t = table(6);
         let now = SimTime::from_secs(50);
         feed_direct(&mut t, 5, 0, 100, 10);

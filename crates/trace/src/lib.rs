@@ -1,4 +1,4 @@
-//! # trace — probe records, per-host logs, and the central collector
+//! # trace — probe records and the central collector
 //!
 //! The paper's measurement pipeline (§4.1): every probe has a random
 //! 64-bit identifier; hosts log send and receive events with local
@@ -15,9 +15,7 @@
 #![warn(missing_docs)]
 
 pub mod collect;
-pub mod log;
 pub mod record;
 
 pub use collect::{Collector, CollectorConfig, CollectorStats};
-pub use log::HostLog;
-pub use record::{LegOutcome, LogEvent, PairOutcome, RecvEvent, SendEvent};
+pub use record::{LegOutcome, PairOutcome, RecvEvent, SendEvent};

@@ -44,15 +44,6 @@ pub struct RecvEvent {
     pub recv_local_us: i64,
 }
 
-/// One host-log line (what hosts push to the central machine).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum LogEvent {
-    /// A send record.
-    Send(SendEvent),
-    /// A receive record.
-    Recv(RecvEvent),
-}
-
 /// The resolved fate of one measurement leg.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct LegOutcome {

@@ -13,7 +13,9 @@
 use mpath::netsim::{
     Delivery, EventQueue, HostId, LoadProfile, Network, SimDuration, SimTime, Topology,
 };
-use mpath::overlay::{NodeConfig, OverlayNode, Packet, Policy, Route, Transmit};
+use mpath::overlay::{
+    DisseminationMode, NodeConfig, OverlayNode, Packet, Policy, Route, Transmit,
+};
 
 enum Ev {
     NodeTimer(u16),
@@ -30,7 +32,16 @@ fn main() {
     net.set_load(LoadProfile::flat());
 
     let mut nodes: Vec<OverlayNode> = (0..n as u16)
-        .map(|i| OverlayNode::new(HostId(i), n, NodeConfig::default(), 100 + i as u64, SimTime::ZERO))
+        .map(|i| {
+            OverlayNode::new_with_dissemination(
+                HostId(i),
+                n,
+                NodeConfig::default(),
+                100 + i as u64,
+                SimTime::ZERO,
+                DisseminationMode::FullSnapshot,
+            )
+        })
         .collect();
 
     let mut q = EventQueue::new();

@@ -407,6 +407,51 @@ fn killed_worker_and_duplicate_result_still_merge_to_sequential_bits() {
 }
 
 #[test]
+fn lying_worker_is_dropped_and_the_campaign_still_merges_to_sequential_bits() {
+    // A worker that ran the right campaign (digest matches) but ships a
+    // result of the wrong *shape* must cost the coordinator one
+    // connection, not its state lock: the merge asserts on such a
+    // result, and a panic under the lock would take every other
+    // connection down with it.
+    let j = job("ron-narrow");
+    let (coordinator, addr) = spawn_coordinator(&j);
+    let lies: [fn(&mut ExperimentOutput); 2] = [
+        // Method names truncated.
+        |out| {
+            out.names.pop();
+        },
+        // A 20-minute window accumulator one method short.
+        |out| {
+            out.win20 = analysis::WindowAccum::new(
+                out.n,
+                out.names.len() - 1,
+                SimDuration::from_mins(20),
+            );
+        },
+    ];
+    for lie in lies {
+        let mut liar = fake_handshake(addr);
+        let slice = lease_slice(&mut liar);
+        let mut output = Box::new(j.run_slice_index(slice as usize));
+        lie(&mut output);
+        write_msg_blocking(&mut liar, &Msg::Result { slice, output }).unwrap();
+        // The coordinator hangs up on a protocol error.
+        assert!(
+            !matches!(read_msg_blocking(&mut liar), Ok(Some(_))),
+            "a wrong-shaped result must end the connection"
+        );
+    }
+    let workers = spawn_workers(addr, 1);
+    let rep = coordinator.join().expect("coordinator thread");
+    for w in workers {
+        w.join().expect("worker thread");
+    }
+    assert!(rep.releases >= 1, "the liars' leases must be re-issued");
+    assert_eq!(rep.duplicates, 0, "nothing a liar sent was recorded");
+    assert_eq!(rep.output.fingerprint(), sequential(&j).fingerprint());
+}
+
+#[test]
 fn stalled_worker_times_out_and_the_slice_is_re_leased() {
     let j = job("ron-narrow");
     let (coordinator, addr) = spawn_coordinator(&j);

@@ -6,7 +6,9 @@ use mpath::core::{run_experiment, ExperimentConfig, MethodSet, ScenarioRegistry}
 use mpath::netsim::{
     Delivery, EventQueue, HostId, LoadProfile, Network, SimDuration, SimTime, Topology,
 };
-use mpath::overlay::{NodeConfig, OverlayNode, Packet, Policy, Route, Transmit};
+use mpath::overlay::{
+    DisseminationMode, NodeConfig, OverlayNode, Packet, Policy, Route, Transmit,
+};
 
 #[test]
 fn host_crashes_are_discarded_not_counted() {
@@ -44,7 +46,16 @@ fn reactive_routing_detours_around_forced_outage() {
     let mut net = Network::new(topo, 77);
     net.set_load(LoadProfile::flat());
     let mut nodes: Vec<OverlayNode> = (0..n as u16)
-        .map(|i| OverlayNode::new(HostId(i), n, NodeConfig::default(), 500 + i as u64, SimTime::ZERO))
+        .map(|i| {
+            OverlayNode::new_with_dissemination(
+                HostId(i),
+                n,
+                NodeConfig::default(),
+                500 + i as u64,
+                SimTime::ZERO,
+                DisseminationMode::FullSnapshot,
+            )
+        })
         .collect();
     let mut q = EventQueue::new();
     for i in 0..n as u16 {

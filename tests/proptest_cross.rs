@@ -247,6 +247,44 @@ proptest! {
     }
 
     #[test]
+    fn slice_merger_folds_any_arrival_order_like_the_in_order_fold(
+        seed in any::<u64>(),
+        keys in proptest::collection::vec(any::<u32>(), 6..7),
+    ) {
+        // The one merge, fuzzed: the six slice outputs of a tiny
+        // campaign, pushed in an arbitrary permutation, fold to the bits
+        // of the sequential run — and the merger never holds more than
+        // the permutation forces it to: a slice arriving `d` places
+        // early waits for at most `d` predecessors.
+        use mpath::core::shard::SliceMerger;
+        use mpath::core::{CampaignJob, ScenarioRegistry, TopologySpec};
+        let mut spec = ScenarioRegistry::builtin().get("ron-narrow").expect("builtin").clone();
+        spec.name = "merger-fuzz".to_string();
+        spec.topology = TopologySpec::Synthetic { hosts: 4, edge_loss: 0.02 };
+        let job = CampaignJob {
+            spec,
+            seed,
+            duration_us: mpath::netsim::SimDuration::from_mins(6).as_micros(),
+            slice_width_us: mpath::netsim::SimDuration::from_mins(1).as_micros(),
+        };
+        prop_assert_eq!(job.plan().len(), keys.len());
+        let mut order: Vec<usize> = (0..keys.len()).collect();
+        order.sort_by_key(|&k| (keys[k], k));
+        let mut merger = SliceMerger::default();
+        for &k in &order {
+            merger.push(k, job.run_slice_index(k));
+        }
+        let displacement =
+            order.iter().enumerate().map(|(pos, &k)| pos.abs_diff(k)).max().unwrap_or(0);
+        prop_assert!(merger.peak_parked() <= displacement + 1,
+            "order {:?} parked {}", order, merger.peak_parked());
+        let mut cfg = job.config();
+        cfg.shards = 1;
+        let seq = mpath::core::run_experiment(job.spec.topology(job.seed), cfg);
+        prop_assert_eq!(merger.finish(order.len()).fingerprint(), seq.fingerprint());
+    }
+
+    #[test]
     fn collector_conserves_probes(
         n_probes in 1u64..200,
         seed in any::<u64>(),
