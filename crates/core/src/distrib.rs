@@ -75,17 +75,48 @@
 //! finished without me" and exit cleanly
 //! ([`WorkerReport::coordinator_closed`]): the coordinator only exits
 //! once every slice has resolved, so there is nothing left to do.
+//!
+//! # I/O model
+//!
+//! Plain blocking `std::net` sockets and `std::thread`s; one function
+//! reads a frame ([`read_msg_blocking`]) and one writes it
+//! ([`write_msg_blocking`]), for both sides and for every tool and
+//! test. [`serve_campaign`] runs the accept loop on the calling thread
+//! and one scoped thread per worker connection; that thread owns its
+//! socket and sits in `read` whenever the worker has nothing to say.
+//! [`run_worker`] owns its one socket on the calling thread and spawns
+//! a compute thread per lease; finished slices come back over a channel
+//! whose receive timeout is the heartbeat.
+//!
+//! *Shutdown.* `serve_campaign` returns as soon as the last slice is
+//! recorded, not when connections drain. The thread that recorded it
+//! wakes the accept loop with a loopback connection (never counted in
+//! [`ServeReport::connections`]); the accept loop then shuts down the
+//! read half of every live connection, so a thread blocked on a stalled
+//! or idle worker sees EOF while one answering a final `Ready` can
+//! still say `Done`, and joins them all. On return the listener and
+//! every accepted socket are closed: a worker still computing reads
+//! EOF or a reset and reports `coordinator_closed`.
+//!
+//! *Before the handshake* a peer is anybody. Its first frame is read
+//! under a 4 KiB cap instead of the 64 MiB one and must arrive within
+//! [`ServeOptions::lease_timeout`] (per read); afterwards an idle
+//! connection holding no lease is legal for as long as the campaign
+//! runs. Writes keep that timeout throughout, so a peer that stops
+//! draining replies cannot pin its thread. A refused peer costs one
+//! connection, never the campaign.
 
 use crate::experiment::{run_slice, ExperimentConfig, ExperimentOutput, OUTPUT_WIRE_VERSION};
 use crate::scenario::ScenarioSpec;
 use crate::shard::{SliceMerger, SlicePlan};
 use netsim::SimDuration;
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
-use std::sync::{Arc, Mutex};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::sync::{mpsc, Mutex};
+use std::thread;
 use std::time::{Duration, Instant};
-use tokio::net::{TcpListener, TcpStream};
-use tokio::sync::{mpsc, Notify};
 
 /// Version of the message grammar; bumped on any incompatible change.
 pub const PROTO_VERSION: u32 = 1;
@@ -93,6 +124,10 @@ pub const PROTO_VERSION: u32 = 1;
 /// Ceiling on a single frame body. A length prefix beyond this is
 /// treated as a corrupt stream, not an allocation request.
 const MAX_FRAME: usize = 64 << 20;
+
+/// Ceiling on the first frame of a connection. Until its `Hello` checks
+/// out a peer is anybody; a `Hello` is under 100 bytes.
+const HELLO_FRAME_CAP: usize = 4 << 10;
 
 /// Everything a worker needs to rebuild the campaign bit-for-bit.
 ///
@@ -278,44 +313,19 @@ fn decode_body(body: &[u8]) -> io::Result<Msg> {
     serde_json::from_str(text).map_err(|e| proto_err(format!("bad frame: {e}")))
 }
 
-fn frame_len(prefix: [u8; 4]) -> io::Result<usize> {
-    let len = u32::from_be_bytes(prefix) as usize;
-    if len > MAX_FRAME {
-        return Err(proto_err(format!("frame length {len} exceeds cap {MAX_FRAME}")));
-    }
-    Ok(len)
-}
-
-/// Sends one frame on an async stream.
-pub async fn send_msg(stream: &mut TcpStream, msg: &Msg) -> io::Result<()> {
-    stream.write_all(&encode_msg(msg)).await
-}
-
-/// Receives one frame from an async stream. `Ok(None)` is a clean
-/// close — EOF *between* frames; EOF inside a frame is an error.
-pub async fn recv_msg(stream: &mut TcpStream) -> io::Result<Option<Msg>> {
-    let mut prefix = [0u8; 4];
-    let n = stream.read(&mut prefix).await?;
-    if n == 0 {
-        return Ok(None);
-    }
-    if n < 4 {
-        stream.read_exact(&mut prefix[n..]).await?;
-    }
-    let len = frame_len(prefix)?;
-    let mut body = vec![0u8; len];
-    stream.read_exact(&mut body).await?;
-    decode_body(&body).map(Some)
-}
-
-/// Blocking [`send_msg`] for plain `std` sockets — lets tests (and any
-/// non-async tool) speak the protocol without the runtime.
+/// Sends one frame.
 pub fn write_msg_blocking<W: Write>(w: &mut W, msg: &Msg) -> io::Result<()> {
     w.write_all(&encode_msg(msg))
 }
 
-/// Blocking [`recv_msg`]; same clean-close contract.
+/// Receives one frame. `Ok(None)` is a clean close — EOF *between*
+/// frames; EOF inside a frame is an error.
 pub fn read_msg_blocking<R: Read>(r: &mut R) -> io::Result<Option<Msg>> {
+    read_frame(r, MAX_FRAME)
+}
+
+/// [`read_msg_blocking`] under a caller-chosen ceiling on the body.
+fn read_frame<R: Read>(r: &mut R, cap: usize) -> io::Result<Option<Msg>> {
     let mut prefix = [0u8; 4];
     let mut filled = 0;
     while filled < 4 {
@@ -328,7 +338,10 @@ pub fn read_msg_blocking<R: Read>(r: &mut R) -> io::Result<Option<Msg>> {
         }
         filled += n;
     }
-    let len = frame_len(prefix)?;
+    let len = u32::from_be_bytes(prefix) as usize;
+    if len > cap {
+        return Err(proto_err(format!("frame length {len} exceeds cap {cap}")));
+    }
     let mut body = vec![0u8; len];
     r.read_exact(&mut body)?;
     decode_body(&body).map(Some)
@@ -338,7 +351,9 @@ pub fn read_msg_blocking<R: Read>(r: &mut R) -> io::Result<Option<Msg>> {
 #[derive(Debug, Clone, Copy)]
 pub struct ServeOptions {
     /// A lease not refreshed (by heartbeat or result) within this span
-    /// is considered abandoned and re-issued on the next `Ready`.
+    /// is considered abandoned and re-issued on the next `Ready`. Also
+    /// how long a new connection has to say `Hello`, and how long a
+    /// reply may wait on a peer that is not reading; must be nonzero.
     pub lease_timeout: Duration,
     /// Ceiling on the back-off hint sent with [`Msg::Wait`].
     pub poll_ms: u64,
@@ -432,7 +447,6 @@ struct Coord {
     cfg: ExperimentConfig,
     opts: ServeOptions,
     state: Mutex<CoordState>,
-    done: Notify,
 }
 
 impl Coord {
@@ -451,7 +465,6 @@ impl Coord {
                 releases: 0,
                 duplicates: 0,
             }),
-            done: Notify::new(),
         }
     }
 
@@ -548,9 +561,6 @@ impl Coord {
         st.slices[slice] = SliceState::Done;
         st.pending -= 1;
         st.merger.push(slice, output);
-        if st.pending == 0 {
-            self.done.notify_waiters();
-        }
         Ok(())
     }
 
@@ -572,8 +582,37 @@ impl Coord {
     }
 }
 
-async fn drive_conn(stream: &mut TcpStream, coord: &Coord, conn: u64) -> io::Result<()> {
-    let hello = recv_msg(stream).await?;
+/// The address a local connect reaches `listener` on; a wildcard bind
+/// is reached over loopback.
+fn wake_addr(listener: &TcpListener) -> io::Result<SocketAddr> {
+    let mut addr = listener.local_addr()?;
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    Ok(addr)
+}
+
+fn drive_conn(
+    stream: &mut TcpStream,
+    coord: &Coord,
+    conn: u64,
+    wake: SocketAddr,
+) -> io::Result<()> {
+    // Pre-handshake limits: a small frame, and not forever to send it.
+    // The write timeout stays: a peer that stops draining its replies
+    // must not pin this thread past the end of the campaign.
+    let patience = coord.opts.lease_timeout;
+    stream.set_read_timeout(Some(patience))?;
+    stream.set_write_timeout(Some(patience))?;
+    let hello = read_frame(stream, HELLO_FRAME_CAP).map_err(|e| match e.kind() {
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => {
+            proto_err(format!("no Hello within {patience:?}"))
+        }
+        _ => e,
+    })?;
     let (proto, output_wire) = match hello {
         Some(Msg::Hello { proto, output_wire }) => (proto, output_wire),
         Some(other) => return Err(proto_err(format!("expected Hello, got {}", other.kind()))),
@@ -584,23 +623,32 @@ async fn drive_conn(stream: &mut TcpStream, coord: &Coord, conn: u64) -> io::Res
             "version mismatch: coordinator speaks proto {PROTO_VERSION} / output v{OUTPUT_WIRE_VERSION}, \
              worker offered proto {proto} / output v{output_wire}"
         );
-        send_msg(stream, &Msg::Deny { reason: reason.clone() }).await?;
+        write_msg_blocking(stream, &Msg::Deny { reason: reason.clone() })?;
         return Err(proto_err(reason));
     }
-    send_msg(stream, &Msg::Job { job: Box::new(coord.job.clone()) }).await?;
+    // A handshaken worker may idle as long as it likes between frames.
+    stream.set_read_timeout(None)?;
+    write_msg_blocking(stream, &Msg::Job { job: Box::new(coord.job.clone()) })?;
     loop {
-        let Some(msg) = recv_msg(stream).await? else { return Ok(()) };
+        let Some(msg) = read_msg_blocking(stream)? else { return Ok(()) };
         match msg {
             Msg::Ready => {
                 let grant = coord.grant_at(conn, Instant::now());
                 let done = matches!(grant, Msg::Done);
-                send_msg(stream, &grant).await?;
+                write_msg_blocking(stream, &grant)?;
                 if done {
                     return Ok(());
                 }
             }
             Msg::Heartbeat { slice } => coord.heartbeat_at(conn, slice as usize, Instant::now()),
-            Msg::Result { slice, output } => coord.record(slice as usize, *output)?,
+            Msg::Result { slice, output } => {
+                coord.record(slice as usize, *output)?;
+                if coord.finished() {
+                    // The accept loop is blocked in `accept`, and only a
+                    // connection wakes it. Refused means it already left.
+                    let _ = TcpStream::connect(wake);
+                }
+            }
             other => {
                 return Err(proto_err(format!("unexpected {} from worker", other.kind())));
             }
@@ -608,9 +656,8 @@ async fn drive_conn(stream: &mut TcpStream, coord: &Coord, conn: u64) -> io::Res
     }
 }
 
-async fn serve_conn(mut stream: TcpStream, coord: Arc<Coord>) {
-    let conn = coord.next_conn();
-    let res = drive_conn(&mut stream, &coord, conn).await;
+fn serve_conn(mut stream: TcpStream, coord: &Coord, conn: u64, wake: SocketAddr) {
+    let res = drive_conn(&mut stream, coord, conn, wake);
     // Dropping the leases *after* the connection ends covers every exit:
     // clean Done (no leases left), worker death (re-lease now), protocol
     // error (ditto).
@@ -624,39 +671,66 @@ async fn serve_conn(mut stream: TcpStream, coord: Arc<Coord>) {
 /// leases slices until every index has a result, and merges in slice
 /// order.
 ///
-/// Takes a *blocking* [`std::net::TcpListener`] so callers can bind
-/// port 0 first and advertise the resolved address before the runtime
-/// spins up; the listener is switched to nonblocking internally.
+/// Takes the bound listener so callers can bind port 0 first and
+/// advertise the resolved address before serving. Returns as soon as
+/// the last slice is recorded; by then the listener is closed and every
+/// worker connection shut down (see the module docs' *I/O model*).
 ///
 /// The returned report's output is byte-identical to running the same
 /// [`CampaignJob`] locally at any shard count — that is the whole point,
 /// and `tests/distributed_equivalence.rs` holds it to the fingerprint.
 pub fn serve_campaign(
-    listener: std::net::TcpListener,
+    listener: TcpListener,
     job: CampaignJob,
     opts: ServeOptions,
 ) -> io::Result<ServeReport> {
     job.validate().map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
     let slices = job.plan().len();
-    let coord = Arc::new(Coord::new(job, slices, opts));
-    tokio::runtime::block_on(async {
-        let listener = TcpListener::from_std(listener)?;
-        while !coord.finished() {
-            tokio::select! {
-                _ = coord.done.notified() => {}
-                accepted = listener.accept() => {
-                    let (stream, _peer) = accepted?;
-                    tokio::spawn(serve_conn(stream, coord.clone()));
-                }
+    let coord = Coord::new(job, slices, opts);
+    let wake = wake_addr(&listener)?;
+    // A second handle on each live connection, for the shutdown below.
+    let conns: Mutex<BTreeMap<u64, TcpStream>> = Mutex::new(BTreeMap::new());
+    thread::scope(|s| {
+        let (coord, conns) = (&coord, &conns);
+        let accepted = loop {
+            let stream = match listener.accept() {
+                Ok((stream, _peer)) => stream,
+                // A peer that connected and reset before we accepted is
+                // not the listener's failure; keep accepting.
+                Err(e) if e.kind() == io::ErrorKind::ConnectionAborted => continue,
+                Err(e) => break Err(e),
+            };
+            if coord.finished() {
+                // The wake-up call (or a latecomer), not a worker.
+                break Ok(());
             }
+            let conn = coord.next_conn();
+            let handle = match stream.try_clone() {
+                Ok(handle) => handle,
+                Err(e) => {
+                    eprintln!("mpath coordinator: worker connection {conn} refused: {e}");
+                    continue;
+                }
+            };
+            conns.lock().unwrap().insert(conn, handle);
+            s.spawn(move || {
+                serve_conn(stream, coord, conn, wake);
+                conns.lock().unwrap().remove(&conn);
+            });
+        };
+        // Connection threads blocked in `read` (an idle or stalled
+        // worker) see EOF and exit; one about to answer the `Ready`
+        // that followed the last result still can, so only the read
+        // half goes. The scope then joins them all.
+        for handle in conns.lock().unwrap().values() {
+            let _ = handle.shutdown(Shutdown::Read);
         }
-        io::Result::Ok(())
+        accepted
     })?;
-    let mut st = coord.state.lock().unwrap();
-    let merger = std::mem::take(&mut st.merger);
+    let st = coord.state.into_inner().unwrap();
     Ok(ServeReport {
-        peak_buffered: merger.peak_parked(),
-        output: merger.finish(slices),
+        peak_buffered: st.merger.peak_parked(),
+        output: st.merger.finish(slices),
         slices,
         connections: st.connections,
         releases: st.releases,
@@ -682,137 +756,115 @@ fn closed_cleanly(e: &io::Error) -> bool {
 /// [`Msg::Done`] (or vanishes — see
 /// [`WorkerReport::coordinator_closed`]).
 ///
-/// Each leased slice simulates on its own OS thread while the worker's
-/// runtime thread owns the socket: it tops the lease set up with
-/// `Ready`, ships each [`Msg::Result`] the moment that slice finishes
-/// (slices complete out of order; the coordinator's merge is
-/// slice-indexed, so delivery order is free), and each quiet heartbeat
-/// interval re-arms every outstanding lease. The exchange stays
-/// strictly request/response — the coordinator only ever speaks when
-/// spoken to — so pipelining needs no protocol change at all.
-pub fn run_worker<A: std::net::ToSocketAddrs + Send + 'static>(
+/// Each leased slice simulates on its own OS thread while the calling
+/// thread owns the socket: it tops the lease set up with `Ready`, ships
+/// each [`Msg::Result`] the moment that slice finishes (slices complete
+/// out of order; the coordinator's merge is slice-indexed, so delivery
+/// order is free), and each quiet heartbeat interval re-arms every
+/// outstanding lease. The exchange stays strictly request/response —
+/// the coordinator only ever speaks when spoken to — so pipelining
+/// needs no protocol change at all.
+pub fn run_worker<A: ToSocketAddrs + Send + 'static>(
     addr: A,
     opts: WorkerOptions,
 ) -> io::Result<WorkerReport> {
+    let mut stream = TcpStream::connect(addr)?;
+    write_msg_blocking(
+        &mut stream,
+        &Msg::Hello { proto: PROTO_VERSION, output_wire: OUTPUT_WIRE_VERSION },
+    )?;
+    let job = match read_msg_blocking(&mut stream)? {
+        Some(Msg::Job { job }) => *job,
+        Some(Msg::Deny { reason }) => return Err(proto_err(reason)),
+        Some(other) => return Err(proto_err(format!("expected Job, got {}", other.kind()))),
+        None => return Err(proto_err("coordinator closed during handshake")),
+    };
+    job.validate().map_err(proto_err)?;
+    let mut slices_run = 0u64;
+    match lease_loop(&mut stream, &job, opts, &mut slices_run) {
+        Ok(()) => Ok(WorkerReport { slices_run, coordinator_closed: false }),
+        Err(e) if closed_cleanly(&e) => Ok(WorkerReport { slices_run, coordinator_closed: true }),
+        Err(e) => Err(e),
+    }
+}
+
+/// The worker's post-handshake loop; `Ok` is an explicit [`Msg::Done`].
+fn lease_loop(
+    stream: &mut TcpStream,
+    job: &CampaignJob,
+    opts: WorkerOptions,
+    slices_run: &mut u64,
+) -> io::Result<()> {
     let jobs = opts.jobs.max(1);
-    tokio::runtime::block_on(async move {
-        let mut stream = TcpStream::connect(addr).await?;
-        send_msg(
-            &mut stream,
-            &Msg::Hello { proto: PROTO_VERSION, output_wire: OUTPUT_WIRE_VERSION },
-        )
-        .await?;
-        let job = match recv_msg(&mut stream).await? {
-            Some(Msg::Job { job }) => *job,
-            Some(Msg::Deny { reason }) => return Err(proto_err(reason)),
-            Some(other) => return Err(proto_err(format!("expected Job, got {}", other.kind()))),
-            None => return Err(proto_err("coordinator closed during handshake")),
-        };
-        job.validate().map_err(proto_err)?;
-        let plan_len = job.plan().len() as u64;
-        let mut slices_run = 0u64;
-        let closed = |e: io::Error, slices_run: u64| {
-            if closed_cleanly(&e) {
-                Ok(WorkerReport { slices_run, coordinator_closed: true })
-            } else {
-                Err(e)
-            }
-        };
-        // Finished computes flow back over one channel. Capacity `jobs`
-        // means a compute thread's `try_send` can never find the queue
-        // full: at most `jobs` computes are outstanding and each sends
-        // exactly once.
-        let (tx, mut rx) =
-            mpsc::channel::<(u64, std::thread::Result<ExperimentOutput>)>(jobs);
-        let mut outstanding: Vec<u64> = Vec::with_capacity(jobs);
-        let mut done = false;
-        loop {
-            // Top the lease set up to `jobs` slices.
-            while !done && outstanding.len() < jobs {
-                if let Err(e) = send_msg(&mut stream, &Msg::Ready).await {
-                    return closed(e, slices_run);
-                }
-                let grant = match recv_msg(&mut stream).await {
-                    Ok(Some(msg)) => msg,
-                    Ok(None) => return Ok(WorkerReport { slices_run, coordinator_closed: true }),
-                    Err(e) => return closed(e, slices_run),
-                };
-                match grant {
-                    Msg::Done => done = true,
-                    Msg::Wait { poll_ms } => {
-                        if outstanding.is_empty() {
-                            tokio::time::sleep(Duration::from_millis(poll_ms.clamp(1, 10_000)))
-                                .await;
-                        } else {
-                            // Something is already simulating: service it
-                            // instead of napping, and ask again afterwards.
-                            break;
-                        }
-                    }
-                    Msg::Lease { slice } => {
-                        if slice >= plan_len {
-                            return Err(proto_err(format!(
-                                "lease {slice} outside the {plan_len}-slice plan"
-                            )));
-                        }
-                        let k = slice as usize;
-                        let job_for_slice = job.clone();
-                        let txc = tx.clone();
-                        std::thread::spawn(move || {
-                            let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-                                move || job_for_slice.run_slice_index(k),
-                            ));
-                            // Full is impossible (see channel sizing);
-                            // Closed means the worker already bailed.
-                            let _ = txc.try_send((slice, out));
-                        });
-                        outstanding.push(slice);
-                    }
-                    other => {
-                        return Err(proto_err(format!("expected a grant, got {}", other.kind())));
-                    }
-                }
-            }
-            if done {
+    let plan_len = job.plan().len() as u64;
+    // Finished computes flow back over one channel. Capacity `jobs`
+    // means a compute thread's `send` never blocks: at most `jobs`
+    // computes are outstanding and each sends exactly once.
+    let (tx, rx) = mpsc::sync_channel::<(u64, thread::Result<ExperimentOutput>)>(jobs);
+    let mut outstanding: Vec<u64> = Vec::with_capacity(jobs);
+    loop {
+        // Top the lease set up to `jobs` slices.
+        while outstanding.len() < jobs {
+            write_msg_blocking(stream, &Msg::Ready)?;
+            match read_msg_blocking(stream)?.ok_or(io::ErrorKind::UnexpectedEof)? {
                 // `Done` means every slice in the plan already has a
                 // result, so anything still computing here is a
                 // duplicate-to-be of a slice someone else delivered
                 // (after this worker's lease timed out). The coordinator
                 // hangs up after `Done`; abandon the threads — their
-                // `try_send` into a dropped channel is a no-op.
-                return Ok(WorkerReport { slices_run, coordinator_closed: false });
-            }
-            // Wait for a compute to finish; every quiet heartbeat
-            // interval, one Heartbeat frame per outstanding lease keeps
-            // them all alive.
-            match tokio::time::timeout(opts.heartbeat, rx.recv()).await {
-                Ok(Some((slice, result))) => {
-                    let output = match result {
-                        Ok(out) => out,
-                        Err(_) => {
-                            return Err(proto_err(format!("slice {slice} simulation panicked")))
-                        }
-                    };
-                    if let Err(e) =
-                        send_msg(&mut stream, &Msg::Result { slice, output: Box::new(output) })
-                            .await
-                    {
-                        return closed(e, slices_run);
+                // `send` into a dropped channel is a no-op.
+                Msg::Done => return Ok(()),
+                Msg::Wait { poll_ms } => {
+                    if outstanding.is_empty() {
+                        thread::sleep(Duration::from_millis(poll_ms.clamp(1, 10_000)));
+                    } else {
+                        // Something is already simulating: service it
+                        // instead of napping, and ask again afterwards.
+                        break;
                     }
-                    slices_run += 1;
-                    outstanding.retain(|&s| s != slice);
                 }
-                Ok(None) => unreachable!("the worker loop holds a live sender"),
-                Err(_elapsed) => {
-                    for &slice in &outstanding {
-                        if let Err(e) = send_msg(&mut stream, &Msg::Heartbeat { slice }).await {
-                            return closed(e, slices_run);
-                        }
+                Msg::Lease { slice } => {
+                    if slice >= plan_len {
+                        return Err(proto_err(format!(
+                            "lease {slice} outside the {plan_len}-slice plan"
+                        )));
                     }
+                    let (job, tx) = (job.clone(), tx.clone());
+                    thread::spawn(move || {
+                        let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
+                            move || job.run_slice_index(slice as usize),
+                        ));
+                        // An error means the worker already bailed.
+                        let _ = tx.send((slice, out));
+                    });
+                    outstanding.push(slice);
+                }
+                other => {
+                    return Err(proto_err(format!("expected a grant, got {}", other.kind())));
                 }
             }
         }
-    })
+        // Wait for a compute to finish; every quiet heartbeat
+        // interval, one Heartbeat frame per outstanding lease keeps
+        // them all alive.
+        match rx.recv_timeout(opts.heartbeat) {
+            Ok((slice, result)) => {
+                let output = result
+                    .map_err(|_| proto_err(format!("slice {slice} simulation panicked")))?;
+                write_msg_blocking(stream, &Msg::Result { slice, output: Box::new(output) })?;
+                *slices_run += 1;
+                outstanding.retain(|&s| s != slice);
+            }
+            Err(mpsc::RecvTimeoutError::Timeout) => {
+                for &slice in &outstanding {
+                    write_msg_blocking(stream, &Msg::Heartbeat { slice })?;
+                }
+            }
+            Err(mpsc::RecvTimeoutError::Disconnected) => {
+                unreachable!("the worker loop holds a live sender")
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -864,6 +916,18 @@ mod tests {
         let mut r = Cursor::new(u32::MAX.to_be_bytes().to_vec());
         let err = read_msg_blocking(&mut r).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn deeply_nested_frame_is_invalid_data_not_a_stack_overflow() {
+        // A few hundred KiB of `[` fits any frame cap; the JSON layer's
+        // depth limit must turn it into an error before the stack does.
+        let body = "[".repeat(1 << 20);
+        let mut wire = (body.len() as u32).to_be_bytes().to_vec();
+        wire.extend_from_slice(body.as_bytes());
+        let err = read_msg_blocking(&mut Cursor::new(wire)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("nesting"), "got: {err}");
     }
 
     #[test]

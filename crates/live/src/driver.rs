@@ -12,9 +12,8 @@ use netsim::{HostId, Rng, SimTime};
 use overlay::{
     Delivered, DisseminationMode, NodeConfig, OverlayNode, Packet, Policy, Transmit,
 };
-use parking_lot::Mutex;
 use std::net::SocketAddr;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use tokio::net::UdpSocket;
 use tokio::sync::{mpsc, oneshot, Notify};
 use tokio::time::{Duration, Instant};
@@ -110,7 +109,7 @@ impl LiveNode {
 
     /// Takes the application event receiver (callable once).
     pub fn take_events(&self) -> Option<mpsc::Receiver<LiveEvent>> {
-        self.events.lock().take()
+        self.events.lock().expect("`take` cannot poison").take()
     }
 
     /// Sends application data toward `dst` under a routing policy.
@@ -145,7 +144,7 @@ impl LiveNode {
     /// Stops the node's task and waits for it to exit.
     pub async fn shutdown(&self) {
         self.shutdown.notify_waiters();
-        let task = self.task.lock().take();
+        let task = self.task.lock().expect("`take` cannot poison").take();
         if let Some(task) = task {
             let _ = task.await;
         }

@@ -14,8 +14,12 @@
 //!   (lease times out), and a duplicated slice result (deduped by slice
 //!   index) — the campaign must still finish and still match the
 //!   sequential bits;
-//! * handshake policing: a version-skewed worker is denied without
-//!   damaging the campaign.
+//! * handshake policing: a version-skewed worker is denied, and peers
+//!   that announce a huge first frame or never speak are dropped,
+//!   without damaging the campaign;
+//! * the shutdown contract of the blocking I/O model: the coordinator's
+//!   sockets are closed when `serve_campaign` returns, and a pipelined
+//!   worker reads a hang-up as "campaign finished without me".
 //!
 //! Timeouts here are aggressively short (`lease_timeout` 250 ms,
 //! heartbeats every 50 ms) so the failure paths run in test time; the
@@ -28,6 +32,7 @@ use mpath::core::{
     ScenarioSpec, ServeOptions, ServeReport, WorkerOptions, WorkerReport,
 };
 use mpath::netsim::SimDuration;
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::Duration;
 
@@ -117,6 +122,16 @@ fn lease_slice(s: &mut TcpStream) -> u64 {
             }
             other => panic!("expected a grant, got {other:?}"),
         }
+    }
+}
+
+/// Asserts the coordinator has hung up on `s`: EOF or a reset, promptly.
+fn assert_hung_up(s: &mut TcpStream, who: &str) {
+    s.set_read_timeout(Some(Duration::from_secs(1))).unwrap();
+    match read_msg_blocking(s) {
+        Ok(None) => {}
+        Err(e) if e.kind() == io::ErrorKind::ConnectionReset => {}
+        other => panic!("{who}: expected EOF or reset within a second, got {other:?}"),
     }
 }
 
@@ -496,5 +511,77 @@ fn version_skewed_worker_is_denied_without_harming_the_campaign() {
     for w in workers {
         w.join().expect("worker thread");
     }
+    assert_eq!(rep.output.fingerprint(), sequential(&j).fingerprint());
+}
+
+#[test]
+fn serve_campaign_closes_its_listener_and_connections_on_return() {
+    // The blocking coordinator has no runtime whose drop closes sockets
+    // for it: returning must itself hang up on a connected bystander
+    // (idle, handshaken, no lease — its thread sits in `read`) and stop
+    // listening.
+    let j = job("ron-narrow");
+    let (coordinator, addr) = spawn_coordinator(&j);
+    let mut bystander = fake_handshake(addr);
+    let workers = spawn_workers(addr, 1);
+    let rep = coordinator.join().expect("coordinator thread");
+    for w in workers {
+        w.join().expect("worker thread");
+    }
+    assert_hung_up(&mut bystander, "bystander");
+    let refused = TcpStream::connect(addr).expect_err("the listener must be closed");
+    assert_eq!(refused.kind(), io::ErrorKind::ConnectionRefused);
+    assert_eq!(rep.connections, 2, "the wake-up that ends the accept loop is not a worker");
+    assert_eq!(rep.output.fingerprint(), sequential(&j).fingerprint());
+}
+
+#[test]
+fn pipelined_worker_reads_a_hang_up_mid_compute_as_campaign_over() {
+    // A fake coordinator leases two slices to a --jobs 2 worker, waits
+    // for the heartbeat that proves both are computing, and hangs up.
+    let j = job("ron-narrow");
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let addr = listener.local_addr().unwrap();
+    let worker = std::thread::spawn(move || {
+        run_worker(addr, WorkerOptions { heartbeat: Duration::from_millis(10), jobs: 2 })
+    });
+    let (mut s, _peer) = listener.accept().expect("worker connects");
+    assert!(matches!(read_msg_blocking(&mut s).unwrap(), Some(Msg::Hello { .. })));
+    write_msg_blocking(&mut s, &Msg::Job { job: Box::new(j) }).unwrap();
+    for slice in 0..2u64 {
+        assert!(matches!(read_msg_blocking(&mut s).unwrap(), Some(Msg::Ready)));
+        write_msg_blocking(&mut s, &Msg::Lease { slice }).unwrap();
+    }
+    assert!(matches!(read_msg_blocking(&mut s).unwrap(), Some(Msg::Heartbeat { .. })));
+    drop(s);
+    drop(listener);
+    let wr = worker.join().expect("worker thread").expect("a hang-up after handshake is not an error");
+    assert!(wr.coordinator_closed);
+    assert!(wr.slices_run <= 2);
+}
+
+#[test]
+fn pre_handshake_abusers_cost_a_connection_not_the_campaign() {
+    let j = job("ron-narrow");
+    let (coordinator, addr) = spawn_coordinator(&j);
+
+    // Announces a body at the post-handshake frame cap (64 MiB) before
+    // any Hello: refused on the prefix, nothing allocated or awaited.
+    let mut greedy = TcpStream::connect(addr).expect("connect");
+    greedy.write_all(&(64u32 << 20).to_be_bytes()).unwrap();
+    assert_hung_up(&mut greedy, "oversized first frame");
+
+    // Connects and says nothing: dropped once the handshake has been
+    // outstanding for the lease timeout (250 ms here).
+    let mut mute = TcpStream::connect(addr).expect("connect");
+    assert_hung_up(&mut mute, "silent peer");
+
+    let workers = spawn_workers(addr, 1);
+    let rep = coordinator.join().expect("coordinator thread");
+    for w in workers {
+        w.join().expect("worker thread");
+    }
+    assert_eq!(rep.connections, 3, "both abusers and the worker are counted");
+    assert_eq!(rep.releases, 0, "a peer that never handshook never held a lease");
     assert_eq!(rep.output.fingerprint(), sequential(&j).fingerprint());
 }
