@@ -157,8 +157,9 @@ fn bench_dissem(c: &mut Criterion) {
         b.iter(|| black_box(table.snapshot().len()))
     });
     g.bench_function("snapshot_rebuild_30_nodes", |b| {
-        // Worst case: every call is preceded by a direct-path update,
-        // so the cache rebuilds from all 29 peer stats each time.
+        // Every call is preceded by one direct-path update, so the
+        // cache re-summarises that peer's slot (the id keeps saying
+        // "rebuild" so recorded baselines stay comparable).
         b.iter(|| {
             table.direct_mut(netsim::HostId(5)).record_success(now, SimDuration::from_millis(21));
             black_box(table.snapshot().len())
@@ -174,7 +175,8 @@ fn bench_dissem(c: &mut Criterion) {
     let mut probe_id = 0u64;
     g.bench_function("delta_probe_send_quiescent_30_nodes", |b| {
         // The per-probe cost of delta mode once the mesh has converged:
-        // change detection over the snapshot, then (usually) nothing.
+        // nothing measured since the last probe, so change detection
+        // is skipped and (usually) nothing is sent.
         b.iter(|| {
             probe_id += 1;
             let (metrics, lsa) = delta.on_probe_send(netsim::HostId(1), probe_id, &mut table);

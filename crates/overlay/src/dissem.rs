@@ -31,6 +31,7 @@
 use crate::table::LinkStateTable;
 use crate::wire::{MetricEntry, Packet};
 use netsim::{HostId, Rng, SimDuration, SimTime};
+use std::collections::VecDeque;
 
 /// Which dissemination strategy a node runs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -108,8 +109,13 @@ fn informative(e: &MetricEntry) -> bool {
 }
 
 /// An owned copy of `entries` with the uninformative ones dropped.
+/// Sized once for the steady state, where every path has been sampled
+/// and nothing is dropped: a filter has no lower size hint, so
+/// `collect()` would grow the copy by doubling on every probe packet.
 fn informative_entries(entries: &[MetricEntry]) -> Vec<MetricEntry> {
-    entries.iter().filter(|e| informative(e)).copied().collect()
+    let mut kept = Vec::with_capacity(entries.len());
+    kept.extend(entries.iter().filter(|e| informative(e)).copied());
+    kept
 }
 
 #[derive(Debug, Clone, Copy, Default)]
@@ -142,12 +148,15 @@ pub struct Disseminator {
     advertised: Vec<MetricEntry>,
     /// Per-destination seqno at which its advertised entry last changed.
     entry_seq: Vec<u64>,
-    /// Whether `advertised` has been initialised from the table.
-    init: bool,
+    /// The table's [`LinkStateTable::direct_epoch`] when `advertised`
+    /// was last compared against it; `None` until the first look.
+    refreshed_at: Option<u64>,
     /// Delta mode: per-peer ack/refresh bookkeeping.
     peers: Vec<PeerDelta>,
-    /// Delta mode: probe id → (peer, seqno advertised with it).
-    pending: Vec<(u64, u16, u64)>,
+    /// Delta mode: probe id → (peer, seqno advertised with it), oldest
+    /// first. Lost probes are never acknowledged, so under loss this
+    /// sits at its cap and the oldest entry is evicted on every send.
+    pending: VecDeque<(u64, u16, u64)>,
     /// Highest ingested advertisement seqno per origin (receiver dedup).
     origin_seq: Vec<u64>,
     /// Gossip mode: stored foreign LSAs for onward forwarding.
@@ -179,9 +188,9 @@ impl Disseminator {
             own_seq: 0,
             advertised: Vec::new(),
             entry_seq: vec![0; n],
-            init: false,
+            refreshed_at: None,
             peers: vec![PeerDelta::default(); n],
-            pending: Vec::new(),
+            pending: VecDeque::new(),
             origin_seq: vec![0; n],
             foreign: vec![None; n],
             own_flushed_seq: 0,
@@ -202,39 +211,44 @@ impl Disseminator {
 
     /// Re-quantizes the advertisement against the table's current
     /// snapshot, bumping `own_seq` once if anything moved significantly.
+    /// Free when nothing was measured since the last call.
     fn refresh(&mut self, table: &mut LinkStateTable) {
+        let epoch = Some(table.direct_epoch());
+        if self.refreshed_at == epoch {
+            return;
+        }
+        let first = self.refreshed_at.is_none();
+        self.refreshed_at = epoch;
         let snap = table.snapshot();
-        if !self.init {
+        if first {
             // First look: adopt the (all-unknown) initial state without
             // advertising it — there is nothing useful to tell peers yet.
             self.advertised = snap.to_vec();
-            self.init = true;
             return;
         }
-        let changed: Vec<usize> = self
-            .advertised
-            .iter()
-            .zip(snap.iter())
-            .enumerate()
-            .filter(|(_, (old, new))| significant_change(old, new))
-            .map(|(i, _)| i)
-            .collect();
-        if changed.is_empty() {
-            return;
+        let next_seq = self.own_seq + 1;
+        for (old, new) in self.advertised.iter_mut().zip(snap) {
+            if significant_change(old, new) {
+                *old = *new;
+                self.entry_seq[new.peer.idx()] = next_seq;
+                self.own_seq = next_seq;
+            }
         }
-        self.own_seq += 1;
-        for i in changed {
-            let e = snap[i];
-            self.advertised[i] = e;
-            self.entry_seq[e.peer.idx()] = self.own_seq;
+    }
+
+    /// The advertised entries that changed after seqno `acked`.
+    fn entries_newer_than(&self, acked: u64) -> Vec<MetricEntry> {
+        if self.own_seq <= acked {
+            return Vec::new(); // no entry's seqno exceeds `own_seq`
         }
+        self.advertised.iter().filter(|e| self.entry_seq[e.peer.idx()] > acked).copied().collect()
     }
 
     fn remember_pending(&mut self, id: u64, peer: HostId, seq: u64) {
         if self.pending.len() >= MAX_PENDING {
-            self.pending.remove(0);
+            self.pending.pop_front();
         }
-        self.pending.push((id, peer.0, seq));
+        self.pending.push_back((id, peer.0, seq));
     }
 
     /// Called for every probe request the prober emits. Returns the
@@ -264,11 +278,7 @@ impl Disseminator {
                     // draw behind it) is identical to the dense layout.
                     informative_entries(&self.advertised)
                 } else {
-                    self.advertised
-                        .iter()
-                        .filter(|e| self.entry_seq[e.peer.idx()] > acked)
-                        .copied()
-                        .collect()
+                    self.entries_newer_than(acked)
                 };
                 if !full && entries.is_empty() {
                     // Quiescent toward this peer: send nothing at all.
@@ -296,13 +306,7 @@ impl Disseminator {
             DisseminationMode::Gossip { .. } => (Vec::new(), None),
             DisseminationMode::Delta { .. } => {
                 self.refresh(table);
-                let acked = self.peers[peer.idx()].acked_seq;
-                let entries: Vec<MetricEntry> = self
-                    .advertised
-                    .iter()
-                    .filter(|e| self.entry_seq[e.peer.idx()] > acked)
-                    .copied()
-                    .collect();
+                let entries = self.entries_newer_than(self.peers[peer.idx()].acked_seq);
                 if entries.is_empty() {
                     return (Vec::new(), None);
                 }
@@ -316,9 +320,11 @@ impl Disseminator {
     /// A probe response from `from` validated probe `id`: the LSA that
     /// rode along with that probe (if any) is acknowledged.
     pub fn on_ack(&mut self, id: u64, from: HostId) {
-        if let Some(pos) = self.pending.iter().position(|&(pid, p, _)| pid == id && p == from.0)
-        {
-            let (_, _, seq) = self.pending.remove(pos);
+        // Newest first: an ack is almost always for one of the last few
+        // probes, and `(id, peer)` is unique, so the direction of the
+        // search cannot change which entry it finds.
+        let found = self.pending.iter().rposition(|&(pid, p, _)| pid == id && p == from.0);
+        if let Some((_, _, seq)) = found.and_then(|pos| self.pending.remove(pos)) {
             let acked = &mut self.peers[from.idx()].acked_seq;
             *acked = (*acked).max(seq);
         }

@@ -79,6 +79,13 @@ struct Stamped {
 /// probe mesh a peer advertises O(k) destinations, so a node's full
 /// table is O(n·k) instead of the dense layout's O(n²) — the dominant
 /// per-node allocation at thousands of hosts.
+///
+/// A peer that has advertised nothing is the empty vector (no heap).
+/// Advertisements arrive sorted by destination — senders emit them in
+/// [`LinkStateTable::snapshot`] order — so [`Self::merge`] walks the
+/// stored and the arriving list side by side instead of searching per
+/// entry; the buffer is reused across advertisements, so steady-state
+/// ingest allocates nothing.
 #[derive(Debug, Clone, Default)]
 struct PeerVector {
     entries: Vec<(u16, Stamped)>,
@@ -93,11 +100,47 @@ impl PeerVector {
     }
 
     /// Inserts or overwrites the entry toward `dst` (last write wins,
-    /// matching the dense layout's slot-assignment semantics).
+    /// matching the dense layout's slot-assignment semantics). Only
+    /// [`Self::merge`] calls this, for entries that arrive out of order.
     fn upsert(&mut self, dst: u16, s: Stamped) {
         match self.entries.binary_search_by_key(&dst, |&(d, _)| d) {
             Ok(i) => self.entries[i].1 = s,
             Err(i) => self.entries.insert(i, (dst, s)),
+        }
+    }
+
+    /// Merges an advertisement into the vector, stamping every entry
+    /// `now`: destinations outside the `n`-node mesh are skipped and the
+    /// last write to a destination wins. A forward merge-join: the scan
+    /// resumes at `at`, the slot after the one the previous ascending
+    /// entry landed in, so an ascending list costs one pass over the
+    /// stored entries (and pure appends into an empty vector). The
+    /// vector is sorted, so a destination above the key in slot
+    /// `at - 1` belongs at `at` or later whatever came before; any
+    /// other entry — shuffled or duplicated input — takes the
+    /// binary-search [`Self::upsert`].
+    fn merge(&mut self, entries: &[MetricEntry], n: usize, now: SimTime) {
+        let mut at = 0;
+        for e in entries {
+            if e.peer.idx() >= n {
+                continue;
+            }
+            let (dst, s) = (e.peer.0, Stamped { at: now, metric: RemoteMetric::from_entry(e) });
+            if at > 0 && dst <= self.entries[at - 1].0 {
+                self.upsert(dst, s);
+                continue;
+            }
+            while at < self.entries.len() && self.entries[at].0 < dst {
+                at += 1;
+            }
+            if at == self.entries.len() {
+                self.entries.push((dst, s));
+            } else if self.entries[at].0 == dst {
+                self.entries[at].1 = s;
+            } else {
+                self.entries.insert(at, (dst, s));
+            }
+            at += 1;
         }
     }
 }
@@ -108,18 +151,38 @@ pub struct LinkStateTable {
     me: HostId,
     n: usize,
     direct: Vec<PathStats>,
-    vectors: Vec<Option<PeerVector>>,
+    vectors: Vec<PeerVector>,
     staleness: SimDuration,
     /// Absolute loss-rate advantage an indirect path must show.
     loss_hysteresis: f64,
     /// Relative latency advantage an indirect path must show.
     lat_hysteresis: f64,
-    /// Cached [`Self::snapshot`] vector, rebuilt lazily after any
-    /// direct-path mutation. Probes snapshot far more often than the
-    /// prober records outcomes at scale, so the cache turns the per-probe
-    /// O(n) allocate-and-summarise into a slice borrow.
+    /// Cached [`Self::snapshot`] vector. Probes snapshot far more often
+    /// than the prober records outcomes at scale, so the cache turns the
+    /// per-probe O(n) allocate-and-summarise into a slice borrow, and a
+    /// recorded outcome costs one re-summarised slot, not n. Empty
+    /// means "rebuild all of it": never built, or dropped because more
+    /// than `n` touches accumulated between two snapshots.
     snap_cache: Vec<MetricEntry>,
-    snap_dirty: bool,
+    /// Peers handed out by [`Self::direct_mut`] since a non-empty cache
+    /// was last brought up to date: the only slots that can differ
+    /// from it. Never longer than `n`.
+    snap_touched: Vec<u16>,
+    /// Counts [`Self::direct_mut`] calls, so the disseminator can tell
+    /// "nothing measured since I last looked" without diffing vectors.
+    direct_epoch: u64,
+}
+
+/// The entry a node advertises for its direct path toward host `j`.
+fn advertised(j: usize, s: &PathStats) -> MetricEntry {
+    MetricEntry {
+        peer: HostId(j as u16),
+        // Advertise the smoothed routing estimate, not the raw
+        // window: peers compose it into two-hop predictions.
+        loss_e4: (s.loss_estimate() * 10_000.0).round().min(10_000.0) as u16,
+        lat_us: s.latency_us().unwrap_or(0.0).min(u32::MAX as f64) as u32,
+        alive: !s.is_dead() && s.samples() > 0,
+    }
 }
 
 impl LinkStateTable {
@@ -139,12 +202,13 @@ impl LinkStateTable {
             me,
             n,
             direct: (0..n).map(|_| PathStats::new(window, ewma_alpha, dead_threshold)).collect(),
-            vectors: vec![None; n],
+            vectors: vec![PeerVector::default(); n],
             staleness,
             loss_hysteresis,
             lat_hysteresis,
             snap_cache: Vec::new(),
-            snap_dirty: true,
+            snap_touched: Vec::new(),
+            direct_epoch: 0,
         }
     }
 
@@ -155,9 +219,9 @@ impl LinkStateTable {
 
     /// Approximate resident bytes of this table's state: the struct
     /// itself, the direct-path stats (including each loss window's lazy
-    /// buffer), every stored peer vector, and the snapshot cache. The
-    /// scaling harness reports this per host, so the sparse-vs-dense
-    /// storage win is measurable instead of asserted.
+    /// buffer), every stored peer vector, the snapshot cache and its
+    /// touched list. The scaling harness reports this per host, so the
+    /// sparse-vs-dense storage win is measurable instead of asserted.
     pub fn approx_bytes(&self) -> usize {
         use std::mem::size_of;
         let mut b = size_of::<Self>();
@@ -165,20 +229,38 @@ impl LinkStateTable {
         for s in &self.direct {
             b += s.heap_bytes();
         }
-        b += self.vectors.capacity() * size_of::<Option<PeerVector>>();
-        for v in self.vectors.iter().flatten() {
+        b += self.vectors.capacity() * size_of::<PeerVector>();
+        for v in &self.vectors {
             b += v.entries.capacity() * size_of::<(u16, Stamped)>();
         }
         b += self.snap_cache.capacity() * size_of::<MetricEntry>();
+        b += self.snap_touched.capacity() * size_of::<u16>();
         b
     }
 
     /// Mutable access to the direct-path stats toward `peer` (the prober
-    /// records outcomes through this). Invalidates the snapshot cache:
-    /// the advertised vector summarises exactly these stats.
+    /// records outcomes through this). The advertised vector summarises
+    /// exactly these stats, so `peer`'s slot of the snapshot cache is
+    /// marked for re-summarising; once `n` marks are outstanding the
+    /// list and the cache are dropped in favour of one full rebuild,
+    /// which bounds the list.
     pub fn direct_mut(&mut self, peer: HostId) -> &mut PathStats {
-        self.snap_dirty = true;
+        self.direct_epoch += 1;
+        if !self.snap_cache.is_empty() {
+            if self.snap_touched.len() < self.n {
+                self.snap_touched.push(peer.0);
+            } else {
+                self.snap_touched.clear();
+                self.snap_cache.clear();
+            }
+        }
         &mut self.direct[peer.idx()]
+    }
+
+    /// How many times [`Self::direct_mut`] has been called: unchanged
+    /// between two reads means [`Self::snapshot`] is unchanged too.
+    pub(crate) fn direct_epoch(&self) -> u64 {
+        self.direct_epoch
     }
 
     /// Direct-path stats toward `peer`.
@@ -189,16 +271,7 @@ impl LinkStateTable {
     /// Ingests a *complete* advertisement from `from`: every previously
     /// known entry is discarded and the new ones are stamped `now`.
     pub fn ingest_full(&mut self, from: HostId, entries: &[MetricEntry], now: SimTime) {
-        if from == self.me || from.idx() >= self.n {
-            return;
-        }
-        let mut v = PeerVector { entries: Vec::with_capacity(entries.len()) };
-        for e in entries {
-            if e.peer.idx() < self.n {
-                v.upsert(e.peer.0, Stamped { at: now, metric: RemoteMetric::from_entry(e) });
-            }
-        }
-        self.vectors[from.idx()] = Some(v);
+        self.ingest(from, entries, now, true);
     }
 
     /// Ingests a *partial* advertisement from `from`: only the listed
@@ -206,37 +279,43 @@ impl LinkStateTable {
     /// its previous value and timestamp, so unrefreshed entries age out
     /// of route selection on their own.
     pub fn ingest_delta(&mut self, from: HostId, entries: &[MetricEntry], now: SimTime) {
+        self.ingest(from, entries, now, false);
+    }
+
+    fn ingest(&mut self, from: HostId, entries: &[MetricEntry], now: SimTime, complete: bool) {
         if from == self.me || from.idx() >= self.n {
             return;
         }
-        let v = self.vectors[from.idx()].get_or_insert_with(PeerVector::default);
-        for e in entries {
-            if e.peer.idx() < self.n {
-                v.upsert(e.peer.0, Stamped { at: now, metric: RemoteMetric::from_entry(e) });
-            }
+        let v = &mut self.vectors[from.idx()];
+        if complete {
+            // Reuse the buffer; grow it (rarely, and to the exact size,
+            // as a fresh vector would be) only when the peer advertises
+            // more than it ever has.
+            v.entries.clear();
+            v.entries.reserve_exact(entries.len());
         }
+        v.merge(entries, self.n, now);
     }
 
-    /// Snapshot of my direct metrics for piggybacking on probe packets.
-    /// Served from a cache that is invalidated by [`Self::direct_mut`];
-    /// callers that need an owned copy clone the slice.
+    /// Snapshot of my direct metrics for piggybacking on probe packets:
+    /// one entry per other host, ascending. Served from a cache that
+    /// [`Self::direct_mut`] keeps a to-do list for — only the slots it
+    /// handed out since the last call are re-summarised (all of them on
+    /// the first call, or when the list overflowed); callers that need
+    /// an owned copy clone the slice.
     pub fn snapshot(&mut self) -> &[MetricEntry] {
-        if self.snap_dirty {
-            let me = self.me.idx();
+        let me = self.me.idx();
+        if self.snap_cache.is_empty() {
             let direct = &self.direct;
-            self.snap_cache.clear();
-            self.snap_cache.extend((0..self.n).filter(|&j| j != me).map(|j| {
-                let s = &direct[j];
-                MetricEntry {
-                    peer: HostId(j as u16),
-                    // Advertise the smoothed routing estimate, not the raw
-                    // window: peers compose it into two-hop predictions.
-                    loss_e4: (s.loss_estimate() * 10_000.0).round().min(10_000.0) as u16,
-                    lat_us: s.latency_us().unwrap_or(0.0).min(u32::MAX as f64) as u32,
-                    alive: !s.is_dead() && s.samples() > 0,
+            self.snap_cache
+                .extend((0..self.n).filter(|&j| j != me).map(|j| advertised(j, &direct[j])));
+        } else {
+            for j in self.snap_touched.drain(..).map(usize::from) {
+                // The cache skips my own slot: hosts above me sit one lower.
+                if j != me {
+                    self.snap_cache[j - usize::from(j > me)] = advertised(j, &self.direct[j]);
                 }
-            }));
-            self.snap_dirty = false;
+            }
         }
         &self.snap_cache
     }
@@ -253,8 +332,7 @@ impl LinkStateTable {
     }
 
     fn remote(&self, k: HostId, dst: HostId, now: SimTime) -> Option<RemoteMetric> {
-        let v = self.vectors[k.idx()].as_ref()?;
-        let e = *v.get(dst.idx())?;
+        let e = *self.vectors[k.idx()].get(dst.idx())?;
         if now.since(e.at) > self.staleness {
             return None;
         }

@@ -198,10 +198,20 @@ fn dissem_spec(name: &str, dissemination: mpath::core::DisseminationSpec) -> Sce
     spec
 }
 
+fn delta_spec() -> ScenarioSpec {
+    dissem_spec("delta-dissem", mpath::core::DisseminationSpec::Delta { max_age_probes: 8 })
+}
+
+fn gossip_spec() -> ScenarioSpec {
+    dissem_spec(
+        "gossip-dissem",
+        mpath::core::DisseminationSpec::Gossip { fanout: 3, interval_ms: 15_000 },
+    )
+}
+
 #[test]
 fn delta_dissemination_shard_equals_sequential() {
-    let spec =
-        dissem_spec("delta-dissem", mpath::core::DisseminationSpec::Delta { max_age_probes: 8 });
+    let spec = delta_spec();
     let seq = assert_equivalent_spec(&spec);
     // The LSA counters live outside the fingerprint (deliberately), so
     // their merge is pinned explicitly.
@@ -213,10 +223,7 @@ fn delta_dissemination_shard_equals_sequential() {
 
 #[test]
 fn gossip_dissemination_shard_equals_sequential() {
-    let spec = dissem_spec(
-        "gossip-dissem",
-        mpath::core::DisseminationSpec::Gossip { fanout: 3, interval_ms: 15_000 },
-    );
+    let spec = gossip_spec();
     let seq = assert_equivalent_spec(&spec);
     assert!(seq.net.lsa_bytes > 0, "gossip rounds must be accounted");
     let par = sharded_run(&spec, 42, 4);
@@ -370,30 +377,51 @@ fn golden_stress_scenario_fingerprints() {
     // The dense variant is included because the built-ins schedule
     // their correlated windows over a 7-day horizon — at 30 minutes the
     // built-ins pin the spec digest and schedule compiler, while the
-    // dense variant pins the scripted-outage transit path itself.
-    let golden: &[(&str, u64)] = &[
-        ("correlated-outages", 0x6991ef085e3467f0),
-        ("load-waves", 0x8a2b279f160daa39),
-        ("asymmetric-paths", 0x37a3046e85afc239),
-        ("flash-crowd", 0xcb6d99d34a8fdc8f),
-        ("correlated-outages-dense", 0x4a673816bee8c380),
-        ("sparse-mesh-small", 0xd7eeed81a99baf41),
+    // dense variant pins the scripted-outage transit path itself. The
+    // delta/gossip rows pin the LSA ingest paths, which the shard
+    // equivalence tests above only ever compare with themselves.
+    //
+    // Columns: fingerprint, `net.lsa_bytes`, `net.lsa_entries` — the
+    // LSA counters sit outside the fingerprint by design, so they are
+    // pinned beside it.
+    let golden: &[(&str, u64, u64, u64)] = &[
+        ("correlated-outages", 0x6991ef085e3467f0, 57121239, 6298357),
+        ("load-waves", 0x8a2b279f160daa39, 57361621, 6324863),
+        ("asymmetric-paths", 0x37a3046e85afc239, 57220425, 6309293),
+        ("flash-crowd", 0xcb6d99d34a8fdc8f, 57121239, 6298357),
+        ("correlated-outages-dense", 0x4a673816bee8c380, 47142756, 5198068),
+        ("sparse-mesh-small", 0xd7eeed81a99baf41, 30803035, 3389687),
+        ("delta-dissem", 0xeb53e7d03661a980, 1839792, 156548),
+        ("gossip-dissem", 0xb64836c065172ac4, 5251929, 528496),
+        ("sparse-mesh-small-delta", 0x490a9bec1c4ce4b9, 9928839, 893056),
     ];
     let specs: Vec<ScenarioSpec> = golden
         .iter()
-        .map(|(name, _)| match *name {
+        .map(|(name, ..)| match *name {
             "correlated-outages-dense" => dense_correlated(),
             "sparse-mesh-small" => sparse_small(),
+            "delta-dissem" => delta_spec(),
+            "gossip-dissem" => gossip_spec(),
+            "sparse-mesh-small-delta" => {
+                let mut spec = sparse_small();
+                spec.name = "sparse-mesh-small-delta".to_string();
+                spec.dissemination = delta_spec().dissemination;
+                spec.validate().expect("sparse delta variant must be a valid spec");
+                spec
+            }
             builtin => scenario(builtin),
         })
         .collect();
     let mut failures = Vec::new();
-    for ((name, expected), spec) in golden.iter().zip(&specs) {
+    for ((name, fingerprint, lsa_bytes, lsa_entries), spec) in golden.iter().zip(&specs) {
         let out = spec.run(1, Some(SimDuration::from_mins(30)));
-        let got = out.fingerprint();
-        println!("(\"{name}\", {got:#018x}),");
-        if got != *expected {
-            failures.push(format!("{name}: expected {expected:#018x}, got {got:#018x}"));
+        let got = (out.fingerprint(), out.net.lsa_bytes, out.net.lsa_entries);
+        println!("(\"{name}\", {:#018x}, {}, {}),", got.0, got.1, got.2);
+        if got != (*fingerprint, *lsa_bytes, *lsa_entries) {
+            failures.push(format!(
+                "{name}: expected ({fingerprint:#018x}, {lsa_bytes}, {lsa_entries}), got ({:#018x}, {}, {})",
+                got.0, got.1, got.2
+            ));
         }
     }
     assert!(
