@@ -8,7 +8,7 @@
 //! queries ([`OverlayNode::route`]) never perform I/O.
 //!
 //! The same state machine is driven by the discrete-event experiment
-//! runner (`mpath-core`) and by the tokio UDP driver (`mpath-live`).
+//! runner (`mpath-core`) and by the std-thread UDP driver (`mpath-live`).
 
 use crate::dissem::{Disseminator, DisseminationMode};
 use crate::prober::{Prober, ProberConfig};
@@ -100,6 +100,9 @@ pub struct OverlayNode {
     dissem: Disseminator,
     rng: Rng,
     forwarded: u64,
+    /// `u32`: fits the struct's padding, so a simulated mesh's node
+    /// array keeps its stride; saturates.
+    unknown_host: u32,
 }
 
 impl OverlayNode {
@@ -130,7 +133,8 @@ impl OverlayNode {
         );
         let prober = Prober::new(me, n, cfg.prober, root.derive(1), start);
         let dissem = Disseminator::new(mode, me, n, root.derive(3), start);
-        OverlayNode { me, cfg, table, prober, dissem, rng: root.derive(2), forwarded: 0 }
+        let rng = root.derive(2);
+        OverlayNode { me, cfg, table, prober, dissem, rng, forwarded: 0, unknown_host: 0 }
     }
 
     /// This node's id.
@@ -190,7 +194,11 @@ impl OverlayNode {
         }
     }
 
-    /// Handles a packet arriving from the network at `now`.
+    /// Handles a packet arriving from the network at `now`. A packet
+    /// that names a host outside the mesh (ids are indices here and in
+    /// every driver's address book) is dropped and counted, whatever
+    /// else it says; one nested in a [`Packet::Forward`] meets the same
+    /// check when it is unwrapped.
     pub fn on_packet(
         &mut self,
         now: SimTime,
@@ -198,6 +206,19 @@ impl OverlayNode {
         packet: Packet,
         out: &mut Vec<Transmit>,
     ) -> Option<Delivered> {
+        let n = self.table.n();
+        let known = match &packet {
+            Packet::ProbeReq { from, .. } | Packet::ProbeResp { from, .. } => from.idx() < n,
+            Packet::Lsa { origin, .. } => origin.idx() < n,
+            Packet::Forward { target, .. } => target.idx() < n,
+            Packet::Measure { origin, target, .. } | Packet::Data { origin, target, .. } => {
+                origin.idx() < n && target.idx() < n
+            }
+        };
+        if !known {
+            self.unknown_host = self.unknown_host.saturating_add(1);
+            return None;
+        }
         match packet {
             Packet::ProbeReq { id, from, metrics, .. } => {
                 self.dissem.on_probe_metrics(from, &metrics, now, &mut self.table);
@@ -316,6 +337,11 @@ impl OverlayNode {
         let (s, l) = self.prober.counters();
         (s, l, self.forwarded)
     }
+
+    /// Packets [`Self::on_packet`] dropped for naming an unknown host.
+    pub fn unknown_host_drops(&self) -> u64 {
+        u64::from(self.unknown_host)
+    }
 }
 
 #[cfg(test)]
@@ -427,6 +453,87 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    /// A stranger: no 3-node mesh has a host 999.
+    const EVIL: HostId = HostId(999);
+
+    /// `packet` names [`EVIL`]: every dissemination mode must drop it
+    /// without a transmit, a delivery or a panic, and count it.
+    fn assert_dropped(packet: Packet) {
+        for mode in [
+            DisseminationMode::FullSnapshot,
+            DisseminationMode::Delta { max_age_probes: 8 },
+            DisseminationMode::Gossip { fanout: 2, interval_ms: 1000 },
+        ] {
+            let mut a = OverlayNode::new_with_dissemination(
+                HostId(0),
+                3,
+                NodeConfig::default(),
+                42,
+                SimTime::ZERO,
+                mode,
+            );
+            let mut out = Vec::new();
+            let delivered = a.on_packet(SimTime::from_secs(1), 0, packet.clone(), &mut out);
+            assert_eq!(delivered, None, "{mode:?}");
+            assert!(out.is_empty(), "{mode:?}: {out:?}");
+            assert_eq!(a.unknown_host_drops(), 1, "{mode:?}");
+            assert_eq!(a.counters().2, 0, "{mode:?}: nothing relayed");
+        }
+    }
+
+    fn data(origin: HostId, target: HostId) -> Packet {
+        Packet::Data { origin, target, stream: 1, seq: 1, payload: Bytes::from_static(b"x") }
+    }
+
+    fn measure(origin: HostId, target: HostId) -> Packet {
+        Packet::Measure {
+            id: 1,
+            method: 0,
+            leg: 0,
+            origin,
+            target,
+            route: RouteTag::Direct,
+            kind: MeasureKind::OneWay,
+            sent_local_us: 0,
+        }
+    }
+
+    #[test]
+    fn probe_req_from_unknown_host_is_dropped() {
+        assert_dropped(Packet::ProbeReq { id: 1, from: EVIL, sent_local_us: 0, metrics: vec![] });
+    }
+
+    #[test]
+    fn probe_resp_from_unknown_host_is_dropped() {
+        assert_dropped(Packet::ProbeResp { id: 1, from: EVIL, resp_local_us: 0, metrics: vec![] });
+    }
+
+    #[test]
+    fn lsa_from_unknown_host_is_dropped() {
+        assert_dropped(Packet::Lsa { origin: EVIL, seq: 1, full: true, entries: vec![] });
+    }
+
+    #[test]
+    fn forward_to_unknown_host_is_dropped() {
+        let inner = Box::new(data(HostId(1), HostId(2)));
+        assert_dropped(Packet::Forward { target: EVIL, inner });
+        // Addressed to me, so unwrapped: the inner packet is checked too.
+        let inner = Box::new(data(HostId(1), EVIL));
+        assert_dropped(Packet::Forward { target: HostId(0), inner });
+    }
+
+    #[test]
+    fn measure_naming_unknown_host_is_dropped() {
+        assert_dropped(measure(HostId(1), EVIL));
+        assert_dropped(measure(EVIL, HostId(0)));
+    }
+
+    #[test]
+    fn data_naming_unknown_host_is_dropped() {
+        assert_dropped(data(HostId(1), EVIL));
+        assert_dropped(data(EVIL, HostId(0)));
     }
 
     #[test]

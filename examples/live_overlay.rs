@@ -13,19 +13,18 @@
 use mpath::live::{run_mesh_demo, Cluster, Impairment};
 use mpath::netsim::HostId;
 use mpath::overlay::Policy;
-use tokio::time::Duration;
+use std::time::Duration;
 
-#[tokio::main(flavor = "multi_thread", worker_threads = 2)]
-async fn main() -> std::io::Result<()> {
+fn main() -> std::io::Result<()> {
     // A 12%-loss, ~8 ms wire: roughly a bad WAN path.
     let impair = Impairment::lossy(0.12, 8);
     println!("spawning 5 overlay nodes on loopback (12% loss, ~8 ms delay per hop)...");
-    let cluster = Cluster::spawn(5, impair, 4242).await?;
+    let cluster = Cluster::spawn(5, impair, 4242)?;
 
     println!("letting the probers converge for 2 s...");
-    tokio::time::sleep(Duration::from_secs(2)).await;
+    std::thread::sleep(Duration::from_secs(2));
 
-    if let Some(snap) = cluster.nodes()[0].snapshot().await {
+    if let Some(snap) = cluster.nodes()[0].snapshot() {
         println!("\nnode 0's view of the mesh:");
         for (peer, loss, lat, dead) in snap {
             println!(
@@ -37,12 +36,12 @@ async fn main() -> std::io::Result<()> {
             );
         }
     }
-    if let Some(route) = cluster.nodes()[0].route(HostId(1), Policy::MinLoss).await {
+    if let Some(route) = cluster.nodes()[0].route(HostId(1), Policy::MinLoss) {
         println!("\nnode 0's loss-optimised route to node 1: {route:?}");
     }
 
     println!("\nstreaming 200 packets direct vs 2-redundant mesh...");
-    let report = run_mesh_demo(&cluster, 200, Duration::from_millis(5)).await?;
+    let report = run_mesh_demo(&cluster, 200, Duration::from_millis(5))?;
     println!(
         "  direct: {:>3}/{} delivered ({:.1}%)",
         report.direct_delivered,
@@ -57,6 +56,6 @@ async fn main() -> std::io::Result<()> {
     );
     println!("\n2-redundant mesh routing masks most of the wire's loss (paper §3.2).");
 
-    cluster.shutdown().await;
+    cluster.shutdown();
     Ok(())
 }

@@ -10,7 +10,7 @@
 //! * [`fec`] — packet-level Reed–Solomon erasure coding;
 //! * [`trace`] — probe records and the central collector;
 //! * [`analysis`] — loss/latency statistics, CDFs and table renderers;
-//! * [`live`] — tokio UDP driver for real deployments.
+//! * [`live`] — std-thread UDP driver for real deployments.
 
 pub use analysis;
 pub use fec;

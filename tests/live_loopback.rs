@@ -6,15 +6,15 @@
 //! exchange several full probe cycles within 1.5 s of wall-clock time:
 //! every peer must be alive, lossless and with a measured latency — the
 //! same link-state convergence the simulator's overlay reaches, driven
-//! here by the vendored tokio runtime over real sockets.
+//! here by one thread per node over real sockets.
 
 use mpath::live::{Cluster, Impairment};
 
-#[tokio::test]
-async fn loopback_cluster_converges() {
-    let cluster = Cluster::spawn(3, Impairment::none(), 7).await.expect("spawn cluster");
-    tokio::time::sleep(tokio::time::Duration::from_millis(1500)).await;
-    let snap = cluster.nodes()[0].snapshot().await.expect("snapshot");
+#[test]
+fn loopback_cluster_converges() {
+    let cluster = Cluster::spawn(3, Impairment::none(), 7).expect("spawn cluster");
+    std::thread::sleep(std::time::Duration::from_millis(1500));
+    let snap = cluster.nodes()[0].snapshot().expect("snapshot");
     assert_eq!(snap.len(), 2, "node 0 must know both peers");
     for (peer, loss, lat, dead) in snap {
         assert!(!dead, "peer {peer:?} wrongly declared dead");
@@ -22,5 +22,5 @@ async fn loopback_cluster_converges() {
         let lat = lat.expect("latency measured");
         assert!(lat < 200_000.0, "loopback rtt/2 {lat}us implausible");
     }
-    cluster.shutdown().await;
+    cluster.shutdown();
 }
