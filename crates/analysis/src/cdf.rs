@@ -191,53 +191,69 @@ impl Histogram {
     }
 }
 
+/// The `"v"` entry of a versioned wire type that speaks version `N`:
+/// writes `N`, and reads nothing else. The refusal happens at the key,
+/// so a payload that leads with its version (every encoder does) is
+/// turned away naming the version it carries, before any of its other —
+/// possibly unknown — fields is looked at.
+#[derive(Debug, Clone, Copy)]
+pub struct WireVersion<const N: u32>;
+
+impl<const N: u32> serde::Serialize for WireVersion<N> {
+    fn serialize(&self, out: &mut String) {
+        N.serialize(out);
+    }
+}
+
+impl<const N: u32> serde::Deserialize for WireVersion<N> {
+    fn deserialize(r: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
+        match u32::deserialize(r)? {
+            v if v == N => Ok(WireVersion),
+            v => Err(serde::Error::new(format!(
+                "unsupported wire version {v} (this build speaks {N})"
+            ))),
+        }
+    }
+}
+
 // Versioned wire format (v1): slices computed on one host must merge on
 // another with the exact semantics of the in-memory path, so the full
 // private state crosses the wire and unknown fields or versions are
 // rejected loudly instead of being guessed at.
 impl serde::Serialize for Histogram {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Map(vec![
-            ("v".into(), serde::Value::Int(1)),
-            ("zeros".into(), self.zeros.to_value()),
-            ("bins".into(), self.bins.to_value()),
-            ("count".into(), self.count.to_value()),
-        ])
+    fn serialize(&self, out: &mut String) {
+        let mut m = serde::MapWriter::new(out);
+        m.field("v", &WireVersion::<1>);
+        m.field("zeros", &self.zeros);
+        m.field("bins", &self.bins);
+        m.field("count", &self.count);
+        m.end();
     }
 }
 
 impl serde::Deserialize for Histogram {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let serde::Value::Map(entries) = v else {
-            return Err(serde::Error::new(format!("Histogram: expected map, found {}", v.kind())));
-        };
-        for (k, _) in entries {
-            if !matches!(k.as_str(), "v" | "zeros" | "bins" | "count") {
-                return Err(serde::Error::new(format!("Histogram: unknown field `{k}`")));
-            }
-        }
-        let version = u32::from_value(v.field("v")?)?;
-        if version != 1 {
-            return Err(serde::Error::new(format!(
-                "Histogram: unsupported wire version {version} (this build speaks 1)"
-            )));
-        }
-        let h = Histogram {
-            zeros: u64::from_value(v.field("zeros")?)?,
-            bins: Vec::<u64>::from_value(v.field("bins")?)?,
-            count: u64::from_value(v.field("count")?)?,
-        };
-        if h.bins.is_empty() {
+    fn deserialize(r: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
+        let (WireVersion::<1>, zeros, bins, count) =
+            serde::read_fields!(r, "Histogram", [v, zeros, bins, count]);
+        Histogram { zeros, bins, count }.validated()
+    }
+}
+
+impl Histogram {
+    /// What a histogram off the wire must satisfy.
+    fn validated(self) -> Result<Self, serde::Error> {
+        if self.bins.is_empty() {
             return Err(serde::Error::new("Histogram: bins must be non-empty"));
         }
-        let binned: u64 = h.bins.iter().sum();
-        if h.count != h.zeros + binned {
+        // Checked: these are numbers from outside the process.
+        let total = self.bins.iter().try_fold(self.zeros, |acc, &b| acc.checked_add(b));
+        if total != Some(self.count) {
             return Err(serde::Error::new(format!(
-                "Histogram: count {} != zeros {} + binned {binned}",
-                h.count, h.zeros
+                "Histogram: count {} != zeros {} + the binned values",
+                self.count, self.zeros
             )));
         }
-        Ok(h)
+        Ok(self)
     }
 }
 

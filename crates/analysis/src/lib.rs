@@ -27,7 +27,7 @@ pub mod loss;
 pub mod tables;
 pub mod windows;
 
-pub use cdf::{Cdf, Histogram};
+pub use cdf::{Cdf, Histogram, WireVersion};
 pub use fingerprint::Fnv;
 pub use figures::{Figure, Series};
 pub use loss::{LossAccum, LossShape, MethodSummary};

@@ -10,6 +10,7 @@
 //!   the first was lost;
 //! * **lat** — mean one-way latency of the first copy to arrive.
 
+use crate::cdf::WireVersion;
 use crate::latency::corrected_path_means;
 use netsim::HostId;
 use trace::PairOutcome;
@@ -110,25 +111,36 @@ impl CellArrays {
         }
     }
 
-    fn from_cells(cells: &[Cell]) -> Self {
-        let mut a = CellArrays::with_len(cells.len());
-        for (i, c) in cells.iter().enumerate() {
-            a.pairs[i] = c.pairs;
-            a.pairs_lost[i] = c.pairs_lost;
-            a.l1_sent[i] = c.l1_sent;
-            a.l1_lost[i] = c.l1_lost;
-            a.l2_sent[i] = c.l2_sent;
-            a.l2_lost[i] = c.l2_lost;
-            a.both_lost[i] = c.both_lost;
-            a.first_lost_with_second[i] = c.first_lost_with_second;
-            a.lat_sum_us[i] = c.lat_sum_us;
-            a.lat_cnt[i] = c.lat_cnt;
-        }
-        a
+    fn push(&mut self, c: Cell) {
+        self.pairs.push(c.pairs);
+        self.pairs_lost.push(c.pairs_lost);
+        self.l1_sent.push(c.l1_sent);
+        self.l1_lost.push(c.l1_lost);
+        self.l2_sent.push(c.l2_sent);
+        self.l2_lost.push(c.l2_lost);
+        self.both_lost.push(c.both_lost);
+        self.first_lost_with_second.push(c.first_lost_with_second);
+        self.lat_sum_us.push(c.lat_sum_us);
+        self.lat_cnt.push(c.lat_cnt);
     }
+}
 
-    fn to_cells(&self) -> Vec<Cell> {
-        (0..self.len()).map(|i| self.get(i)).collect()
+// In memory the cells are SoA; the wire keeps the v1 `Vec<Cell>` shape,
+// written and read one cell at a time with no AoS copy in between.
+impl serde::Serialize for CellArrays {
+    fn serialize(&self, out: &mut String) {
+        serde::write_seq(out, (0..self.len()).map(|i| self.get(i)));
+    }
+}
+
+impl serde::Deserialize for CellArrays {
+    fn deserialize(r: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
+        let mut cells = CellArrays::default();
+        r.seq(|r| {
+            cells.push(serde::Deserialize::deserialize(r)?);
+            Ok(())
+        })?;
+        Ok(cells)
     }
 }
 
@@ -468,72 +480,59 @@ impl LossAccum {
 // byte-identically to one that never left memory. Unknown fields and
 // versions are rejected loudly.
 impl serde::Serialize for LossAccum {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Map(vec![
-            ("v".into(), serde::Value::Int(1)),
-            ("n".into(), self.n.to_value()),
-            ("methods".into(), self.methods.to_value()),
-            ("max_legs".into(), self.max_legs.to_value()),
-            // In-memory the cells are SoA; the wire keeps the v1
-            // `Vec<Cell>` shape.
-            ("cells".into(), self.cells.to_cells().to_value()),
-            ("deep".into(), self.deep.to_value()),
-        ])
+    fn serialize(&self, out: &mut String) {
+        let mut m = serde::MapWriter::new(out);
+        m.field("v", &WireVersion::<1>);
+        m.field("n", &self.n);
+        m.field("methods", &self.methods);
+        m.field("max_legs", &self.max_legs);
+        m.field("cells", &self.cells);
+        m.field("deep", &self.deep);
+        m.end();
     }
 }
 
 impl serde::Deserialize for LossAccum {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let serde::Value::Map(entries) = v else {
-            return Err(serde::Error::new(format!("LossAccum: expected map, found {}", v.kind())));
-        };
-        for (k, _) in entries {
-            if !matches!(k.as_str(), "v" | "n" | "methods" | "max_legs" | "cells" | "deep") {
-                return Err(serde::Error::new(format!("LossAccum: unknown field `{k}`")));
-            }
-        }
-        let version = u32::from_value(v.field("v")?)?;
-        if version != 1 {
-            return Err(serde::Error::new(format!(
-                "LossAccum: unsupported wire version {version} (this build speaks 1)"
-            )));
-        }
-        let wire_cells = Vec::<Cell>::from_value(v.field("cells")?)?;
-        let a = LossAccum {
-            n: usize::from_value(v.field("n")?)?,
-            methods: usize::from_value(v.field("methods")?)?,
-            cells: CellArrays::from_cells(&wire_cells),
-            max_legs: usize::from_value(v.field("max_legs")?)?,
-            deep: Vec::<u64>::from_value(v.field("deep")?)?,
-        };
-        if a.max_legs == 0 {
+    fn deserialize(r: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
+        let (WireVersion::<1>, n, methods, max_legs, cells, deep) =
+            serde::read_fields!(r, "LossAccum", [v, n, methods, max_legs, cells, deep]);
+        LossAccum { n, methods, cells, max_legs, deep }.validated()
+    }
+}
+
+impl LossAccum {
+    /// What an accumulator off the wire must satisfy. The products are
+    /// checked: `n`, `methods` and `max_legs` are numbers from outside
+    /// the process.
+    fn validated(self) -> Result<Self, serde::Error> {
+        if self.max_legs == 0 {
             return Err(serde::Error::new("LossAccum: max_legs must be >= 1"));
         }
-        let cells = a.n * a.n * a.methods;
-        if a.cells.len() != cells {
+        let cells = self.n.checked_mul(self.n).and_then(|nn| nn.checked_mul(self.methods));
+        if Some(self.cells.len()) != cells {
             return Err(serde::Error::new(format!(
-                "LossAccum: {} cells for shape n={} methods={} (want {cells})",
-                a.cells.len(),
-                a.n,
-                a.methods
+                "LossAccum: {} cells for shape n={} methods={}",
+                self.cells.len(),
+                self.n,
+                self.methods
             )));
         }
         // The depth extension exists exactly when max_legs > 2 (the
         // pair-era digest invariant depends on this).
-        let deep = if a.max_legs > 2 { cells * a.max_legs } else { 0 };
-        if a.deep.len() != deep {
+        let deep =
+            if self.max_legs > 2 { self.cells.len().checked_mul(self.max_legs) } else { Some(0) };
+        if Some(self.deep.len()) != deep {
             return Err(serde::Error::new(format!(
-                "LossAccum: {} deep counters for max_legs={} (want {deep})",
-                a.deep.len(),
-                a.max_legs
+                "LossAccum: {} deep counters for {} cells at max_legs={}",
+                self.deep.len(),
+                self.cells.len(),
+                self.max_legs
             )));
         }
-        for &s in &a.cells.lat_sum_us {
-            if !s.is_finite() {
-                return Err(serde::Error::new("LossAccum: non-finite latency sum"));
-            }
+        if self.cells.lat_sum_us.iter().any(|s| !s.is_finite()) {
+            return Err(serde::Error::new("LossAccum: non-finite latency sum"));
         }
-        Ok(a)
+        Ok(self)
     }
 }
 

@@ -11,7 +11,7 @@
 //! [`WindowAccum::finish`]) and its end-to-end pair loss rate feeds a
 //! per-method histogram and the threshold counters.
 
-use crate::cdf::Histogram;
+use crate::cdf::{Histogram, WireVersion};
 use netsim::SimDuration;
 use trace::PairOutcome;
 
@@ -245,107 +245,112 @@ impl WindowAccum {
 // original in *every* state, or the serde-fidelity proptests could not
 // pin the wire format to the in-memory merge semantics.
 impl serde::Serialize for WindowAccum {
-    fn to_value(&self) -> serde::Value {
+    fn serialize(&self, out: &mut String) {
+        let mut m = serde::MapWriter::new(out);
+        m.field("v", &WireVersion::<1>);
+        m.field("width_us", &self.width_us);
+        m.field("n", &self.n);
         // The in-memory layout is SoA; the wire still speaks the v1
         // `Vec<OpenWin>` shape, reconstructed cell by cell.
-        let open: Vec<OpenWin> = (0..self.win.len())
-            .map(|i| match self.win[i] {
-                0 => OpenWin::default(),
-                tag => OpenWin {
-                    window_idx: tag - 1,
-                    sent: self.sent[i],
-                    lost: self.lost[i],
-                    used: true,
-                },
-            })
-            .collect();
-        serde::Value::Map(vec![
-            ("v".into(), serde::Value::Int(1)),
-            ("width_us".into(), self.width_us.to_value()),
-            ("n".into(), self.n.to_value()),
-            ("open".into(), open.to_value()),
-            ("hist".into(), self.hist.to_value()),
-            ("thresholds".into(), self.thresholds.to_value()),
-            ("windows".into(), self.windows.to_value()),
-        ])
+        let open = (0..self.win.len()).map(|i| match self.win[i] {
+            0 => OpenWin::default(),
+            tag => {
+                OpenWin { window_idx: tag - 1, sent: self.sent[i], lost: self.lost[i], used: true }
+            }
+        });
+        serde::write_seq(m.key("open"), open);
+        m.field("hist", &self.hist);
+        m.field("thresholds", &self.thresholds);
+        m.field("windows", &self.windows);
+        m.end();
+    }
+}
+
+/// The open-window columns as they come off the wire: the v1
+/// `Vec<OpenWin>`, decomposed cell by cell into the SoA arrays. A cell
+/// with `used == false` is normalized to all-zero: the encoder only
+/// ever writes default values there, so nothing real is dropped.
+#[derive(Default)]
+struct OpenColumns {
+    win: Vec<u64>,
+    sent: Vec<u32>,
+    lost: Vec<u32>,
+}
+
+impl serde::Deserialize for OpenColumns {
+    fn deserialize(r: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
+        let mut open = OpenColumns::default();
+        r.seq(|r| {
+            let o = OpenWin::deserialize(r)?;
+            let (tag, sent, lost) = match o.window_idx.checked_add(1) {
+                _ if !o.used => (0, 0, 0),
+                Some(tag) => (tag, o.sent, o.lost),
+                None => return Err(serde::Error::new("OpenWin: window_idx out of range")),
+            };
+            open.win.push(tag);
+            open.sent.push(sent);
+            open.lost.push(lost);
+            Ok(())
+        })?;
+        Ok(open)
     }
 }
 
 impl serde::Deserialize for WindowAccum {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let serde::Value::Map(entries) = v else {
-            return Err(serde::Error::new(format!(
-                "WindowAccum: expected map, found {}",
-                v.kind()
-            )));
-        };
-        for (k, _) in entries {
-            if !matches!(
-                k.as_str(),
-                "v" | "width_us" | "n" | "open" | "hist" | "thresholds" | "windows"
-            ) {
-                return Err(serde::Error::new(format!("WindowAccum: unknown field `{k}`")));
-            }
-        }
-        let version = u32::from_value(v.field("v")?)?;
-        if version != 1 {
-            return Err(serde::Error::new(format!(
-                "WindowAccum: unsupported wire version {version} (this build speaks 1)"
-            )));
-        }
-        let open = Vec::<OpenWin>::from_value(v.field("open")?)?;
-        // Decompose the wire's AoS cells into the SoA arrays. A cell
-        // with `used == false` is normalized to all-zero: the encoder
-        // only ever writes default values there, so nothing real is
-        // dropped.
-        let mut win = vec![0u64; open.len()];
-        let mut sent = vec![0u32; open.len()];
-        let mut lost = vec![0u32; open.len()];
-        for (i, o) in open.iter().enumerate() {
-            if o.used {
-                win[i] = o.window_idx + 1;
-                sent[i] = o.sent;
-                lost[i] = o.lost;
-            }
-        }
-        let w = WindowAccum {
-            width_us: u64::from_value(v.field("width_us")?)?,
+    fn deserialize(r: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
+        let (WireVersion::<1>, width_us, n, open, hist, thresholds, windows) = serde::read_fields!(
+            r,
+            "WindowAccum",
+            [v, width_us, n, open, hist, thresholds, windows]
+        );
+        let OpenColumns { win, sent, lost } = open;
+        WindowAccum {
+            width_us,
             cached_start_us: 0,
             cached_idx: 0,
-            n: usize::from_value(v.field("n")?)?,
+            n,
             win,
             sent,
             lost,
-            hist: Vec::<Histogram>::from_value(v.field("hist")?)?,
-            thresholds: Vec::<[u64; 10]>::from_value(v.field("thresholds")?)?,
-            windows: Vec::<u64>::from_value(v.field("windows")?)?,
-        };
-        if w.width_us == 0 {
+            hist,
+            thresholds,
+            windows,
+        }
+        .validated()
+    }
+}
+
+impl WindowAccum {
+    /// What an accumulator off the wire must satisfy.
+    fn validated(self) -> Result<Self, serde::Error> {
+        if self.width_us == 0 {
             return Err(serde::Error::new("WindowAccum: width_us must be > 0"));
         }
-        let methods = w.hist.len();
-        if w.thresholds.len() != methods || w.windows.len() != methods {
+        let methods = self.hist.len();
+        if self.thresholds.len() != methods || self.windows.len() != methods {
             return Err(serde::Error::new(format!(
                 "WindowAccum: per-method lengths disagree (hist {methods}, thresholds {}, windows {})",
-                w.thresholds.len(),
-                w.windows.len()
+                self.thresholds.len(),
+                self.windows.len()
             )));
         }
-        if let Some(h) = w.hist.iter().find(|h| h.bin_count() != Histogram::DEFAULT_BINS) {
+        if let Some(h) = self.hist.iter().find(|h| h.bin_count() != Histogram::DEFAULT_BINS) {
             return Err(serde::Error::new(format!(
                 "WindowAccum: a histogram has {} bins, every window histogram has {}",
                 h.bin_count(),
                 Histogram::DEFAULT_BINS
             )));
         }
-        if w.win.len() != w.n * w.n * methods {
+        // Checked: `n` is a number from outside the process.
+        let cells = self.n.checked_mul(self.n).and_then(|nn| nn.checked_mul(methods));
+        if Some(self.win.len()) != cells {
             return Err(serde::Error::new(format!(
                 "WindowAccum: {} open cells for shape n={} methods={methods}",
-                w.win.len(),
-                w.n
+                self.win.len(),
+                self.n
             )));
         }
-        Ok(w)
+        Ok(self)
     }
 }
 

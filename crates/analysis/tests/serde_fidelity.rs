@@ -428,16 +428,16 @@ mod aos {
     }
 
     impl serde::Serialize for WindowAccum {
-        fn to_value(&self) -> serde::Value {
-            serde::Value::Map(vec![
-                ("v".into(), serde::Value::Int(1)),
-                ("width_us".into(), self.width_us.to_value()),
-                ("n".into(), self.n.to_value()),
-                ("open".into(), self.open.to_value()),
-                ("hist".into(), self.hist.to_value()),
-                ("thresholds".into(), self.thresholds.to_value()),
-                ("windows".into(), self.windows.to_value()),
-            ])
+        fn serialize(&self, out: &mut String) {
+            let mut m = serde::MapWriter::new(out);
+            m.field("v", &1u32);
+            m.field("width_us", &self.width_us);
+            m.field("n", &self.n);
+            m.field("open", &self.open);
+            m.field("hist", &self.hist);
+            m.field("thresholds", &self.thresholds);
+            m.field("windows", &self.windows);
+            m.end();
         }
     }
 
@@ -551,15 +551,15 @@ mod aos {
     }
 
     impl serde::Serialize for LossAccum {
-        fn to_value(&self) -> serde::Value {
-            serde::Value::Map(vec![
-                ("v".into(), serde::Value::Int(1)),
-                ("n".into(), self.n.to_value()),
-                ("methods".into(), self.methods.to_value()),
-                ("max_legs".into(), self.max_legs.to_value()),
-                ("cells".into(), self.cells.to_value()),
-                ("deep".into(), self.deep.to_value()),
-            ])
+        fn serialize(&self, out: &mut String) {
+            let mut m = serde::MapWriter::new(out);
+            m.field("v", &1u32);
+            m.field("n", &self.n);
+            m.field("methods", &self.methods);
+            m.field("max_legs", &self.max_legs);
+            m.field("cells", &self.cells);
+            m.field("deep", &self.deep);
+            m.end();
         }
     }
 }

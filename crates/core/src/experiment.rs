@@ -19,7 +19,7 @@
 //!    outcomes into the loss and window statistics.
 
 use crate::method::{MethodSet, MAX_PROBE_LEGS};
-use analysis::{Fnv, LossAccum, LossShape, WindowAccum, WindowShape};
+use analysis::{Fnv, LossAccum, LossShape, WindowAccum, WindowShape, WireVersion};
 use netsim::{
     Delivery, EventQueue, HostId, LoadProfile, NetCounters, Rng, SimDuration, SimTime, Topology,
 };
@@ -255,85 +255,94 @@ pub const OUTPUT_WIRE_VERSION: u32 = 3;
 // so a slice result computed on another host merges byte-identically to
 // one computed locally. `duration` travels as integer microseconds.
 impl serde::Serialize for ExperimentOutput {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Map(vec![
-            ("v".into(), serde::Value::Int(OUTPUT_WIRE_VERSION as i64)),
-            ("scenario".into(), self.scenario.to_value()),
-            ("spec_digest".into(), self.spec_digest.to_value()),
-            ("names".into(), self.names.to_value()),
-            ("loss".into(), self.loss.to_value()),
-            ("win20".into(), self.win20.to_value()),
-            ("win60".into(), self.win60.to_value()),
-            ("net".into(), self.net.to_value()),
-            ("overlay_probes".into(), self.overlay_probes.to_value()),
-            ("measure_legs".into(), self.measure_legs.to_value()),
-            ("collector".into(), self.collector.to_value()),
-            ("route_usage".into(), self.route_usage.to_value()),
-            ("n".into(), self.n.to_value()),
-            ("duration_us".into(), self.duration.as_micros().to_value()),
-        ])
+    fn serialize(&self, out: &mut String) {
+        let mut m = serde::MapWriter::new(out);
+        m.field("v", &WireVersion::<OUTPUT_WIRE_VERSION>);
+        m.field("scenario", &self.scenario);
+        m.field("spec_digest", &self.spec_digest);
+        m.field("names", &self.names);
+        m.field("loss", &self.loss);
+        m.field("win20", &self.win20);
+        m.field("win60", &self.win60);
+        m.field("net", &self.net);
+        m.field("overlay_probes", &self.overlay_probes);
+        m.field("measure_legs", &self.measure_legs);
+        m.field("collector", &self.collector);
+        m.field("route_usage", &self.route_usage);
+        m.field("n", &self.n);
+        m.field("duration_us", &self.duration.as_micros());
+        m.end();
     }
 }
 
 impl serde::Deserialize for ExperimentOutput {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let serde::Value::Map(entries) = v else {
-            return Err(serde::Error::new(format!(
-                "ExperimentOutput: expected map, found {}",
-                v.kind()
-            )));
-        };
-        const FIELDS: [&str; 14] = [
-            "v",
-            "scenario",
-            "spec_digest",
-            "names",
-            "loss",
-            "win20",
-            "win60",
-            "net",
-            "overlay_probes",
-            "measure_legs",
-            "collector",
-            "route_usage",
-            "n",
-            "duration_us",
-        ];
-        for (k, _) in entries {
-            if !FIELDS.contains(&k.as_str()) {
-                return Err(serde::Error::new(format!("ExperimentOutput: unknown field `{k}`")));
-            }
+    fn deserialize(r: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
+        let (
+            WireVersion::<OUTPUT_WIRE_VERSION>,
+            scenario,
+            spec_digest,
+            names,
+            loss,
+            win20,
+            win60,
+            net,
+            overlay_probes,
+            measure_legs,
+            collector,
+            route_usage,
+            n,
+            duration_us,
+        ) = serde::read_fields!(
+            r,
+            "ExperimentOutput",
+            [
+                v,
+                scenario,
+                spec_digest,
+                names,
+                loss,
+                win20,
+                win60,
+                net,
+                overlay_probes,
+                measure_legs,
+                collector,
+                route_usage,
+                n,
+                duration_us
+            ]
+        );
+        ExperimentOutput {
+            scenario,
+            spec_digest,
+            names,
+            loss,
+            win20,
+            win60,
+            net,
+            overlay_probes,
+            measure_legs,
+            collector,
+            route_usage,
+            n,
+            duration: SimDuration::from_micros(duration_us),
         }
-        let version = u32::from_value(v.field("v")?)?;
-        if version != OUTPUT_WIRE_VERSION {
-            return Err(serde::Error::new(format!(
-                "ExperimentOutput: unsupported wire version {version} (this build speaks \
-                 {OUTPUT_WIRE_VERSION})"
-            )));
-        }
-        let out = ExperimentOutput {
-            scenario: String::from_value(v.field("scenario")?)?,
-            spec_digest: u64::from_value(v.field("spec_digest")?)?,
-            names: Vec::<String>::from_value(v.field("names")?)?,
-            loss: LossAccum::from_value(v.field("loss")?)?,
-            win20: WindowAccum::from_value(v.field("win20")?)?,
-            win60: WindowAccum::from_value(v.field("win60")?)?,
-            net: NetCounters::from_value(v.field("net")?)?,
-            overlay_probes: u64::from_value(v.field("overlay_probes")?)?,
-            measure_legs: u64::from_value(v.field("measure_legs")?)?,
-            collector: CollectorStats::from_value(v.field("collector")?)?,
-            route_usage: <[(u64, u64); 4]>::from_value(v.field("route_usage")?)?,
-            n: usize::from_value(v.field("n")?)?,
-            duration: SimDuration::from_micros(u64::from_value(v.field("duration_us")?)?),
-        };
-        if out.loss.n() != out.n {
+        .validated()
+    }
+}
+
+impl ExperimentOutput {
+    /// What an output off the wire must satisfy on its own (the
+    /// coordinator goes on to hold it to the job: `shape_mismatch`).
+    fn validated(self) -> Result<Self, serde::Error> {
+        if self.loss.n() != self.n {
             return Err(serde::Error::new(format!(
                 "ExperimentOutput: loss accumulator is {}-host but n={}",
-                out.loss.n(),
-                out.n
+                self.loss.n(),
+                self.n
             )));
         }
-        Ok(out)
+        Ok(self)
     }
 }
 

@@ -318,42 +318,28 @@ pub struct MethodSpec {
 // shifting ScenarioSpec::digest for all existing scenarios and
 // invalidating their golden fingerprints.
 impl serde::Serialize for MethodSpec {
-    fn to_value(&self) -> serde::Value {
-        let mut fields = vec![
-            ("name".to_string(), self.name.to_value()),
-            ("legs".to_string(), self.legs.to_value()),
-            ("gap_ms".to_string(), self.gap_ms.to_value()),
-            ("distinct".to_string(), self.distinct.to_value()),
-        ];
+    fn serialize(&self, out: &mut String) {
+        let mut m = serde::MapWriter::new(out);
+        m.field("name", &self.name);
+        m.field("legs", &self.legs);
+        m.field("gap_ms", &self.gap_ms);
+        m.field("distinct", &self.distinct);
         if self.all_prior {
-            fields.push(("all_prior".to_string(), self.all_prior.to_value()));
+            m.field("all_prior", &self.all_prior);
         }
-        serde::Value::Map(fields)
+        m.end();
     }
 }
 
 impl serde::Deserialize for MethodSpec {
-    fn from_value(v: &serde::Value) -> Result<MethodSpec, serde::Error> {
-        let serde::Value::Map(entries) = v else {
-            return Err(serde::Error::new("MethodSpec: expected a map"));
-        };
-        const FIELDS: [&str; 5] = ["name", "legs", "gap_ms", "distinct", "all_prior"];
-        for (key, _) in entries {
-            if !FIELDS.contains(&key.as_str()) {
-                return Err(serde::Error::new(format!("MethodSpec: unknown field `{key}`")));
-            }
-        }
-        let all_prior = match entries.iter().find(|(key, _)| key == "all_prior") {
-            Some((_, val)) => bool::from_value(val)?,
-            None => false,
-        };
-        Ok(MethodSpec {
-            name: Deserialize::from_value(v.field("name")?)?,
-            legs: Deserialize::from_value(v.field("legs")?)?,
-            gap_ms: Deserialize::from_value(v.field("gap_ms")?)?,
-            distinct: Deserialize::from_value(v.field("distinct")?)?,
-            all_prior,
-        })
+    fn deserialize(r: &mut serde::Reader<'_>) -> Result<MethodSpec, serde::Error> {
+        let (name, legs, gap_ms, distinct, all_prior) = serde::read_fields!(
+            r,
+            "MethodSpec",
+            [name, legs, gap_ms, distinct],
+            optional = [all_prior]
+        );
+        Ok(MethodSpec { name, legs, gap_ms, distinct, all_prior: all_prior.unwrap_or(false) })
     }
 }
 

@@ -270,67 +270,64 @@ pub struct ScenarioSpec {
 // `ScenarioSpec::digest` for all existing scenarios and invalidating
 // their golden fingerprints.
 impl serde::Serialize for ScenarioSpec {
-    fn to_value(&self) -> serde::Value {
-        let mut fields = vec![
-            ("name".to_string(), self.name.to_value()),
-            ("summary".to_string(), self.summary.to_value()),
-            ("topology".to_string(), self.topology.to_value()),
-            ("methods".to_string(), self.methods.to_value()),
-            ("days".to_string(), self.days.to_value()),
-            ("horizon_days".to_string(), self.horizon_days.to_value()),
-            ("round_trip".to_string(), self.round_trip.to_value()),
-            ("impairments".to_string(), self.impairments.to_value()),
-            ("calibration".to_string(), self.calibration.to_value()),
-        ];
+    fn serialize(&self, out: &mut String) {
+        let mut m = serde::MapWriter::new(out);
+        m.field("name", &self.name);
+        m.field("summary", &self.summary);
+        m.field("topology", &self.topology);
+        m.field("methods", &self.methods);
+        m.field("days", &self.days);
+        m.field("horizon_days", &self.horizon_days);
+        m.field("round_trip", &self.round_trip);
+        m.field("impairments", &self.impairments);
+        m.field("calibration", &self.calibration);
         if !self.dissemination.is_default() {
-            fields.push(("dissemination".to_string(), self.dissemination.to_value()));
+            m.field("dissemination", &self.dissemination);
         }
-        serde::Value::Map(fields)
+        m.end();
     }
 }
 
 impl serde::Deserialize for ScenarioSpec {
-    fn from_value(v: &serde::Value) -> Result<ScenarioSpec, serde::Error> {
-        let serde::Value::Map(entries) = v else {
-            return Err(serde::Error::new("ScenarioSpec: expected a map"));
-        };
-        const FIELDS: [&str; 10] = [
-            "name",
-            "summary",
-            "topology",
-            "methods",
-            "days",
-            "horizon_days",
-            "round_trip",
-            "impairments",
-            "calibration",
-            "dissemination",
-        ];
-        for (key, _) in entries {
-            if !FIELDS.contains(&key.as_str()) {
-                // Same wording as the derive's strict guard, expected
-                // list included: a typo tells the author what is legal.
-                return Err(serde::Error::new(format!(
-                    "unknown field `{key}` in ScenarioSpec (expected `{}`)",
-                    FIELDS.join("`, `")
-                )));
-            }
-        }
-        let dissemination = match entries.iter().find(|(key, _)| key == "dissemination") {
-            Some((_, val)) => DisseminationSpec::from_value(val)?,
-            None => DisseminationSpec::FullSnapshot,
-        };
-        Ok(ScenarioSpec {
-            name: Deserialize::from_value(v.field("name")?)?,
-            summary: Deserialize::from_value(v.field("summary")?)?,
-            topology: Deserialize::from_value(v.field("topology")?)?,
-            methods: Deserialize::from_value(v.field("methods")?)?,
-            days: Deserialize::from_value(v.field("days")?)?,
-            horizon_days: Deserialize::from_value(v.field("horizon_days")?)?,
-            round_trip: Deserialize::from_value(v.field("round_trip")?)?,
-            impairments: Deserialize::from_value(v.field("impairments")?)?,
-            calibration: Deserialize::from_value(v.field("calibration")?)?,
+    fn deserialize(r: &mut serde::Reader<'_>) -> Result<ScenarioSpec, serde::Error> {
+        let (
+            name,
+            summary,
+            topology,
+            methods,
+            days,
+            horizon_days,
+            round_trip,
+            impairments,
+            calibration,
             dissemination,
+        ) = serde::read_fields!(
+            r,
+            "ScenarioSpec",
+            [
+                name,
+                summary,
+                topology,
+                methods,
+                days,
+                horizon_days,
+                round_trip,
+                impairments,
+                calibration
+            ],
+            optional = [dissemination]
+        );
+        Ok(ScenarioSpec {
+            name,
+            summary,
+            topology,
+            methods,
+            days,
+            horizon_days,
+            round_trip,
+            impairments,
+            calibration,
+            dissemination: dissemination.unwrap_or(DisseminationSpec::FullSnapshot),
         })
     }
 }

@@ -3,7 +3,7 @@
 //! Every type that crosses the distributed-campaign wire (or is merged
 //! from a shard) has its field set extracted *from source* — derive'd
 //! structs/enums by their declaration, hand-written serde impls by the
-//! string keys their `to_value` emits — and compared against the
+//! string keys their `serialize` writes — and compared against the
 //! checked-in [`MANIFEST_FILE`]. The rule CHANGES.md stated but nobody
 //! enforced ("bump `OUTPUT_WIRE_VERSION` when an accumulator's serde
 //! layout changes") becomes mechanical: a field-set drift with an
@@ -32,7 +32,8 @@ pub enum TypeShape {
     /// `Variant.field` / bare `Variant` for unit variants.
     DeriveEnum,
     /// Hand-written `impl serde::Serialize` — wire keys are the string
-    /// literals fed to `.into()` in `to_value`.
+    /// literals its `serialize` hands a `serde::MapWriter` (`.field("k",
+    /// …)` / `.key("k")`).
     Handwritten,
 }
 
@@ -52,7 +53,7 @@ pub enum VersionTag {
     /// A named workspace constant (its value is recorded in the
     /// manifest's `versions` map).
     Const(&'static str),
-    /// The integer literal the type's own `to_value` writes under `"v"`.
+    /// The integer literal the type's own `serialize` writes under `"v"`.
     Inline,
 }
 
@@ -435,15 +436,16 @@ fn extract_enum_fields(toks: &[Token], name: &str) -> Option<Vec<String>> {
 /// What a hand-written impl declares as its wire version.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum HandwrittenVersion {
-    /// `("v".into(), Value::Int(<n>))`.
+    /// `.field("v", &WireVersion::<n>)`.
     Inline(u64),
-    /// `("v".into(), Value::Int(<CONST> as i64))`.
+    /// `.field("v", &WireVersion::<CONST>)`.
     Const(String),
 }
 
 /// Wire keys and version of `impl serde::Serialize for <name>`: every
-/// string literal fed to `.into()` inside the impl block is a key; the
-/// expression paired with the `"v"` key yields the version.
+/// string literal opening a `.field(` or `.key(` call inside the impl
+/// block is a key; the expression paired with the `"v"` key yields the
+/// version.
 fn extract_handwritten(
     toks: &[Token],
     name: &str,
@@ -472,10 +474,10 @@ fn extract_handwritten(
         } else if t.is_punct('}') {
             bd -= 1;
         } else if t.kind == Kind::Str
-            && toks.get(i + 1).is_some_and(|a| a.is_punct('.'))
-            && toks.get(i + 2).is_some_and(|b| b.is_ident("into"))
-            && toks.get(i + 3).is_some_and(|c| c.is_punct('('))
-            && toks.get(i + 4).is_some_and(|d| d.is_punct(')'))
+            && i >= 3
+            && toks[i - 1].is_punct('(')
+            && (toks[i - 2].is_ident("field") || toks[i - 2].is_ident("key"))
+            && toks[i - 3].is_punct('.')
         {
             keys.push(t.text.clone());
             key_positions.push(i);
@@ -490,7 +492,7 @@ fn extract_handwritten(
     let next_key =
         key_positions.iter().find(|&&p| p > *vk).copied().unwrap_or(end);
     let mut version = None;
-    for t in &toks[vk + 5..next_key] {
+    for t in &toks[vk + 1..next_key] {
         if t.kind == Kind::Num {
             version = parse_int(&t.text).map(HandwrittenVersion::Inline);
             break;

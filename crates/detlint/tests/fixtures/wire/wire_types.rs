@@ -27,11 +27,11 @@ pub struct ToyAccum {
 }
 
 impl serde::Serialize for ToyAccum {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Map(vec![
-            ("v".into(), serde::Value::Int(1)),
-            ("count".into(), self.count.to_value()),
-            ("sum".into(), self.sum.to_value()),
-        ])
+    fn serialize(&self, out: &mut String) {
+        let mut m = serde::MapWriter::new(out);
+        m.field("v", &WireVersion::<1>);
+        m.field("count", &self.count);
+        serde::write_seq(m.key("sum"), [self.sum]);
+        m.end();
     }
 }

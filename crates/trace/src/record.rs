@@ -203,41 +203,24 @@ impl PairOutcome {
 // array of nullable leg objects. The packed encoding is an in-memory
 // layout decision and must not leak into logs or fixtures.
 impl serde::Serialize for PairOutcome {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Map(vec![
-            ("id".to_string(), self.id.to_value()),
-            ("method".to_string(), self.method.to_value()),
-            ("src".to_string(), self.src.to_value()),
-            ("dst".to_string(), self.dst.to_value()),
-            ("sent".to_string(), self.sent.to_value()),
-            ("legs".to_string(), self.legs().to_value()),
-            ("discarded".to_string(), self.discarded.to_value()),
-        ])
+    fn serialize(&self, out: &mut String) {
+        let mut m = serde::MapWriter::new(out);
+        m.field("id", &self.id);
+        m.field("method", &self.method);
+        m.field("src", &self.src);
+        m.field("dst", &self.dst);
+        m.field("sent", &self.sent);
+        m.field("legs", &self.legs());
+        m.field("discarded", &self.discarded);
+        m.end();
     }
 }
 
 impl serde::Deserialize for PairOutcome {
-    fn from_value(v: &serde::Value) -> Result<PairOutcome, serde::Error> {
-        let serde::Value::Map(entries) = v else {
-            return Err(serde::Error::new("PairOutcome: expected a map"));
-        };
-        const FIELDS: [&str; 7] = ["id", "method", "src", "dst", "sent", "legs", "discarded"];
-        for (key, _) in entries {
-            if !FIELDS.contains(&key.as_str()) {
-                return Err(serde::Error::new(format!("PairOutcome: unknown field `{key}`")));
-            }
-        }
-        let legs: [Option<LegOutcome>; MAX_PROBE_LEGS] =
-            Deserialize::from_value(v.field("legs")?)?;
-        Ok(PairOutcome::from_legs(
-            Deserialize::from_value(v.field("id")?)?,
-            Deserialize::from_value(v.field("method")?)?,
-            Deserialize::from_value(v.field("src")?)?,
-            Deserialize::from_value(v.field("dst")?)?,
-            Deserialize::from_value(v.field("sent")?)?,
-            legs,
-            Deserialize::from_value(v.field("discarded")?)?,
-        ))
+    fn deserialize(r: &mut serde::Reader<'_>) -> Result<PairOutcome, serde::Error> {
+        let (id, method, src, dst, sent, legs, discarded) =
+            serde::read_fields!(r, "PairOutcome", [id, method, src, dst, sent, legs, discarded]);
+        Ok(PairOutcome::from_legs(id, method, src, dst, sent, legs, discarded))
     }
 }
 

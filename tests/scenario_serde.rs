@@ -68,6 +68,31 @@ fn missing_field_is_a_readable_error_not_a_default() {
 }
 
 #[test]
+fn duplicate_field_is_an_error_not_a_silent_winner() {
+    // `{"days": 14, …, "days": 1}`: whichever copy a lookup-by-name
+    // picked, the file would say something else than what ran.
+    let json = builtin_json("ron2003").replace("\"round_trip\":", "\"days\":1.0,\"round_trip\":");
+    let err = serde_json::from_str::<ScenarioSpec>(&json).unwrap_err().to_string();
+    assert!(err.contains("duplicate field `days` in ScenarioSpec"), "got: {err}");
+    // The derive holds nested structs to the same rule.
+    let json = builtin_json("ron2003").replace("\"flat_load\":", "\"forward_drop\":0.5,\"flat_load\":");
+    let err = serde_json::from_str::<ScenarioSpec>(&json).unwrap_err().to_string();
+    assert!(err.contains("duplicate field `forward_drop` in Calibration"), "got: {err}");
+}
+
+#[test]
+fn keys_are_accepted_in_any_order() {
+    let spec = builtin_specs().into_iter().find(|s| s.name == "flash-crowd").expect("builtin");
+    let serde::Value::Map(mut entries) = serde_json::parse(&builtin_json("flash-crowd")).unwrap()
+    else {
+        panic!("a spec is an object");
+    };
+    entries.reverse();
+    let reversed = serde_json::to_string(&serde::Value::Map(entries)).unwrap();
+    assert_eq!(serde_json::from_str::<ScenarioSpec>(&reversed).unwrap(), spec);
+}
+
+#[test]
 fn unknown_enum_variant_is_rejected() {
     let json = builtin_json("ron2003").replace("\"topology\":\"Ron2003\"", "\"topology\":\"Ron1999\"");
     let err = serde_json::from_str::<ScenarioSpec>(&json).unwrap_err().to_string();

@@ -1,0 +1,384 @@
+//! The distributed wire, held to its bytes and fed hostile input.
+//!
+//! Two halves:
+//!
+//! * **No byte moved.** FNV-1a digests of whole `Msg::Result` frames (as
+//!   [`encode_msg`] frames them) for one slice each of `ron2003` — the
+//!   1 766 705-byte result `mpbench` ships — `sparse-mesh` and `ron-wide`,
+//!   and of the canonical JSON of every builtin scenario. The values were
+//!   recorded at the last commit whose serde built a `Value` tree for
+//!   every message; together with the spec digests folded into every
+//!   fingerprint golden they are the oracle that a codec change moved
+//!   nothing.
+//! * **Nothing from outside gets through.** A structure-aware fuzz of a
+//!   valid `Result` frame: any reordering of any object's keys decodes to
+//!   the same fingerprint; a dropped, doubled or unknown key, another
+//!   `"v"`, a number of the wrong kind or range, a truncation and
+//!   arbitrary bytes all end in `InvalidData` — never a panic, and never
+//!   an allocation the body's own length does not pay for.
+
+use mpath::analysis::Fnv;
+use mpath::core::distrib::{encode_msg, read_msg_blocking, write_msg_blocking, Msg};
+use mpath::core::{
+    builtin_specs, CampaignJob, MethodSetSpec, MethodSpec, MethodsSpec, ScenarioRegistry,
+    TopologySpec, ViewSpec,
+};
+use mpath::netsim::SimDuration;
+use mpath::overlay::RouteTag;
+use proptest::prelude::*;
+use serde::Value;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::io;
+
+// ------------------------------------------------------------ no byte moved
+
+fn fnv(bytes: &[u8]) -> u64 {
+    let mut f = Fnv::new();
+    f.write(bytes);
+    f.finish()
+}
+
+/// Slice 0 of `scenario` at seed 1, framed as the worker ships it.
+fn result_frame(scenario: &str, duration_s: u64, slice_s: u64) -> Vec<u8> {
+    let spec = ScenarioRegistry::builtin().get(scenario).expect("builtin scenario").clone();
+    let mut job = CampaignJob::new(spec, 1, SimDuration::from_secs(duration_s));
+    job.slice_width_us = SimDuration::from_secs(slice_s).as_micros();
+    job.validate().expect("job validates");
+    encode_msg(&Msg::Result { slice: 0, output: Box::new(job.run_slice_index(0)) })
+}
+
+#[test]
+fn result_frames_are_byte_identical_to_the_tree_codec() {
+    // (scenario, campaign s, slice s, frame bytes, FNV-1a of the frame)
+    const PINNED: [(&str, u64, u64, usize, u64); 3] = [
+        // `mpbench`'s `shards2`/`distrib2` slice: `serde.result_bytes`
+        // (1 766 705) + the `{"Result":{"slice":0,"output":…}}` envelope
+        // + the 4-byte length prefix.
+        ("ron2003", 7200, 300, 1_766_741, 0x7ec2_e49d_4e38_85d8),
+        ("sparse-mesh", 20, 20, 27_782_614, 0xb5b9_2e5a_2e52_a867),
+        // Round-trip, 12 methods.
+        ("ron-wide", 600, 300, 857_992, 0xa153_adfc_a4a6_2666),
+    ];
+    for (scenario, duration_s, slice_s, len, digest) in PINNED {
+        let frame = result_frame(scenario, duration_s, slice_s);
+        assert_eq!(
+            (frame.len(), fnv(&frame)),
+            (len, digest),
+            "{scenario}: frame is {} bytes, FNV-1a {:#018x}",
+            frame.len(),
+            fnv(&frame)
+        );
+        let body = u32::from_be_bytes(frame[..4].try_into().unwrap()) as usize;
+        assert_eq!(body, frame.len() - 4, "{scenario}: length prefix");
+    }
+}
+
+#[test]
+fn builtin_scenario_json_is_byte_identical_to_the_tree_codec() {
+    const PINNED: [(&str, u64); 8] = [
+        ("ron2003", 0xa107_5dcf_402f_39e1),
+        ("ron-narrow", 0xbfe6_4423_0a1f_7c9e),
+        ("ron-wide", 0x4537_a7e5_ceca_ee40),
+        ("correlated-outages", 0xb74b_01c7_2213_fada),
+        ("load-waves", 0x0da2_b44d_7926_3c09),
+        ("asymmetric-paths", 0xb283_e581_c58a_1f3f),
+        ("flash-crowd", 0x61d3_54be_fe2b_44db),
+        ("sparse-mesh", 0x340e_d1b3_6f2d_8629),
+    ];
+    let specs = builtin_specs();
+    assert_eq!(specs.len(), PINNED.len(), "a builtin was added or removed: pin it here");
+    for (spec, (name, digest)) in specs.iter().zip(PINNED) {
+        assert_eq!(spec.name, name);
+        let json = serde_json::to_string(spec).expect("specs always serialize");
+        assert_eq!(fnv(json.as_bytes()), digest, "{name}: {:#018x}\n{json}", fnv(json.as_bytes()));
+    }
+}
+
+// ------------------------------------------------------------ hostile input
+
+thread_local! {
+    /// Largest single allocation this thread has asked for since it last
+    /// reset the mark.
+    static LARGEST_ALLOC: Cell<usize> = const { Cell::new(0) };
+}
+
+/// The system allocator, noting each thread's largest request.
+struct Marking;
+
+// SAFETY: every call is forwarded unchanged to `System`; the only
+// addition is a write to a `const`-initialized, destructor-free
+// thread-local `Cell`, which neither allocates nor unwinds.
+unsafe impl GlobalAlloc for Marking {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        LARGEST_ALLOC.with(|m| m.set(m.get().max(layout.size())));
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        LARGEST_ALLOC.with(|m| m.set(m.get().max(new_size)));
+        // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Marking = Marking;
+
+/// Frames `body` and decodes it as a coordinator would, asserting on the
+/// way that no single allocation outgrew what the body's length pays
+/// for: its own buffer, and containers grown by `push` — at worst 8-byte
+/// elements from 2-byte `0,` tokens, doubled by `Vec` growth.
+fn decode(body: &[u8]) -> io::Result<Option<Msg>> {
+    let mut frame = (body.len() as u32).to_be_bytes().to_vec();
+    frame.extend_from_slice(body);
+    LARGEST_ALLOC.with(|m| m.set(0));
+    let got = read_msg_blocking(&mut &frame[..]);
+    let largest = LARGEST_ALLOC.with(Cell::get);
+    assert!(
+        largest <= 16 * body.len().max(64),
+        "a {}-byte body caused a {largest}-byte allocation",
+        body.len()
+    );
+    got
+}
+
+fn assert_refused(body: &[u8], what: &str) {
+    match decode(body) {
+        Err(e) => assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{what}: {e}"),
+        Ok(_) => panic!("{what}: decoded"),
+    }
+}
+
+/// The frame the fuzz mutates, as a tree, with the way to each of its
+/// objects and integers.
+struct Seed {
+    fingerprint: u64,
+    tree: Value,
+    objects: Vec<Vec<usize>>,
+    integers: Vec<Vec<usize>>,
+}
+
+/// A small but fully shaped result, simulated once per test binary: 4
+/// hosts, a 1-leg and a 3-leg method (so the `deep` extension is on the
+/// wire) and a view.
+fn seed() -> &'static Seed {
+    static SEED: std::sync::OnceLock<Seed> = std::sync::OnceLock::new();
+    SEED.get_or_init(|| {
+        let mut spec = ScenarioRegistry::builtin().get("ron2003").expect("builtin").clone();
+        spec.name = "fuzz-seed".into();
+        spec.topology = TopologySpec::Synthetic { hosts: 4, edge_loss: 0.05 };
+        let method = |name: &str, legs: Vec<RouteTag>| MethodSpec {
+            name: name.into(),
+            distinct: legs.len() > 1,
+            legs,
+            gap_ms: 0.0,
+            all_prior: false,
+        };
+        spec.methods = MethodsSpec::Custom(MethodSetSpec {
+            methods: vec![
+                method("direct", vec![RouteTag::Direct]),
+                method("triple", vec![RouteTag::Direct, RouteTag::Rand, RouteTag::Loss]),
+            ],
+            views: vec![ViewSpec { name: "triple*".into(), source: 1, leg: 0 }],
+        });
+        let job = CampaignJob::new(spec, 7, SimDuration::from_secs(120));
+        job.validate().expect("fuzz seed validates");
+        let out = job.run_slice_index(0);
+        let fingerprint = out.fingerprint();
+        let frame = encode_msg(&Msg::Result { slice: 3, output: Box::new(out) });
+        let body = std::str::from_utf8(&frame[4..]).expect("frames are JSON text");
+        let tree = serde_json::parse(body).expect("a frame parses as a tree");
+        let (mut objects, mut integers) = (Vec::new(), Vec::new());
+        paths(&tree, |v| matches!(v, Value::Map(_)), &mut Vec::new(), &mut objects);
+        paths(
+            &tree,
+            |v| matches!(v, Value::Int(_) | Value::UInt(_)),
+            &mut Vec::new(),
+            &mut integers,
+        );
+        Seed { fingerprint, tree, objects, integers }
+    })
+}
+
+/// The child-index path to every node of `v` that `pick` accepts.
+fn paths(v: &Value, pick: fn(&Value) -> bool, here: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
+    if pick(v) {
+        out.push(here.clone());
+    }
+    let children: Vec<&Value> = match v {
+        Value::Seq(items) => items.iter().collect(),
+        Value::Map(entries) => entries.iter().map(|(_, child)| child).collect(),
+        _ => Vec::new(),
+    };
+    for (i, child) in children.into_iter().enumerate() {
+        here.push(i);
+        paths(child, pick, here, out);
+        here.pop();
+    }
+}
+
+/// The node a path from [`paths`] leads to.
+fn at<'v>(v: &'v mut Value, path: &[usize]) -> &'v mut Value {
+    path.iter().fold(v, |v, &i| match v {
+        Value::Seq(items) => &mut items[i],
+        Value::Map(entries) => &mut entries[i].1,
+        _ => unreachable!("paths only pass through containers"),
+    })
+}
+
+/// A copy of the seed tree with its `k`-th object (wrapping) edited.
+fn with_object(k: usize, edit: impl FnOnce(&mut Vec<(String, Value)>)) -> String {
+    let mut tree = seed().tree.clone();
+    match at(&mut tree, &seed().objects[k % seed().objects.len()]) {
+        Value::Map(entries) => edit(entries),
+        _ => unreachable!("`objects` holds paths to maps"),
+    }
+    text(&tree)
+}
+
+fn text(tree: &Value) -> String {
+    serde_json::to_string(tree).expect("trees always serialize")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn mutated_result_frames_are_refused_and_reordered_ones_are_not(
+        object in any::<usize>(),
+        entry in any::<usize>(),
+        leaf in any::<usize>(),
+        shuffle in any::<usize>(),
+    ) {
+        // Any order of any object's keys is the same message.
+        let reordered = with_object(object, |entries| {
+            let n = entries.len();
+            entries.rotate_left(entry % n);
+            if shuffle & 1 == 1 {
+                entries.reverse();
+            }
+            entries.swap(0, (shuffle >> 1) % n);
+        });
+        match decode(reordered.as_bytes()) {
+            Ok(Some(Msg::Result { slice: 3, output })) => {
+                prop_assert_eq!(output.fingerprint(), seed().fingerprint);
+            }
+            other => panic!("a reordered frame must decode, got {other:?}\n{reordered}"),
+        }
+
+        // A key dropped, doubled, or unknown.
+        let dropped = with_object(object, |entries| drop(entries.remove(entry % entries.len())));
+        assert_refused(dropped.as_bytes(), "dropped key");
+        let doubled = with_object(object, |entries| {
+            let copy = entries[entry % entries.len()].clone();
+            entries.insert(shuffle % (entries.len() + 1), copy);
+        });
+        assert_refused(doubled.as_bytes(), "doubled key");
+        let unknown = with_object(object, |entries| {
+            entries.insert(entry % (entries.len() + 1), ("zeroes".into(), Value::Null));
+        });
+        assert_refused(unknown.as_bytes(), "unknown key");
+
+        // An integer replaced by something that is not one, or too big.
+        // (Every integer on this wire is unsigned.)
+        for (i, wrong) in ["\"7\"", "7.5", "1e999", "18446744073709551616", "-1", "null", "[7]"]
+            .into_iter()
+            .enumerate()
+        {
+            let mut tree = seed().tree.clone();
+            let path = &seed().integers[leaf.wrapping_add(i) % seed().integers.len()];
+            *at(&mut tree, path) = Value::Str("@@".into());
+            assert_refused(text(&tree).replacen("\"@@\"", wrong, 1).as_bytes(), wrong);
+        }
+    }
+}
+
+#[test]
+fn every_version_field_is_checked_where_it_stands() {
+    let body = text(&seed().tree);
+    // `"v"` leads every versioned object, so bumping the n-th one also
+    // proves the refusal names the version and not some later field.
+    let versions = body.matches("{\"v\":").count();
+    assert!(versions >= 4, "output, loss, two window accumulators, their histograms: {versions}");
+    for n in 0..versions {
+        let at = body.match_indices("{\"v\":").nth(n).expect("counted").0 + "{\"v\":".len();
+        let mut bumped = body.clone();
+        bumped.replace_range(at..at + 1, "9");
+        match decode(bumped.as_bytes()) {
+            Err(e) => {
+                assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+                assert!(e.to_string().contains("unsupported wire version 9"), "got: {e}");
+            }
+            Ok(_) => panic!("version {n} was not checked"),
+        }
+    }
+}
+
+#[test]
+fn truncated_and_arbitrary_bodies_are_invalid_data() {
+    let body = text(&seed().tree);
+    for i in 0..256 {
+        let cut = i * body.len() / 256;
+        assert_refused(&body.as_bytes()[..cut], &format!("cut at {cut}"));
+    }
+    let mut rng = TestRng::deterministic("arbitrary bodies");
+    for _ in 0..512 {
+        let bytes: Vec<u8> = (0..rng.below(48)).map(|_| rng.next_u64() as u8).collect();
+        assert_refused(&bytes, &format!("bytes {bytes:?}"));
+        // The same noise spliced into an otherwise valid frame.
+        let at = rng.below(body.len() as u64) as usize;
+        let mut spliced = body.as_bytes().to_vec();
+        spliced.splice(at..at, bytes.iter().copied().chain([b'"']));
+        assert_refused(&spliced, &format!("splice at {at}"));
+    }
+}
+
+#[test]
+fn duplicate_key_in_a_result_frame_is_an_error_naming_type_and_field() {
+    let body = text(&seed().tree);
+    // A second `"cells"` after the first: whichever a lookup-by-name
+    // codec picked, the other copy's counters would silently vanish.
+    let doubled = body.replacen("\"deep\":", "\"cells\":[],\"deep\":", 1);
+    let err = decode(doubled.as_bytes()).expect_err("a doubled key must not decode");
+    assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    let msg = err.to_string();
+    assert!(msg.contains("duplicate field `cells` in LossAccum"), "got: {msg}");
+}
+
+#[test]
+fn a_frame_the_receiver_would_refuse_is_refused_by_the_sender() {
+    // 65 MiB of reason: over the 64 MiB cap `read_msg_blocking` enforces.
+    let msg = Msg::Deny { reason: "x".repeat(65 << 20) };
+    let mut wire = Vec::new();
+    let err = write_msg_blocking(&mut wire, &msg).expect_err("over-cap frame must not be sent");
+    assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    assert!(err.to_string().contains("exceeds the 64 MiB cap"), "got: {err}");
+    assert!(wire.is_empty(), "nothing may reach the stream before the refusal");
+    // At the cap it still goes: the two sides agree on one number.
+    let envelope = encode_msg(&Msg::Deny { reason: String::new() }).len() - 4;
+    let fits = Msg::Deny { reason: "x".repeat((64 << 20) - envelope) };
+    write_msg_blocking(&mut wire, &fits).expect("a frame at the cap is sent");
+    assert!(matches!(read_msg_blocking(&mut &wire[..]), Ok(Some(Msg::Deny { .. }))));
+}
+
+#[test]
+fn deep_nesting_where_a_string_belongs_is_invalid_data_not_a_stack_overflow() {
+    // Typed reads never descend into what they did not ask for: a
+    // million `[` where the scenario's name should be is refused at the
+    // first one. (The depth cap itself is pinned on `Value`, the one
+    // type that recurses on input: `vendor/serde_json`'s tests.)
+    let spec = ScenarioRegistry::builtin().get("ron-narrow").expect("builtin").clone();
+    let job = CampaignJob::new(spec, 1, SimDuration::from_secs(60));
+    let frame = encode_msg(&Msg::Job { job: Box::new(job) });
+    let body = std::str::from_utf8(&frame[4..]).unwrap();
+    let hostile = body.replacen("\"ron-narrow\"", &"[".repeat(1 << 20), 1);
+    assert_ne!(hostile, body);
+    let err = decode(hostile.as_bytes()).expect_err("must not decode");
+    assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    assert!(err.to_string().contains("expected string"), "got: {err}");
+}
