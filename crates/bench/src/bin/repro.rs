@@ -695,15 +695,6 @@ fn do_scale_sweep(args: &Args) {
         cfg.seed = args.seed;
         cfg.shards = 1;
         cfg.flat_load = true;
-        // Hold each host's overlay probe budget constant as the mesh
-        // grows (the knob a real deployment turns): the default 15 s
-        // round over n-1 peers is O(n²) probes/sec mesh-wide, and every
-        // probe carries an O(n) link-state vector — O(n³)/sec total,
-        // which is exactly the wall RON-style dissemination hits. With
-        // the interval stretched ∝ n the dissemination cost drops to
-        // O(n²)/sec and the sweep can actually reach thousands of hosts
-        // while still showing the superlinear climb.
-        cfg.node.prober.interval = SimDuration::from_secs_f64(15.0 * n as f64 / 30.0);
         // Simulated path delays are bounded at a few seconds, so a short
         // receive window keeps the same outcomes while reporting a
         // steady-state occupancy instead of "everything ever sent".

@@ -24,8 +24,8 @@ use netsim::{
     Delivery, EventQueue, HostId, LoadProfile, NetCounters, Rng, SimDuration, SimTime, Topology,
 };
 use overlay::{
-    Delivered, DisseminationMode, MeasureKind, NodeConfig, OverlayNode, Packet, Policy, Route,
-    RouteTag, Transmit,
+    Delivered, DisseminationMode, MeasureKind, NodeConfig, OverlayNode, Packet, PeerSet, Policy,
+    Route, RouteTag, Transmit,
 };
 use trace::{Collector, CollectorConfig, CollectorStats, PairOutcome, RecvEvent, SendEvent};
 
@@ -416,11 +416,6 @@ struct Runner {
     rng: Rng,
     measure_legs: u64,
     route_usage: [(u64, u64); 4],
-    /// Sparse probe mesh lifted off the topology before it moved into
-    /// the network: `mesh[h]` lists the destinations host `h` may
-    /// probe. `None` is the historical clique path, untouched down to
-    /// the RNG draw.
-    mesh: Option<std::sync::Arc<Vec<Vec<u16>>>>,
 }
 
 impl Runner {
@@ -437,16 +432,15 @@ impl Runner {
             MAX_PROBE_LEGS
         );
         let root = Rng::new(cfg.seed ^ 0x00E0_77E5_7A11_BEEF);
-        let mesh = topo.probe_mesh().cloned();
-        let mut net = netsim::Network::new(topo, cfg.seed);
-        if cfg.flat_load {
-            net.set_load(LoadProfile::flat());
-        }
+        // A node peers with its row of the probe mesh the topology
+        // declares, and with everyone when it declares none.
+        let mesh = topo.probe_mesh();
         let nodes = (0..n)
             .map(|i| {
-                OverlayNode::new_with_dissemination(
-                    HostId(i as u16),
-                    n,
+                let me = HostId(i as u16);
+                OverlayNode::with_peers(
+                    me,
+                    mesh.map_or_else(|| PeerSet::everyone(me, n), |m| PeerSet::new(n, &m[i])),
                     cfg.node,
                     cfg.seed ^ (0x1000 + i as u64),
                     start,
@@ -454,6 +448,10 @@ impl Runner {
                 )
             })
             .collect();
+        let mut net = netsim::Network::new(topo, cfg.seed);
+        if cfg.flat_load {
+            net.set_load(LoadProfile::flat());
+        }
         let collector = Collector::new(n, cfg.collector);
         // Depth (max legs over the set) sizes the best-of-first-j curve;
         // pair-shaped sets keep the exact historical accumulator layout.
@@ -476,7 +474,6 @@ impl Runner {
             cycles: vec![0; n],
             measure_legs: 0,
             route_usage: [(0, 0); 4],
-            mesh,
         }
     }
 
@@ -574,19 +571,9 @@ impl Runner {
         }
         let midx = self.cycles[h as usize] % self.cfg.methods.methods.len();
         self.cycles[h as usize] += 1;
-        let dst = if let Some(mesh) = &self.mesh {
-            // Sparse mesh: probe a uniform neighbor. One RNG draw, like
-            // the clique path, so the knob only redirects destinations.
-            let nbrs = &mesh[h as usize];
-            nbrs[self.rng.below(nbrs.len() as u64) as usize]
-        } else {
-            let n = self.nodes.len() as u64;
-            let mut dst = self.rng.below(n - 1) as u16;
-            if dst >= h {
-                dst += 1;
-            }
-            dst
-        };
+        // A uniform peer of the host's own: one draw.
+        let peers = self.nodes[h as usize].peers();
+        let dst = peers.id(self.rng.below(peers.len() as u64) as usize).0;
         let id = self.rng.next_u64();
         self.send_legs(now, h, dst, id, midx as u8, 0, AvoidSet::EMPTY, true);
     }

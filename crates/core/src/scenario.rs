@@ -55,10 +55,14 @@ pub enum TopologySpec {
         /// Stationary loss of every access segment.
         edge_loss: f64,
     },
-    /// A synthetic circle whose hosts probe only a sparse, seed-derived
-    /// `mesh_k`-regular neighbor set instead of the full clique (see
-    /// [`netsim::sparse_mesh`]) — the scaling knob for testbeds far
-    /// beyond the paper's 30 hosts. A *new* variant (not a new field)
+    /// A synthetic circle whose hosts peer only with a sparse,
+    /// seed-derived `mesh_k`-regular neighbor set instead of the full
+    /// clique (see [`netsim::sparse_mesh`]) — the scaling knob for
+    /// testbeds far beyond the paper's 30 hosts. The mesh is the
+    /// overlay's neighbor set, not only the measurement plan: a host
+    /// sends overlay probes to, keeps link state for and detours
+    /// through its `mesh_k` neighbors and nobody else, and measurement
+    /// probes go to one of them. A *new* variant (not a new field)
     /// so every pre-existing spec's canonical JSON, digest and golden
     /// fingerprint stay byte-identical.
     SparseSynthetic {
@@ -66,8 +70,8 @@ pub enum TopologySpec {
         hosts: usize,
         /// Stationary loss of every access segment.
         edge_loss: f64,
-        /// Probe-mesh degree: every host probes exactly this many
-        /// peers. `hosts * mesh_k` must be even (graph parity).
+        /// Probe-mesh degree: every host peers with exactly this many
+        /// others. `hosts * mesh_k` must be even (graph parity).
         mesh_k: usize,
     },
 }
@@ -1100,6 +1104,15 @@ mod tests {
         assert!(on > 100, "mesh pairs must carry the whole campaign, got {on}");
         // 3-regular on 10 hosts: 6 of each host's 9 peers are off-mesh.
         assert_eq!(off as usize, hosts * (hosts - 1 - mesh_k));
+        // The overlay underneath runs the same mesh: each host probes
+        // its mesh_k peers once per 15 s round (loss-triggered chains and
+        // the drain tail add a little), and a probe's request and
+        // response each carry at most one entry per peer.
+        let rounds = spec.days * 86_400.0 / 15.0;
+        let per_round = out.overlay_probes as f64 / rounds / (hosts * mesh_k) as f64;
+        assert!((0.8..=1.2).contains(&per_round), "{per_round} overlay probes per peer per round");
+        let entries_per_probe = out.net.lsa_entries as f64 / out.overlay_probes as f64;
+        assert!(entries_per_probe <= 2.0 * mesh_k as f64, "{entries_per_probe} entries per probe");
     }
 
     #[test]

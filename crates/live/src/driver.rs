@@ -89,6 +89,9 @@ pub struct LiveCounters {
     pub undecodable: u64,
     /// Packets dropped for naming a host outside the mesh.
     pub unknown_host: u64,
+    /// Probe and link-state packets from hosts inside the mesh that are
+    /// not this node's peers (requests answered, nothing stored).
+    pub non_peer: u64,
     /// Application events dropped because nobody drained the channel.
     pub events_dropped: u64,
 }
@@ -242,6 +245,7 @@ impl LiveNode {
             forwarded,
             undecodable: s.undecodable,
             unknown_host: s.node.unknown_host_drops(),
+            non_peer: s.node.non_peer_drops(),
             events_dropped: s.events_dropped,
         }
     }

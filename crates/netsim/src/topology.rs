@@ -212,8 +212,9 @@ pub struct Topology {
     specs: Vec<SegmentSpec>,
     params: TopologyParams,
     /// Optional sparse probe mesh: `probe_mesh[h]` lists the hosts `h`
-    /// may probe. `None` means the historical full clique. Behind an
-    /// `Arc` because the sharded runner clones the topology per slice.
+    /// peers with — the only ones it probes, keeps link state for and
+    /// routes through. `None` means the historical full clique. Behind
+    /// an `Arc` because the sharded runner clones the topology per slice.
     probe_mesh: Option<std::sync::Arc<Vec<Vec<u16>>>>,
 }
 
@@ -366,7 +367,7 @@ impl Topology {
     }
 
     /// The sparse probe mesh, if one is installed: `mesh[h]` lists the
-    /// hosts `h` may probe. `None` means the full clique.
+    /// hosts `h` peers with, ascending. `None` means the full clique.
     pub fn probe_mesh(&self) -> Option<&std::sync::Arc<Vec<Vec<u16>>>> {
         self.probe_mesh.as_ref()
     }
@@ -377,7 +378,11 @@ impl Topology {
     ///
     /// When the mesh's shape does not fit this topology: one neighbor
     /// list per host, no empty list, no self-loops, every neighbor in
-    /// range.
+    /// range. Or when the overlay could not honour it: each list must
+    /// be strictly ascending (a neighbor's slot is found by binary
+    /// search, and a duplicate would be probed twice as often) and the
+    /// mesh symmetric (`b ∈ mesh[a] ⇔ a ∈ mesh[b]`: a host that probes
+    /// me must be one I keep state for).
     pub fn set_probe_mesh(&mut self, mesh: Vec<Vec<u16>>) {
         assert_eq!(mesh.len(), self.n(), "probe mesh must cover every host");
         for (h, nbrs) in mesh.iter().enumerate() {
@@ -386,6 +391,17 @@ impl Topology {
                 nbrs.iter().all(|&b| (b as usize) < self.n() && b as usize != h),
                 "host {h} has an out-of-range or self neighbor"
             );
+            if let Some(w) = nbrs.windows(2).find(|w| w[0] >= w[1]) {
+                panic!("host {h} lists neighbor {} before {}: not strictly ascending", w[0], w[1]);
+            }
+        }
+        for (a, nbrs) in mesh.iter().enumerate() {
+            for &b in nbrs {
+                assert!(
+                    mesh[b as usize].binary_search(&(a as u16)).is_ok(),
+                    "probe mesh is asymmetric: host {a} lists {b}, host {b} does not list {a}"
+                );
+            }
         }
         self.probe_mesh = Some(std::sync::Arc::new(mesh));
     }

@@ -5,9 +5,11 @@
 //!
 //! * [`DisseminationMode::FullSnapshot`] — the original RON behaviour and
 //!   the default: every probe request and response piggybacks the
-//!   sender's complete O(n) metric vector. Simple and fast to converge,
-//!   but the mesh-wide cost is O(n³)/sec and dominates beyond ~500 hosts
-//!   (the knee `repro --scale-sweep` located).
+//!   sender's complete metric vector, one entry per peer. Simple and
+//!   fast to converge; with k peers per host the mesh-wide cost is
+//!   O(n·k²) entries per probe round — the O(n³) that stops a RON
+//!   clique (k = n − 1) at a few dozen hosts, and linear in n under a
+//!   sparse probe mesh of fixed degree.
 //! * [`DisseminationMode::Delta`] — sequence-numbered link-state
 //!   advertisements. A node bumps its advertisement seqno whenever a
 //!   direct metric changes *significantly* (alive flip, ≥ 1 pp loss,
@@ -23,11 +25,18 @@
 //!   seed-derived `fanout` set of peers. Epidemic spread costs
 //!   O(fanout) packets per node per tick regardless of mesh size.
 //!
+//! All per-peer state here — the advertised vector and its per-entry
+//! seqnos, the ack bookkeeping, the per-origin dedup seqnos and stored
+//! foreign LSAs — is indexed by the slots of the node's [`PeerSet`]: a
+//! node advertises to, acknowledges, and stores LSAs *originated by* its
+//! peers and nobody else.
+//!
 //! The [`Disseminator`] is a sans-io state machine owned by
 //! [`crate::OverlayNode`]; all randomness comes from its own derived RNG
 //! stream, so `FullSnapshot` consumes no draws and leaves historical
 //! results byte-identical.
 
+use crate::peers::PeerSet;
 use crate::table::LinkStateTable;
 use crate::wire::{MetricEntry, Packet};
 use netsim::{HostId, Rng, SimDuration, SimTime};
@@ -139,20 +148,20 @@ struct ForeignLsa {
 pub struct Disseminator {
     mode: DisseminationMode,
     me: HostId,
-    n: usize,
+    peers: PeerSet,
     rng: Rng,
     /// Seqno of my current advertisement; bumps on significant change.
     own_seq: u64,
     /// The vector as last advertised (quantized publisher state), in
     /// [`LinkStateTable::snapshot`] order.
     advertised: Vec<MetricEntry>,
-    /// Per-destination seqno at which its advertised entry last changed.
+    /// Per-peer seqno at which its advertised entry last changed.
     entry_seq: Vec<u64>,
     /// The table's [`LinkStateTable::direct_epoch`] when `advertised`
     /// was last compared against it; `None` until the first look.
     refreshed_at: Option<u64>,
     /// Delta mode: per-peer ack/refresh bookkeeping.
-    peers: Vec<PeerDelta>,
+    delta: Vec<PeerDelta>,
     /// Delta mode: probe id → (peer, seqno advertised with it), oldest
     /// first. Lost probes are never acknowledged, so under loss this
     /// sits at its cap and the oldest entry is evicted on every send.
@@ -168,11 +177,24 @@ pub struct Disseminator {
 }
 
 impl Disseminator {
-    /// Creates the state machine. `rng` must be a stream private to
-    /// dissemination (the node derives one); `start` anchors the first
-    /// gossip round, jittered within one interval so a simultaneously
-    /// started mesh does not fire in lockstep.
-    pub fn new(mode: DisseminationMode, me: HostId, n: usize, mut rng: Rng, start: SimTime) -> Self {
+    /// Creates the state machine for a clique of `n` nodes:
+    /// [`Self::with_peers`] over [`PeerSet::everyone`].
+    pub fn new(mode: DisseminationMode, me: HostId, n: usize, rng: Rng, start: SimTime) -> Self {
+        Self::with_peers(mode, me, PeerSet::everyone(me, n), rng, start)
+    }
+
+    /// Creates the state machine of node `me`, which peers with `peers`.
+    /// `rng` must be a stream private to dissemination (the node derives
+    /// one); `start` anchors the first gossip round, jittered within one
+    /// interval so a simultaneously started mesh does not fire in
+    /// lockstep.
+    pub fn with_peers(
+        mode: DisseminationMode,
+        me: HostId,
+        peers: PeerSet,
+        mut rng: Rng,
+        start: SimTime,
+    ) -> Self {
         let next_tick = match mode {
             DisseminationMode::Gossip { interval_ms, .. } => {
                 let offset = interval_ms as f64 / 1_000.0 * rng.f64();
@@ -183,19 +205,33 @@ impl Disseminator {
         Disseminator {
             mode,
             me,
-            n,
             rng,
             own_seq: 0,
             advertised: Vec::new(),
-            entry_seq: vec![0; n],
+            entry_seq: vec![0; peers.len()],
             refreshed_at: None,
-            peers: vec![PeerDelta::default(); n],
+            delta: vec![PeerDelta::default(); peers.len()],
             pending: VecDeque::new(),
-            origin_seq: vec![0; n],
-            foreign: vec![None; n],
+            origin_seq: vec![0; peers.len()],
+            foreign: vec![None; peers.len()],
+            peers,
             own_flushed_seq: 0,
             next_tick,
         }
+    }
+
+    /// Approximate resident bytes: the struct, its per-peer arrays, the
+    /// pending-ack queue and any stored foreign LSAs (the peer set is
+    /// the table's to count).
+    pub fn approx_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let foreign: usize = self.foreign.iter().flatten().map(|f| f.entries.capacity()).sum();
+        size_of::<Self>()
+            + (self.advertised.capacity() + foreign) * size_of::<MetricEntry>()
+            + (self.entry_seq.capacity() + self.origin_seq.capacity()) * size_of::<u64>()
+            + self.delta.capacity() * size_of::<PeerDelta>()
+            + self.pending.capacity() * size_of::<(u64, u16, u64)>()
+            + self.foreign.capacity() * size_of::<Option<ForeignLsa>>()
     }
 
     /// The active mode.
@@ -227,10 +263,10 @@ impl Disseminator {
             return;
         }
         let next_seq = self.own_seq + 1;
-        for (old, new) in self.advertised.iter_mut().zip(snap) {
+        for ((old, new), seq) in self.advertised.iter_mut().zip(snap).zip(&mut self.entry_seq) {
             if significant_change(old, new) {
                 *old = *new;
-                self.entry_seq[new.peer.idx()] = next_seq;
+                *seq = next_seq;
                 self.own_seq = next_seq;
             }
         }
@@ -241,7 +277,8 @@ impl Disseminator {
         if self.own_seq <= acked {
             return Vec::new(); // no entry's seqno exceeds `own_seq`
         }
-        self.advertised.iter().filter(|e| self.entry_seq[e.peer.idx()] > acked).copied().collect()
+        let newer = self.advertised.iter().zip(&self.entry_seq).filter(|(_, &seq)| seq > acked);
+        newer.map(|(e, _)| *e).collect()
     }
 
     fn remember_pending(&mut self, id: u64, peer: HostId, seq: u64) {
@@ -253,7 +290,8 @@ impl Disseminator {
 
     /// Called for every probe request the prober emits. Returns the
     /// metrics to piggyback on the [`Packet::ProbeReq`] and an optional
-    /// accompanying LSA packet for the same peer.
+    /// accompanying LSA packet for the same peer (never one for a host
+    /// that is not a peer: there is no ack state to send it against).
     pub fn on_probe_send(
         &mut self,
         peer: HostId,
@@ -264,13 +302,13 @@ impl Disseminator {
             DisseminationMode::FullSnapshot => (informative_entries(table.snapshot()), None),
             DisseminationMode::Gossip { .. } => (Vec::new(), None),
             DisseminationMode::Delta { max_age_probes } => {
+                let Some(slot) = self.peers.slot(peer) else { return (Vec::new(), None) };
                 self.refresh(table);
-                let idx = peer.idx();
-                self.peers[idx].sends_since_full += 1;
-                let full = self.peers[idx].sends_since_full >= max_age_probes.max(1);
-                let acked = self.peers[idx].acked_seq;
+                self.delta[slot].sends_since_full += 1;
+                let full = self.delta[slot].sends_since_full >= max_age_probes.max(1);
+                let acked = self.delta[slot].acked_seq;
                 let entries: Vec<MetricEntry> = if full {
-                    self.peers[idx].sends_since_full = 0;
+                    self.delta[slot].sends_since_full = 0;
                     // A full refresh may legitimately carry zero entries
                     // (nothing sampled yet); it is still sent — the
                     // emission decision below keys on `full`, never on
@@ -295,7 +333,8 @@ impl Disseminator {
     /// metrics for the [`Packet::ProbeResp`] and an optional LSA to send
     /// alongside it. The responder side has no ack channel, so delta
     /// LSAs emitted here never advance `acked_seq` — the probe-send path
-    /// and its full refresh repair any loss.
+    /// and its full refresh repair any loss. A host that is not a peer
+    /// still gets its answer, but never an LSA.
     pub fn on_probe_reply(
         &mut self,
         peer: HostId,
@@ -305,8 +344,9 @@ impl Disseminator {
             DisseminationMode::FullSnapshot => (informative_entries(table.snapshot()), None),
             DisseminationMode::Gossip { .. } => (Vec::new(), None),
             DisseminationMode::Delta { .. } => {
+                let Some(slot) = self.peers.slot(peer) else { return (Vec::new(), None) };
                 self.refresh(table);
-                let entries = self.entries_newer_than(self.peers[peer.idx()].acked_seq);
+                let entries = self.entries_newer_than(self.delta[slot].acked_seq);
                 if entries.is_empty() {
                     return (Vec::new(), None);
                 }
@@ -320,12 +360,13 @@ impl Disseminator {
     /// A probe response from `from` validated probe `id`: the LSA that
     /// rode along with that probe (if any) is acknowledged.
     pub fn on_ack(&mut self, id: u64, from: HostId) {
+        let Some(slot) = self.peers.slot(from) else { return };
         // Newest first: an ack is almost always for one of the last few
         // probes, and `(id, peer)` is unique, so the direction of the
         // search cannot change which entry it finds.
         let found = self.pending.iter().rposition(|&(pid, p, _)| pid == id && p == from.0);
         if let Some((_, _, seq)) = found.and_then(|pos| self.pending.remove(pos)) {
-            let acked = &mut self.peers[from.idx()].acked_seq;
+            let acked = &mut self.delta[slot].acked_seq;
             *acked = (*acked).max(seq);
         }
     }
@@ -349,7 +390,8 @@ impl Disseminator {
     /// A standalone [`Packet::Lsa`] arrived. Seqno-deduplicated per
     /// origin: deltas must strictly advance, full refreshes may repeat
     /// the current seqno (they repair entries an earlier lost delta
-    /// carried past us).
+    /// carried past us). An LSA whose origin is not a peer is not
+    /// stored, ingested or forwarded.
     pub fn on_lsa(
         &mut self,
         origin: HostId,
@@ -359,28 +401,26 @@ impl Disseminator {
         now: SimTime,
         table: &mut LinkStateTable,
     ) {
-        if origin == self.me || origin.idx() >= self.n {
-            return;
-        }
-        let stored = self.origin_seq[origin.idx()];
+        let Some(slot) = self.peers.slot(origin) else { return };
+        let stored = self.origin_seq[slot];
         match self.mode {
             DisseminationMode::FullSnapshot => {}
             DisseminationMode::Delta { .. } => {
                 if full {
                     if seq >= stored {
                         table.ingest_full(origin, entries, now);
-                        self.origin_seq[origin.idx()] = seq;
+                        self.origin_seq[slot] = seq;
                     }
                 } else if seq > stored {
                     table.ingest_delta(origin, entries, now);
-                    self.origin_seq[origin.idx()] = seq;
+                    self.origin_seq[slot] = seq;
                 }
             }
             DisseminationMode::Gossip { .. } => {
                 if seq > stored {
                     table.ingest_full(origin, entries, now);
-                    self.origin_seq[origin.idx()] = seq;
-                    self.foreign[origin.idx()] =
+                    self.origin_seq[slot] = seq;
+                    self.foreign[slot] =
                         Some(ForeignLsa { seq, entries: entries.to_vec(), fresh: true });
                 }
             }
@@ -407,12 +447,10 @@ impl Disseminator {
             lsas.push((self.me, self.own_seq, informative_entries(&self.advertised)));
             self.own_flushed_seq = self.own_seq;
         }
-        for j in 0..self.n {
-            if let Some(f) = &mut self.foreign[j] {
-                if f.fresh {
-                    f.fresh = false;
-                    lsas.push((HostId(j as u16), f.seq, f.entries.clone()));
-                }
+        for (f, &origin) in self.foreign.iter_mut().zip(self.peers.ids()) {
+            if let Some(f) = f.as_mut().filter(|f| f.fresh) {
+                f.fresh = false;
+                lsas.push((HostId(origin), f.seq, f.entries.clone()));
             }
         }
         if !lsas.is_empty() {
@@ -436,9 +474,9 @@ impl Disseminator {
         self.next_tick = Some(tick + SimDuration::from_millis(interval_ms.max(1)));
     }
 
-    /// Draws up to `fanout` distinct peers (never self) for one round.
+    /// Draws up to `fanout` distinct peers for one round.
     fn pick_fanout(&mut self, fanout: usize) -> Vec<HostId> {
-        let avail = self.n.saturating_sub(1);
+        let avail = self.peers.len();
         let k = fanout.min(avail);
         let mut picked: Vec<HostId> = Vec::with_capacity(k);
         // Rejection sampling with a hard cap: duplicates get rarer as k
@@ -446,11 +484,7 @@ impl Disseminator {
         let mut attempts = 0usize;
         while picked.len() < k && attempts < 16 * (k + 1) {
             attempts += 1;
-            let mut idx = self.rng.below(avail as u64) as usize;
-            if idx >= self.me.idx() {
-                idx += 1;
-            }
-            let h = HostId(idx as u16);
+            let h = self.peers.id(self.rng.below(avail as u64) as usize);
             if !picked.contains(&h) {
                 picked.push(h);
             }

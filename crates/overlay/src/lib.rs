@@ -15,6 +15,8 @@
 //! behaviour cannot drift apart.
 //!
 //! Module map:
+//! * [`peers`] — the set of hosts a node peers with, and the slot
+//!   indexing every piece of per-peer state shares;
 //! * [`wire`] — the packet format and its binary codec;
 //! * [`stats`] — per-path loss windows (the paper's "average loss rate
 //!   over the last 100 probes") and latency EWMAs;
@@ -31,6 +33,7 @@
 
 pub mod dissem;
 pub mod node;
+pub mod peers;
 pub mod prober;
 pub mod stats;
 pub mod table;
@@ -38,6 +41,7 @@ pub mod wire;
 
 pub use dissem::{DisseminationMode, Disseminator};
 pub use node::{Delivered, NodeConfig, OverlayNode, Transmit};
+pub use peers::PeerSet;
 pub use prober::{ProbeSend, Prober, ProberConfig};
 pub use stats::{LossWindow, PathStats};
 pub use table::{LinkStateTable, Policy, RemoteMetric, Route};

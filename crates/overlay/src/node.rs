@@ -11,6 +11,7 @@
 //! runner (`mpath-core`) and by the std-thread UDP driver (`mpath-live`).
 
 use crate::dissem::{Disseminator, DisseminationMode};
+use crate::peers::PeerSet;
 use crate::prober::{Prober, ProberConfig};
 use crate::table::{LinkStateTable, Policy, Route};
 use crate::wire::{MeasureKind, Packet, RouteTag};
@@ -100,18 +101,16 @@ pub struct OverlayNode {
     dissem: Disseminator,
     rng: Rng,
     forwarded: u64,
-    /// `u32`: fits the struct's padding, so a simulated mesh's node
-    /// array keeps its stride; saturates.
+    /// `u32`, like the next: the pair fits what was the struct's
+    /// padding, so a simulated mesh's node array keeps its stride;
+    /// both saturate.
     unknown_host: u32,
+    non_peer: u32,
 }
 
 impl OverlayNode {
-    /// Creates a node for a mesh of `n` nodes running the given
-    /// dissemination strategy. `seed` controls all node randomness
-    /// (probe ids, jitter, random intermediates); `start` is the instant
-    /// probing begins. The disseminator gets its own derived RNG stream,
-    /// so [`DisseminationMode::FullSnapshot`] consumes exactly the draws
-    /// the pre-dissemination node did.
+    /// Creates a node for a clique of `n` nodes: [`Self::with_peers`]
+    /// over [`PeerSet::everyone`].
     pub fn new_with_dissemination(
         me: HostId,
         n: usize,
@@ -120,10 +119,28 @@ impl OverlayNode {
         start: SimTime,
         mode: DisseminationMode,
     ) -> Self {
+        Self::with_peers(me, PeerSet::everyone(me, n), cfg, seed, start, mode)
+    }
+
+    /// Creates node `me`, which probes, keeps link state for and routes
+    /// through `peers`, running the given dissemination strategy. `seed`
+    /// controls all node randomness (probe ids, jitter, random
+    /// intermediates); `start` is the instant probing begins. The
+    /// disseminator gets its own derived RNG stream, so
+    /// [`DisseminationMode::FullSnapshot`] consumes exactly the draws the
+    /// pre-dissemination node did.
+    pub fn with_peers(
+        me: HostId,
+        peers: PeerSet,
+        cfg: NodeConfig,
+        seed: u64,
+        start: SimTime,
+        mode: DisseminationMode,
+    ) -> Self {
         let root = Rng::new(seed);
-        let table = LinkStateTable::new(
+        let table = LinkStateTable::with_peers(
             me,
-            n,
+            peers.clone(),
             cfg.window,
             cfg.ewma_alpha,
             1 + cfg.prober.fast_count,
@@ -131,10 +148,20 @@ impl OverlayNode {
             cfg.loss_hysteresis,
             cfg.lat_hysteresis,
         );
-        let prober = Prober::new(me, n, cfg.prober, root.derive(1), start);
-        let dissem = Disseminator::new(mode, me, n, root.derive(3), start);
+        let prober = Prober::with_peers(peers.clone(), cfg.prober, root.derive(1), start);
+        let dissem = Disseminator::with_peers(mode, me, peers, root.derive(3), start);
         let rng = root.derive(2);
-        OverlayNode { me, cfg, table, prober, dissem, rng, forwarded: 0, unknown_host: 0 }
+        OverlayNode {
+            me,
+            cfg,
+            table,
+            prober,
+            dissem,
+            rng,
+            forwarded: 0,
+            unknown_host: 0,
+            non_peer: 0,
+        }
     }
 
     /// This node's id.
@@ -150,6 +177,18 @@ impl OverlayNode {
     /// Read access to the link-state table (diagnostics, tests).
     pub fn table(&self) -> &LinkStateTable {
         &self.table
+    }
+
+    /// The hosts this node peers with.
+    pub fn peers(&self) -> &PeerSet {
+        self.table.peers()
+    }
+
+    /// Approximate resident bytes of the node: its table, prober and
+    /// disseminator (the few words beside them are not counted). None
+    /// of the three holds anything sized by the mesh.
+    pub fn approx_bytes(&self) -> usize {
+        self.table.approx_bytes() + self.prober.approx_bytes() + self.dissem.approx_bytes()
     }
 
     /// The node's dissemination strategy.
@@ -195,10 +234,15 @@ impl OverlayNode {
     }
 
     /// Handles a packet arriving from the network at `now`. A packet
-    /// that names a host outside the mesh (ids are indices here and in
-    /// every driver's address book) is dropped and counted, whatever
-    /// else it says; one nested in a [`Packet::Forward`] meets the same
-    /// check when it is unwrapped.
+    /// that names a host outside the mesh (ids are indices in every
+    /// driver's address book) is dropped and counted, whatever else it
+    /// says; one nested in a [`Packet::Forward`] meets the same check
+    /// when it is unwrapped. Link state from a host inside the mesh that
+    /// is not one of my peers is counted too
+    /// ([`Self::non_peer_drops`]): its probe request is answered — the
+    /// answer costs no state — but the metrics it carries, its probe
+    /// responses and the LSAs it originated are not stored. Forwarding
+    /// and delivery serve any host of the mesh.
     pub fn on_packet(
         &mut self,
         now: SimTime,
@@ -221,7 +265,9 @@ impl OverlayNode {
         }
         match packet {
             Packet::ProbeReq { id, from, metrics, .. } => {
-                self.dissem.on_probe_metrics(from, &metrics, now, &mut self.table);
+                if self.is_peer(from) {
+                    self.dissem.on_probe_metrics(from, &metrics, now, &mut self.table);
+                }
                 let (metrics, lsa) = self.dissem.on_probe_reply(from, &mut self.table);
                 out.push(Transmit {
                     to: from,
@@ -238,6 +284,9 @@ impl OverlayNode {
                 None
             }
             Packet::ProbeResp { id, from, metrics, .. } => {
+                if !self.is_peer(from) {
+                    return None;
+                }
                 self.dissem.on_probe_metrics(from, &metrics, now, &mut self.table);
                 if self.prober.on_response(id, from, now, &mut self.table).is_some() {
                     // A valid response acknowledges the LSA that rode
@@ -247,6 +296,9 @@ impl OverlayNode {
                 None
             }
             Packet::Lsa { origin, seq, full, entries } => {
+                if !self.is_peer(origin) {
+                    return None;
+                }
                 self.dissem.on_lsa(origin, seq, full, &entries, now, &mut self.table);
                 None
             }
@@ -300,6 +352,15 @@ impl OverlayNode {
         }
     }
 
+    /// Whether `h` is one of my peers; counts it when it is not.
+    fn is_peer(&mut self, h: HostId) -> bool {
+        let known = self.table.peers().slot(h).is_some();
+        if !known {
+            self.non_peer = self.non_peer.saturating_add(1);
+        }
+        known
+    }
+
     /// Selects a route to `dst` under `policy`.
     pub fn route(&mut self, dst: HostId, policy: Policy, now: SimTime) -> Route {
         self.table.route(dst, policy, now, &mut self.rng)
@@ -342,11 +403,18 @@ impl OverlayNode {
     pub fn unknown_host_drops(&self) -> u64 {
         u64::from(self.unknown_host)
     }
+
+    /// Probe and link-state packets from hosts that are not my peers:
+    /// none of them left any state behind.
+    pub fn non_peer_drops(&self) -> u64 {
+        u64::from(self.non_peer)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::MetricEntry;
     use bytes::Bytes;
 
     fn node(me: u16, n: usize) -> OverlayNode {
@@ -534,6 +602,111 @@ mod tests {
     fn data_naming_unknown_host_is_dropped() {
         assert_dropped(data(HostId(1), EVIL));
         assert_dropped(data(EVIL, HostId(0)));
+    }
+
+    /// A host of the 10-host mesh that [`sparse_node`] does not peer with.
+    const STRANGER: HostId = HostId(3);
+
+    /// Host 0 of a 10-host mesh, peering with hosts 2, 5 and 7.
+    fn sparse_node(mode: DisseminationMode) -> OverlayNode {
+        let peers = PeerSet::new(10, &[2, 5, 7]);
+        OverlayNode::with_peers(HostId(0), peers, NodeConfig::default(), 42, SimTime::ZERO, mode)
+    }
+
+    const ALL_MODES: [DisseminationMode; 3] = [
+        DisseminationMode::FullSnapshot,
+        DisseminationMode::Delta { max_age_probes: 1 },
+        DisseminationMode::Gossip { fanout: 2, interval_ms: 1000 },
+    ];
+
+    fn about_host_7() -> Vec<MetricEntry> {
+        vec![MetricEntry { peer: HostId(7), loss_e4: 0, lat_us: 9_000, alive: true }]
+    }
+
+    #[test]
+    fn probe_req_from_a_non_peer_is_answered_and_leaves_no_state() {
+        for mode in ALL_MODES {
+            let mut a = sparse_node(mode);
+            let now = SimTime::from_secs(1);
+            let req =
+                Packet::ProbeReq { id: 7, from: STRANGER, sent_local_us: 0, metrics: about_host_7() };
+            let mut out = Vec::new();
+            assert_eq!(a.on_packet(now, 0, req, &mut out), None);
+            assert_eq!(out.len(), 1, "{mode:?}: the answer and nothing beside it: {out:?}");
+            assert_eq!(out[0].to, STRANGER);
+            assert!(matches!(out[0].packet, Packet::ProbeResp { id: 7, from: HostId(0), .. }));
+            assert_eq!(a.table().remote_metric(STRANGER, HostId(7), now), None, "{mode:?}");
+            assert_eq!((a.non_peer_drops(), a.unknown_host_drops()), (1, 0), "{mode:?}");
+        }
+    }
+
+    #[test]
+    fn probe_resp_and_lsa_from_a_non_peer_are_dropped_and_counted() {
+        for mode in ALL_MODES {
+            let mut a = sparse_node(mode);
+            let now = SimTime::from_secs(1);
+            let mut out = Vec::new();
+            let resp = Packet::ProbeResp {
+                id: 7,
+                from: STRANGER,
+                resp_local_us: 0,
+                metrics: about_host_7(),
+            };
+            assert_eq!(a.on_packet(now, 0, resp, &mut out), None);
+            let lsa = Packet::Lsa { origin: STRANGER, seq: 1, full: true, entries: about_host_7() };
+            assert_eq!(a.on_packet(now, 0, lsa, &mut out), None);
+            assert!(out.is_empty(), "{mode:?}: {out:?}");
+            assert_eq!(a.table().remote_metric(STRANGER, HostId(7), now), None, "{mode:?}");
+            assert_eq!((a.non_peer_drops(), a.unknown_host_drops()), (2, 0), "{mode:?}");
+            // Gossip forwards what it stored: nothing of the stranger's.
+            a.on_timer(SimTime::from_secs(2), 0, &mut out);
+            let forwarded = |tx: &Transmit| matches!(tx.packet, Packet::Lsa { origin: STRANGER, .. });
+            assert!(!out.iter().any(forwarded), "{mode:?}");
+        }
+    }
+
+    #[test]
+    fn a_peer_is_served_as_before_and_nothing_is_counted() {
+        let mut a = sparse_node(DisseminationMode::FullSnapshot);
+        let now = SimTime::from_secs(1);
+        let req =
+            Packet::ProbeReq { id: 7, from: HostId(5), sent_local_us: 0, metrics: about_host_7() };
+        let mut out = Vec::new();
+        a.on_packet(now, 0, req, &mut out);
+        assert_eq!(out.len(), 1);
+        assert!(a.table().remote_metric(HostId(5), HostId(7), now).is_some());
+        assert_eq!(a.non_peer_drops(), 0);
+    }
+
+    #[test]
+    fn a_sparse_node_probes_its_peers_and_nobody_else() {
+        let mut a = sparse_node(DisseminationMode::FullSnapshot);
+        let mut out = Vec::new();
+        while let Some(at) = a.poll_at().filter(|&at| at < SimTime::from_secs(16)) {
+            a.on_timer(at, at.as_micros() as i64, &mut out);
+        }
+        let mut probed: Vec<u16> = out.iter().map(|tx| tx.to.0).collect();
+        probed.sort_unstable();
+        probed.dedup();
+        assert_eq!(probed, [2, 5, 7]);
+    }
+
+    #[test]
+    fn footprint_follows_the_neighbourhood_not_the_mesh() {
+        // Host 0 with the same six peers in a 3000-host and a 30-host
+        // mesh: no field may be sized by n.
+        let footprint = |n: usize| {
+            let peers = PeerSet::new(n, &[3, 8, 11, 17, 22, 29]);
+            let mode = DisseminationMode::Delta { max_age_probes: 8 };
+            OverlayNode::with_peers(HostId(0), peers, NodeConfig::default(), 1, SimTime::ZERO, mode)
+                .approx_bytes()
+        };
+        let (big, small) = (footprint(3000), footprint(30));
+        assert!(big < 16 * 1024, "a 6-peer node in a 3000-host mesh holds {big} B");
+        assert!(big.abs_diff(small) * 10 <= small, "3000 hosts: {big} B, 30 hosts: {small} B");
+        // The clique is the set of everyone, and pays for everyone.
+        let clique = node(0, 3000).approx_bytes();
+        assert!(clique > 100 * big, "clique {clique} B vs sparse {big} B");
     }
 
     #[test]

@@ -6,7 +6,13 @@
 //! host is down." Probes are request/response pairs with random 64-bit
 //! identifiers; a probe with no response inside the timeout counts as a
 //! loss in the path's window.
+//!
+//! "Every other node" is every member of the node's [`PeerSet`]: the
+//! schedule holds one entry per peer, by slot, and nothing for anyone
+//! else — under a sparse probe mesh a node's probe budget is its degree
+//! over the interval, whatever the size of the testbed.
 
+use crate::peers::PeerSet;
 use crate::stats::PathStats;
 use crate::table::LinkStateTable;
 use netsim::{HostId, Rng, SimDuration, SimTime};
@@ -42,7 +48,7 @@ impl Default for ProberConfig {
 #[derive(Debug, Clone, Copy)]
 struct Outstanding {
     id: u64,
-    peer: HostId,
+    slot: u16,
     sent: SimTime,
     deadline: SimTime,
 }
@@ -51,6 +57,10 @@ struct Outstanding {
 struct PeerSched {
     next_probe: SimTime,
     chain_left: u32,
+}
+
+fn earliest_send(sched: &[PeerSched]) -> Option<SimTime> {
+    sched.iter().map(|p| p.next_probe).min()
 }
 
 /// A request to send one probe packet to `peer` with identifier `id`.
@@ -66,8 +76,12 @@ pub struct ProbeSend {
 #[derive(Debug)]
 pub struct Prober {
     cfg: ProberConfig,
-    me: HostId,
-    peers: Vec<PeerSched>,
+    peers: PeerSet,
+    /// When each peer is next probed, by slot.
+    sched: Vec<PeerSched>,
+    /// The earliest `next_probe` in `sched`, kept current wherever one
+    /// is written so [`Self::poll_at`] need not scan for it.
+    next_send: Option<SimTime>,
     outstanding: Vec<Outstanding>,
     rng: Rng,
     probes_sent: u64,
@@ -75,36 +89,49 @@ pub struct Prober {
 }
 
 impl Prober {
-    /// Creates a prober for a mesh of `n` nodes; initial probes are
+    /// Creates a prober for a clique of `n` nodes: [`Self::with_peers`]
+    /// over [`PeerSet::everyone`].
+    pub fn new(me: HostId, n: usize, cfg: ProberConfig, rng: Rng, start: SimTime) -> Self {
+        Self::with_peers(PeerSet::everyone(me, n), cfg, rng, start)
+    }
+
+    /// Creates a prober that probes `peers`; initial probes are
     /// staggered across one interval starting at `start`.
-    pub fn new(me: HostId, n: usize, cfg: ProberConfig, mut rng: Rng, start: SimTime) -> Self {
-        let peers = (0..n)
-            .map(|j| {
-                let offset = if j == me.idx() {
-                    SimDuration::MAX / 2 // never probe self
-                } else {
-                    SimDuration::from_micros(rng.below(cfg.interval.as_micros().max(1)))
-                };
+    pub fn with_peers(peers: PeerSet, cfg: ProberConfig, mut rng: Rng, start: SimTime) -> Self {
+        let sched: Vec<PeerSched> = (0..peers.len())
+            .map(|_| {
+                let offset = SimDuration::from_micros(rng.below(cfg.interval.as_micros().max(1)));
                 PeerSched { next_probe: start + offset, chain_left: 0 }
             })
             .collect();
-        Prober { cfg, me, peers, outstanding: Vec::new(), rng, probes_sent: 0, probes_lost: 0 }
+        Prober {
+            cfg,
+            peers,
+            next_send: earliest_send(&sched),
+            sched,
+            outstanding: Vec::new(),
+            rng,
+            probes_sent: 0,
+            probes_lost: 0,
+        }
     }
 
     /// The earliest instant at which [`Prober::on_timer`] has work to do.
     pub fn poll_at(&self) -> Option<SimTime> {
-        let next_send = self
-            .peers
-            .iter()
-            .enumerate()
-            .filter(|(j, _)| *j != self.me.idx())
-            .map(|(_, p)| p.next_probe)
-            .min();
         let next_deadline = self.outstanding.iter().map(|o| o.deadline).min();
-        match (next_send, next_deadline) {
+        match (self.next_send, next_deadline) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
         }
+    }
+
+    /// Approximate resident bytes: the struct, the schedule and the
+    /// outstanding-probe list (the peer set is the table's to count).
+    pub fn approx_bytes(&self) -> usize {
+        use std::mem::size_of;
+        size_of::<Self>()
+            + self.sched.capacity() * size_of::<PeerSched>()
+            + self.outstanding.capacity() * size_of::<Outstanding>()
     }
 
     fn jittered_interval(&mut self) -> SimDuration {
@@ -132,57 +159,60 @@ impl Prober {
         });
         for o in expired {
             self.probes_lost += 1;
-            table.direct_mut(o.peer).record_loss();
-            let idx = o.peer.idx();
-            if self.peers[idx].chain_left > 0 {
-                self.peers[idx].chain_left -= 1;
-                if self.peers[idx].chain_left > 0 {
-                    self.peers[idx].next_probe = now + self.cfg.fast_spacing;
+            let (idx, peer) = (usize::from(o.slot), self.peers.id(usize::from(o.slot)));
+            table.direct_mut(peer).record_loss();
+            if self.sched[idx].chain_left > 0 {
+                self.sched[idx].chain_left -= 1;
+                if self.sched[idx].chain_left > 0 {
+                    self.sched[idx].next_probe = now + self.cfg.fast_spacing;
                 } else {
                     // Chain exhausted; path declared dead by the stats
                     // layer. Resume the normal schedule.
                     let iv = self.jittered_interval();
-                    self.peers[idx].next_probe = now + iv;
+                    self.sched[idx].next_probe = now + iv;
                 }
-            } else if !table.direct(o.peer).is_dead() {
+            } else if !table.direct(peer).is_dead() {
                 // A fresh loss on a live path triggers the fast chain.
-                self.peers[idx].chain_left = self.cfg.fast_count;
-                self.peers[idx].next_probe = now + self.cfg.fast_spacing;
+                self.sched[idx].chain_left = self.cfg.fast_count;
+                self.sched[idx].next_probe = now + self.cfg.fast_spacing;
             }
         }
 
-        // 2. Send due probes.
-        for j in 0..self.peers.len() {
-            if j == self.me.idx() {
-                continue;
-            }
-            if self.peers[j].next_probe <= now {
+        // 2. Send due probes; the same pass finds the earliest send
+        // that remains, step 1's rescheduling included.
+        let mut earliest = None;
+        for slot in 0..self.sched.len() {
+            if self.sched[slot].next_probe <= now {
                 let id = self.rng.next_u64();
-                let peer = HostId(j as u16);
                 self.outstanding.push(Outstanding {
                     id,
-                    peer,
+                    slot: slot as u16,
                     sent: now,
                     deadline: now + self.cfg.timeout,
                 });
-                out.push(ProbeSend { peer, id });
+                out.push(ProbeSend { peer: self.peers.id(slot), id });
                 self.probes_sent += 1;
                 // Chain probes reschedule on their own timeout/response;
                 // normal probes get the next steady-state slot.
-                if self.peers[j].chain_left == 0 {
+                if self.sched[slot].chain_left == 0 {
                     let iv = self.jittered_interval();
-                    self.peers[j].next_probe = now + iv;
+                    self.sched[slot].next_probe = now + iv;
                 } else {
                     // Placeholder far in the future; the timeout or the
                     // response decides what happens next.
-                    self.peers[j].next_probe = now + self.cfg.timeout + self.cfg.fast_spacing;
+                    self.sched[slot].next_probe = now + self.cfg.timeout + self.cfg.fast_spacing;
                 }
             }
+            let next = self.sched[slot].next_probe;
+            earliest = Some(earliest.map_or(next, |e: SimTime| e.min(next)));
         }
+        self.next_send = earliest;
     }
 
     /// Handles a probe response arriving at `now`; returns the measured
-    /// round-trip time when the id matches an outstanding probe.
+    /// round-trip time when the id matches an outstanding probe. Nothing
+    /// is outstanding toward a host that is not a peer, so an answer
+    /// from one matches nothing.
     pub fn on_response(
         &mut self,
         id: u64,
@@ -190,18 +220,21 @@ impl Prober {
         now: SimTime,
         table: &mut LinkStateTable,
     ) -> Option<SimDuration> {
-        let idx = self.outstanding.iter().position(|o| o.id == id && o.peer == from)?;
+        let slot = self.peers.slot(from)?;
+        let idx =
+            self.outstanding.iter().position(|o| o.id == id && usize::from(o.slot) == slot)?;
         let o = self.outstanding.swap_remove(idx);
         let rtt = now - o.sent;
         // The RTT/2 heuristic for a one-way latency estimate (the overlay
         // has no synchronised clocks of its own).
-        table.direct_mut(o.peer).record_success(now, rtt / 2);
-        let idx = o.peer.idx();
-        if self.peers[idx].chain_left > 0 {
-            // A success cancels the fast chain.
-            self.peers[idx].chain_left = 0;
+        table.direct_mut(from).record_success(now, rtt / 2);
+        if self.sched[slot].chain_left > 0 {
+            // A success cancels the fast chain. The placeholder it
+            // replaces may have been the earliest send: look again.
+            self.sched[slot].chain_left = 0;
             let iv = self.jittered_interval();
-            self.peers[idx].next_probe = now + iv;
+            self.sched[slot].next_probe = now + iv;
+            self.next_send = earliest_send(&self.sched);
         }
         Some(rtt)
     }
@@ -361,5 +394,72 @@ mod tests {
             now += SimDuration::from_millis(500);
         }
         assert!(!table.direct(HostId(1)).is_dead(), "path must revive");
+    }
+}
+
+#[cfg(test)]
+mod poll_at_proptest {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// What [`Prober::poll_at`] answered before it kept a minimum: a
+    /// scan of every peer's next send and every outstanding deadline.
+    fn brute_force(p: &Prober) -> Option<SimTime> {
+        p.sched.iter().map(|s| s.next_probe).chain(p.outstanding.iter().map(|o| o.deadline)).min()
+    }
+
+    proptest! {
+        /// A prober over 3 of 10 hosts driven through timers that fire
+        /// on time, early and late, answers that arrive in time, late,
+        /// twice or never (losses, fast chains, chain cancels): after
+        /// every step `poll_at` is the brute-force minimum.
+        #[test]
+        fn poll_at_is_the_brute_force_minimum_after_every_step(
+            seed in 0u64..1_000_000,
+            steps in proptest::collection::vec((0u8..4, any::<u16>(), 1u64..2_500), 1..200),
+        ) {
+            let cfg = ProberConfig::default();
+            let peers = PeerSet::new(10, &[2, 5, 7]);
+            let mut table = LinkStateTable::with_peers(
+                HostId(0),
+                peers.clone(),
+                100,
+                0.1,
+                1 + cfg.fast_count,
+                SimDuration::from_secs(90),
+                0.01,
+                0.05,
+            );
+            let mut prober = Prober::with_peers(peers, cfg, Rng::new(seed), SimTime::ZERO);
+            prop_assert_eq!(prober.poll_at(), brute_force(&prober));
+            let mut now = SimTime::ZERO;
+            let mut in_flight: Vec<ProbeSend> = Vec::new();
+            for (action, pick, dt_ms) in steps {
+                match action {
+                    // The timer fires when it asked to...
+                    0 => {
+                        now = now.max(prober.poll_at().expect("three peers to probe"));
+                        prober.on_timer(now, &mut table, &mut in_flight);
+                    }
+                    // ...or whenever: early, or late enough to expire probes.
+                    1 => {
+                        now += SimDuration::from_millis(dt_ms);
+                        prober.on_timer(now, &mut table, &mut in_flight);
+                    }
+                    // A probe is answered (possibly past its deadline).
+                    2 if !in_flight.is_empty() => {
+                        now += SimDuration::from_millis(dt_ms / 10);
+                        let s = in_flight.swap_remove(usize::from(pick) % in_flight.len());
+                        prober.on_response(s.id, s.peer, now, &mut table);
+                    }
+                    // A probe is lost for good.
+                    3 if !in_flight.is_empty() => {
+                        in_flight.swap_remove(usize::from(pick) % in_flight.len());
+                    }
+                    _ => {}
+                }
+                prop_assert_eq!(prober.poll_at(), brute_force(&prober));
+            }
+        }
     }
 }

@@ -2,8 +2,12 @@
 //!
 //! Each node measures its *direct* paths with the prober and learns every
 //! peer's direct-path metrics from the vectors piggybacked on probe
-//! traffic. Routing considers the direct path and all two-hop paths
-//! through a single intermediate (§3.1):
+//! traffic. A *peer* is a member of the node's [`PeerSet`] — every other
+//! host of a clique, the declared neighbours of a sparse mesh — and
+//! everything here is per peer, indexed by the set's slots: one
+//! direct-path [`PathStats`], one advertised vector, one cached snapshot
+//! entry each. Nothing is sized by the mesh. Routing considers the direct
+//! path and all two-hop paths through a single peer (§3.1):
 //!
 //! * **min-loss**: minimise `1 - (1-p₁)(1-p₂)`, the composed loss of the
 //!   two overlay hops, against the direct path's windowed loss rate;
@@ -15,6 +19,7 @@
 //! A small hysteresis keeps routes from flapping between statistically
 //! indistinguishable alternatives (the RON implementation does the same).
 
+use crate::peers::PeerSet;
 use crate::stats::PathStats;
 use crate::wire::MetricEntry;
 use netsim::{HostId, Rng, SimDuration, SimTime};
@@ -92,11 +97,18 @@ struct PeerVector {
 }
 
 impl PeerVector {
-    fn get(&self, dst: usize) -> Option<&Stamped> {
-        self.entries
-            .binary_search_by_key(&(dst as u16), |&(d, _)| d)
-            .ok()
-            .map(|i| &self.entries[i].1)
+    fn get(&self, dst: u16) -> Option<&Stamped> {
+        // A verified hint: a peer that advertises everyone but itself
+        // (a clique's steady state) keeps `dst` at index `dst` or one
+        // below. Whatever the contents, a hit is checked by key and a
+        // miss falls through to the search.
+        let guess = usize::from(dst).min(self.entries.len().saturating_sub(1));
+        for at in [guess, guess.wrapping_sub(1)] {
+            if let Some((_, s)) = self.entries.get(at).filter(|(d, _)| *d == dst) {
+                return Some(s);
+            }
+        }
+        self.entries.binary_search_by_key(&dst, |&(d, _)| d).ok().map(|i| &self.entries[i].1)
     }
 
     /// Inserts or overwrites the entry toward `dst` (last write wins,
@@ -149,34 +161,40 @@ impl PeerVector {
 #[derive(Debug)]
 pub struct LinkStateTable {
     me: HostId,
-    n: usize,
+    peers: PeerSet,
+    /// Direct-path stats toward each peer, by slot.
     direct: Vec<PathStats>,
+    /// What each peer advertised, by slot; the entries inside stay keyed
+    /// by destination *host id*, as they arrived.
     vectors: Vec<PeerVector>,
+    /// A never-sampled path: what [`Self::direct`] says of a non-peer.
+    unsampled: PathStats,
     staleness: SimDuration,
     /// Absolute loss-rate advantage an indirect path must show.
     loss_hysteresis: f64,
     /// Relative latency advantage an indirect path must show.
     lat_hysteresis: f64,
-    /// Cached [`Self::snapshot`] vector. Probes snapshot far more often
-    /// than the prober records outcomes at scale, so the cache turns the
-    /// per-probe O(n) allocate-and-summarise into a slice borrow, and a
-    /// recorded outcome costs one re-summarised slot, not n. Empty
-    /// means "rebuild all of it": never built, or dropped because more
-    /// than `n` touches accumulated between two snapshots.
+    /// Cached [`Self::snapshot`] vector, by slot. Probes snapshot far
+    /// more often than the prober records outcomes, so the cache turns
+    /// the per-probe allocate-and-summarise into a slice borrow, and a
+    /// recorded outcome costs one re-summarised slot, not all of them.
+    /// Empty means "rebuild all of it": never built, or dropped because
+    /// more touches than there are peers accumulated between two
+    /// snapshots.
     snap_cache: Vec<MetricEntry>,
-    /// Peers handed out by [`Self::direct_mut`] since a non-empty cache
-    /// was last brought up to date: the only slots that can differ
-    /// from it. Never longer than `n`.
+    /// Slots handed out by [`Self::direct_mut`] since a non-empty cache
+    /// was last brought up to date: the only ones that can differ from
+    /// it. Never longer than the peer set.
     snap_touched: Vec<u16>,
     /// Counts [`Self::direct_mut`] calls, so the disseminator can tell
     /// "nothing measured since I last looked" without diffing vectors.
     direct_epoch: u64,
 }
 
-/// The entry a node advertises for its direct path toward host `j`.
-fn advertised(j: usize, s: &PathStats) -> MetricEntry {
+/// The entry a node advertises for its direct path toward `peer`.
+fn advertised(peer: HostId, s: &PathStats) -> MetricEntry {
     MetricEntry {
-        peer: HostId(j as u16),
+        peer,
         // Advertise the smoothed routing estimate, not the raw
         // window: peers compose it into two-hop predictions.
         loss_e4: (s.loss_estimate() * 10_000.0).round().min(10_000.0) as u16,
@@ -186,7 +204,8 @@ fn advertised(j: usize, s: &PathStats) -> MetricEntry {
 }
 
 impl LinkStateTable {
-    /// Creates a table for a mesh of `n` nodes.
+    /// Creates a table for a clique of `n` nodes: [`Self::with_peers`]
+    /// over [`PeerSet::everyone`].
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         me: HostId,
@@ -198,11 +217,42 @@ impl LinkStateTable {
         loss_hysteresis: f64,
         lat_hysteresis: f64,
     ) -> Self {
+        Self::with_peers(
+            me,
+            PeerSet::everyone(me, n),
+            window,
+            ewma_alpha,
+            dead_threshold,
+            staleness,
+            loss_hysteresis,
+            lat_hysteresis,
+        )
+    }
+
+    /// Creates the table of node `me`, which peers with `peers`.
+    ///
+    /// # Panics
+    ///
+    /// When `me` is one of its own peers.
+    #[allow(clippy::too_many_arguments)]
+    pub fn with_peers(
+        me: HostId,
+        peers: PeerSet,
+        window: usize,
+        ewma_alpha: f64,
+        dead_threshold: u32,
+        staleness: SimDuration,
+        loss_hysteresis: f64,
+        lat_hysteresis: f64,
+    ) -> Self {
+        assert!(peers.slot(me).is_none(), "host {} cannot peer with itself", me.0);
+        let unsampled = PathStats::new(window, ewma_alpha, dead_threshold);
         LinkStateTable {
             me,
-            n,
-            direct: (0..n).map(|_| PathStats::new(window, ewma_alpha, dead_threshold)).collect(),
-            vectors: vec![PeerVector::default(); n],
+            direct: vec![unsampled.clone(); peers.len()],
+            vectors: vec![PeerVector::default(); peers.len()],
+            peers,
+            unsampled,
             staleness,
             loss_hysteresis,
             lat_hysteresis,
@@ -214,17 +264,25 @@ impl LinkStateTable {
 
     /// Mesh size.
     pub fn n(&self) -> usize {
-        self.n
+        self.peers.n()
+    }
+
+    /// The hosts this table keeps state for.
+    pub fn peers(&self) -> &PeerSet {
+        &self.peers
     }
 
     /// Approximate resident bytes of this table's state: the struct
-    /// itself, the direct-path stats (including each loss window's lazy
-    /// buffer), every stored peer vector, the snapshot cache and its
-    /// touched list. The scaling harness reports this per host, so the
-    /// sparse-vs-dense storage win is measurable instead of asserted.
+    /// itself, the peer set, the direct-path stats (including each loss
+    /// window's lazy buffer), every stored peer vector, the snapshot
+    /// cache and its touched list. The scaling harness reports this per
+    /// host, so the sparse-vs-dense storage win is measurable instead of
+    /// asserted.
     pub fn approx_bytes(&self) -> usize {
         use std::mem::size_of;
-        let mut b = size_of::<Self>();
+        // The node's prober and disseminator share the set's ids; they
+        // are counted here, once.
+        let mut b = size_of::<Self>() + self.peers.len() * size_of::<u16>();
         b += self.direct.capacity() * size_of::<PathStats>();
         for s in &self.direct {
             b += s.heap_bytes();
@@ -241,20 +299,29 @@ impl LinkStateTable {
     /// Mutable access to the direct-path stats toward `peer` (the prober
     /// records outcomes through this). The advertised vector summarises
     /// exactly these stats, so `peer`'s slot of the snapshot cache is
-    /// marked for re-summarising; once `n` marks are outstanding the
-    /// list and the cache are dropped in favour of one full rebuild,
-    /// which bounds the list.
+    /// marked for re-summarising; once as many marks as peers are
+    /// outstanding the list and the cache are dropped in favour of one
+    /// full rebuild, which bounds the list.
+    ///
+    /// # Panics
+    ///
+    /// When `peer` is not in the peer set: there is nothing to record
+    /// into. Packets never get here — the prober only measures its own
+    /// peers and drops answers from anyone else.
     pub fn direct_mut(&mut self, peer: HostId) -> &mut PathStats {
+        let Some(slot) = self.peers.slot(peer) else {
+            panic!("host {} is not a peer of host {}", peer.0, self.me.0)
+        };
         self.direct_epoch += 1;
         if !self.snap_cache.is_empty() {
-            if self.snap_touched.len() < self.n {
-                self.snap_touched.push(peer.0);
+            if self.snap_touched.len() < self.direct.len() {
+                self.snap_touched.push(slot as u16);
             } else {
                 self.snap_touched.clear();
                 self.snap_cache.clear();
             }
         }
-        &mut self.direct[peer.idx()]
+        &mut self.direct[slot]
     }
 
     /// How many times [`Self::direct_mut`] has been called: unchanged
@@ -263,9 +330,10 @@ impl LinkStateTable {
         self.direct_epoch
     }
 
-    /// Direct-path stats toward `peer`.
+    /// Direct-path stats toward `peer`; a host outside the peer set
+    /// reads as a path that was never sampled, which it is.
     pub fn direct(&self, peer: HostId) -> &PathStats {
-        &self.direct[peer.idx()]
+        self.peers.slot(peer).map_or(&self.unsampled, |slot| &self.direct[slot])
     }
 
     /// Ingests a *complete* advertisement from `from`: every previously
@@ -282,11 +350,10 @@ impl LinkStateTable {
         self.ingest(from, entries, now, false);
     }
 
+    /// An advertisement from a host with no slot is not stored.
     fn ingest(&mut self, from: HostId, entries: &[MetricEntry], now: SimTime, complete: bool) {
-        if from == self.me || from.idx() >= self.n {
-            return;
-        }
-        let v = &mut self.vectors[from.idx()];
+        let Some(slot) = self.peers.slot(from) else { return };
+        let v = &mut self.vectors[slot];
         if complete {
             // Reuse the buffer; grow it (rarely, and to the exact size,
             // as a fresh vector would be) only when the peer advertises
@@ -294,27 +361,22 @@ impl LinkStateTable {
             v.entries.clear();
             v.entries.reserve_exact(entries.len());
         }
-        v.merge(entries, self.n, now);
+        v.merge(entries, self.peers.n(), now);
     }
 
     /// Snapshot of my direct metrics for piggybacking on probe packets:
-    /// one entry per other host, ascending. Served from a cache that
+    /// one entry per peer, ascending. Served from a cache that
     /// [`Self::direct_mut`] keeps a to-do list for — only the slots it
     /// handed out since the last call are re-summarised (all of them on
     /// the first call, or when the list overflowed); callers that need
     /// an owned copy clone the slice.
     pub fn snapshot(&mut self) -> &[MetricEntry] {
-        let me = self.me.idx();
         if self.snap_cache.is_empty() {
-            let direct = &self.direct;
-            self.snap_cache
-                .extend((0..self.n).filter(|&j| j != me).map(|j| advertised(j, &direct[j])));
+            let summaries = self.peers.ids().iter().zip(&self.direct);
+            self.snap_cache.extend(summaries.map(|(&j, s)| advertised(HostId(j), s)));
         } else {
-            for j in self.snap_touched.drain(..).map(usize::from) {
-                // The cache skips my own slot: hosts above me sit one lower.
-                if j != me {
-                    self.snap_cache[j - usize::from(j > me)] = advertised(j, &self.direct[j]);
-                }
+            for slot in self.snap_touched.drain(..).map(usize::from) {
+                self.snap_cache[slot] = advertised(self.peers.id(slot), &self.direct[slot]);
             }
         }
         &self.snap_cache
@@ -325,18 +387,27 @@ impl LinkStateTable {
     /// so convergence tests can compare tables fed by different
     /// dissemination strategies.
     pub fn remote_metric(&self, from: HostId, dst: HostId, now: SimTime) -> Option<RemoteMetric> {
-        if from.idx() >= self.n || dst.idx() >= self.n {
-            return None;
-        }
-        self.remote(from, dst, now)
+        self.fresh(&self.vectors[self.peers.slot(from)?], dst, now)
     }
 
-    fn remote(&self, k: HostId, dst: HostId, now: SimTime) -> Option<RemoteMetric> {
-        let e = *self.vectors[k.idx()].get(dst.idx())?;
+    /// What the peer behind `vector` advertised toward `dst`, unless
+    /// that has gone stale.
+    fn fresh(&self, vector: &PeerVector, dst: HostId, now: SimTime) -> Option<RemoteMetric> {
+        let e = *vector.get(dst.0)?;
         if now.since(e.at) > self.staleness {
             return None;
         }
         Some(e.metric)
+    }
+
+    /// The peers a packet for `dst` could detour through, ascending:
+    /// each with my direct stats toward it and the vector it advertised.
+    fn intermediates(
+        &self,
+        dst: HostId,
+    ) -> impl Iterator<Item = (HostId, &PathStats, &PeerVector)> {
+        let per_peer = self.peers.ids().iter().zip(&self.direct).zip(&self.vectors);
+        per_peer.filter(move |((&k, _), _)| k != dst.0).map(|((&k, mine), v)| (HostId(k), mine, v))
     }
 
     /// Selects a route toward `dst` under `policy`. `rng` supplies the
@@ -413,7 +484,7 @@ impl LinkStateTable {
         let mut best = None;
         let mut best_score = f64::INFINITY;
         if !avoid.contains(&Route::Direct) {
-            let d = &self.direct[dst.idx()];
+            let d = self.direct(dst);
             if !d.is_dead() {
                 // Score direct as a one-hop with a perfect second hop.
                 let s = score(d, &RemoteMetric { loss: 0.0, lat_us: 0.0, alive: true });
@@ -423,19 +494,14 @@ impl LinkStateTable {
                 }
             }
         }
-        for k in 0..self.n {
-            if k == self.me.idx() || k == dst.idx() {
-                continue;
-            }
-            let kh = HostId(k as u16);
+        for (kh, mine, vector) in self.intermediates(dst) {
             if avoid.contains(&Route::Via(kh)) {
                 continue;
             }
-            let mine = &self.direct[k];
             if mine.is_dead() || mine.samples() == 0 {
                 continue;
             }
-            let Some(rm) = self.remote(kh, dst, now) else { continue };
+            let Some(rm) = self.fresh(vector, dst, now) else { continue };
             if !rm.alive {
                 continue;
             }
@@ -449,40 +515,27 @@ impl LinkStateTable {
     }
 
     fn random_via(&self, dst: HostId, rng: &mut Rng) -> Route {
-        if self.n <= 2 {
+        // Uniform over my peers other than dst: one draw, the slots at
+        // and above dst's sitting one higher.
+        let dst_slot = self.peers.slot(dst);
+        let candidates = self.peers.len() - usize::from(dst_slot.is_some());
+        if candidates == 0 {
             return Route::Direct;
         }
-        // Uniform over nodes other than me and dst.
-        let mut k = rng.below((self.n - 2) as u64) as usize;
-        let (a, b) = if self.me.idx() < dst.idx() {
-            (self.me.idx(), dst.idx())
-        } else {
-            (dst.idx(), self.me.idx())
-        };
-        if k >= a {
-            k += 1;
-        }
-        if k >= b {
-            k += 1;
-        }
-        Route::Via(HostId(k as u16))
+        let k = rng.below(candidates as u64) as usize;
+        Route::Via(self.peers.id(k + usize::from(dst_slot.is_some_and(|d| k >= d))))
     }
 
     fn min_loss(&self, dst: HostId, now: SimTime) -> Route {
-        let direct_loss = self.direct[dst.idx()].loss_estimate();
+        let direct_loss = self.direct(dst).loss_estimate();
         let mut best = Route::Direct;
         // Hysteresis: an indirect path must beat direct by a margin.
         let mut best_score = (direct_loss - self.loss_hysteresis).max(0.0);
-        for k in 0..self.n {
-            if k == self.me.idx() || k == dst.idx() {
-                continue;
-            }
-            let kh = HostId(k as u16);
-            let mine = &self.direct[k];
+        for (kh, mine, vector) in self.intermediates(dst) {
             if mine.is_dead() || mine.samples() == 0 {
                 continue;
             }
-            let Some(rm) = self.remote(kh, dst, now) else { continue };
+            let Some(rm) = self.fresh(vector, dst, now) else { continue };
             if !rm.alive {
                 continue;
             }
@@ -496,21 +549,16 @@ impl LinkStateTable {
     }
 
     fn min_lat(&self, dst: HostId, now: SimTime) -> Route {
-        let d = &self.direct[dst.idx()];
+        let d = self.direct(dst);
         let direct_lat = if d.is_dead() { f64::INFINITY } else { d.latency_us().unwrap_or(f64::INFINITY) };
         let mut best = Route::Direct;
         let mut best_score = direct_lat * (1.0 - self.lat_hysteresis);
-        for k in 0..self.n {
-            if k == self.me.idx() || k == dst.idx() {
-                continue;
-            }
-            let kh = HostId(k as u16);
-            let mine = &self.direct[k];
+        for (kh, mine, vector) in self.intermediates(dst) {
             if mine.is_dead() {
                 continue;
             }
             let Some(lat1) = mine.latency_us() else { continue };
-            let Some(rm) = self.remote(kh, dst, now) else { continue };
+            let Some(rm) = self.fresh(vector, dst, now) else { continue };
             if !rm.alive || rm.lat_us <= 0.0 {
                 continue;
             }
@@ -952,5 +1000,105 @@ mod diverse_tests {
             &[Route::Direct, Route::Via(HostId(1))],
         );
         assert_eq!(r, Route::Via(HostId(1)), "only detour in a 3-node mesh");
+    }
+}
+
+/// A node that peers with 3 of a 10-host mesh: hosts 2, 5 and 7.
+#[cfg(test)]
+mod sparse_tests {
+    use super::tests::{feed_direct, vector_from};
+    use super::*;
+
+    /// Host 0's table in a 10-host mesh, peering with `ids`.
+    fn table_over(ids: &[u16]) -> LinkStateTable {
+        let staleness = SimDuration::from_secs(90);
+        LinkStateTable::with_peers(HostId(0), PeerSet::new(10, ids), 100, 0.1, 5, staleness, 0.01, 0.05)
+    }
+
+    fn table() -> LinkStateTable {
+        table_over(&[2, 5, 7])
+    }
+
+    #[test]
+    fn state_is_kept_for_peers_only() {
+        let mut t = table();
+        let now = SimTime::from_secs(10);
+        assert_eq!(t.snapshot().iter().map(|e| e.peer.0).collect::<Vec<_>>(), [2, 5, 7]);
+        // A stranger's advertisement is not stored...
+        vector_from(&mut t, 3, 7, 0.0, 10, now);
+        assert_eq!(t.remote_metric(HostId(3), HostId(7), now), None);
+        // ...a peer's is, whatever host it is about.
+        vector_from(&mut t, 5, 8, 0.0, 10, now);
+        assert!(t.remote_metric(HostId(5), HostId(8), now).is_some());
+        // And the direct path toward a stranger reads as never sampled.
+        assert_eq!(t.direct(HostId(8)).samples(), 0);
+        assert!(!t.direct(HostId(8)).is_dead());
+    }
+
+    #[test]
+    #[should_panic(expected = "host 8 is not a peer of host 0")]
+    fn recording_toward_a_stranger_is_a_bug() {
+        table().direct_mut(HostId(8));
+    }
+
+    #[test]
+    fn lossy_direct_path_detours_through_the_common_neighbour() {
+        let mut t = table();
+        let now = SimTime::from_secs(100);
+        feed_direct(&mut t, 7, 30, 70, 100); // 0→7: 30% lossy, 100 ms
+        feed_direct(&mut t, 5, 0, 100, 20); // 0→5 clean, 20 ms
+        vector_from(&mut t, 5, 7, 0.0, 30, now); // 5 peers with 7 too
+        let mut rng = Rng::new(1);
+        assert_eq!(t.route(HostId(7), Policy::MinLoss, now, &mut rng), Route::Via(HostId(5)));
+        assert_eq!(t.route(HostId(7), Policy::MinLat, now, &mut rng), Route::Via(HostId(5)));
+        let avoiding = t.route_avoiding(HostId(7), Policy::MinLoss, now, &mut rng, &[Route::Direct]);
+        assert_eq!(avoiding, Route::Via(HostId(5)));
+    }
+
+    #[test]
+    fn a_stranger_is_reached_through_a_peer_that_advertises_it() {
+        let mut t = table();
+        let now = SimTime::from_secs(100);
+        let mut rng = Rng::new(2);
+        // Nothing known: the never-sampled direct path is all there is.
+        assert_eq!(t.route(HostId(8), Policy::MinLoss, now, &mut rng), Route::Direct);
+        assert_eq!(t.route(HostId(8), Policy::MinLat, now, &mut rng), Route::Direct);
+        feed_direct(&mut t, 5, 0, 100, 20);
+        vector_from(&mut t, 5, 8, 0.0, 30, now);
+        assert_eq!(t.route(HostId(8), Policy::MinLoss, now, &mut rng), Route::Via(HostId(5)));
+        assert_eq!(t.route(HostId(8), Policy::MinLat, now, &mut rng), Route::Via(HostId(5)));
+    }
+
+    #[test]
+    fn random_picks_uniformly_among_peers_and_nobody_else() {
+        let t = table();
+        let mut rng = Rng::new(3);
+        // Toward a peer the two others are candidates, toward a
+        // stranger all three.
+        for (dst, candidates) in [(7u16, &[2u16, 5][..]), (8, &[2, 5, 7])] {
+            let mut counts = [0u32; 10];
+            for _ in 0..6_000 {
+                match t.route(HostId(dst), Policy::Random, SimTime::ZERO, &mut rng) {
+                    Route::Via(k) => counts[k.idx()] += 1,
+                    Route::Direct => panic!("peers to detour through exist"),
+                }
+            }
+            let share = 6_000 / candidates.len() as u32;
+            for (k, &count) in counts.iter().enumerate() {
+                if candidates.contains(&(k as u16)) {
+                    assert!(count.abs_diff(share) < share / 5, "toward {dst} via {k}: {count}");
+                } else {
+                    assert_eq!(count, 0, "toward {dst} via non-candidate {k}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_lone_peer_that_is_the_destination_leaves_only_direct() {
+        let t = table_over(&[4]);
+        let mut rng = Rng::new(4);
+        assert_eq!(t.route(HostId(4), Policy::Random, SimTime::ZERO, &mut rng), Route::Direct);
+        assert_eq!(t.route(HostId(9), Policy::Random, SimTime::ZERO, &mut rng), Route::Via(HostId(4)));
     }
 }

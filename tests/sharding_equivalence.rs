@@ -390,10 +390,10 @@ fn golden_stress_scenario_fingerprints() {
         ("asymmetric-paths", 0x37a3046e85afc239, 57220425, 6309293),
         ("flash-crowd", 0xcb6d99d34a8fdc8f, 57121239, 6298357),
         ("correlated-outages-dense", 0x4a673816bee8c380, 47142756, 5198068),
-        ("sparse-mesh-small", 0xd7eeed81a99baf41, 30803035, 3389687),
+        ("sparse-mesh-small", 0x7cf5cce05c972967, 970985, 102195),
         ("delta-dissem", 0xeb53e7d03661a980, 1839792, 156548),
         ("gossip-dissem", 0xb64836c065172ac4, 5251929, 528496),
-        ("sparse-mesh-small-delta", 0x490a9bec1c4ce4b9, 9928839, 893056),
+        ("sparse-mesh-small-delta", 0xcbed087de6a7df46, 448875, 27515),
     ];
     let specs: Vec<ScenarioSpec> = golden
         .iter()
