@@ -298,8 +298,8 @@ fn parse_args() -> Args {
         std::process::exit(2);
     }
     if args.scale_sweep {
-        if args.max_hosts < 30 || args.max_hosts > 100_000 {
-            eprintln!("--max-hosts must be in 30..=100000, got {}", args.max_hosts);
+        if args.max_hosts < 30 || args.max_hosts > netsim::MAX_HOSTS {
+            eprintln!("--max-hosts must be in 30..={}, got {}", netsim::MAX_HOSTS, args.max_hosts);
             std::process::exit(2);
         }
         if args.mesh_k == 0 || args.mesh_k >= 30 {

@@ -121,7 +121,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::{mpsc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -221,13 +221,13 @@ impl CampaignJob {
     ///
     /// If `k` is outside the plan (callers bounds-check leases first).
     pub fn run_slice_index(&self, k: usize) -> ExperimentOutput {
-        self.run_slice_on(self.spec.topology(self.seed), k)
+        self.run_slice_on(Arc::new(self.spec.topology(self.seed)), k)
     }
 
-    /// [`Self::run_slice_index`] on a copy of the job's topology the
-    /// caller already holds: building one costs several clones, so a
-    /// worker builds it once and clones it per leased slice.
-    fn run_slice_on(&self, topo: Topology, k: usize) -> ExperimentOutput {
+    /// [`Self::run_slice_index`] on the job's topology the caller
+    /// already holds: building one costs several clones, so a worker
+    /// builds it once and every leased slice shares it.
+    fn run_slice_on(&self, topo: Arc<Topology>, k: usize) -> ExperimentOutput {
         let cfg = self.config();
         let plan = SlicePlan::new(&cfg);
         run_slice(topo, plan.slice_config(&cfg, k), plan.slices()[k].start).0
@@ -829,7 +829,7 @@ fn lease_loop(
 ) -> io::Result<()> {
     let jobs = opts.jobs.max(1);
     let plan_len = job.plan().len() as u64;
-    let topo = job.spec.topology(job.seed);
+    let topo = Arc::new(job.spec.topology(job.seed));
     // Finished computes flow back over one channel. Capacity `jobs`
     // means a compute thread's `send` never blocks: at most `jobs`
     // computes are outstanding and each sends exactly once.

@@ -27,6 +27,7 @@ use overlay::{
     Delivered, DisseminationMode, MeasureKind, NodeConfig, OverlayNode, Packet, PeerSet, Policy,
     Route, RouteTag, Transmit,
 };
+use std::sync::Arc;
 use trace::{Collector, CollectorConfig, CollectorStats, PairOutcome, RecvEvent, SendEvent};
 
 /// Experiment parameters.
@@ -419,7 +420,7 @@ struct Runner {
 }
 
 impl Runner {
-    fn new(topo: Topology, cfg: ExperimentConfig, start: SimTime) -> Self {
+    fn new(topo: Arc<Topology>, cfg: ExperimentConfig, start: SimTime) -> Self {
         let n = topo.n();
         let total_methods = cfg.methods.total();
         // Scenario-driven configs were validated at resolve time; this
@@ -734,7 +735,9 @@ impl Runner {
         }
     }
 
-    fn run(mut self) -> (ExperimentOutput, u64) {
+    /// Runs the event loop through the slice and its resolution tail;
+    /// returns the instant the tail ends.
+    fn simulate(&mut self) -> SimTime {
         let n = self.nodes.len();
         let end = self.start + self.cfg.duration;
         // Tail time for in-flight pairs to resolve.
@@ -767,6 +770,12 @@ impl Runner {
                 }
             }
         }
+        hard_end
+    }
+
+    fn run(mut self) -> (ExperimentOutput, u64) {
+        let n = self.nodes.len();
+        let hard_end = self.simulate();
         // Final resolution of everything still pending.
         self.collector.advance(hard_end);
         self.collector.finish(hard_end);
@@ -802,7 +811,7 @@ impl Runner {
 
 /// Runs one workload slice: a self-contained sub-experiment whose
 /// measurement period starts at the absolute instant `start`. The slice
-/// inherits the topology (same testbed) but animates it with `cfg.seed`
+/// shares the topology (same testbed) but animates it with `cfg.seed`
 /// (the caller derives per-slice seeds); diurnal load, host clocks and
 /// window statistics all see the true campaign timeline because the
 /// network processes are functions of absolute time and initialise
@@ -812,7 +821,7 @@ impl Runner {
 /// footprint (bytes) over all nodes at slice end. It never enters
 /// [`ExperimentOutput`], so byte identity is untouched.
 pub(crate) fn run_slice(
-    topo: Topology,
+    topo: Arc<Topology>,
     cfg: ExperimentConfig,
     start: SimTime,
 ) -> (ExperimentOutput, u64) {
@@ -839,6 +848,33 @@ mod tests {
         cfg.seed = seed;
         cfg.flat_load = true;
         cfg
+    }
+
+    /// Resident state follows live work: at the end of a sparse-mesh run
+    /// under direct probing (the scale sweep's method set; a detour adds
+    /// the via → dst core links) the network has animated the segments
+    /// its packets crossed — each host's two access links and the core
+    /// links to its k mesh neighbours — not one per ordered host pair,
+    /// and the event queue holds buffers for what is pending, not for
+    /// every bucket it ever filled.
+    #[test]
+    fn a_run_holds_state_for_what_it_used() {
+        let (hosts, k) = (60, 6);
+        let mut topo = Topology::synthetic(hosts, 0.02, 3);
+        topo.set_probe_mesh(netsim::sparse_mesh(hosts, k, 3));
+        let direct = MethodSet {
+            methods: vec![crate::method::Method::single("direct", RouteTag::Direct)],
+            views: Vec::new(),
+        };
+        let mut runner = Runner::new(Arc::new(topo), quick_cfg(direct, 3, 25), SimTime::ZERO);
+        runner.simulate();
+        assert!(runner.net.counters().sent > 10_000);
+        let animated = runner.net.animated_segments();
+        assert!(animated > hosts, "animated {animated}");
+        assert!(animated <= (k + 2) * hosts, "animated {animated} segments");
+        // 25 simulated minutes is more than a ring revolution.
+        let held = runner.q.approx_bytes();
+        assert!(held < 1 << 20, "the event queue retains {held} bytes");
     }
 
     #[test]

@@ -60,7 +60,7 @@ use crate::experiment::{run_slice, ExperimentConfig, ExperimentOutput};
 use crate::report;
 use netsim::{Rng, SimDuration, SimTime, Topology};
 use std::collections::BTreeMap;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// One independently simulated slice of the campaign.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -261,59 +261,38 @@ pub struct CampaignDiag {
 pub fn run_sharded(topo: Topology, cfg: ExperimentConfig) -> (ExperimentOutput, CampaignDiag) {
     let plan = SlicePlan::new(&cfg);
     let workers = resolve_shards(&cfg).min(plan.len());
-    execute(&plan, workers, topo, |s, topo| {
-        run_slice(topo, plan.slice_config(&cfg, s.index), s.start)
-    })
+    let topo = Arc::new(topo);
+    execute(&plan, workers, |s| run_slice(topo.clone(), plan.slice_config(&cfg, s.index), s.start))
 }
 
 /// What the workers of one [`execute`] share.
 struct Exec {
     /// Next unclaimed slice index.
     next: usize,
-    /// The campaign topology, until the last slice takes it.
-    topo: Option<Topology>,
     merger: SliceMerger,
     diag: CampaignDiag,
 }
 
 /// The one slice executor: `workers` claim slice indices in order, `run`
-/// each on its own copy of the topology, and feed the merger.
-///
-/// The claim hands the topology out under the same lock as the index —
-/// a clone for every slice but the last, which *takes* it: a large
-/// mesh's segment table is by far the biggest allocation in the
-/// process, and a one-slice plan (every short run) must not copy it for
-/// nothing.
-fn execute<R>(
-    plan: &SlicePlan,
-    workers: usize,
-    topo: Topology,
-    run: R,
-) -> (ExperimentOutput, CampaignDiag)
+/// each, and feed the merger.
+fn execute<R>(plan: &SlicePlan, workers: usize, run: R) -> (ExperimentOutput, CampaignDiag)
 where
-    R: Fn(&Slice, Topology) -> (ExperimentOutput, u64) + Sync,
+    R: Fn(&Slice) -> (ExperimentOutput, u64) + Sync,
 {
     const POISONED: &str = "another slice worker panicked";
-    let last = plan.len() - 1;
     let shared = Mutex::new(Exec {
         next: 0,
-        topo: Some(topo),
         merger: SliceMerger::default(),
         diag: CampaignDiag::default(),
     });
     let work = || loop {
-        let (slice, topo) = {
+        let slice = {
             let mut st = shared.lock().expect(POISONED);
             let Some(slice) = plan.slices().get(st.next) else { break };
             st.next += 1;
-            let topo = if slice.index == last {
-                st.topo.take().expect("the last slice is claimed once")
-            } else {
-                st.topo.as_ref().expect("the last slice is claimed last").clone()
-            };
-            (slice, topo)
+            slice
         };
-        let (out, table_bytes) = run(slice, topo);
+        let (out, table_bytes) = run(slice);
         let mut st = shared.lock().expect(POISONED);
         st.diag.peak_table_bytes = st.diag.peak_table_bytes.max(table_bytes);
         st.merger.push(slice.index, out);
@@ -433,8 +412,9 @@ mod tests {
         let plan = SlicePlan::new(&c);
         assert_eq!(plan.len(), 8);
         let lockstep = std::sync::Barrier::new(2);
-        let (out, diag) = execute(&plan, 2, Topology::synthetic(4, 0.02, 5), |s, topo| {
-            let done = run_slice(topo, plan.slice_config(&c, s.index), s.start);
+        let topo = Arc::new(Topology::synthetic(4, 0.02, 5));
+        let (out, diag) = execute(&plan, 2, |s| {
+            let done = run_slice(topo.clone(), plan.slice_config(&c, s.index), s.start);
             lockstep.wait();
             done
         });

@@ -71,9 +71,29 @@ impl LatencyModel {
 
     /// Samples a one-way delay for a packet crossing at `now`.
     pub fn sample(&self, now: SimTime, congested: bool, rng: &mut Rng) -> SimDuration {
+        self.sample_with_mu(now, congested, self.jitter_mu(), rng)
+    }
+
+    /// Log-space mean of the jitter component: `ln(jitter_median)` in
+    /// microseconds (unused, and `-inf`, when there is no jitter).
+    pub(crate) fn jitter_mu(&self) -> f64 {
+        (self.jitter_median.as_micros() as f64).ln()
+    }
+
+    /// [`Self::sample`] with [`Self::jitter_mu`] supplied by a caller
+    /// that computed it once (a live segment), sparing every crossing a
+    /// `ln` of the same operand. `normal(mu, sigma).exp()` is what
+    /// [`Rng::lognormal`] evaluates, so the bits are the same.
+    pub(crate) fn sample_with_mu(
+        &self,
+        now: SimTime,
+        congested: bool,
+        jitter_mu: f64,
+        rng: &mut Rng,
+    ) -> SimDuration {
         let mut d = self.prop;
         if self.jitter_median > SimDuration::ZERO {
-            let j = rng.lognormal(self.jitter_median.as_micros() as f64, self.jitter_sigma);
+            let j = rng.normal(jitter_mu, self.jitter_sigma).exp();
             d += SimDuration::from_micros(j.min(5e7) as u64); // cap pathological draws at 50 s
         }
         if congested && self.queue_bad > SimDuration::ZERO {

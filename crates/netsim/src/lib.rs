@@ -57,4 +57,6 @@ pub use stress::{
     LoadWaveSpec, SharedRiskSpec,
 };
 pub use time::{SimDuration, SimTime};
-pub use topology::{sparse_mesh, HostClass, HostId, HostInfo, Topology, TopologyParams};
+pub use topology::{
+    sparse_mesh, HostClass, HostId, HostInfo, Topology, TopologyParams, MAX_HOSTS,
+};

@@ -141,23 +141,35 @@ impl GilbertElliott {
     /// Advances the chain to `now` and reports whether the segment is in a
     /// congestion burst.
     pub fn is_bad(&mut self, now: SimTime, intensity: f64, rng: &mut Rng) -> bool {
-        if !self.init {
-            // First observation: start from the stationary distribution so
-            // short runs are unbiased.
+        self.is_bad_with(now, || intensity, rng)
+    }
+
+    /// [`Self::is_bad`] with the load intensity as a thunk: it is only
+    /// read when a sojourn must be drawn (a crossing in fifty on the
+    /// paper's campaign), so the caller's diurnal `sin` and hot-window
+    /// scan run on that path alone. Same draws, same bits.
+    pub fn is_bad_with(
+        &mut self,
+        now: SimTime,
+        intensity: impl FnOnce() -> f64,
+        rng: &mut Rng,
+    ) -> bool {
+        if self.init && now < self.until {
+            return self.bad;
+        }
+        let intensity = intensity();
+        // First observation: start from the stationary distribution so
+        // short runs are unbiased. Later, fast-skip long idle gaps:
+        // beyond many cycle lengths the state is stationary again, so
+        // resample it instead of replaying every sojourn.
+        let resample = !self.init || {
+            let cycle = self.params.mean_good.as_micros() as f64 / intensity.max(1e-9)
+                + self.params.mean_bad_micros();
+            let gap = now.since(self.until).as_micros() as f64;
+            gap > 64.0 * cycle
+        };
+        if resample {
             self.init = true;
-            self.bad = rng.chance(self.params.stationary_bad(intensity));
-            self.until = now + self.draw_sojourn(self.bad, intensity, rng);
-            return self.bad;
-        }
-        if now < self.until {
-            return self.bad;
-        }
-        // Fast-skip long idle gaps: beyond many cycle lengths the state is
-        // stationary, so resample it instead of replaying every sojourn.
-        let cycle = self.params.mean_good.as_micros() as f64 / intensity.max(1e-9)
-            + self.params.mean_bad_micros();
-        let gap = now.since(self.until).as_micros() as f64;
-        if gap > 64.0 * cycle {
             self.bad = rng.chance(self.params.stationary_bad(intensity));
             self.until = now + self.draw_sojourn(self.bad, intensity, rng);
             return self.bad;
@@ -173,7 +185,17 @@ impl GilbertElliott {
     /// Advances to `now` and samples one packet crossing: returns
     /// `(in_burst, lost)`.
     pub fn observe(&mut self, now: SimTime, intensity: f64, rng: &mut Rng) -> (bool, bool) {
-        let bad = self.is_bad(now, intensity, rng);
+        self.observe_with(now, || intensity, rng)
+    }
+
+    /// [`Self::observe`] over [`Self::is_bad_with`].
+    pub fn observe_with(
+        &mut self,
+        now: SimTime,
+        intensity: impl FnOnce() -> f64,
+        rng: &mut Rng,
+    ) -> (bool, bool) {
+        let bad = self.is_bad_with(now, intensity, rng);
         let p = if bad { self.params.loss_bad } else { self.params.loss_good };
         (bad, rng.chance(p))
     }
@@ -182,6 +204,40 @@ impl GilbertElliott {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// The thunk form is the eager form minus the evaluations nobody
+        /// reads: over any crossing schedule it calls its closure exactly
+        /// on the crossings where `is_bad` draws a sojourn (the only draws
+        /// it makes), and returns the same `(bad, lost)` stream and leaves
+        /// the RNG in the same state as the `f64` form.
+        #[test]
+        fn thunk_form_matches_eager_form_and_is_read_only_on_a_draw(
+            seed in 0u64..1_000,
+            loss in prop_oneof![Just(0.0), 0.0005f64..0.2],
+            gaps in proptest::collection::vec(
+                prop_oneof![0u64..2_000, 0u64..2_000_000, 0u64..4_000_000_000], 1..400),
+        ) {
+            let params = GeParams::from_stationary_loss(loss);
+            let (mut eager, mut lazy) = (GilbertElliott::new(params), GilbertElliott::new(params));
+            let (mut eager_rng, mut lazy_rng) = (Rng::new(seed), Rng::new(seed));
+            let mut now = SimTime::ZERO;
+            for (i, gap) in gaps.into_iter().enumerate() {
+                now += SimDuration::from_micros(gap);
+                let intensity = 0.4 + (i % 7) as f64 * 0.2;
+                // `is_bad`, then the crossing's own loss draw: `observe`.
+                let before = format!("{lazy_rng:?}");
+                let mut reads = 0;
+                let bad = lazy.is_bad_with(now, || { reads += 1; intensity }, &mut lazy_rng);
+                let drew = format!("{lazy_rng:?}") != before;
+                prop_assert_eq!(reads, drew as u32, "closure reads vs sojourn draws at step {}", i);
+                let lost = lazy_rng.chance(if bad { params.loss_bad } else { params.loss_good });
+                prop_assert_eq!((bad, lost), eager.observe(now, intensity, &mut eager_rng));
+                prop_assert_eq!(format!("{lazy_rng:?}"), format!("{eager_rng:?}"));
+            }
+        }
+    }
 
     fn sample_loss_rate(params: GeParams, spacing: SimDuration, n: u64, seed: u64) -> f64 {
         let mut ge = GilbertElliott::new(params);

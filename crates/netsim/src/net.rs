@@ -1,6 +1,7 @@
 //! The animated network: transmits packets across a topology.
 //!
-//! [`Network`] owns the live state of every segment plus per-host
+//! [`Network`] owns the live state of every segment a packet has crossed
+//! (segments animate on first use, see [`Network`]) plus per-host
 //! process-liveness, and answers one question: *a packet leaves `src`
 //! for `dst` at time `t` — when does it arrive, if at all?* All policy
 //! (probing, routing, duplication) lives in higher crates.
@@ -12,6 +13,7 @@ use crate::segment::{DropCause, Segment, SegmentId, Transit};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{HostId, Topology};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// The outcome of handing one packet to the network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -80,9 +82,24 @@ impl NetCounters {
 }
 
 /// Live network state for one experiment run.
+///
+/// Segments animate on first use: a slot of `segments` stays `None`
+/// until a [`Self::transmit`] or [`Self::segment_mut`] names it, so a
+/// run holds live state for the segments it crossed, not for every
+/// ordered host pair of the testbed (a k-regular mesh transmits on n·k
+/// of its n² core segments). This is exact, not approximate: a segment
+/// is built from its own spec and from an RNG stream derived from the
+/// seed and *its id alone*, and its processes initialise at their first
+/// observation — so when, and in what order, segments come to exist
+/// cannot move a draw.
 pub struct Network {
-    topo: Topology,
-    segments: Vec<Segment>,
+    topo: Arc<Topology>,
+    /// One slot per [`SegmentId`]; the never-touched pages of this
+    /// zero-initialised pointer table cost nothing.
+    segments: Vec<Option<Box<Segment>>>,
+    animated: usize,
+    /// Parent of every segment's stream (and of `host_rng`).
+    root: Rng,
     host_proc: Vec<OutageProcess>,
     host_rng: Rng,
     load: LoadProfile,
@@ -90,17 +107,12 @@ pub struct Network {
 }
 
 impl Network {
-    /// Animates `topo`; all randomness derives from `seed`.
-    pub fn new(topo: Topology, seed: u64) -> Self {
+    /// A network over `topo`; all randomness derives from `seed`. Takes
+    /// the topology by value or as a shared `Arc` (the slices of one
+    /// campaign share theirs).
+    pub fn new(topo: impl Into<Arc<Topology>>, seed: u64) -> Self {
+        let topo = topo.into();
         let root = Rng::new(seed);
-        let segments = topo
-            .specs()
-            .iter()
-            .enumerate()
-            .map(|(i, spec)| {
-                Segment::new(SegmentId(i as u32), spec.clone(), root.derive(0x5E6 + i as u64))
-            })
-            .collect();
         // Host process crashes: rare, minutes-long (the events the
         // collector's 90 s rule must filter, §4.1).
         // Volunteer-testbed flakiness: measurement processes restart,
@@ -121,10 +133,12 @@ impl Network {
         };
         let host_proc = (0..topo.n()).map(|_| OutageProcess::new(crash_params)).collect();
         Network {
+            segments: vec![None; topo.specs().len()],
+            animated: 0,
             topo,
-            segments,
             host_proc,
             host_rng: root.derive(0xCAFE),
+            root,
             load: LoadProfile::diurnal(),
             counters: NetCounters::default(),
         }
@@ -160,10 +174,10 @@ impl Network {
     pub fn transmit(&mut self, now: SimTime, src: HostId, dst: HostId) -> Delivery {
         debug_assert_ne!(src, dst, "no self-hops on the overlay");
         self.counters.sent += 1;
+        let load = self.load; // a copy: `segment_mut` borrows all of `self`
         let mut t = now;
         for seg_id in self.topo.path(src, dst) {
-            let intensity = self.load.intensity(t);
-            match self.segments[seg_id.0 as usize].transit(t, intensity) {
+            match self.segment_mut(seg_id).transit(t, &load) {
                 Transit::Pass(d) => t += d,
                 Transit::Dropped(cause) => {
                     match cause {
@@ -198,9 +212,20 @@ impl Network {
         self.counters.lsa_entries += entries;
     }
 
-    /// Mutable access to a segment (fault injection in tests/examples).
+    /// Mutable access to a segment, animating it if this is its first
+    /// use (every crossing, and fault injection in tests/examples).
     pub fn segment_mut(&mut self, id: SegmentId) -> &mut Segment {
-        &mut self.segments[id.0 as usize]
+        let Network { segments, animated, topo, root, .. } = self;
+        let i = id.0 as usize;
+        segments[i].get_or_insert_with(|| {
+            *animated += 1;
+            Box::new(Segment::new(id, topo.specs()[i].clone(), root.derive(0x5E6 + i as u64)))
+        })
+    }
+
+    /// How many segments have been animated so far.
+    pub fn animated_segments(&self) -> usize {
+        self.animated
     }
 }
 
@@ -268,6 +293,8 @@ mod tests {
         assert!(near < 15.0, "metro {near}ms");
     }
 
+    /// `segment_mut` on a segment no packet has crossed yet animates it,
+    /// and the outage injected into it holds for the transmits after.
     #[test]
     fn forced_outage_kills_direct_but_not_detour() {
         let topo = Topology::synthetic(4, 0.0, 4);
@@ -277,10 +304,55 @@ mod tests {
         net.set_load(LoadProfile::flat());
         let t = SimTime::from_secs(100);
         net.segment_mut(core_ab).force_outage(t, SimDuration::from_secs(60));
+        assert_eq!(net.animated_segments(), 1);
         assert!(!net.transmit(t, a, b).is_delivered(), "direct must die");
         // Detour a→c and c→b avoids the failed core segment.
         assert!(net.transmit(t, a, c).is_delivered());
         assert!(net.transmit(t, c, b).is_delivered());
+    }
+
+    #[test]
+    fn segments_animate_on_first_use_only() {
+        let mut net = Network::new(Topology::synthetic(480, 0.01, 5), 5);
+        assert_eq!(net.animated_segments(), 0, "building a network animates nothing");
+        let mut rng = Rng::new(5);
+        let transmits = 500;
+        for i in 0..transmits {
+            let src = rng.below(480) as u16;
+            let dst = (src + 1 + rng.below(479) as u16) % 480;
+            net.transmit(SimTime::from_millis(i * 10), HostId(src), HostId(dst));
+        }
+        let animated = net.animated_segments();
+        assert!(animated > 0 && animated <= 3 * transmits as usize, "animated {animated}");
+        // Crossing the same three segments again animates nothing new.
+        net.transmit(SimTime::from_secs(10), HostId(7), HostId(9));
+        let after_first = net.animated_segments();
+        net.transmit(SimTime::from_secs(11), HostId(7), HostId(9));
+        assert_eq!(net.animated_segments(), after_first);
+    }
+
+    /// A segment's stream derives from the seed and its own id, so the
+    /// order in which segments come to exist cannot move a draw: two
+    /// networks that carry the same timed schedule on two disjoint
+    /// pairs, one starting with pair A and one with pair B, see the
+    /// same deliveries on each pair.
+    #[test]
+    fn animation_order_cannot_matter() {
+        let pair_a = (HostId(0), HostId(1));
+        let pair_b = (HostId(2), HostId(3));
+        let carry = |net: &mut Network, (src, dst): (HostId, HostId)| -> Vec<Delivery> {
+            (0..4_000).map(|i| net.transmit(SimTime::from_millis(i * 23), src, dst)).collect()
+        };
+        let mut a_first = Network::new(Topology::synthetic(6, 0.05, 8), 8);
+        let a1 = carry(&mut a_first, pair_a);
+        let b1 = carry(&mut a_first, pair_b);
+        let mut b_first = Network::new(Topology::synthetic(6, 0.05, 8), 8);
+        let b2 = carry(&mut b_first, pair_b);
+        let a2 = carry(&mut b_first, pair_a);
+        assert_eq!(a1, a2);
+        assert_eq!(b1, b2);
+        assert!(a1.iter().any(|d| !d.is_delivered()), "the schedule must see loss");
+        assert_ne!(a1, b1, "the two pairs draw from different streams");
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! This is the mechanism behind the paper's correlated-loss findings.
 
 use crate::latency::LatencyModel;
+use crate::load::LoadProfile;
 use crate::loss::{GeParams, GilbertElliott};
 use crate::outage::{OutageParams, OutageProcess};
 use crate::rng::Rng;
@@ -80,6 +81,8 @@ pub struct Segment {
     loss: GilbertElliott,
     outage: OutageProcess,
     latency: LatencyModel,
+    /// `latency.jitter_mu()`, taken once.
+    jitter_mu: f64,
     hot: Vec<(SimTime, SimTime, f64)>,
     down: Vec<(SimTime, SimTime)>,
     rng: Rng,
@@ -95,6 +98,7 @@ impl Segment {
             id,
             loss: GilbertElliott::new(spec.loss),
             outage: OutageProcess::new(spec.outage),
+            jitter_mu: spec.latency.jitter_mu(),
             latency: spec.latency,
             hot: spec.hot,
             down: spec.down,
@@ -110,19 +114,10 @@ impl Segment {
         self.id
     }
 
-    fn hot_factor(&self, now: SimTime) -> f64 {
-        let mut f = 1.0;
-        for &(start, end, factor) in &self.hot {
-            if now >= start && now < end {
-                f *= factor;
-            }
-        }
-        f
-    }
-
-    /// Passes one packet across the segment at `now` under the global load
-    /// `base_intensity`.
-    pub fn transit(&mut self, now: SimTime, base_intensity: f64) -> Transit {
+    /// Passes one packet across the segment at `now` under the global
+    /// `load`. The loss process reads the intensity (load × hot windows)
+    /// only on the crossings that draw a sojourn, so it is a thunk.
+    pub fn transit(&mut self, now: SimTime, load: &LoadProfile) -> Transit {
         self.crossings += 1;
         if self.down.iter().any(|&(start, end)| now >= start && now < end) {
             self.drops_outage += 1;
@@ -132,13 +127,22 @@ impl Segment {
             self.drops_outage += 1;
             return Transit::Dropped(DropCause::Outage);
         }
-        let intensity = base_intensity * self.hot_factor(now);
-        let (congested, lost) = self.loss.observe(now, intensity, &mut self.rng);
+        let hot = &self.hot;
+        let intensity = || {
+            let mut f = 1.0;
+            for &(start, end, factor) in hot {
+                if now >= start && now < end {
+                    f *= factor;
+                }
+            }
+            load.intensity(now) * f
+        };
+        let (congested, lost) = self.loss.observe_with(now, intensity, &mut self.rng);
         if lost {
             self.drops_congestion += 1;
             return Transit::Dropped(DropCause::Congestion);
         }
-        Transit::Pass(self.latency.sample(now, congested, &mut self.rng))
+        Transit::Pass(self.latency.sample_with_mu(now, congested, self.jitter_mu, &mut self.rng))
     }
 
     /// Injects a forced outage (fault injection for tests/examples).
@@ -160,11 +164,16 @@ mod tests {
         SegmentSpec::ideal(SimDuration::from_millis(10))
     }
 
+    /// One crossing under flat load (intensity 1.0).
+    fn cross(s: &mut Segment, now: SimTime) -> Transit {
+        s.transit(now, &LoadProfile::flat())
+    }
+
     #[test]
     fn ideal_segment_always_passes_with_fixed_delay() {
         let mut s = Segment::new(SegmentId(0), quiet_spec(), Rng::new(1));
         for i in 0..1000 {
-            match s.transit(SimTime::from_secs(i), 1.0) {
+            match cross(&mut s, SimTime::from_secs(i)) {
                 Transit::Pass(d) => assert_eq!(d, SimDuration::from_millis(10)),
                 Transit::Dropped(_) => panic!("ideal segment dropped a packet"),
             }
@@ -178,10 +187,10 @@ mod tests {
         let mut s = Segment::new(SegmentId(1), quiet_spec(), Rng::new(2));
         s.force_outage(SimTime::from_secs(10), SimDuration::from_secs(5));
         assert!(matches!(
-            s.transit(SimTime::from_secs(12), 1.0),
+            cross(&mut s, SimTime::from_secs(12)),
             Transit::Dropped(DropCause::Outage)
         ));
-        assert!(matches!(s.transit(SimTime::from_secs(16), 1.0), Transit::Pass(_)));
+        assert!(matches!(cross(&mut s, SimTime::from_secs(16)), Transit::Pass(_)));
     }
 
     #[test]
@@ -195,7 +204,7 @@ mod tests {
             let n = 200_000u64;
             for i in 0..n {
                 // Every 100 ms, all inside the first hour.
-                if matches!(s.transit(SimTime::from_millis(i * 18), 1.0), Transit::Dropped(_)) {
+                if matches!(cross(&mut s, SimTime::from_millis(i * 18)), Transit::Dropped(_)) {
                     lost += 1;
                 }
             }
@@ -213,16 +222,16 @@ mod tests {
         let mut spec = quiet_spec();
         spec.down.push((SimTime::from_secs(100), SimTime::from_secs(160)));
         let mut s = Segment::new(SegmentId(9), spec, Rng::new(7));
-        assert!(matches!(s.transit(SimTime::from_secs(99), 1.0), Transit::Pass(_)));
+        assert!(matches!(cross(&mut s, SimTime::from_secs(99)), Transit::Pass(_)));
         assert!(matches!(
-            s.transit(SimTime::from_secs(100), 1.0),
+            cross(&mut s, SimTime::from_secs(100)),
             Transit::Dropped(DropCause::Outage)
         ));
         assert!(matches!(
-            s.transit(SimTime::from_secs(159), 1.0),
+            cross(&mut s, SimTime::from_secs(159)),
             Transit::Dropped(DropCause::Outage)
         ));
-        assert!(matches!(s.transit(SimTime::from_secs(160), 1.0), Transit::Pass(_)));
+        assert!(matches!(cross(&mut s, SimTime::from_secs(160)), Transit::Pass(_)));
         let (_, outage_drops, _) = s.counters();
         assert_eq!(outage_drops, 2);
     }
@@ -234,7 +243,7 @@ mod tests {
         let mut s = Segment::new(SegmentId(3), spec, Rng::new(4));
         let mut saw_congestion = false;
         for i in 0..10_000 {
-            if let Transit::Dropped(c) = s.transit(SimTime::from_millis(i), 1.0) {
+            if let Transit::Dropped(c) = cross(&mut s, SimTime::from_millis(i)) {
                 assert_eq!(c, DropCause::Congestion);
                 saw_congestion = true;
             }

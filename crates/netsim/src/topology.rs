@@ -204,6 +204,11 @@ impl Default for TopologyParams {
     }
 }
 
+/// The most hosts a [`Topology`] can hold: [`HostId`] is a `u16`, and
+/// [`Topology::seg_core`]'s `2n + src·n + dst` is exact in `u32` up to
+/// here and overflows one host later.
+pub const MAX_HOSTS: usize = u16::MAX as usize;
+
 /// A complete testbed description.
 #[derive(Debug, Clone)]
 pub struct Topology {
@@ -213,8 +218,7 @@ pub struct Topology {
     params: TopologyParams,
     /// Optional sparse probe mesh: `probe_mesh[h]` lists the hosts `h`
     /// peers with — the only ones it probes, keeps link state for and
-    /// routes through. `None` means the historical full clique. Behind
-    /// an `Arc` because the sharded runner clones the topology per slice.
+    /// routes through. `None` means the historical full clique.
     probe_mesh: Option<std::sync::Arc<Vec<Vec<u16>>>>,
 }
 
@@ -564,8 +568,16 @@ impl Topology {
     }
 
     /// Builds a topology from arbitrary host metadata.
+    ///
+    /// # Panics
+    ///
+    /// On more than [`MAX_HOSTS`] hosts: host and segment ids would wrap.
     pub fn build(hosts: Vec<HostInfo>, params: TopologyParams, seed: u64) -> Topology {
         let n = hosts.len();
+        assert!(
+            n <= MAX_HOSTS,
+            "a topology holds at most {MAX_HOSTS} hosts (host ids are u16), got {n}"
+        );
         let root = Rng::new(seed);
         let mut param_rng = root.derive(0xA11CE);
         let mut specs = Vec::with_capacity(2 * n + n * n);
@@ -770,6 +782,12 @@ mod tests {
             mean_path_loss(&t2) > mean_path_loss(&t3),
             "2002 quiet-state path loss must exceed 2003's"
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 65535 hosts")]
+    fn host_counts_past_u16_are_refused() {
+        let _ = Topology::synthetic(MAX_HOSTS + 1, 0.01, 1);
     }
 
     #[test]

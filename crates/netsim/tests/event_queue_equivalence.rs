@@ -6,7 +6,7 @@
 
 mod support;
 
-use netsim::{EventQueue, SimTime};
+use netsim::{EventQueue, Rng, SimDuration, SimTime};
 use proptest::prelude::*;
 use support::ReferenceEventQueue;
 
@@ -25,6 +25,94 @@ fn reference_queue_matches_on_a_fixed_schedule() {
     assert_eq!(a.pop(), None);
     assert_eq!(a.scheduled(), b.scheduled());
     assert_eq!(a.dispatched(), b.dispatched());
+}
+
+/// One delay of a campaign-shaped schedule, µs: 70% packet flights
+/// (5–150 ms), 25% probe-pacing waits (0.6–1.2 s), 5% timers (1–15 s).
+fn campaign_delay(rng: &mut Rng) -> SimDuration {
+    let kind = rng.below(100);
+    let (lo, hi) = match kind {
+        0..=69 => (5_000, 150_000),
+        70..=94 => (600_000, 1_200_000),
+        _ => (1_000_000, 15_000_000),
+    };
+    SimDuration::from_micros(lo + rng.below(hi - lo))
+}
+
+/// The proptests below stop after a few hundred operations, inside the
+/// ring's first revolution. This one goes round more than three times
+/// (the ring spans ~18 simulated minutes) at a steady occupancy of 200,
+/// so nearly every push lands in a bucket whose buffer was recycled
+/// from another — and holds the queue to the memory that implies: what
+/// is pending, not a buffer for every bucket the run ever touched.
+#[test]
+fn long_haul_matches_reference_and_retains_only_what_is_pending() {
+    const OCCUPANCY: usize = 200;
+    let mut cal = EventQueue::new();
+    let mut heap = ReferenceEventQueue::new();
+    let mut rng = Rng::new(0x10C6_4A01);
+    for payload in 0..OCCUPANCY as u64 {
+        let at = SimTime::ZERO + campaign_delay(&mut rng);
+        cal.push(at, payload);
+        heap.push(at, payload);
+    }
+    let mut payload = OCCUPANCY as u64;
+    let mut now = SimTime::ZERO;
+    while now < SimTime::from_secs(60 * 60) {
+        assert_eq!(cal.peek_time(), heap.peek_time());
+        let popped = cal.pop();
+        assert_eq!(popped, heap.pop());
+        now = popped.expect("occupancy is constant").0;
+        let at = now + campaign_delay(&mut rng);
+        cal.push(at, payload);
+        heap.push(at, payload);
+        payload += 1;
+        assert_eq!(cal.len(), OCCUPANCY);
+    }
+    assert!(payload > 500_000, "only {payload} events in an hour");
+
+    // Entries are (instant, sequence number, payload).
+    let entry = std::mem::size_of::<(SimTime, u64, u64)>();
+    let ring_headers = (1 << 13) * std::mem::size_of::<Vec<u64>>();
+    let held = cal.approx_bytes();
+    assert!(held >= ring_headers + OCCUPANCY * entry, "approx_bytes {held} misses something");
+    // One private buffer per ring bucket, the shape this guards
+    // against, would be 8192 x 4 entries at the very least.
+    assert!(
+        held <= ring_headers + 64 * OCCUPANCY * entry,
+        "queue retains {held} bytes for {OCCUPANCY} pending events"
+    );
+
+    while let Some(x) = heap.pop() {
+        assert_eq!(cal.pop(), Some(x));
+    }
+    assert_eq!(cal.pop(), None);
+}
+
+/// A queue drained to empty and used again (the per-slice pattern, if a
+/// queue is ever reused) keeps working, and keeps its spare buffers: the
+/// second pass allocates nothing.
+#[test]
+fn drained_queue_refills_from_its_spares() {
+    let mut cal = EventQueue::new();
+    let mut heap = ReferenceEventQueue::new();
+    let mut held = Vec::new();
+    for pass in 0..3u64 {
+        // 150 events over 50 (2^17 µs) windows, all ahead of the open one.
+        for i in 0..150u64 {
+            let at = SimTime::from_micros(((pass * 500 + 1 + i % 50) << 17) + i / 50);
+            cal.push(at, i);
+            heap.push(at, i);
+        }
+        while let Some(x) = heap.pop() {
+            assert_eq!(cal.pop(), Some(x));
+        }
+        assert_eq!(cal.pop(), None);
+        assert!(cal.is_empty());
+        held.push(cal.approx_bytes());
+    }
+    assert_eq!(held[1], held[0], "the second pass found no spare buffers");
+    assert_eq!(held[2], held[0]);
 }
 
 #[derive(Debug, Clone)]
