@@ -130,6 +130,21 @@ fn value_of<'a>(argv: &'a [String], i: &mut usize, flag: &str) -> &'a str {
     }
 }
 
+/// The value of a numeric flag, or a usage error naming the flag and
+/// what it `takes` ("a number", "an integer").
+fn number_of<T: std::str::FromStr>(argv: &[String], i: &mut usize, flag: &str, takes: &str) -> T {
+    let v = value_of(argv, i, flag);
+    v.parse().unwrap_or_else(|_| {
+        eprintln!("{flag} takes {takes}, got `{v}`");
+        std::process::exit(2);
+    })
+}
+
+/// The comma-separated names a flag carries, blanks dropped.
+fn names_of<'a>(argv: &'a [String], i: &mut usize, flag: &str) -> impl Iterator<Item = String> + 'a {
+    value_of(argv, i, flag).split(',').map(|s| s.trim().to_string()).filter(|s| !s.is_empty())
+}
+
 fn parse_args() -> Args {
     let mut args = Args {
         artifact: "all".to_string(),
@@ -165,14 +180,13 @@ fn parse_args() -> Args {
     while i < argv.len() {
         match argv[i].as_str() {
             "--days" => {
-                args.days = Some(value_of(&argv, &mut i, "--days").parse().expect("--days takes a number"));
+                args.days = Some(number_of(&argv, &mut i, "--days", "a number"));
             }
             "--seed" => {
-                args.seed = value_of(&argv, &mut i, "--seed").parse().expect("--seed takes an integer");
+                args.seed = number_of(&argv, &mut i, "--seed", "an integer");
             }
             "--shards" => {
-                args.shards =
-                    value_of(&argv, &mut i, "--shards").parse().expect("--shards takes an integer");
+                args.shards = number_of(&argv, &mut i, "--shards", "an integer");
             }
             "--out" => {
                 args.out = PathBuf::from(value_of(&argv, &mut i, "--out"));
@@ -180,12 +194,7 @@ fn parse_args() -> Args {
             "--list-scenarios" => args.list_scenarios = true,
             "--scenario" => {
                 saw_scenario_flag = true;
-                args.scenarios.extend(
-                    value_of(&argv, &mut i, "--scenario")
-                        .split(',')
-                        .map(|s| s.trim().to_string())
-                        .filter(|s| !s.is_empty()),
-                );
+                args.scenarios.extend(names_of(&argv, &mut i, "--scenario"));
             }
             "--scenario-file" => {
                 args.scenario_file = Some(PathBuf::from(value_of(&argv, &mut i, "--scenario-file")));
@@ -195,17 +204,11 @@ fn parse_args() -> Args {
             }
             "--matrix" => {
                 saw_matrix_flag = true;
-                args.matrix.extend(
-                    value_of(&argv, &mut i, "--matrix")
-                        .split(',')
-                        .map(|s| s.trim().to_string())
-                        .filter(|s| !s.is_empty()),
-                );
+                args.matrix.extend(names_of(&argv, &mut i, "--matrix"));
             }
             "--seeds" => {
                 saw_seeds_flag = true;
-                args.seeds =
-                    value_of(&argv, &mut i, "--seeds").parse().expect("--seeds takes an integer");
+                args.seeds = number_of(&argv, &mut i, "--seeds", "an integer");
             }
             "--serve" => {
                 args.serve = Some(value_of(&argv, &mut i, "--serve").to_string());
@@ -215,38 +218,26 @@ fn parse_args() -> Args {
             }
             "--jobs" => {
                 saw_jobs_flag = true;
-                args.jobs =
-                    value_of(&argv, &mut i, "--jobs").parse().expect("--jobs takes an integer");
+                args.jobs = number_of(&argv, &mut i, "--jobs", "an integer");
             }
             "--lease-secs" => {
-                args.lease_secs = Some(
-                    value_of(&argv, &mut i, "--lease-secs")
-                        .parse()
-                        .expect("--lease-secs takes an integer"),
-                );
+                args.lease_secs = Some(number_of(&argv, &mut i, "--lease-secs", "an integer"));
             }
             "--slice-mins" => {
-                args.slice_mins = Some(
-                    value_of(&argv, &mut i, "--slice-mins")
-                        .parse()
-                        .expect("--slice-mins takes a number"),
-                );
+                args.slice_mins = Some(number_of(&argv, &mut i, "--slice-mins", "a number"));
             }
             "--scale-sweep" => args.scale_sweep = true,
             "--max-hosts" => {
                 saw_sweep_knob = true;
-                args.max_hosts =
-                    value_of(&argv, &mut i, "--max-hosts").parse().expect("--max-hosts takes an integer");
+                args.max_hosts = number_of(&argv, &mut i, "--max-hosts", "an integer");
             }
             "--mesh-k" => {
                 saw_sweep_knob = true;
-                args.mesh_k =
-                    value_of(&argv, &mut i, "--mesh-k").parse().expect("--mesh-k takes an integer");
+                args.mesh_k = number_of(&argv, &mut i, "--mesh-k", "an integer");
             }
             "--sweep-secs" => {
                 saw_sweep_knob = true;
-                args.sweep_secs =
-                    value_of(&argv, &mut i, "--sweep-secs").parse().expect("--sweep-secs takes a number");
+                args.sweep_secs = number_of(&argv, &mut i, "--sweep-secs", "a number");
             }
             "--dissem" => {
                 saw_sweep_knob = true;
@@ -289,6 +280,15 @@ fn parse_args() -> Args {
         // Every other mode runs exactly one seed; silently ignoring
         // --seeds would let the user believe they swept N of them.
         eprintln!("--seeds only applies to --matrix");
+        std::process::exit(2);
+    }
+    if !args.matrix.is_empty() && args.seed.checked_add(args.seeds as u64 - 1).is_none() {
+        // Cells run seeds --seed .. --seed + N - 1; a wrapped seed would
+        // label a cell with a seed the user never asked for.
+        eprintln!(
+            "--seed {} leaves no room for --seeds {} (cells count up from --seed)",
+            args.seed, args.seeds
+        );
         std::process::exit(2);
     }
     if saw_sweep_knob && !args.scale_sweep {
@@ -735,57 +735,45 @@ fn do_scale_sweep(args: &Args) {
 
 // ------------------------------------------------------------- artifacts
 
+/// The paper's three campaigns: scenario name, log label, and the mask
+/// folded into the master seed so the datasets draw apart.
+const DATASETS: [(&str, &str, u64); 3] =
+    [("ron2003", "RON2003", 0), ("ron-narrow", "RONnarrow", 0x2002), ("ron-wide", "RONwide", 0x2002_2002)];
+
 /// Lazily-run paper campaigns so `repro table5` does not pay for RONwide.
 struct Lab {
     days: f64,
     seed: u64,
     shards: usize,
     registry: ScenarioRegistry,
-    ron2003: Option<ExperimentOutput>,
-    narrow: Option<ExperimentOutput>,
-    wide: Option<ExperimentOutput>,
+    /// One slot per `DATASETS` entry, filled on first use.
+    outputs: [Option<ExperimentOutput>; 3],
 }
 
 impl Lab {
-    fn spec(&self, name: &str) -> ScenarioSpec {
-        self.registry.get(name).expect("paper scenarios are built in").clone()
+    fn slot(which: &str) -> usize {
+        DATASETS.iter().position(|d| d.0 == which).expect("a paper dataset")
     }
 
-    fn duration(&self, spec: &ScenarioSpec) -> SimDuration {
-        // Scale each campaign's paper duration by days/14 so relative
-        // coverage matches the paper's mix.
-        let scaled = (self.days * spec.days / 14.0).max(0.02);
-        SimDuration::from_secs_f64(scaled * 86_400.0)
-    }
-
-    fn ron2003(&mut self) -> &ExperimentOutput {
-        if self.ron2003.is_none() {
-            let spec = self.spec("ron2003");
-            let d = self.duration(&spec);
-            eprintln!("[repro] running RON2003 for {d} simulated...");
-            self.ron2003 = Some(spec.run_sharded(self.seed, Some(d), self.shards));
+    /// Runs the campaign `which` unless it already ran.
+    fn run(&mut self, which: &str) -> &ExperimentOutput {
+        let slot = Self::slot(which);
+        if self.outputs[slot].is_none() {
+            let (name, label, mask) = DATASETS[slot];
+            let spec = self.registry.get(name).expect("paper scenarios are built in");
+            // Scale each campaign's paper duration by days/14 so relative
+            // coverage matches the paper's mix.
+            let scaled = (self.days * spec.days / 14.0).max(0.02);
+            let d = SimDuration::from_secs_f64(scaled * 86_400.0);
+            eprintln!("[repro] running {label} for {d} simulated...");
+            self.outputs[slot] = Some(spec.run_sharded(self.seed ^ mask, Some(d), self.shards));
         }
-        self.ron2003.as_ref().unwrap()
+        self.get(which)
     }
 
-    fn narrow(&mut self) -> &ExperimentOutput {
-        if self.narrow.is_none() {
-            let spec = self.spec("ron-narrow");
-            let d = self.duration(&spec);
-            eprintln!("[repro] running RONnarrow for {d} simulated...");
-            self.narrow = Some(spec.run_sharded(self.seed ^ 0x2002, Some(d), self.shards));
-        }
-        self.narrow.as_ref().unwrap()
-    }
-
-    fn wide(&mut self) -> &ExperimentOutput {
-        if self.wide.is_none() {
-            let spec = self.spec("ron-wide");
-            let d = self.duration(&spec);
-            eprintln!("[repro] running RONwide for {d} simulated...");
-            self.wide = Some(spec.run_sharded(self.seed ^ 0x2002_2002, Some(d), self.shards));
-        }
-        self.wide.as_ref().unwrap()
+    /// A campaign `run` has already produced.
+    fn get(&self, which: &str) -> &ExperimentOutput {
+        self.outputs[Self::slot(which)].as_ref().expect("run() before get()")
     }
 }
 
@@ -823,20 +811,18 @@ fn measured_title(kind: &str, out: &ExperimentOutput) -> String {
 
 fn do_table5(lab: &mut Lab) {
     println!("==== Table 5: one-way loss percentages ====\n");
-    let rows = report::table5(lab.ron2003());
-    let title = measured_title("2003", lab.ron2003());
-    println!("{}", render_table5(&title, &rows));
+    let r3 = lab.run("ron2003");
+    println!("{}", render_table5(&measured_title("2003", r3), &report::table5(r3)));
     print_paper_rows("2003", paper::TABLE5_2003);
-    let rows02 = report::table5(lab.narrow());
-    let title02 = measured_title("2002", lab.narrow());
-    println!("{}", render_table5(&title02, &rows02));
+    let r2 = lab.run("ron-narrow");
+    println!("{}", render_table5(&measured_title("2002", r2), &report::table5(r2)));
     print_paper_rows("2002", paper::TABLE5_2002);
 }
 
 fn do_table6(lab: &mut Lab) {
     println!("==== Table 6: hour-long high loss periods ====\n");
-    let t = report::table6(lab.ron2003());
-    println!("{}\n{}", measured_title("2003", lab.ron2003()), render_table6(&t));
+    let r3 = lab.run("ron2003");
+    println!("{}\n{}", measured_title("2003", r3), render_table6(&report::table6(r3)));
     println!("--- paper reference (14 days, 30 hosts)");
     println!(
         "{:<8} {:>9} {:>13} {:>9} {:>9} {:>9} {:>9} {:>11} {:>9}",
@@ -855,8 +841,8 @@ fn do_table6(lab: &mut Lab) {
 
 fn do_table7(lab: &mut Lab) {
     println!("==== Table 7: expanded 2002 routing schemes (round-trip) ====\n");
-    let rows = report::table7(lab.wide());
-    println!("{}\n{}", measured_title("2002 wide", lab.wide()), render_table7(&rows));
+    let wide = lab.run("ron-wide");
+    println!("{}\n{}", measured_title("2002 wide", wide), render_table7(&report::table7(wide)));
     print_paper_rows("Table 7 (RTT column)", paper::TABLE7);
 }
 
@@ -870,14 +856,9 @@ fn write_fig(out_dir: &PathBuf, name: &str, fig: &analysis::Figure) {
 
 fn do_fig2(lab: &mut Lab, out: &PathBuf) {
     println!("==== Figure 2: CDF of long-term per-path loss rates ====\n");
-    // Run both datasets first (split borrows).
-    lab.ron2003();
-    lab.narrow();
-    let fig = {
-        let r3 = lab.ron2003.as_ref().unwrap();
-        let r2 = lab.narrow.as_ref().unwrap();
-        report::fig2(&[("2003 dataset", r3), ("2002 dataset", r2)])
-    };
+    lab.run("ron2003");
+    lab.run("ron-narrow");
+    let fig = report::fig2(&[("2003 dataset", lab.get("ron2003")), ("2002 dataset", lab.get("ron-narrow"))]);
     println!("{}", fig.render_text(&[0.0, 0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]));
     println!("paper: ~80% of paths under 1% loss; tail reaching ~6% (Korea↔DSL)\n");
     write_fig(out, "fig2", &fig);
@@ -885,7 +866,7 @@ fn do_fig2(lab: &mut Lab, out: &PathBuf) {
 
 fn do_fig3(lab: &mut Lab, out: &PathBuf) {
     println!("==== Figure 3: CDF of 20-minute loss rates ====\n");
-    let fig = report::fig3(lab.ron2003());
+    let fig = report::fig3(lab.run("ron2003"));
     println!("{}", fig.render_text(&[0.0, 0.05, 0.1, 0.2, 0.4, 0.6, 0.8, 1.0]));
     println!("paper: >95% of samples at 0% loss; reactive kills the high tail\n");
     write_fig(out, "fig3", &fig);
@@ -893,7 +874,7 @@ fn do_fig3(lab: &mut Lab, out: &PathBuf) {
 
 fn do_fig4(lab: &mut Lab, out: &PathBuf) {
     println!("==== Figure 4: CDF of per-path conditional loss probabilities ====\n");
-    let fig = report::fig4(lab.ron2003());
+    let fig = report::fig4(lab.run("ron2003"));
     println!("{}", fig.render_text(&[0.0, 20.0, 40.0, 60.0, 80.0, 100.0]));
     println!("paper: back-to-back CLP ~72% (half the paths at 100%); random-hop lower\n");
     write_fig(out, "fig4", &fig);
@@ -901,7 +882,7 @@ fn do_fig4(lab: &mut Lab, out: &PathBuf) {
 
 fn do_fig5(lab: &mut Lab, out: &PathBuf) {
     println!("==== Figure 5: CDF of one-way latencies (paths > 50 ms) ====\n");
-    let fig = report::fig5(lab.ron2003());
+    let fig = report::fig5(lab.run("ron2003"));
     println!("{}", fig.render_text(&[50.0, 75.0, 100.0, 150.0, 200.0, 250.0, 300.0]));
     println!("paper: lat/lat-loss shift the curve left; Cornell's 1 s episode in the tail\n");
     write_fig(out, "fig5", &fig);
@@ -940,10 +921,10 @@ fn do_fec() {
 
 fn do_headline(lab: &mut Lab) {
     println!("==== §4.2 headline statistics ====\n");
-    lab.ron2003();
-    lab.narrow();
-    let r3 = lab.ron2003.as_ref().unwrap();
-    let r2 = lab.narrow.as_ref().unwrap();
+    lab.run("ron2003");
+    lab.run("ron-narrow");
+    let r3 = lab.get("ron2003");
+    let r2 = lab.get("ron-narrow");
     let d3 = r3.summary("direct*").unwrap();
     let d2 = r2.summary("direct*").unwrap();
     println!(
@@ -1075,9 +1056,7 @@ fn main() {
         seed: args.seed,
         shards: args.shards,
         registry,
-        ron2003: None,
-        narrow: None,
-        wide: None,
+        outputs: [None, None, None],
     };
     println!(
         "mpath repro — datasets scaled to {} day(s) of the paper's 14 (seed {})\n",

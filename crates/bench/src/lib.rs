@@ -1,12 +1,9 @@
-//! Shared harness code for the benchmark suite and the `repro` binary:
-//! paper reference values, scaled-run helpers, and the §5.2 FEC
-//! experiment.
+//! What the `repro` binary needs beyond the library crates: the paper's
+//! reference values and the §5.2 FEC experiment.
 
 #![warn(missing_docs)]
 
 pub mod fecx;
 pub mod paper;
-pub mod runs;
 
 pub use fecx::{fec_sweep, FecPoint, FecSweepConfig};
-pub use runs::{builtin_scenario, quick_2003, quick_narrow, quick_scenario, quick_wide};
