@@ -65,10 +65,13 @@
 //!                    product)
 //! --sweep-secs F     simulated seconds per sweep step (default 10)
 //! --dissem MODE      link-state dissemination for the sweep: full
-//!                    (snapshot on every probe, the default), delta
+//!                    (snapshot on every probe, the default) or delta
 //!                    (sequence-numbered delta LSAs, full refresh
-//!                    every 16 probes) or gossip (fanout 3 every 15 s)
-//!                    — the last column shows what each mode pays in
+//!                    every 4 probes: 4 x 15 s x 1.2 jitter = 72 s,
+//!                    inside the 90 s after which a node stops
+//!                    trusting an entry — at 16, half of all route
+//!                    look-ups met an expired one) — the `lsa_B/s`
+//!                    column shows what each mode pays in
 //!                    dissemination bytes per simulated second
 //! --slice-mins F     override the scenario's slice width (minutes).
 //!                    Applies to --serve and plain --scenario runs
@@ -176,6 +179,8 @@ fn parse_args() -> Args {
     let mut saw_matrix_flag = false;
     let mut saw_seeds_flag = false;
     let mut saw_sweep_knob = false;
+    let mut saw_seed_flag = false;
+    let mut saw_shards_flag = false;
     let mut i = 0;
     while i < argv.len() {
         match argv[i].as_str() {
@@ -183,9 +188,11 @@ fn parse_args() -> Args {
                 args.days = Some(number_of(&argv, &mut i, "--days", "a number"));
             }
             "--seed" => {
+                saw_seed_flag = true;
                 args.seed = number_of(&argv, &mut i, "--seed", "an integer");
             }
             "--shards" => {
+                saw_shards_flag = true;
                 args.shards = number_of(&argv, &mut i, "--shards", "an integer");
             }
             "--out" => {
@@ -243,10 +250,9 @@ fn parse_args() -> Args {
                 saw_sweep_knob = true;
                 args.dissem = match value_of(&argv, &mut i, "--dissem") {
                     "full" => overlay::DisseminationMode::FullSnapshot,
-                    "delta" => overlay::DisseminationMode::Delta { max_age_probes: 16 },
-                    "gossip" => overlay::DisseminationMode::Gossip { fanout: 3, interval_ms: 15_000 },
+                    "delta" => overlay::DisseminationMode::Delta { max_age_probes: 4 },
                     other => {
-                        eprintln!("--dissem takes full, delta or gossip, got `{other}`");
+                        eprintln!("--dissem takes full or delta, got `{other}`");
                         std::process::exit(2);
                     }
                 };
@@ -298,6 +304,13 @@ fn parse_args() -> Args {
         std::process::exit(2);
     }
     if args.scale_sweep {
+        if args.days.is_some() || saw_shards_flag {
+            eprintln!(
+                "--days and --shards do not apply to --scale-sweep (it takes --sweep-secs and \
+                 runs each step on one thread)"
+            );
+            std::process::exit(2);
+        }
         if args.max_hosts < 30 || args.max_hosts > netsim::MAX_HOSTS {
             eprintln!("--max-hosts must be in 30..={}, got {}", netsim::MAX_HOSTS, args.max_hosts);
             std::process::exit(2);
@@ -329,11 +342,16 @@ fn parse_args() -> Args {
         && (!args.scenarios.is_empty()
             || args.scenario_file.is_some()
             || args.days.is_some()
-            || args.slice_mins.is_some())
+            || args.slice_mins.is_some()
+            || saw_seed_flag
+            || saw_shards_flag)
     {
         // A worker takes the whole campaign definition from the
         // coordinator's Job message; local overrides would be ignored.
-        eprintln!("--worker takes the campaign from the coordinator; drop the scenario flags");
+        eprintln!(
+            "--worker takes the campaign from the coordinator; drop the scenario flags, \
+             --seed and --shards (a worker's width is --jobs)"
+        );
         std::process::exit(2);
     }
     if saw_jobs_flag {

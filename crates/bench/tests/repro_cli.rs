@@ -34,6 +34,11 @@ fn bad_invocations_are_one_line_usage_errors() {
         (&["--scale-sweep", "--max-hosts", "1e3"], "--max-hosts takes an integer, got `1e3`"),
         (&["--scale-sweep", "--mesh-k", "-6"], "--mesh-k takes an integer, got `-6`"),
         (&["--scale-sweep", "--sweep-secs", "ten"], "--sweep-secs takes a number, got `ten`"),
+        (&["--scale-sweep", "--dissem", "gossip"], "--dissem takes full or delta, got `gossip`"),
+        (&["--scale-sweep", "--days", "3"], "--days and --shards do not apply to --scale-sweep"),
+        (&["--scale-sweep", "--shards", "8"], "--days and --shards do not apply to --scale-sweep"),
+        (&["--worker", "127.0.0.1:1", "--seed", "9"], "drop the scenario flags, --seed and --shards"),
+        (&["--worker", "127.0.0.1:1", "--shards", "3"], "drop the scenario flags, --seed and --shards"),
         (&["table5", "--days"], "--days requires a value"),
         (&["--seeds", "2"], "--seeds only applies to --matrix"),
         (&["--matrix", "ron-narrow", "--seed", MAX_SEED, "--seeds", "2"], "leaves no room for --seeds 2"),

@@ -48,8 +48,10 @@ pub struct ExperimentConfig {
     pub node: NodeConfig,
     /// How overlay nodes disseminate their link-state metrics. The
     /// default full-snapshot mode reproduces the historical behaviour
-    /// bit-for-bit; the delta and gossip modes trade convergence lag for
-    /// orders of magnitude less dissemination traffic at scale.
+    /// bit-for-bit; delta mode ships fewer bytes (−84 % on `ron2003`
+    /// refreshing every 4 probes) and keeps routes informed only while
+    /// its refresh period fits the staleness horizon — see
+    /// [`DisseminationMode::Delta`].
     pub dissemination: DisseminationMode,
     /// Collector policy.
     pub collector: CollectorConfig,
@@ -1066,19 +1068,6 @@ mod tests {
         let again = run(DisseminationMode::Delta { max_age_probes: 16 });
         assert_eq!(delta.fingerprint(), again.fingerprint(), "delta mode is deterministic");
         assert_eq!(delta.net.lsa_bytes, again.net.lsa_bytes);
-    }
-
-    #[test]
-    fn gossip_mode_disseminates_and_stays_deterministic() {
-        let run = || {
-            let mut cfg = quick_cfg(MethodSet::ron_narrow(), 53, 120);
-            cfg.dissemination = DisseminationMode::Gossip { fanout: 3, interval_ms: 15_000 };
-            run_experiment(Topology::synthetic(6, 0.01, 53), cfg)
-        };
-        let a = run();
-        assert!(a.collector.resolved > 0, "gossip-mode routing must still resolve pairs");
-        assert!(a.net.lsa_bytes > 0, "gossip rounds must be accounted");
-        assert_eq!(a.fingerprint(), run().fingerprint(), "gossip mode is deterministic");
     }
 
     #[test]

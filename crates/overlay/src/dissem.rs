@@ -1,7 +1,7 @@
 //! Metric dissemination strategies.
 //!
 //! How a node's direct-path measurements reach the rest of the mesh is a
-//! pluggable policy, selected per scenario:
+//! policy selected per scenario, one of two:
 //!
 //! * [`DisseminationMode::FullSnapshot`] — the original RON behaviour and
 //!   the default: every probe request and response piggybacks the
@@ -18,28 +18,30 @@
 //!   last seqno the peer acknowledged (a probe response doubles as the
 //!   ack). Every `max_age_probes`-th probe to a peer carries the full
 //!   vector instead — the anti-entropy backstop that repairs dropped
-//!   LSAs and acks that outran their advertisement.
-//! * [`DisseminationMode::Gossip`] — probes carry nothing; instead, on a
-//!   fixed timer each node pushes its freshest LSAs (its own, plus any
-//!   foreign ones learned since the last tick) to a deterministic
-//!   seed-derived `fanout` set of peers. Epidemic spread costs
-//!   O(fanout) packets per node per tick regardless of mesh size.
+//!   LSAs and acks that outran their advertisement, and the only thing
+//!   that re-stamps an entry that has not changed.
+//!
+//! There is no third mode. Timer-driven push to a random fanout was
+//! measured on `ron2003` (2 simulated h): 11.9 kB/s of LSAs with 29 % of
+//! route look-ups meeting an expired entry, against 31.0 kB/s / 0 % for
+//! full snapshots and 5.1 kB/s / 0.2 % for `Delta { max_age_probes: 4 }`;
+//! on a k = 6 mesh it shipped 25 % *more* than full snapshots at every
+//! size from 30 to 960 hosts. It won on no metric of no workload.
 //!
 //! All per-peer state here — the advertised vector and its per-entry
-//! seqnos, the ack bookkeeping, the per-origin dedup seqnos and stored
-//! foreign LSAs — is indexed by the slots of the node's [`PeerSet`]: a
-//! node advertises to, acknowledges, and stores LSAs *originated by* its
-//! peers and nobody else.
+//! seqnos, the ack bookkeeping and the per-origin dedup seqnos — is
+//! indexed by the slots of the node's [`PeerSet`]: a node advertises to,
+//! acknowledges, and ingests LSAs *originated by* its peers and nobody
+//! else.
 //!
 //! The [`Disseminator`] is a sans-io state machine owned by
-//! [`crate::OverlayNode`]; all randomness comes from its own derived RNG
-//! stream, so `FullSnapshot` consumes no draws and leaves historical
-//! results byte-identical.
+//! [`crate::OverlayNode`]. It draws no randomness and arms no timer:
+//! both modes ride the prober's packets.
 
 use crate::peers::PeerSet;
 use crate::table::LinkStateTable;
 use crate::wire::{MetricEntry, Packet};
-use netsim::{HostId, Rng, SimDuration, SimTime};
+use netsim::{HostId, Rng, SimTime};
 use std::collections::VecDeque;
 
 /// Which dissemination strategy a node runs.
@@ -49,27 +51,29 @@ pub enum DisseminationMode {
     FullSnapshot,
     /// Sequence-numbered delta LSAs alongside probes, with a full
     /// refresh every `max_age_probes` probes per peer as anti-entropy.
+    ///
+    /// The refresh is also what keeps an *unchanged* entry from expiring
+    /// at the receiver, so the knob is safe only while
+    /// `max_age_probes × prober.interval × (1 + jitter_frac) ≤ staleness`
+    /// ([`crate::ProberConfig`], [`crate::NodeConfig::staleness`]): with
+    /// the defaults (15 s, 0.2, 90 s) that is `max_age_probes ≤ 5`.
+    /// Measured on `ron2003`, 2 simulated h — share of route look-ups
+    /// that met an expired entry, and LSA bytes against full snapshots:
+    /// 4 → 0.2 % (−84 %), 5 → 0.3 %, 6 → 2.0 %, 8 → 21.9 %,
+    /// 16 → 54.4 % (−93 %, and the `loss` method routes no better than
+    /// `direct*`). Nothing rejects a larger value.
     Delta {
         /// Probes to a peer between forced full-vector refreshes.
         max_age_probes: u32,
     },
-    /// Push full LSAs to a random fanout set on a timer; probes carry
-    /// no link state at all.
-    Gossip {
-        /// Peers addressed per gossip round.
-        fanout: usize,
-        /// Gossip round interval, milliseconds.
-        interval_ms: u64,
-    },
 }
 
 impl DisseminationMode {
-    /// Short lowercase label (`full`, `delta`, `gossip`) for reports.
+    /// Short lowercase label (`full`, `delta`) for reports.
     pub fn label(&self) -> &'static str {
         match self {
             DisseminationMode::FullSnapshot => "full",
             DisseminationMode::Delta { .. } => "delta",
-            DisseminationMode::Gossip { .. } => "gossip",
         }
     }
 }
@@ -135,21 +139,12 @@ struct PeerDelta {
     sends_since_full: u32,
 }
 
-#[derive(Debug, Clone)]
-struct ForeignLsa {
-    seq: u64,
-    entries: Vec<MetricEntry>,
-    /// Not yet forwarded in a gossip round.
-    fresh: bool,
-}
-
 /// Per-node dissemination state machine.
 #[derive(Debug)]
 pub struct Disseminator {
     mode: DisseminationMode,
     me: HostId,
     peers: PeerSet,
-    rng: Rng,
     /// Seqno of my current advertisement; bumps on significant change.
     own_seq: u64,
     /// The vector as last advertised (quantized publisher state), in
@@ -168,44 +163,23 @@ pub struct Disseminator {
     pending: VecDeque<(u64, u16, u64)>,
     /// Highest ingested advertisement seqno per origin (receiver dedup).
     origin_seq: Vec<u64>,
-    /// Gossip mode: stored foreign LSAs for onward forwarding.
-    foreign: Vec<Option<ForeignLsa>>,
-    /// Gossip mode: own seqno as of the last flushed round.
-    own_flushed_seq: u64,
-    /// Gossip mode: next round instant.
-    next_tick: Option<SimTime>,
 }
 
 impl Disseminator {
     /// Creates the state machine for a clique of `n` nodes:
-    /// [`Self::with_peers`] over [`PeerSet::everyone`].
-    pub fn new(mode: DisseminationMode, me: HostId, n: usize, rng: Rng, start: SimTime) -> Self {
-        Self::with_peers(mode, me, PeerSet::everyone(me, n), rng, start)
+    /// [`Self::with_peers`] over [`PeerSet::everyone`]. `_rng` and
+    /// `_start` are ignored — neither mode draws or keeps a timer; the
+    /// two parameters stay only until the benchmark's call sites move to
+    /// `with_peers` (ROADMAP 5(b)).
+    pub fn new(mode: DisseminationMode, me: HostId, n: usize, _rng: Rng, _start: SimTime) -> Self {
+        Self::with_peers(mode, me, PeerSet::everyone(me, n))
     }
 
     /// Creates the state machine of node `me`, which peers with `peers`.
-    /// `rng` must be a stream private to dissemination (the node derives
-    /// one); `start` anchors the first gossip round, jittered within one
-    /// interval so a simultaneously started mesh does not fire in
-    /// lockstep.
-    pub fn with_peers(
-        mode: DisseminationMode,
-        me: HostId,
-        peers: PeerSet,
-        mut rng: Rng,
-        start: SimTime,
-    ) -> Self {
-        let next_tick = match mode {
-            DisseminationMode::Gossip { interval_ms, .. } => {
-                let offset = interval_ms as f64 / 1_000.0 * rng.f64();
-                Some(start + SimDuration::from_secs_f64(offset))
-            }
-            _ => None,
-        };
+    pub fn with_peers(mode: DisseminationMode, me: HostId, peers: PeerSet) -> Self {
         Disseminator {
             mode,
             me,
-            rng,
             own_seq: 0,
             advertised: Vec::new(),
             entry_seq: vec![0; peers.len()],
@@ -213,36 +187,24 @@ impl Disseminator {
             delta: vec![PeerDelta::default(); peers.len()],
             pending: VecDeque::new(),
             origin_seq: vec![0; peers.len()],
-            foreign: vec![None; peers.len()],
             peers,
-            own_flushed_seq: 0,
-            next_tick,
         }
     }
 
-    /// Approximate resident bytes: the struct, its per-peer arrays, the
-    /// pending-ack queue and any stored foreign LSAs (the peer set is
-    /// the table's to count).
+    /// Approximate resident bytes: the struct, its per-peer arrays and
+    /// the pending-ack queue (the peer set is the table's to count).
     pub fn approx_bytes(&self) -> usize {
         use std::mem::size_of;
-        let foreign: usize = self.foreign.iter().flatten().map(|f| f.entries.capacity()).sum();
         size_of::<Self>()
-            + (self.advertised.capacity() + foreign) * size_of::<MetricEntry>()
+            + self.advertised.capacity() * size_of::<MetricEntry>()
             + (self.entry_seq.capacity() + self.origin_seq.capacity()) * size_of::<u64>()
             + self.delta.capacity() * size_of::<PeerDelta>()
             + self.pending.capacity() * size_of::<(u64, u16, u64)>()
-            + self.foreign.capacity() * size_of::<Option<ForeignLsa>>()
     }
 
     /// The active mode.
     pub fn mode(&self) -> DisseminationMode {
         self.mode
-    }
-
-    /// Earliest instant the disseminator needs a timer callback (gossip
-    /// rounds; `None` for the probe-driven modes).
-    pub fn poll_at(&self) -> Option<SimTime> {
-        self.next_tick
     }
 
     /// Re-quantizes the advertisement against the table's current
@@ -300,7 +262,6 @@ impl Disseminator {
     ) -> (Vec<MetricEntry>, Option<Packet>) {
         match self.mode {
             DisseminationMode::FullSnapshot => (informative_entries(table.snapshot()), None),
-            DisseminationMode::Gossip { .. } => (Vec::new(), None),
             DisseminationMode::Delta { max_age_probes } => {
                 let Some(slot) = self.peers.slot(peer) else { return (Vec::new(), None) };
                 self.refresh(table);
@@ -342,7 +303,6 @@ impl Disseminator {
     ) -> (Vec<MetricEntry>, Option<Packet>) {
         match self.mode {
             DisseminationMode::FullSnapshot => (informative_entries(table.snapshot()), None),
-            DisseminationMode::Gossip { .. } => (Vec::new(), None),
             DisseminationMode::Delta { .. } => {
                 let Some(slot) = self.peers.slot(peer) else { return (Vec::new(), None) };
                 self.refresh(table);
@@ -372,8 +332,8 @@ impl Disseminator {
     }
 
     /// Metrics piggybacked on a probe packet from `from`. Only the
-    /// full-snapshot mode carries link state this way; the other modes
-    /// ignore any stray payload rather than letting an empty vector
+    /// full-snapshot mode carries link state this way; delta mode
+    /// ignores any stray payload rather than letting an empty vector
     /// wipe LSA-learned state.
     pub fn on_probe_metrics(
         &mut self,
@@ -391,7 +351,7 @@ impl Disseminator {
     /// origin: deltas must strictly advance, full refreshes may repeat
     /// the current seqno (they repair entries an earlier lost delta
     /// carried past us). An LSA whose origin is not a peer is not
-    /// stored, ingested or forwarded.
+    /// ingested.
     pub fn on_lsa(
         &mut self,
         origin: HostId,
@@ -416,86 +376,14 @@ impl Disseminator {
                     self.origin_seq[slot] = seq;
                 }
             }
-            DisseminationMode::Gossip { .. } => {
-                if seq > stored {
-                    table.ingest_full(origin, entries, now);
-                    self.origin_seq[slot] = seq;
-                    self.foreign[slot] =
-                        Some(ForeignLsa { seq, entries: entries.to_vec(), fresh: true });
-                }
-            }
         }
-    }
-
-    /// Runs a gossip round if one is due: flushes my own advertisement
-    /// (when its seqno advanced) plus every foreign LSA learned since
-    /// the last round to a freshly drawn fanout set.
-    pub fn on_tick(
-        &mut self,
-        now: SimTime,
-        table: &mut LinkStateTable,
-        out: &mut Vec<(HostId, Packet)>,
-    ) {
-        let DisseminationMode::Gossip { fanout, interval_ms } = self.mode else { return };
-        let Some(tick) = self.next_tick else { return };
-        if now < tick {
-            return;
-        }
-        self.refresh(table);
-        let mut lsas: Vec<(HostId, u64, Vec<MetricEntry>)> = Vec::new();
-        if self.own_seq > self.own_flushed_seq {
-            lsas.push((self.me, self.own_seq, informative_entries(&self.advertised)));
-            self.own_flushed_seq = self.own_seq;
-        }
-        for (f, &origin) in self.foreign.iter_mut().zip(self.peers.ids()) {
-            if let Some(f) = f.as_mut().filter(|f| f.fresh) {
-                f.fresh = false;
-                lsas.push((HostId(origin), f.seq, f.entries.clone()));
-            }
-        }
-        if !lsas.is_empty() {
-            for target in self.pick_fanout(fanout) {
-                for (origin, seq, entries) in &lsas {
-                    if *origin == target {
-                        continue; // never tell a node about itself
-                    }
-                    out.push((
-                        target,
-                        Packet::Lsa {
-                            origin: *origin,
-                            seq: *seq,
-                            full: true,
-                            entries: entries.clone(),
-                        },
-                    ));
-                }
-            }
-        }
-        self.next_tick = Some(tick + SimDuration::from_millis(interval_ms.max(1)));
-    }
-
-    /// Draws up to `fanout` distinct peers for one round.
-    fn pick_fanout(&mut self, fanout: usize) -> Vec<HostId> {
-        let avail = self.peers.len();
-        let k = fanout.min(avail);
-        let mut picked: Vec<HostId> = Vec::with_capacity(k);
-        // Rejection sampling with a hard cap: duplicates get rarer as k
-        // approaches avail, and the cap bounds the worst case.
-        let mut attempts = 0usize;
-        while picked.len() < k && attempts < 16 * (k + 1) {
-            attempts += 1;
-            let h = self.peers.id(self.rng.below(avail as u64) as usize);
-            if !picked.contains(&h) {
-                picked.push(h);
-            }
-        }
-        picked
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netsim::SimDuration;
 
     fn table(me: u16, n: usize) -> LinkStateTable {
         LinkStateTable::new(
@@ -544,7 +432,6 @@ mod tests {
         assert_eq!(metrics.len(), 1);
         assert_eq!(metrics[0].peer, HostId(1));
         assert!(lsa.is_none());
-        assert!(d.poll_at().is_none());
     }
 
     #[test]
@@ -654,85 +541,6 @@ mod tests {
         // ...but a full refresh at the same seq repairs the hole.
         d.on_lsa(HostId(1), 5, true, &[e1, e2], now, &mut t);
         assert!(t.remote_metric(HostId(1), HostId(3), now).is_some());
-    }
-
-    #[test]
-    fn gossip_rounds_flood_fresh_lsas_to_a_fanout_set() {
-        let n = 10;
-        let mut t = table(0, n);
-        let mut d = Disseminator::new(
-            DisseminationMode::Gossip { fanout: 3, interval_ms: 500 },
-            HostId(0),
-            n,
-            Rng::new(11),
-            SimTime::ZERO,
-        );
-        let first = d.poll_at().expect("gossip must arm a timer");
-        assert!(
-            first <= SimTime::ZERO + SimDuration::from_millis(500),
-            "first round jittered within one interval"
-        );
-        // Round 1: nothing changed yet → silence.
-        let mut out = Vec::new();
-        d.on_tick(first, &mut t, &mut out);
-        assert!(out.is_empty());
-        // A path comes alive; the next round floods my own LSA.
-        feed_success(&mut t, 1, 10, 20);
-        let second = d.poll_at().unwrap();
-        d.on_tick(second, &mut t, &mut out);
-        // detlint: allow(nondet-iter) — test assertion set: len/contains
-        // only, order never observed.
-        let targets: std::collections::HashSet<u16> = out.iter().map(|(h, _)| h.0).collect();
-        assert_eq!(out.len(), 3, "fanout=3 copies of my LSA");
-        assert_eq!(targets.len(), 3, "targets are distinct");
-        assert!(!targets.contains(&0), "never gossip to self");
-        for (_, p) in &out {
-            let Packet::Lsa { origin, seq, full, entries } = p else { panic!("non-LSA gossip") };
-            assert_eq!(*origin, HostId(0));
-            assert_eq!(*seq, 1);
-            assert!(*full);
-            // Only the sampled path is advertised; the other n - 2
-            // never-probed entries are uninformative and dropped.
-            assert_eq!(entries.len(), 1);
-            assert_eq!(entries[0].peer, HostId(1));
-        }
-        // Quiescent again: round 3 is silent.
-        out.clear();
-        let third = d.poll_at().unwrap();
-        d.on_tick(third, &mut t, &mut out);
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn gossip_forwards_fresh_foreign_lsas_once() {
-        let n = 6;
-        let mut t = table(0, n);
-        let mut d = Disseminator::new(
-            DisseminationMode::Gossip { fanout: 2, interval_ms: 500 },
-            HostId(0),
-            n,
-            Rng::new(13),
-            SimTime::ZERO,
-        );
-        let now = SimTime::from_secs(1);
-        let e = MetricEntry { peer: HostId(4), loss_e4: 50, lat_us: 5_000, alive: true };
-        d.on_lsa(HostId(3), 7, true, &[e], now, &mut t);
-        assert!(t.remote_metric(HostId(3), HostId(4), now).is_some(), "gossip LSA ingested");
-        let mut out = Vec::new();
-        let tick = d.poll_at().unwrap();
-        d.on_tick(tick.max(now), &mut t, &mut out);
-        assert!(!out.is_empty(), "fresh foreign LSA must be forwarded");
-        for (to, p) in &out {
-            let Packet::Lsa { origin, seq, .. } = p else { panic!("non-LSA gossip") };
-            assert_eq!((*origin, *seq), (HostId(3), 7));
-            assert_ne!(*to, HostId(3), "never forward an LSA back to its origin");
-            assert_ne!(*to, HostId(0));
-        }
-        // Second round: already flushed, no repeat.
-        out.clear();
-        let tick2 = d.poll_at().unwrap();
-        d.on_tick(tick2, &mut t, &mut out);
-        assert!(out.is_empty(), "a foreign LSA is forwarded exactly once");
     }
 
     #[test]

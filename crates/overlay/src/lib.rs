@@ -25,8 +25,7 @@
 //! * [`prober`] — the 15-second prober with loss-triggered fast probe
 //!   chains (up to four, one second apart);
 //! * [`dissem`] — how metrics reach the mesh: full snapshots on every
-//!   probe (the default), sequence-numbered delta LSAs, or timed gossip
-//!   fanout;
+//!   probe (the default) or sequence-numbered delta LSAs;
 //! * [`node`] — the assembled overlay node.
 
 #![warn(missing_docs)]

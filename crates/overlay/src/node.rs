@@ -125,10 +125,7 @@ impl OverlayNode {
     /// Creates node `me`, which probes, keeps link state for and routes
     /// through `peers`, running the given dissemination strategy. `seed`
     /// controls all node randomness (probe ids, jitter, random
-    /// intermediates); `start` is the instant probing begins. The
-    /// disseminator gets its own derived RNG stream, so
-    /// [`DisseminationMode::FullSnapshot`] consumes exactly the draws the
-    /// pre-dissemination node did.
+    /// intermediates); `start` is the instant probing begins.
     pub fn with_peers(
         me: HostId,
         peers: PeerSet,
@@ -149,7 +146,7 @@ impl OverlayNode {
             cfg.lat_hysteresis,
         );
         let prober = Prober::with_peers(peers.clone(), cfg.prober, root.derive(1), start);
-        let dissem = Disseminator::with_peers(mode, me, peers, root.derive(3), start);
+        let dissem = Disseminator::with_peers(mode, me, peers);
         let rng = root.derive(2);
         OverlayNode {
             me,
@@ -196,13 +193,10 @@ impl OverlayNode {
         self.dissem.mode()
     }
 
-    /// Earliest instant the node needs a timer callback (prober probes
-    /// and gossip rounds share the node timer).
+    /// Earliest instant the node needs a timer callback: the prober's
+    /// next send or timeout (dissemination rides the probes).
     pub fn poll_at(&self) -> Option<SimTime> {
-        match (self.prober.poll_at(), self.dissem.poll_at()) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
+        self.prober.poll_at()
     }
 
     /// Runs timer work at `now`. `local_now_us` is the local wall clock
@@ -225,11 +219,6 @@ impl OverlayNode {
             if let Some(packet) = lsa {
                 out.push(Transmit { to: s.peer, packet });
             }
-        }
-        let mut gossip = Vec::new();
-        self.dissem.on_tick(now, &mut self.table, &mut gossip);
-        for (to, packet) in gossip {
-            out.push(Transmit { to, packet });
         }
     }
 
@@ -529,11 +518,7 @@ mod tests {
     /// `packet` names [`EVIL`]: every dissemination mode must drop it
     /// without a transmit, a delivery or a panic, and count it.
     fn assert_dropped(packet: Packet) {
-        for mode in [
-            DisseminationMode::FullSnapshot,
-            DisseminationMode::Delta { max_age_probes: 8 },
-            DisseminationMode::Gossip { fanout: 2, interval_ms: 1000 },
-        ] {
+        for mode in ALL_MODES {
             let mut a = OverlayNode::new_with_dissemination(
                 HostId(0),
                 3,
@@ -613,11 +598,8 @@ mod tests {
         OverlayNode::with_peers(HostId(0), peers, NodeConfig::default(), 42, SimTime::ZERO, mode)
     }
 
-    const ALL_MODES: [DisseminationMode; 3] = [
-        DisseminationMode::FullSnapshot,
-        DisseminationMode::Delta { max_age_probes: 1 },
-        DisseminationMode::Gossip { fanout: 2, interval_ms: 1000 },
-    ];
+    const ALL_MODES: [DisseminationMode; 2] =
+        [DisseminationMode::FullSnapshot, DisseminationMode::Delta { max_age_probes: 1 }];
 
     fn about_host_7() -> Vec<MetricEntry> {
         vec![MetricEntry { peer: HostId(7), loss_e4: 0, lat_us: 9_000, alive: true }]
@@ -658,7 +640,7 @@ mod tests {
             assert!(out.is_empty(), "{mode:?}: {out:?}");
             assert_eq!(a.table().remote_metric(STRANGER, HostId(7), now), None, "{mode:?}");
             assert_eq!((a.non_peer_drops(), a.unknown_host_drops()), (2, 0), "{mode:?}");
-            // Gossip forwards what it stored: nothing of the stranger's.
+            // And nothing of the stranger's is re-advertised later.
             a.on_timer(SimTime::from_secs(2), 0, &mut out);
             let forwarded = |tx: &Transmit| matches!(tx.packet, Packet::Lsa { origin: STRANGER, .. });
             assert!(!out.iter().any(forwarded), "{mode:?}");
@@ -689,6 +671,31 @@ mod tests {
         probed.sort_unstable();
         probed.dedup();
         assert_eq!(probed, [2, 5, 7]);
+    }
+
+    #[test]
+    fn the_node_timer_is_the_probers_in_every_mode() {
+        // A prober of its own on the node's stream 1, driven beside the
+        // node with nobody answering: dissemination must add no wake-up
+        // and move no draw, so the two agree at every step.
+        for mode in ALL_MODES {
+            let mut a = sparse_node(mode);
+            let (cfg, peers) = (*a.config(), a.peers().clone());
+            let stream = Rng::new(42).derive(1);
+            let mut prober = Prober::with_peers(peers.clone(), cfg.prober, stream, SimTime::ZERO);
+            let mut table =
+                LinkStateTable::with_peers(HostId(0), peers, 100, 0.1, 5, cfg.staleness, 0.05, 0.1);
+            let (mut out, mut sends) = (Vec::new(), Vec::new());
+            let mut steps = 0;
+            while let Some(at) = a.poll_at().filter(|&at| at < SimTime::from_secs(60)) {
+                assert_eq!(prober.poll_at(), Some(at), "{mode:?}, step {steps}");
+                a.on_timer(at, 0, &mut out);
+                prober.on_timer(at, &mut table, &mut sends);
+                steps += 1;
+            }
+            assert_eq!(prober.poll_at(), a.poll_at(), "{mode:?}");
+            assert!(steps > 10, "{mode:?}: only {steps} timer steps in a minute");
+        }
     }
 
     #[test]
@@ -748,50 +755,87 @@ mod tests {
         assert!(max_piggyback >= 1, "sampled paths must eventually ride the piggyback");
     }
 
-    #[test]
-    fn two_nodes_learn_each_other_via_packet_exchange() {
-        // A miniature in-memory "network" with zero loss and 10 ms delay:
-        // run A and B against each other and check the tables converge.
-        let mut a = node(0, 2);
-        let mut b = node(1, 2);
-        let mut t;
+    /// A clique of `n` nodes on a miniature in-memory "network" with zero
+    /// loss and a fixed 10 ms delay, driven through `poll_at`, `on_timer`
+    /// and `on_packet` until `until`.
+    fn run_clique(n: usize, mode: DisseminationMode, until: SimTime) -> Vec<OverlayNode> {
+        let cfg = NodeConfig::default();
+        let mut nodes: Vec<OverlayNode> = (0..n as u16)
+            .map(|i| {
+                let seed = 42 + u64::from(i);
+                OverlayNode::new_with_dissemination(HostId(i), n, cfg, seed, SimTime::ZERO, mode)
+            })
+            .collect();
         let delay = SimDuration::from_millis(10);
         // In-flight packets: (arrival, receiver, packet).
         let mut wire: Vec<(SimTime, u16, Packet)> = Vec::new();
-        for _ in 0..20_000 {
-            let ta = a.poll_at().unwrap_or(SimTime::MAX);
-            let tb = b.poll_at().unwrap_or(SimTime::MAX);
-            let tw = wire.iter().map(|w| w.0).min().unwrap_or(SimTime::MAX);
-            t = ta.min(tb).min(tw);
-            if t >= SimTime::from_secs(120) {
+        loop {
+            let timers = nodes.iter().filter_map(|a| a.poll_at());
+            let Some(t) = timers.chain(wire.iter().map(|w| w.0)).min() else { break };
+            if t >= until {
                 break;
             }
             let mut out = Vec::new();
-            // Deliver due wire packets.
-            let due: Vec<_> = wire.iter().filter(|w| w.0 <= t).cloned().collect();
-            wire.retain(|w| w.0 > t);
+            let (due, later) = wire.into_iter().partition(|w| w.0 <= t);
+            wire = later;
             for (_, to, pkt) in due {
-                let n = if to == 0 { &mut a } else { &mut b };
-                n.on_packet(t, t.as_micros() as i64, pkt, &mut out);
+                nodes[usize::from(to)].on_packet(t, t.as_micros() as i64, pkt, &mut out);
             }
-            if ta <= t {
-                a.on_timer(t, t.as_micros() as i64, &mut out);
-            }
-            if tb <= t {
-                b.on_timer(t, t.as_micros() as i64, &mut out);
+            for a in &mut nodes {
+                if a.poll_at().is_some_and(|at| at <= t) {
+                    a.on_timer(t, t.as_micros() as i64, &mut out);
+                }
             }
             for tx in out {
                 wire.push((t + delay, tx.to.0, tx.packet));
             }
         }
-        let ab = a.table().direct(HostId(1));
-        let ba = b.table().direct(HostId(0));
+        nodes
+    }
+
+    #[test]
+    fn two_nodes_learn_each_other_via_packet_exchange() {
+        let nodes = run_clique(2, DisseminationMode::FullSnapshot, SimTime::from_secs(120));
+        let ab = nodes[0].table().direct(HostId(1));
+        let ba = nodes[1].table().direct(HostId(0));
         assert!(ab.samples() >= 4, "A probed B: {}", ab.samples());
         assert!(ba.samples() >= 4, "B probed A: {}", ba.samples());
         assert_eq!(ab.loss_rate(), 0.0);
         // RTT 20 ms → one-way estimate 10 ms.
         let lat = ab.latency_us().unwrap();
         assert!((lat - 10_000.0).abs() < 1_000.0, "lat={lat}");
+    }
+
+    #[test]
+    fn delta_keeps_the_table_fresh_only_while_its_refresh_fits_the_staleness_horizon() {
+        // The hazard `DisseminationMode::Delta` documents: once a stable
+        // mesh stops changing (here after ~590 s, when the smoothed loss
+        // estimate of a clean path has crossed its last whole percent),
+        // the periodic full refresh is all that re-stamps an entry.
+        // 4 probes x 15 s x 1.2 jitter = 72 s fits the 90 s horizon;
+        // 16 probes = 240 s does not, and 15 minutes in sits ~190 s
+        // after the third refresh and ~45 s before the fourth.
+        const N: u16 = 6;
+        let end = SimTime::from_secs(900);
+        // Every (node, peer, dst) view the node still trusts at `end`.
+        let trusted = |mode: DisseminationMode| -> Vec<(u16, u16, u16)> {
+            let nodes = run_clique(usize::from(N), mode, end);
+            let mut views = Vec::new();
+            for (a, node) in (0..N).zip(&nodes) {
+                for (peer, dst) in (0..N).flat_map(|p| (0..N).map(move |d| (p, d))) {
+                    if node.table().remote_metric(HostId(peer), HostId(dst), end).is_some() {
+                        views.push((a, peer, dst));
+                    }
+                }
+            }
+            views
+        };
+        let full = trusted(DisseminationMode::FullSnapshot);
+        assert_eq!(full.len(), usize::from(N * (N - 1) * (N - 1)), "full snapshots: every view");
+        let delta4 = trusted(DisseminationMode::Delta { max_age_probes: 4 });
+        assert_eq!(delta4, full, "delta refreshing inside the horizon loses no view");
+        let delta16 = trusted(DisseminationMode::Delta { max_age_probes: 16 });
+        assert!(delta16.len() * 2 < full.len(), "a 240 s refresh lets views expire: {delta16:?}");
     }
 
     #[test]

@@ -150,13 +150,12 @@ pub enum Packet {
     },
     /// A standalone link-state advertisement: `origin`'s current view of
     /// its direct paths, stamped with a sequence number so receivers can
-    /// discard stale or duplicate copies. Emitted by the delta and gossip
-    /// dissemination modes ([`crate::dissem`]); the full-snapshot mode
+    /// discard stale or duplicate copies. Emitted by the delta
+    /// dissemination mode ([`crate::dissem`]); the full-snapshot mode
     /// never sends one.
     Lsa {
-        /// The node whose link state this advertises (not necessarily
-        /// the node that relayed the packet — gossip forwards foreign
-        /// LSAs).
+        /// The node whose link state this advertises — always the node
+        /// that sent the packet: nobody relays another node's LSA.
         origin: HostId,
         /// Origin's advertisement sequence number; receivers ingest only
         /// if it advances past the last seen seqno for `origin`.

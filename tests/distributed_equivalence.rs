@@ -193,31 +193,26 @@ fn sparse_mesh_distributed_equals_sequential() {
 }
 
 #[test]
-fn delta_and_gossip_dissemination_distributed_equal_sequential() {
+fn delta_dissemination_distributed_equals_sequential() {
     // Non-default dissemination travels inside the job's scenario spec,
     // so every worker process must rebuild the same mode — and the LSA
     // counters (outside the fingerprint) must merge identically too.
-    for (name, dissemination) in [
-        ("delta-dissem", mpath::core::DisseminationSpec::Delta { max_age_probes: 8 }),
-        ("gossip-dissem", mpath::core::DisseminationSpec::Gossip { fanout: 3, interval_ms: 15_000 }),
-    ] {
-        let mut j = job("ron-narrow");
-        j.spec.name = name.to_string();
-        j.spec.dissemination = dissemination;
-        j.spec.validate().expect("dissemination variant must be a valid spec");
-        let seq = sequential(&j);
-        assert!(seq.net.lsa_bytes > 0, "{name}: dissemination must be accounted");
-        for workers in [1usize, 2] {
-            let (rep, _) = distributed(&j, workers);
-            assert_eq!(
-                rep.output.fingerprint(),
-                seq.fingerprint(),
-                "{name}: {workers} worker(s) diverged from the sequential run"
-            );
-            assert_eq!(rep.output.net.lsa_bytes, seq.net.lsa_bytes, "{name}: lsa_bytes diverged");
-            assert_eq!(rep.output.net.lsa_entries, seq.net.lsa_entries);
-            assert_eq!(rendered(&j.spec, &rep.output), rendered(&j.spec, &seq));
-        }
+    let mut j = job("ron-narrow");
+    j.spec.name = "delta-dissem".to_string();
+    j.spec.dissemination = mpath::core::DisseminationSpec::Delta { max_age_probes: 8 };
+    j.spec.validate().expect("dissemination variant must be a valid spec");
+    let seq = sequential(&j);
+    assert!(seq.net.lsa_bytes > 0, "dissemination must be accounted");
+    for workers in [1usize, 2] {
+        let (rep, _) = distributed(&j, workers);
+        assert_eq!(
+            rep.output.fingerprint(),
+            seq.fingerprint(),
+            "{workers} worker(s) diverged from the sequential run"
+        );
+        assert_eq!(rep.output.net.lsa_bytes, seq.net.lsa_bytes, "lsa_bytes diverged");
+        assert_eq!(rep.output.net.lsa_entries, seq.net.lsa_entries);
+        assert_eq!(rendered(&j.spec, &rep.output), rendered(&j.spec, &seq));
     }
 }
 

@@ -99,6 +99,43 @@ fn unknown_enum_variant_is_rejected() {
     assert!(err.contains("unknown variant `Ron1999`"), "got: {err}");
 }
 
+/// The dissemination mode this tree no longer has, as a scenario file —
+/// or a coordinator one commit behind — would still spell it, and the
+/// mode [`delta_ron2003`] spells in its place.
+const REMOVED_MODE: &str = r#"{"Gossip":{"fanout":3,"interval_ms":15000}}"#;
+const DELTA_MODE: &str = r#"{"Delta":{"max_age_probes":4}}"#;
+
+fn delta_ron2003() -> ScenarioSpec {
+    let mut spec: ScenarioSpec = serde_json::from_str(&builtin_json("ron2003")).unwrap();
+    spec.dissemination = mpath::core::DisseminationSpec::Delta { max_age_probes: 4 };
+    spec
+}
+
+#[test]
+fn removed_dissemination_variant_is_refused_naming_the_accepted_ones() {
+    let stale = serde_json::to_string(&delta_ron2003()).unwrap().replace(DELTA_MODE, REMOVED_MODE);
+    assert!(stale.contains(REMOVED_MODE), "the dissemination field is on the wire: {stale}");
+    let err = serde_json::from_str::<ScenarioSpec>(&stale).unwrap_err().to_string();
+    assert!(err.contains("unknown variant `Gossip` of DisseminationSpec"), "got: {err}");
+    assert!(err.contains("(expected `FullSnapshot`, `Delta`)"), "got: {err}");
+}
+
+#[test]
+fn job_frame_with_the_removed_variant_is_invalid_data() {
+    use mpath::core::distrib::{encode_msg, read_msg_blocking, Msg};
+    let duration = mpath::netsim::SimDuration::from_mins(10);
+    let job = mpath::core::CampaignJob::new(delta_ron2003(), 1, duration);
+    let frame = encode_msg(&Msg::Job { job: Box::new(job) });
+    assert!(matches!(read_msg_blocking(&mut &frame[..]), Ok(Some(Msg::Job { .. }))));
+    let body = std::str::from_utf8(&frame[4..]).unwrap().replace(DELTA_MODE, REMOVED_MODE);
+    assert!(body.contains(REMOVED_MODE), "the job carries its spec: {body}");
+    let mut frame = (body.len() as u32).to_be_bytes().to_vec();
+    frame.extend_from_slice(body.as_bytes());
+    let err = read_msg_blocking(&mut &frame[..]).expect_err("a stale Job frame must not decode");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    assert!(err.to_string().contains("`Gossip`"), "{err}");
+}
+
 #[test]
 fn wrong_type_is_rejected() {
     let json = builtin_json("ron2003").replace("\"days\":14.0", "\"days\":\"fourteen\"");

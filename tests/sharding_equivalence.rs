@@ -186,27 +186,15 @@ fn k_leg_custom_methods_shard_equals_sequential() {
     assert!(curve.windows(2).all(|w| w[1] <= w[0]), "redundancy can only help: {curve:?}");
 }
 
-/// A ron-narrow variant running a non-default dissemination mode: the
+/// A ron-narrow variant running the non-default dissemination mode: the
 /// per-node LSA sequence state must re-initialize identically in every
-/// slice, and (for gossip) the dissemination timer shares the node
-/// timer wheel with the prober.
-fn dissem_spec(name: &str, dissemination: mpath::core::DisseminationSpec) -> ScenarioSpec {
+/// slice.
+fn delta_spec() -> ScenarioSpec {
     let mut spec = scenario("ron-narrow");
-    spec.name = name.to_string();
-    spec.dissemination = dissemination;
+    spec.name = "delta-dissem".to_string();
+    spec.dissemination = mpath::core::DisseminationSpec::Delta { max_age_probes: 8 };
     spec.validate().expect("dissemination variant must be a valid spec");
     spec
-}
-
-fn delta_spec() -> ScenarioSpec {
-    dissem_spec("delta-dissem", mpath::core::DisseminationSpec::Delta { max_age_probes: 8 })
-}
-
-fn gossip_spec() -> ScenarioSpec {
-    dissem_spec(
-        "gossip-dissem",
-        mpath::core::DisseminationSpec::Gossip { fanout: 3, interval_ms: 15_000 },
-    )
 }
 
 #[test]
@@ -216,16 +204,6 @@ fn delta_dissemination_shard_equals_sequential() {
     // The LSA counters live outside the fingerprint (deliberately), so
     // their merge is pinned explicitly.
     assert!(seq.net.lsa_bytes > 0, "delta refreshes must be accounted");
-    let par = sharded_run(&spec, 42, 4);
-    assert_eq!(seq.net.lsa_bytes, par.net.lsa_bytes, "lsa_bytes diverged under sharding");
-    assert_eq!(seq.net.lsa_entries, par.net.lsa_entries);
-}
-
-#[test]
-fn gossip_dissemination_shard_equals_sequential() {
-    let spec = gossip_spec();
-    let seq = assert_equivalent_spec(&spec);
-    assert!(seq.net.lsa_bytes > 0, "gossip rounds must be accounted");
     let par = sharded_run(&spec, 42, 4);
     assert_eq!(seq.net.lsa_bytes, par.net.lsa_bytes, "lsa_bytes diverged under sharding");
     assert_eq!(seq.net.lsa_entries, par.net.lsa_entries);
@@ -378,7 +356,7 @@ fn golden_stress_scenario_fingerprints() {
     // their correlated windows over a 7-day horizon — at 30 minutes the
     // built-ins pin the spec digest and schedule compiler, while the
     // dense variant pins the scripted-outage transit path itself. The
-    // delta/gossip rows pin the LSA ingest paths, which the shard
+    // delta rows pin the LSA ingest paths, which the shard
     // equivalence tests above only ever compare with themselves.
     //
     // Columns: fingerprint, `net.lsa_bytes`, `net.lsa_entries` — the
@@ -392,7 +370,6 @@ fn golden_stress_scenario_fingerprints() {
         ("correlated-outages-dense", 0x4a673816bee8c380, 47142756, 5198068),
         ("sparse-mesh-small", 0x7cf5cce05c972967, 970985, 102195),
         ("delta-dissem", 0xeb53e7d03661a980, 1839792, 156548),
-        ("gossip-dissem", 0xb64836c065172ac4, 5251929, 528496),
         ("sparse-mesh-small-delta", 0xcbed087de6a7df46, 448875, 27515),
     ];
     let specs: Vec<ScenarioSpec> = golden
@@ -401,7 +378,6 @@ fn golden_stress_scenario_fingerprints() {
             "correlated-outages-dense" => dense_correlated(),
             "sparse-mesh-small" => sparse_small(),
             "delta-dissem" => delta_spec(),
-            "gossip-dissem" => gossip_spec(),
             "sparse-mesh-small-delta" => {
                 let mut spec = sparse_small();
                 spec.name = "sparse-mesh-small-delta".to_string();
