@@ -35,6 +35,23 @@ impl Fnv {
         }
     }
 
+    /// Absorbs `len` zero bytes, in O(log `len`): FNV-1a over a zero byte
+    /// is `h ← (h ^ 0) · P`, so a run of them is one multiplication by
+    /// `P^len` (mod 2⁶⁴, by square-and-multiply). This is how an
+    /// accumulator folds the cells it does not hold — the digest stream
+    /// is the dense one, bit for bit.
+    pub fn write_zeros(&mut self, mut len: u64) {
+        let (mut power, mut square) = (1u64, Self::PRIME);
+        while len > 0 {
+            if len & 1 == 1 {
+                power = power.wrapping_mul(square);
+            }
+            square = square.wrapping_mul(square);
+            len >>= 1;
+        }
+        self.0 = self.0.wrapping_mul(power);
+    }
+
     /// Absorbs a `u64` (little-endian).
     pub fn write_u64(&mut self, v: u64) {
         self.write(&v.to_le_bytes());
@@ -57,6 +74,29 @@ impl Fnv {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The zero-run fold is the byte-by-byte fold, from any state.
+        #[test]
+        fn write_zeros_is_that_many_zero_bytes(
+            prior in proptest::collection::vec(any::<u8>(), 0..40),
+            random in 0u64..5_000,
+        ) {
+            for k in [0, 1, 7, 80, (1 << 20) + 3, random] {
+                let mut run = Fnv::new();
+                run.write(&prior);
+                let mut bytes = run.clone();
+                run.write_zeros(k);
+                for _ in 0..k {
+                    bytes.write(&[0]);
+                }
+                prop_assert_eq!(run.finish(), bytes.finish(), "k = {}", k);
+            }
+        }
+    }
 
     /// Pins a composed fold (strings, u64s, f64 bit patterns) to a golden
     /// value. `ExperimentOutput::fingerprint` goldens across the repo

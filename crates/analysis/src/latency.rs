@@ -8,23 +8,23 @@
 //! summaries and differences with those on the reverse path to average
 //! out timekeeping errors."
 
-use std::collections::HashMap;
-
 /// Applies forward/reverse averaging to per-path means.
 ///
-/// Input: `(src, dst, mean_us)` per directed path. Output: the same
-/// paths with corrected means; a path whose reverse was never observed
-/// keeps its raw mean.
+/// Input: `(src, dst, mean_us)` per directed path, strictly ascending by
+/// `(src, dst)` — the order [`crate::LossAccum::per_path_latency_ms`]
+/// walks its rows in — so a path's reverse is found by binary search.
+/// Output: the same paths with corrected means; a path whose reverse was
+/// never observed keeps its raw mean.
 pub fn corrected_path_means(raw: &[(u16, u16, f64)]) -> Vec<(u16, u16, f64)> {
-    // detlint: allow(nondet-iter) — lookup-only reverse-path index; the
-    // output order below is the caller's `raw` order, never the map's.
-    let index: HashMap<(u16, u16), f64> =
-        raw.iter().map(|&(s, d, m)| ((s, d), m)).collect();
+    debug_assert!(
+        raw.windows(2).all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)),
+        "paths must be strictly ascending by (src, dst)"
+    );
     raw.iter()
         .map(|&(s, d, m)| {
-            let corrected = match index.get(&(d, s)) {
-                Some(rev) => (m + rev) / 2.0,
-                None => m,
+            let corrected = match raw.binary_search_by_key(&(d, s), |&(s, d, _)| (s, d)) {
+                Ok(rev) => (m + raw[rev].2) / 2.0,
+                Err(_) => m,
             };
             (s, d, corrected)
         })

@@ -11,6 +11,9 @@
 //! * [`windows`] — fixed-width time windows per (path, method); produces
 //!   the 20-minute loss-rate distribution (Figure 3) and the hour-long
 //!   high-loss-period counts (Table 6);
+//! * [`pairs`] — the measured (src, dst) pairs and the row numbering
+//!   both accumulators lay their per-pair state out by: n·k rows for a
+//!   k-regular probe mesh, the historical n² for the clique;
 //! * [`cdf`] — empirical distribution functions;
 //! * [`latency`] — clock-skew correction by forward/reverse averaging
 //!   (§4.1);
@@ -24,6 +27,7 @@ pub mod figures;
 pub mod fingerprint;
 pub mod latency;
 pub mod loss;
+pub mod pairs;
 pub mod tables;
 pub mod windows;
 
@@ -31,6 +35,7 @@ pub use cdf::{Cdf, Histogram, WireVersion};
 pub use fingerprint::Fnv;
 pub use figures::{Figure, Series};
 pub use loss::{LossAccum, LossShape, MethodSummary};
+pub use pairs::PairIndex;
 pub use tables::{
     render_table5, render_table6, render_table7, scenario_stamp, Table5Row, Table6, Table7Row,
 };

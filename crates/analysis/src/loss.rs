@@ -9,14 +9,22 @@
 //! * **clp** — conditional loss probability of the second packet given
 //!   the first was lost;
 //! * **lat** — mean one-way latency of the first copy to arrive.
+//!
+//! An accumulator holds one row of counters per *measured* pair and
+//! method — the rows of its [`PairIndex`] — not one per ordered host
+//! pair: a k-regular probe mesh on n hosts costs n·k rows, the clique
+//! its historical n². Its [digest](LossAccum::digest) and every reader
+//! treat a pair it does not hold as a cell of zeros, so the two layouts
+//! are indistinguishable except in size.
 
 use crate::cdf::WireVersion;
 use crate::latency::corrected_path_means;
+use crate::pairs::{undeclared_pair, PairIndex};
 use netsim::HostId;
 use trace::PairOutcome;
 
 /// Counters for one (method, src, dst) cell.
-#[derive(Debug, Clone, Copy, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct Cell {
     /// Probe pairs observed.
     pub pairs: u64,
@@ -40,6 +48,9 @@ pub struct Cell {
     pub lat_cnt: u64,
 }
 
+/// Bytes one [`Cell`] folds into a digest: its ten 8-byte counters.
+const CELL_DIGEST_BYTES: u64 = 80;
+
 /// Summary statistics for one method (the paper's table columns, in
 /// percent and milliseconds).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -61,7 +72,8 @@ pub struct MethodSummary {
 
 /// The per-cell counters of [`Cell`], structure-of-arrays: summaries,
 /// curves and merges scan one counter across every cell, so each scan
-/// walks a dense array instead of striding 80-byte structs.
+/// walks a dense array instead of striding 80-byte structs. The wire
+/// form is these columns, one key each.
 #[derive(Debug, Default)]
 struct CellArrays {
     pairs: Vec<u64>,
@@ -92,10 +104,6 @@ impl CellArrays {
         }
     }
 
-    fn len(&self) -> usize {
-        self.pairs.len()
-    }
-
     fn get(&self, i: usize) -> Cell {
         Cell {
             pairs: self.pairs[i],
@@ -111,44 +119,28 @@ impl CellArrays {
         }
     }
 
-    fn push(&mut self, c: Cell) {
-        self.pairs.push(c.pairs);
-        self.pairs_lost.push(c.pairs_lost);
-        self.l1_sent.push(c.l1_sent);
-        self.l1_lost.push(c.l1_lost);
-        self.l2_sent.push(c.l2_sent);
-        self.l2_lost.push(c.l2_lost);
-        self.both_lost.push(c.both_lost);
-        self.first_lost_with_second.push(c.first_lost_with_second);
-        self.lat_sum_us.push(c.lat_sum_us);
-        self.lat_cnt.push(c.lat_cnt);
-    }
-}
-
-// In memory the cells are SoA; the wire keeps the v1 `Vec<Cell>` shape,
-// written and read one cell at a time with no AoS copy in between.
-impl serde::Serialize for CellArrays {
-    fn serialize(&self, out: &mut String) {
-        serde::write_seq(out, (0..self.len()).map(|i| self.get(i)));
-    }
-}
-
-impl serde::Deserialize for CellArrays {
-    fn deserialize(r: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
-        let mut cells = CellArrays::default();
-        r.seq(|r| {
-            cells.push(serde::Deserialize::deserialize(r)?);
-            Ok(())
-        })?;
-        Ok(cells)
+    /// Every column's length, in declaration order.
+    fn lens(&self) -> [(&'static str, usize); 10] {
+        [
+            ("pairs", self.pairs.len()),
+            ("pairs_lost", self.pairs_lost.len()),
+            ("l1_sent", self.l1_sent.len()),
+            ("l1_lost", self.l1_lost.len()),
+            ("l2_sent", self.l2_sent.len()),
+            ("l2_lost", self.l2_lost.len()),
+            ("both_lost", self.both_lost.len()),
+            ("first_lost_with_second", self.first_lost_with_second.len()),
+            ("lat_sum_us", self.lat_sum_us.len()),
+            ("lat_cnt", self.lat_cnt.len()),
+        ]
     }
 }
 
 /// What [`LossAccum::merge`] requires both sides to agree on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LossShape {
-    /// Host count.
-    pub n: usize,
+    /// The measured pairs (and with them the host count).
+    pub pairs: PairIndex,
     /// Analysis-method count.
     pub methods: usize,
     /// Redundancy degree (see [`LossAccum::depth`]).
@@ -158,7 +150,9 @@ pub struct LossShape {
 /// Streaming per-path loss/latency accumulator.
 #[derive(Debug)]
 pub struct LossAccum {
-    n: usize,
+    /// The pairs this accumulator holds a row for; the cell of `method`
+    /// on a pair sits at `method * pairs.rows() + row`.
+    pairs: PairIndex,
     methods: usize,
     cells: CellArrays,
     /// Redundancy degree: the maximum legs any method sends. The base
@@ -176,33 +170,47 @@ pub struct LossAccum {
 }
 
 impl LossAccum {
-    /// Creates an accumulator for `methods` methods over `n` hosts, for
-    /// method sets of at most two legs (the paper's pairs).
+    /// Creates an accumulator for `methods` methods over the clique on
+    /// `n` hosts, for method sets of at most two legs (the paper's
+    /// pairs).
     pub fn new(n: usize, methods: usize) -> Self {
         Self::with_depth(n, methods, 2)
     }
 
-    /// Creates an accumulator tracking best-of-first-j loss for methods
-    /// of up to `max_legs` redundant legs.
+    /// [`Self::with_pairs`] over the clique on `n` hosts.
     pub fn with_depth(n: usize, methods: usize, max_legs: usize) -> Self {
-        let max_legs = max_legs.max(1);
-        let deep =
-            if max_legs > 2 { vec![0; n * n * methods * max_legs] } else { Vec::new() };
-        LossAccum { n, methods, cells: CellArrays::with_len(n * n * methods), max_legs, deep }
+        Self::with_pairs(PairIndex::clique(n), methods, max_legs)
     }
 
+    /// Creates an accumulator holding one row per pair of `pairs` and
+    /// method, tracking best-of-first-j loss for methods of up to
+    /// `max_legs` redundant legs.
+    pub fn with_pairs(pairs: PairIndex, methods: usize, max_legs: usize) -> Self {
+        let max_legs = max_legs.max(1);
+        let cells = pairs.rows() * methods;
+        let deep = if max_legs > 2 { vec![0; cells * max_legs] } else { Vec::new() };
+        LossAccum { pairs, methods, cells: CellArrays::with_len(cells), max_legs, deep }
+    }
+
+    /// Where the cell of `method` on `src → dst` sits in the columns;
+    /// `None` for a pair the accumulator holds no row for.
     #[inline]
-    fn idx(&self, method: u8, src: HostId, dst: HostId) -> usize {
+    fn idx(&self, method: u8, src: HostId, dst: HostId) -> Option<usize> {
         debug_assert!((method as usize) < self.methods);
-        method as usize * self.n * self.n + src.idx() * self.n + dst.idx()
+        Some(method as usize * self.pairs.rows() + self.pairs.row(src, dst)?)
     }
 
     /// Ingests one resolved probe pair (discarded samples are skipped).
+    ///
+    /// # Panics
+    ///
+    /// On an outcome for a pair outside the accumulator's [`PairIndex`]:
+    /// the driver measured something the scenario did not declare.
     pub fn on_outcome(&mut self, o: &PairOutcome) {
         if o.discarded {
             return;
         }
-        let i = self.idx(o.method, o.src, o.dst);
+        let Some(i) = self.idx(o.method, o.src, o.dst) else { undeclared_pair(o) };
         let c = &mut self.cells;
         c.pairs[i] += 1;
         if o.all_lost() {
@@ -251,9 +259,9 @@ impl LossAccum {
     /// callers must merge in a fixed order (the shard runner always
     /// merges ascending by slice index).
     ///
-    /// Panics if the shapes (host count, method count) differ.
+    /// Panics if the shapes (pair index, method count, depth) differ.
     pub fn merge(&mut self, other: &LossAccum) {
-        assert_eq!(self.n, other.n, "host counts must match");
+        assert!(self.pairs == other.pairs, "pair indexes must match");
         assert_eq!(self.methods, other.methods, "method counts must match");
         assert_eq!(self.max_legs, other.max_legs, "redundancy depths must match");
         for (a, b) in self.deep.iter_mut().zip(&other.deep) {
@@ -287,23 +295,33 @@ impl LossAccum {
     /// Feeds the accumulator's exact state (every counter and the bit
     /// patterns of every latency sum) into a fingerprint fold.
     ///
+    /// The stream is the one a dense `n · n · methods` accumulator
+    /// emits, whatever is held: per method, every cell id `src · n +
+    /// dst` ascending, and a pair the index has no row for folds as the
+    /// zeros it would hold ([`Fnv::write_zeros`](crate::Fnv::write_zeros),
+    /// one multiplication per gap). So a mesh-indexed run and a clique
+    /// one that measured the same pairs fingerprint alike, and no
+    /// recorded golden depends on the layout.
+    ///
     /// The depth extension is folded only when it exists (`max_legs >
     /// 2`): pair-shaped accumulators must keep producing the exact
     /// digest stream they did before k-leg probes existed, so every
     /// recorded scenario fingerprint golden stays valid.
     pub fn digest(&self, fnv: &mut crate::fingerprint::Fnv) {
-        fnv.write_u64(self.n as u64);
+        fnv.write_u64(self.pairs.n() as u64);
         fnv.write_u64(self.methods as u64);
         if !self.deep.is_empty() {
             fnv.write_u64(self.max_legs as u64);
-            for &v in &self.deep {
-                fnv.write_u64(v);
-            }
+            self.fold_cells(fnv, 8 * self.max_legs as u64, |fnv, i| {
+                for &v in &self.deep[i * self.max_legs..(i + 1) * self.max_legs] {
+                    fnv.write_u64(v);
+                }
+            });
         }
         // The fold order is the pair-era per-cell interleaving — every
         // recorded fingerprint golden depends on it — so this gathers
         // across the arrays rather than streaming each in turn.
-        for i in 0..self.cells.len() {
+        self.fold_cells(fnv, CELL_DIGEST_BYTES, |fnv, i| {
             fnv.write_u64(self.cells.pairs[i]);
             fnv.write_u64(self.cells.pairs_lost[i]);
             fnv.write_u64(self.cells.l1_sent[i]);
@@ -314,17 +332,44 @@ impl LossAccum {
             fnv.write_u64(self.cells.first_lost_with_second[i]);
             fnv.write_f64(self.cells.lat_sum_us[i]);
             fnv.write_u64(self.cells.lat_cnt[i]);
+        });
+    }
+
+    /// Walks the dense cell ids of every method in order: `held` folds
+    /// the cell at a column position, and each run of ids the index
+    /// skips folds as `cell_bytes` zeros apiece.
+    fn fold_cells(
+        &self,
+        fnv: &mut crate::fingerprint::Fnv,
+        cell_bytes: u64,
+        held: impl Fn(&mut crate::fingerprint::Fnv, usize),
+    ) {
+        let (n, rows) = (self.pairs.n(), self.pairs.rows());
+        for method in 0..self.methods {
+            let mut next = 0; // the first cell id of `method` not yet folded
+            for (row, id) in self.pairs.ids().enumerate() {
+                fnv.write_zeros((id - next) as u64 * cell_bytes);
+                held(fnv, method * rows + row);
+                next = id + 1;
+            }
+            fnv.write_zeros((n * n - next) as u64 * cell_bytes);
         }
     }
 
-    /// Read access to one cell (assembled from the per-counter arrays).
+    /// Read access to one cell (assembled from the per-counter arrays);
+    /// all zeros for a pair the accumulator holds no row for.
     pub fn cell(&self, method: u8, src: HostId, dst: HostId) -> Cell {
-        self.cells.get(self.idx(method, src, dst))
+        self.idx(method, src, dst).map_or_else(Cell::default, |i| self.cells.get(i))
     }
 
     /// Host count.
     pub fn n(&self) -> usize {
-        self.n
+        self.pairs.n()
+    }
+
+    /// The pairs the accumulator holds a row for.
+    pub fn pairs(&self) -> &PairIndex {
+        &self.pairs
     }
 
     /// The accumulator's redundancy degree (maximum legs any method
@@ -337,7 +382,29 @@ impl LossAccum {
     /// already tied the cell arrays to them, so equal shapes are all
     /// [`Self::merge`] needs.
     pub fn shape(&self) -> LossShape {
-        LossShape { n: self.n, methods: self.methods, depth: self.max_legs }
+        LossShape { pairs: self.pairs.clone(), methods: self.methods, depth: self.max_legs }
+    }
+
+    /// Heap bytes held: ten 8-byte columns and the depth extension per
+    /// (row, method), plus the index.
+    pub fn approx_bytes(&self) -> usize {
+        8 * (10 * self.cells.pairs.len() + self.deep.len()) + self.pairs.approx_bytes()
+    }
+
+    /// The column positions of `method`'s cells, in row order.
+    fn cells_of(&self, method: u8) -> std::ops::Range<usize> {
+        let rows = self.pairs.rows();
+        method as usize * rows..(method as usize + 1) * rows
+    }
+
+    /// `method`'s measured paths, ascending by `(src, dst)`, each with
+    /// the position of its cell in the columns.
+    fn paths(&self, method: u8) -> impl Iterator<Item = (HostId, HostId, usize)> + '_ {
+        self.pairs
+            .pairs()
+            .zip(self.cells_of(method))
+            .filter(|((s, d), _)| s != d)
+            .map(|((s, d), i)| (s, d, i))
     }
 
     /// The best-of-first-j loss curve for a method: element `j - 1` is
@@ -350,8 +417,7 @@ impl LossAccum {
     /// yield a flat curve. Denominator: probes observed (the summary's
     /// `pairs`).
     pub fn best_of_first_pct(&self, method: u8) -> Vec<f64> {
-        let base = method as usize * self.n * self.n;
-        let range = base..base + self.n * self.n;
+        let range = self.cells_of(method);
         let pairs: u64 = self.cells.pairs[range.clone()].iter().sum();
         let pct = |num: u64| if pairs == 0 { 0.0 } else { 100.0 * num as f64 / pairs as f64 };
         if self.deep.is_empty() {
@@ -365,9 +431,8 @@ impl LossAccum {
         }
         (1..=self.max_legs)
             .map(|j| {
-                let lost: u64 = (base..base + self.n * self.n)
-                    .map(|cell| self.deep[cell * self.max_legs + j - 1])
-                    .sum();
+                let lost: u64 =
+                    range.clone().map(|cell| self.deep[cell * self.max_legs + j - 1]).sum();
                 pct(lost)
             })
             .collect()
@@ -375,8 +440,7 @@ impl LossAccum {
 
     /// Summary row for a method (the Table 5 / Table 7 columns).
     pub fn summary(&self, method: u8) -> MethodSummary {
-        let base = method as usize * self.n * self.n;
-        let range = base..base + self.n * self.n;
+        let range = self.cells_of(method);
         let c = &self.cells;
         let t = Cell {
             pairs: c.pairs[range.clone()].iter().sum(),
@@ -414,59 +478,33 @@ impl LossAccum {
 
     /// Per-path end-to-end loss rates (fraction), for Figure 2.
     pub fn per_path_loss(&self, method: u8) -> Vec<(HostId, HostId, f64)> {
-        let mut v = Vec::new();
-        for s in 0..self.n {
-            for d in 0..self.n {
-                if s == d {
-                    continue;
-                }
-                let c = self.cell(method, HostId(s as u16), HostId(d as u16));
-                if c.pairs > 0 {
-                    v.push((
-                        HostId(s as u16),
-                        HostId(d as u16),
-                        c.pairs_lost as f64 / c.pairs as f64,
-                    ));
-                }
-            }
-        }
-        v
+        let c = &self.cells;
+        self.paths(method)
+            .filter(|&(_, _, i)| c.pairs[i] > 0)
+            .map(|(s, d, i)| (s, d, c.pairs_lost[i] as f64 / c.pairs[i] as f64))
+            .collect()
     }
 
     /// Per-path conditional loss probabilities (percent) for paths that
     /// observed at least `min_first_losses` first-packet losses — the
     /// population of Figure 4.
     pub fn per_path_clp(&self, method: u8, min_first_losses: u64) -> Vec<f64> {
-        let mut v = Vec::new();
-        for s in 0..self.n {
-            for d in 0..self.n {
-                if s == d {
-                    continue;
-                }
-                let c = self.cell(method, HostId(s as u16), HostId(d as u16));
-                if c.first_lost_with_second >= min_first_losses.max(1) {
-                    v.push(100.0 * c.both_lost as f64 / c.first_lost_with_second as f64);
-                }
-            }
-        }
-        v
+        let c = &self.cells;
+        self.paths(method)
+            .filter(|&(_, _, i)| c.first_lost_with_second[i] >= min_first_losses.max(1))
+            .map(|(_, _, i)| 100.0 * c.both_lost[i] as f64 / c.first_lost_with_second[i] as f64)
+            .collect()
     }
 
     /// Per-path mean latency in milliseconds, clock-skew corrected by
     /// averaging with the reverse path (§4.1).
     pub fn per_path_latency_ms(&self, method: u8) -> Vec<(HostId, HostId, f64)> {
-        let mut raw = Vec::new();
-        for s in 0..self.n {
-            for d in 0..self.n {
-                if s == d {
-                    continue;
-                }
-                let c = self.cell(method, HostId(s as u16), HostId(d as u16));
-                if c.lat_cnt > 0 {
-                    raw.push((s as u16, d as u16, c.lat_sum_us / c.lat_cnt as f64));
-                }
-            }
-        }
+        let c = &self.cells;
+        let raw: Vec<(u16, u16, f64)> = self
+            .paths(method)
+            .filter(|&(_, _, i)| c.lat_cnt[i] > 0)
+            .map(|(s, d, i)| (s.0, d.0, c.lat_sum_us[i] / c.lat_cnt[i] as f64))
+            .collect();
         corrected_path_means(&raw)
             .into_iter()
             .map(|(s, d, us)| (HostId(s), HostId(d), us / 1_000.0))
@@ -474,19 +512,33 @@ impl LossAccum {
     }
 }
 
-// Versioned wire format (v1): every private counter (and the exact f64
-// bit pattern of each latency sum, via serde_json's shortest-round-trip
-// float writer) crosses the wire, so a deserialized accumulator merges
-// byte-identically to one that never left memory. Unknown fields and
-// versions are rejected loudly.
+// Versioned wire format (v2): what is held is what crosses — the index
+// as `rows` (`null` for the clique, else the ascending cell ids), then
+// one key per counter column, each `rows · methods` long. Every private
+// counter (and the exact f64 bit pattern of each latency sum, via
+// serde_json's shortest-round-trip float writer) is there, so a
+// deserialized accumulator merges byte-identically to one that never
+// left memory. Unknown fields and versions are rejected loudly. (v1
+// shipped a ten-key map per cell of the dense n² grid.)
 impl serde::Serialize for LossAccum {
     fn serialize(&self, out: &mut String) {
+        let c = &self.cells;
         let mut m = serde::MapWriter::new(out);
-        m.field("v", &WireVersion::<1>);
-        m.field("n", &self.n);
+        m.field("v", &WireVersion::<2>);
+        m.field("n", &self.pairs.n());
         m.field("methods", &self.methods);
         m.field("max_legs", &self.max_legs);
-        m.field("cells", &self.cells);
+        self.pairs.write_rows(m.key("rows"));
+        m.field("pairs", &c.pairs);
+        m.field("pairs_lost", &c.pairs_lost);
+        m.field("l1_sent", &c.l1_sent);
+        m.field("l1_lost", &c.l1_lost);
+        m.field("l2_sent", &c.l2_sent);
+        m.field("l2_lost", &c.l2_lost);
+        m.field("both_lost", &c.both_lost);
+        m.field("first_lost_with_second", &c.first_lost_with_second);
+        m.field("lat_sum_us", &c.lat_sum_us);
+        m.field("lat_cnt", &c.lat_cnt);
         m.field("deep", &self.deep);
         m.end();
     }
@@ -494,38 +546,93 @@ impl serde::Serialize for LossAccum {
 
 impl serde::Deserialize for LossAccum {
     fn deserialize(r: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
-        let (WireVersion::<1>, n, methods, max_legs, cells, deep) =
-            serde::read_fields!(r, "LossAccum", [v, n, methods, max_legs, cells, deep]);
-        LossAccum { n, methods, cells, max_legs, deep }.validated()
+        let (
+            WireVersion::<2>,
+            n,
+            methods,
+            max_legs,
+            rows,
+            pairs,
+            pairs_lost,
+            l1_sent,
+            l1_lost,
+            l2_sent,
+            l2_lost,
+            both_lost,
+            first_lost_with_second,
+            lat_sum_us,
+            lat_cnt,
+            deep,
+        ) = serde::read_fields!(
+            r,
+            "LossAccum",
+            [
+                v,
+                n,
+                methods,
+                max_legs,
+                rows,
+                pairs,
+                pairs_lost,
+                l1_sent,
+                l1_lost,
+                l2_sent,
+                l2_lost,
+                both_lost,
+                first_lost_with_second,
+                lat_sum_us,
+                lat_cnt,
+                deep
+            ]
+        );
+        let pairs_index = PairIndex::from_wire(n, rows)
+            .map_err(|e| serde::Error::new(format!("LossAccum: {e}")))?;
+        let cells = CellArrays {
+            pairs,
+            pairs_lost,
+            l1_sent,
+            l1_lost,
+            l2_sent,
+            l2_lost,
+            both_lost,
+            first_lost_with_second,
+            lat_sum_us,
+            lat_cnt,
+        };
+        LossAccum { pairs: pairs_index, methods, cells, max_legs, deep }.validated()
     }
 }
 
 impl LossAccum {
-    /// What an accumulator off the wire must satisfy. The products are
-    /// checked: `n`, `methods` and `max_legs` are numbers from outside
-    /// the process.
+    /// What an accumulator off the wire must satisfy ([`PairIndex::from_wire`]
+    /// has vetted the index). The products are checked: `n`, `methods`
+    /// and `max_legs` are numbers from outside the process.
     fn validated(self) -> Result<Self, serde::Error> {
         if self.max_legs == 0 {
             return Err(serde::Error::new("LossAccum: max_legs must be >= 1"));
         }
-        let cells = self.n.checked_mul(self.n).and_then(|nn| nn.checked_mul(self.methods));
-        if Some(self.cells.len()) != cells {
+        let overflows = || {
+            serde::Error::new(format!(
+                "LossAccum: {:?} x {} methods x {} legs is more cells than can be addressed",
+                self.pairs, self.methods, self.max_legs
+            ))
+        };
+        // `rows()` is at most MAX_HOSTS², which fits.
+        let cells = self.pairs.rows().checked_mul(self.methods).ok_or_else(overflows)?;
+        if let Some((column, len)) = self.cells.lens().into_iter().find(|&(_, len)| len != cells) {
             return Err(serde::Error::new(format!(
-                "LossAccum: {} cells for shape n={} methods={}",
-                self.cells.len(),
-                self.n,
-                self.methods
+                "LossAccum: column `{column}` holds {len} cells, {:?} x {} methods hold {cells}",
+                self.pairs, self.methods
             )));
         }
         // The depth extension exists exactly when max_legs > 2 (the
         // pair-era digest invariant depends on this).
         let deep =
-            if self.max_legs > 2 { self.cells.len().checked_mul(self.max_legs) } else { Some(0) };
-        if Some(self.deep.len()) != deep {
+            if self.max_legs > 2 { cells.checked_mul(self.max_legs).ok_or_else(overflows)? } else { 0 };
+        if self.deep.len() != deep {
             return Err(serde::Error::new(format!(
-                "LossAccum: {} deep counters for {} cells at max_legs={}",
+                "LossAccum: {} deep counters for {cells} cells at max_legs={}",
                 self.deep.len(),
-                self.cells.len(),
                 self.max_legs
             )));
         }
@@ -797,11 +904,58 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "host counts must match")]
+    #[should_panic(expected = "pair indexes must match")]
     fn merge_rejects_shape_mismatch() {
         let mut a = LossAccum::new(2, 1);
         let b = LossAccum::new(3, 1);
         a.merge(&b);
+    }
+
+    /// Hosts 0–3 on a ring: each probes its two neighbours.
+    fn ring4() -> PairIndex {
+        PairIndex::new(4, Some(&[vec![1, 3], vec![0, 2], vec![1, 3], vec![0, 2]]))
+    }
+
+    #[test]
+    #[should_panic(expected = "pair indexes must match")]
+    fn merge_rejects_another_mesh_of_the_same_size() {
+        let other = PairIndex::new(4, Some(&[vec![1, 2], vec![0, 3], vec![0, 3], vec![1, 2]]));
+        assert_eq!(other.rows(), ring4().rows());
+        LossAccum::with_pairs(ring4(), 1, 2).merge(&LossAccum::with_pairs(other, 1, 2));
+    }
+
+    #[test]
+    #[should_panic(expected = "pair indexes must match")]
+    fn merge_rejects_the_clique_for_a_mesh() {
+        LossAccum::with_pairs(ring4(), 1, 2).merge(&LossAccum::new(4, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "undeclared pair 0 -> 2")]
+    fn an_outcome_for_an_undeclared_pair_is_a_bug_in_the_driver() {
+        let mut a = LossAccum::with_pairs(ring4(), 1, 2);
+        a.on_outcome(&outcome(0, 0, 2, [Some((true, None)), None], false));
+    }
+
+    #[test]
+    fn a_mesh_holds_its_rows_and_reads_every_other_pair_as_zeros() {
+        let mut a = LossAccum::with_pairs(ring4(), 2, 2);
+        assert_eq!(a.approx_bytes(), 8 * 10 * 8 * 2 + ring4().approx_bytes());
+        a.on_outcome(&outcome(1, 2, 3, [Some((true, None)), None], false));
+        assert_eq!(a.cell(1, HostId(2), HostId(3)).pairs_lost, 1);
+        assert_eq!(a.cell(0, HostId(2), HostId(3)).pairs, 0, "methods do not mix");
+        let undeclared = a.cell(1, HostId(0), HostId(2));
+        assert_eq!((undeclared.pairs, undeclared.lat_cnt), (0, 0));
+        assert_eq!(a.cell(1, HostId(9), HostId(0)).pairs, 0, "nor is an unknown host a panic");
+        assert_eq!(a.summary(1).pairs, 1);
+        assert_eq!(a.per_path_loss(1), vec![(HostId(2), HostId(3), 1.0)]);
+        // The same outcome into the clique digests alike.
+        let mut dense = LossAccum::new(4, 2);
+        dense.on_outcome(&outcome(1, 2, 3, [Some((true, None)), None], false));
+        let (mut fa, mut fb) = (crate::Fnv::new(), crate::Fnv::new());
+        a.digest(&mut fa);
+        dense.digest(&mut fb);
+        assert_eq!(fa.finish(), fb.finish());
     }
 
     #[test]

@@ -10,26 +10,24 @@
 //! closes when a later sample for the same cell arrives (or at
 //! [`WindowAccum::finish`]) and its end-to-end pair loss rate feeds a
 //! per-method histogram and the threshold counters.
+//!
+//! Like [`crate::LossAccum`], an accumulator holds open-window state per
+//! *measured* pair — the rows of its [`PairIndex`] — and only while a
+//! window is open: the three open-window columns appear with the first
+//! outcome, and a finished accumulator off the wire carries none.
 
 use crate::cdf::{Histogram, WireVersion};
+use crate::pairs::{undeclared_pair, PairIndex};
 use netsim::SimDuration;
 use trace::PairOutcome;
 
-#[derive(Debug, Clone, Copy, Default, serde::Serialize, serde::Deserialize)]
-struct OpenWin {
-    window_idx: u64,
-    sent: u32,
-    lost: u32,
-    used: bool,
-}
-
 /// What [`WindowAccum::merge`] requires both sides to agree on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WindowShape {
     /// Window width, microseconds.
     pub width_us: u64,
-    /// Host count.
-    pub n: usize,
+    /// The measured pairs (and with them the host count).
+    pub pairs: PairIndex,
     /// Analysis-method count.
     pub methods: usize,
     /// No window is open (see [`WindowAccum::is_finished`]); a merge
@@ -42,9 +40,7 @@ pub struct WindowShape {
 /// The open-window cells are stored structure-of-arrays: the hot
 /// same-window path reads one `u64` per outcome and the close scan at a
 /// window boundary (or [`finish`](Self::finish)) walks a dense 8-byte
-/// array instead of 24-byte `OpenWin` structs. The wire format still
-/// speaks `Vec<OpenWin>` — serialization reconstructs it, so the v1
-/// shape is unchanged.
+/// array. The wire form is those columns as they are held.
 #[derive(Debug)]
 pub struct WindowAccum {
     width_us: u64,
@@ -56,10 +52,13 @@ pub struct WindowAccum {
     /// what `(0, 0)` encodes.
     cached_start_us: u64,
     cached_idx: u64,
-    n: usize,
+    /// The pairs this accumulator keeps a window for; the cell of
+    /// `method` on a pair sits at `method * pairs.rows() + row`.
+    pairs: PairIndex,
     /// `0` = cell unused, else the open window's index plus one. The
     /// bias keeps "unused" and "open at window 0" distinct without a
-    /// separate `used` array.
+    /// separate `used` array. This column and the two below are either
+    /// empty — no outcome has arrived yet — or one entry per cell.
     win: Vec<u64>,
     sent: Vec<u32>,
     lost: Vec<u32>,
@@ -70,18 +69,23 @@ pub struct WindowAccum {
 }
 
 impl WindowAccum {
-    /// Creates an accumulator with the given window width.
+    /// [`Self::with_pairs`] over the clique on `n` hosts.
     pub fn new(n: usize, methods: usize, width: SimDuration) -> Self {
+        Self::with_pairs(PairIndex::clique(n), methods, width)
+    }
+
+    /// Creates an accumulator of `width`-wide windows, one per pair of
+    /// `pairs` and method.
+    pub fn with_pairs(pairs: PairIndex, methods: usize, width: SimDuration) -> Self {
         assert!(width.as_micros() > 0);
-        let cells = n * n * methods;
         WindowAccum {
             width_us: width.as_micros(),
             cached_start_us: 0,
             cached_idx: 0,
-            n,
-            win: vec![0; cells],
-            sent: vec![0; cells],
-            lost: vec![0; cells],
+            pairs,
+            win: Vec::new(),
+            sent: Vec::new(),
+            lost: Vec::new(),
             hist: (0..methods).map(|_| Histogram::default()).collect(),
             thresholds: vec![[0; 10]; methods],
             windows: vec![0; methods],
@@ -93,7 +97,7 @@ impl WindowAccum {
         if self.win[cell] == 0 || sent == 0 {
             return;
         }
-        let method = cell / (self.n * self.n);
+        let method = cell / self.pairs.rows();
         let rate = lost as f64 / sent as f64;
         self.hist[method].push(rate);
         self.windows[method] += 1;
@@ -109,13 +113,22 @@ impl WindowAccum {
     }
 
     /// Ingests one resolved pair (discarded samples are skipped).
+    ///
+    /// # Panics
+    ///
+    /// On an outcome for a pair outside the accumulator's [`PairIndex`]:
+    /// the driver measured something the scenario did not declare.
     pub fn on_outcome(&mut self, o: &PairOutcome) {
         if o.discarded {
             return;
         }
-        let cell = o.method as usize * self.n * self.n
-            + o.src.idx() * self.n
-            + o.dst.idx();
+        let rows = self.pairs.rows();
+        let Some(row) = self.pairs.row(o.src, o.dst) else { undeclared_pair(o) };
+        let cell = o.method as usize * rows + row;
+        if self.win.is_empty() {
+            let cells = rows * self.hist.len();
+            (self.win, self.sent, self.lost) = (vec![0; cells], vec![0; cells], vec![0; cells]);
+        }
         let sent_us = o.sent.as_micros();
         // Same-window fast path: a wrapping range check against the
         // cached window start. `wrapping_sub` sends out-of-order sends
@@ -163,16 +176,30 @@ impl WindowAccum {
         self.win.iter().all(|&w| w == 0)
     }
 
+    /// The pairs the accumulator keeps a window for.
+    pub fn pairs(&self) -> &PairIndex {
+        &self.pairs
+    }
+
     /// The dimensions and state a merge partner must share.
     /// Deserialization has already tied the cell and per-method arrays
     /// to them, so equal (finished) shapes are all [`Self::merge`] needs.
     pub fn shape(&self) -> WindowShape {
         WindowShape {
             width_us: self.width_us,
-            n: self.n,
+            pairs: self.pairs.clone(),
             methods: self.hist.len(),
             finished: self.is_finished(),
         }
+    }
+
+    /// Heap bytes held: the open-window columns (16 per cell once an
+    /// outcome has arrived), the per-method histograms and counters,
+    /// and the index.
+    pub fn approx_bytes(&self) -> usize {
+        16 * self.win.len()
+            + self.hist.len() * (8 * Histogram::DEFAULT_BINS + 80 + 8)
+            + self.pairs.approx_bytes()
     }
 
     /// Folds another *finished* accumulator into this one.
@@ -181,10 +208,10 @@ impl WindowAccum {
     /// are independent sub-experiments), so merging is a plain sum of
     /// the per-method histograms, threshold counters and window counts.
     /// Panics if either side still has open windows or the shapes
-    /// (width, host count, method count) differ.
+    /// (width, pair index, method count) differ.
     pub fn merge(&mut self, other: &WindowAccum) {
         assert_eq!(self.width_us, other.width_us, "window widths must match");
-        assert_eq!(self.n, other.n, "host counts must match");
+        assert!(self.pairs == other.pairs, "pair indexes must match");
         assert_eq!(self.hist.len(), other.hist.len(), "method counts must match");
         assert!(
             self.is_finished() && other.is_finished(),
@@ -207,7 +234,7 @@ impl WindowAccum {
     /// fingerprint fold.
     pub fn digest(&self, fnv: &mut crate::fingerprint::Fnv) {
         fnv.write_u64(self.width_us);
-        fnv.write_u64(self.n as u64);
+        fnv.write_u64(self.pairs.n() as u64);
         for h in &self.hist {
             h.digest(fnv);
         }
@@ -238,27 +265,26 @@ impl WindowAccum {
     }
 }
 
-// Versioned wire format (v1). The open windows cross the wire too —
-// full fidelity, not just the closed statistics — even though slice
-// results arrive finished (slices close every window at their boundary):
-// a round-tripped accumulator must be indistinguishable from the
-// original in *every* state, or the serde-fidelity proptests could not
-// pin the wire format to the in-memory merge semantics.
+// Versioned wire format (v2): the index as `rows` (`null` for the
+// clique, else the ascending cell ids) and the open-window columns as
+// they are held — `null` when no window is open, which every slice
+// result is (slices close every window at their boundary), and one entry
+// per cell otherwise. Open windows cross the wire with full fidelity
+// all the same: a round-tripped accumulator must be indistinguishable
+// from the original in *every* state, or the serde-fidelity proptests
+// could not pin the wire format to the in-memory merge semantics. (v1
+// shipped a four-key map per cell of the dense n² grid.)
 impl serde::Serialize for WindowAccum {
     fn serialize(&self, out: &mut String) {
+        let open = !self.is_finished();
         let mut m = serde::MapWriter::new(out);
-        m.field("v", &WireVersion::<1>);
+        m.field("v", &WireVersion::<2>);
         m.field("width_us", &self.width_us);
-        m.field("n", &self.n);
-        // The in-memory layout is SoA; the wire still speaks the v1
-        // `Vec<OpenWin>` shape, reconstructed cell by cell.
-        let open = (0..self.win.len()).map(|i| match self.win[i] {
-            0 => OpenWin::default(),
-            tag => {
-                OpenWin { window_idx: tag - 1, sent: self.sent[i], lost: self.lost[i], used: true }
-            }
-        });
-        serde::write_seq(m.key("open"), open);
+        m.field("n", &self.pairs.n());
+        self.pairs.write_rows(m.key("rows"));
+        m.field("win", &open.then_some(&self.win));
+        m.field("sent", &open.then_some(&self.sent));
+        m.field("lost", &open.then_some(&self.lost));
         m.field("hist", &self.hist);
         m.field("thresholds", &self.thresholds);
         m.field("windows", &self.windows);
@@ -266,52 +292,22 @@ impl serde::Serialize for WindowAccum {
     }
 }
 
-/// The open-window columns as they come off the wire: the v1
-/// `Vec<OpenWin>`, decomposed cell by cell into the SoA arrays. A cell
-/// with `used == false` is normalized to all-zero: the encoder only
-/// ever writes default values there, so nothing real is dropped.
-#[derive(Default)]
-struct OpenColumns {
-    win: Vec<u64>,
-    sent: Vec<u32>,
-    lost: Vec<u32>,
-}
-
-impl serde::Deserialize for OpenColumns {
-    fn deserialize(r: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
-        let mut open = OpenColumns::default();
-        r.seq(|r| {
-            let o = OpenWin::deserialize(r)?;
-            let (tag, sent, lost) = match o.window_idx.checked_add(1) {
-                _ if !o.used => (0, 0, 0),
-                Some(tag) => (tag, o.sent, o.lost),
-                None => return Err(serde::Error::new("OpenWin: window_idx out of range")),
-            };
-            open.win.push(tag);
-            open.sent.push(sent);
-            open.lost.push(lost);
-            Ok(())
-        })?;
-        Ok(open)
-    }
-}
-
 impl serde::Deserialize for WindowAccum {
     fn deserialize(r: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
-        let (WireVersion::<1>, width_us, n, open, hist, thresholds, windows) = serde::read_fields!(
+        let (WireVersion::<2>, width_us, n, rows, win, sent, lost, hist, thresholds, windows) = serde::read_fields!(
             r,
             "WindowAccum",
-            [v, width_us, n, open, hist, thresholds, windows]
+            [v, width_us, n, rows, win, sent, lost, hist, thresholds, windows]
         );
-        let OpenColumns { win, sent, lost } = open;
         WindowAccum {
             width_us,
             cached_start_us: 0,
             cached_idx: 0,
-            n,
-            win,
-            sent,
-            lost,
+            pairs: PairIndex::from_wire(n, rows)
+                .map_err(|e| serde::Error::new(format!("WindowAccum: {e}")))?,
+            win: Option::unwrap_or_default(win),
+            sent: Option::unwrap_or_default(sent),
+            lost: Option::unwrap_or_default(lost),
             hist,
             thresholds,
             windows,
@@ -321,7 +317,8 @@ impl serde::Deserialize for WindowAccum {
 }
 
 impl WindowAccum {
-    /// What an accumulator off the wire must satisfy.
+    /// What an accumulator off the wire must satisfy
+    /// ([`PairIndex::from_wire`] has vetted the index).
     fn validated(self) -> Result<Self, serde::Error> {
         if self.width_us == 0 {
             return Err(serde::Error::new("WindowAccum: width_us must be > 0"));
@@ -341,14 +338,44 @@ impl WindowAccum {
                 Histogram::DEFAULT_BINS
             )));
         }
-        // Checked: `n` is a number from outside the process.
-        let cells = self.n.checked_mul(self.n).and_then(|nn| nn.checked_mul(methods));
-        if Some(self.win.len()) != cells {
-            return Err(serde::Error::new(format!(
-                "WindowAccum: {} open cells for shape n={} methods={methods}",
-                self.win.len(),
-                self.n
-            )));
+        if self.win.is_empty() && self.sent.is_empty() && self.lost.is_empty() {
+            return Ok(self); // finished: nothing is held per cell
+        }
+        // Otherwise all three are columns (a `null` beside two columns
+        // reads as a column of no cells, and fails here).
+        // Checked: both factors are numbers from outside the process.
+        let cells = self.pairs.rows().checked_mul(methods).ok_or_else(|| {
+            serde::Error::new(format!(
+                "WindowAccum: {:?} x {methods} methods is more cells than can be addressed",
+                self.pairs
+            ))
+        })?;
+        for (column, len) in
+            [("win", self.win.len()), ("sent", self.sent.len()), ("lost", self.lost.len())]
+        {
+            if len != cells {
+                return Err(serde::Error::new(format!(
+                    "WindowAccum: column `{column}` holds {len} cells, {:?} x {methods} methods \
+                     hold {cells}",
+                    self.pairs
+                )));
+            }
+        }
+        // An open window saw at least one pair and lost no more than it
+        // saw (`close` divides them into a rate), an unused cell none;
+        // and the encoder ships columns only while something is open.
+        for cell in 0..self.win.len() {
+            let (tag, sent, lost) = (self.win[cell], self.sent[cell], self.lost[cell]);
+            if lost > sent || (tag == 0) != (sent == 0) {
+                return Err(serde::Error::new(format!(
+                    "WindowAccum: open cell {cell} has window tag {tag}, sent {sent}, lost {lost}"
+                )));
+            }
+        }
+        if self.is_finished() {
+            return Err(serde::Error::new(
+                "WindowAccum: open-window columns present but no window is open",
+            ));
         }
         Ok(self)
     }
@@ -471,6 +498,69 @@ mod tests {
         b.on_outcome(&outcome(0, 0, 1, 10, false));
         // b not finished: must panic.
         a.merge(&b);
+    }
+
+    fn ring4() -> PairIndex {
+        PairIndex::new(4, Some(&[vec![1, 3], vec![0, 2], vec![1, 3], vec![0, 2]]))
+    }
+
+    #[test]
+    #[should_panic(expected = "pair indexes must match")]
+    fn merge_rejects_another_index() {
+        let mut a = WindowAccum::with_pairs(ring4(), 1, SimDuration::from_mins(20));
+        a.merge(&WindowAccum::new(4, 1, SimDuration::from_mins(20)));
+    }
+
+    #[test]
+    #[should_panic(expected = "undeclared pair 0 -> 2")]
+    fn an_outcome_for_an_undeclared_pair_is_a_bug_in_the_driver() {
+        let mut w = WindowAccum::with_pairs(ring4(), 1, SimDuration::from_mins(20));
+        w.on_outcome(&outcome(0, 0, 2, 10, false));
+    }
+
+    #[test]
+    fn open_columns_are_held_from_the_first_outcome_and_per_declared_pair() {
+        let mut w = WindowAccum::with_pairs(ring4(), 2, SimDuration::from_mins(20));
+        let idle = w.approx_bytes();
+        assert!(w.is_finished());
+        w.on_outcome(&outcome(1, 2, 3, 10, true));
+        assert!(!w.is_finished());
+        assert_eq!(w.approx_bytes(), idle + 16 * 8 * 2, "8 rows x 2 methods");
+        w.finish();
+        assert!(w.is_finished());
+        assert_eq!((w.window_count(0), w.window_count(1)), (0, 1));
+    }
+
+    #[test]
+    fn an_open_window_off_the_wire_must_add_up() {
+        let mut w = WindowAccum::new(2, 1, SimDuration::from_mins(20));
+        w.on_outcome(&outcome(0, 0, 1, 10, true));
+        w.on_outcome(&outcome(0, 0, 1, 20, false));
+        let json = serde_json::to_string(&w).unwrap();
+        assert!(json.contains(r#""win":[0,1,0,0],"sent":[0,2,0,0],"lost":[0,1,0,0]"#), "{json}");
+        assert!(serde_json::from_str::<WindowAccum>(&json).is_ok());
+        let refused = |from: &str, to: &str| {
+            let bent = json.replacen(from, to, 1);
+            assert_ne!(bent, json);
+            serde_json::from_str::<WindowAccum>(&bent).expect_err(to).to_string()
+        };
+        // More lost than sent: `close` would push a rate above 1.
+        assert!(refused(r#""lost":[0,1,"#, r#""lost":[0,3,"#).contains("open cell 1"));
+        // A window that is open but saw nothing, and the reverse.
+        assert!(refused(r#""sent":[0,2,"#, r#""sent":[0,0,"#).contains("open cell 1"));
+        assert!(refused(r#""sent":[0,2,0"#, r#""sent":[0,2,1"#).contains("open cell 2"));
+        // Columns of another length, columns for nothing, half the columns.
+        assert!(refused(r#""win":[0,1,0,0]"#, r#""win":[0,1,0]"#).contains("column `win`"));
+        assert!(refused(r#""lost":[0,1,0,0]"#, r#""lost":null"#).contains("column `lost`"));
+        w.finish();
+        let finished = serde_json::to_string(&w).unwrap();
+        assert!(finished.contains(r#""win":null,"sent":null,"lost":null"#), "{finished}");
+        let zeros = finished
+            .replace(r#""win":null"#, r#""win":[0,0,0,0]"#)
+            .replace(r#""sent":null"#, r#""sent":[0,0,0,0]"#)
+            .replace(r#""lost":null"#, r#""lost":[0,0,0,0]"#);
+        let err = serde_json::from_str::<WindowAccum>(&zeros).expect_err("not canonical");
+        assert!(err.to_string().contains("no window is open"), "{err}");
     }
 
     #[test]

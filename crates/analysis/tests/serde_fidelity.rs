@@ -15,15 +15,21 @@
 //! digest of merging the originals directly. Outcomes include 3- and
 //! 4-leg probes so the `max_legs > 2` best-of-first-j extension (the
 //! k-leg depth guard) crosses the wire too, not just the paper's pairs.
+//!
+//! Outcomes land on the pairs of a random probe mesh, and every
+//! property runs over both index kinds — rows for that mesh's pairs, and
+//! the clique — which must not differ in anything but size. The dense
+//! array-of-structs accumulators at the bottom are the oracle for that:
+//! whatever an accumulator holds, it digests like they do.
 
 use analysis::loss::Cell;
-use analysis::{Fnv, Histogram, LossAccum, WindowAccum};
+use analysis::{Fnv, Histogram, LossAccum, PairIndex, WindowAccum};
 use netsim::{HostId, NetCounters, SimDuration, SimTime};
 use proptest::prelude::*;
 use trace::record::MAX_PROBE_LEGS;
 use trace::{CollectorStats, LegOutcome, PairOutcome};
 
-const HOSTS: u16 = 4;
+const HOSTS: u16 = 6;
 const METHODS: u8 = 3;
 
 fn arb_leg() -> impl Strategy<Value = LegOutcome> {
@@ -35,6 +41,15 @@ fn arb_leg() -> impl Strategy<Value = LegOutcome> {
     })
 }
 
+/// A `k`-regular probe mesh on [`HOSTS`] hosts, `k` from 1 to "every
+/// other host".
+fn arb_mesh() -> impl Strategy<Value = Vec<Vec<u16>>> {
+    (1..HOSTS as usize, any::<u64>())
+        .prop_map(|(k, seed)| netsim::sparse_mesh(HOSTS as usize, k, seed))
+}
+
+/// An outcome whose `dst` is still a draw, not a host: [`onto`] turns it
+/// into one of the source's peers.
 fn arb_outcome() -> impl Strategy<Value = PairOutcome> {
     (
         any::<u64>(),
@@ -45,8 +60,7 @@ fn arb_outcome() -> impl Strategy<Value = PairOutcome> {
         1usize..=MAX_PROBE_LEGS,
         proptest::collection::vec(arb_leg(), MAX_PROBE_LEGS..MAX_PROBE_LEGS + 1),
     )
-        .prop_map(|(id, method, src, dst_raw, sent_us, present, legs)| {
-            let dst = if dst_raw == src { (src + 1) % HOSTS } else { dst_raw };
+        .prop_map(|(id, method, src, draw, sent_us, present, legs)| {
             let mut slots = [None; MAX_PROBE_LEGS];
             for (slot, leg) in slots.iter_mut().zip(&legs).take(present) {
                 *slot = Some(*leg);
@@ -55,13 +69,49 @@ fn arb_outcome() -> impl Strategy<Value = PairOutcome> {
                 id,
                 method,
                 HostId(src),
-                HostId(dst),
+                HostId(draw),
                 SimTime::from_micros(sent_us),
                 slots,
                 // Deterministic-but-arbitrary sprinkling of §4.1 discards.
                 id % 11 == 0,
             )
         })
+}
+
+/// `outs` as a run over `mesh` would produce them: every outcome on a
+/// pair the mesh declares.
+fn onto(mesh: &[Vec<u16>], outs: &[PairOutcome]) -> Vec<PairOutcome> {
+    outs.iter()
+        .map(|o| {
+            let peers = &mesh[o.src.idx()];
+            let mut o = *o;
+            o.dst = HostId(peers[o.dst.idx() % peers.len()]);
+            o
+        })
+        .collect()
+}
+
+/// Both index kinds that can hold a run over `mesh`: its rows, and the
+/// clique.
+fn indexes(mesh: &[Vec<u16>]) -> [PairIndex; 2] {
+    [PairIndex::new(HOSTS as usize, Some(mesh)), PairIndex::clique(HOSTS as usize)]
+}
+
+fn feed_loss(pairs: &PairIndex, depth: usize, outs: &[PairOutcome]) -> LossAccum {
+    let mut acc = LossAccum::with_pairs(pairs.clone(), METHODS as usize, depth);
+    for o in outs {
+        acc.on_outcome(o);
+    }
+    acc
+}
+
+fn feed_windows(pairs: &PairIndex, outs: &[PairOutcome]) -> WindowAccum {
+    let mut acc =
+        WindowAccum::with_pairs(pairs.clone(), METHODS as usize, SimDuration::from_mins(20));
+    for o in outs {
+        acc.on_outcome(o);
+    }
+    acc
 }
 
 fn digest(write: impl FnOnce(&mut Fnv)) -> u64 {
@@ -81,71 +131,69 @@ proptest! {
     #[test]
     fn loss_accum_merges_identically_after_the_wire(
         depth in 2usize..=MAX_PROBE_LEGS,
+        mesh in arb_mesh(),
         a in proptest::collection::vec(arb_outcome(), 0..80),
         b in proptest::collection::vec(arb_outcome(), 0..80),
     ) {
-        let feed = |outs: &[PairOutcome]| {
-            let mut acc = LossAccum::with_depth(HOSTS as usize, METHODS as usize, depth);
-            for o in outs {
-                acc.on_outcome(o);
-            }
-            acc
-        };
-        // Never-serialized reference merge.
-        let mut local = feed(&a);
-        local.merge(&feed(&b));
-        // The distributed path: both sides cross the wire first.
-        let mut wired = round_trip(&feed(&a));
-        wired.merge(&round_trip(&feed(&b)));
-        prop_assert_eq!(
-            digest(|f| local.digest(f)),
-            digest(|f| wired.digest(f)),
-            "depth {} merge diverged after JSON round-trip", depth
-        );
-        // The k-leg depth guard: the deep best-of-first-j curve itself
-        // must survive, not just the digest fold.
-        prop_assert_eq!(local.depth(), wired.depth());
-        if depth > 2 {
-            for m in 0..METHODS {
-                prop_assert_eq!(
-                    local.best_of_first_pct(m),
-                    wired.best_of_first_pct(m)
-                );
+        let (a, b) = (onto(&mesh, &a), onto(&mesh, &b));
+        for pairs in indexes(&mesh) {
+            // Never-serialized reference merge.
+            let mut local = feed_loss(&pairs, depth, &a);
+            local.merge(&feed_loss(&pairs, depth, &b));
+            // The distributed path: both sides cross the wire first.
+            let mut wired = round_trip(&feed_loss(&pairs, depth, &a));
+            wired.merge(&round_trip(&feed_loss(&pairs, depth, &b)));
+            prop_assert_eq!(
+                digest(|f| local.digest(f)),
+                digest(|f| wired.digest(f)),
+                "depth {} merge over {:?} diverged after JSON round-trip", depth, pairs
+            );
+            // The wire carried the index itself, not just its size.
+            prop_assert_eq!(local.shape(), wired.shape());
+            // The k-leg depth guard: the deep best-of-first-j curve itself
+            // must survive, not just the digest fold.
+            if depth > 2 {
+                for m in 0..METHODS {
+                    prop_assert_eq!(
+                        local.best_of_first_pct(m),
+                        wired.best_of_first_pct(m)
+                    );
+                }
             }
         }
     }
 
     #[test]
     fn window_accum_round_trips_open_windows_exactly(
+        mesh in arb_mesh(),
         a in proptest::collection::vec(arb_outcome(), 0..80),
         b in proptest::collection::vec(arb_outcome(), 0..80),
     ) {
-        let feed = |outs: &[PairOutcome]| {
-            let mut acc =
-                WindowAccum::new(HOSTS as usize, METHODS as usize, SimDuration::from_mins(20));
-            for o in outs {
-                acc.on_outcome(o);
-            }
-            acc
-        };
-        // Round-trip *before* finish: the open-window fragments must
-        // cross the wire with full fidelity, so closing them afterwards
-        // lands on identical statistics.
-        let mut direct = feed(&a);
-        let mut wired = round_trip(&direct);
-        direct.finish();
-        wired.finish();
-        prop_assert_eq!(
-            digest(|f| direct.digest(f)),
-            digest(|f| wired.digest(f)),
-            "open windows lost fidelity in transit"
-        );
-        // And the slice-shaped merge (finished sides only).
-        let mut other = feed(&b);
-        other.finish();
-        direct.merge(&other);
-        wired.merge(&round_trip(&other));
-        prop_assert_eq!(digest(|f| direct.digest(f)), digest(|f| wired.digest(f)));
+        let (a, b) = (onto(&mesh, &a), onto(&mesh, &b));
+        for pairs in indexes(&mesh) {
+            // Round-trip *before* finish: the open-window fragments must
+            // cross the wire with full fidelity, so closing them afterwards
+            // lands on identical statistics.
+            let mut direct = feed_windows(&pairs, &a);
+            let mut wired = round_trip(&direct);
+            prop_assert_eq!(direct.shape(), wired.shape());
+            direct.finish();
+            wired.finish();
+            prop_assert_eq!(
+                digest(|f| direct.digest(f)),
+                digest(|f| wired.digest(f)),
+                "open windows over {:?} lost fidelity in transit", pairs
+            );
+            // And the slice-shaped merge (finished sides only), into a
+            // side that itself crossed finished.
+            let mut other = feed_windows(&pairs, &b);
+            other.finish();
+            direct.merge(&other);
+            let mut wired = round_trip(&wired);
+            wired.merge(&round_trip(&other));
+            prop_assert_eq!(digest(|f| direct.digest(f)), digest(|f| wired.digest(f)));
+            prop_assert_eq!(direct.shape(), wired.shape());
+        }
     }
 
     #[test]
@@ -191,79 +239,49 @@ proptest! {
 
     #[test]
     fn window_accum_soa_matches_the_aos_reference(
+        mesh in arb_mesh(),
         a in proptest::collection::vec(arb_outcome(), 0..80),
         b in proptest::collection::vec(arb_outcome(), 0..80),
     ) {
-        let width = SimDuration::from_mins(20);
-        let feed_soa = |outs: &[PairOutcome]| {
-            let mut acc = WindowAccum::new(HOSTS as usize, METHODS as usize, width);
-            for o in outs {
-                acc.on_outcome(o);
-            }
-            acc
-        };
+        let (a, b) = (onto(&mesh, &a), onto(&mesh, &b));
         let feed_aos = |outs: &[PairOutcome]| {
-            let mut acc = aos::WindowAccum::new(HOSTS as usize, METHODS as usize, width);
+            let mut acc = aos::WindowAccum::new(
+                HOSTS as usize,
+                METHODS as usize,
+                SimDuration::from_mins(20),
+            );
             for o in outs {
                 acc.on_outcome(o);
             }
+            acc.finish();
             acc
         };
-        // Mid-stream, open windows and all: the SoA layout must emit
-        // byte-identical wire JSON to the array-of-structs original.
-        let (mut soa, mut aos) = (feed_soa(&a), feed_aos(&a));
-        prop_assert_eq!(
-            serde_json::to_string(&soa).unwrap(),
-            serde_json::to_string(&aos).unwrap(),
-            "open-window wire bytes diverged from the AoS layout"
-        );
-        // ... and the close/merge semantics must match too.
-        soa.finish();
-        aos.finish();
-        let (mut soa_b, mut aos_b) = (feed_soa(&b), feed_aos(&b));
-        soa_b.finish();
-        aos_b.finish();
-        soa.merge(&soa_b);
-        aos.merge(&aos_b);
-        prop_assert_eq!(
-            serde_json::to_string(&soa).unwrap(),
-            serde_json::to_string(&aos).unwrap()
-        );
-        prop_assert_eq!(digest(|f| soa.digest(f)), digest(|f| aos.digest(f)));
+        // The close/merge semantics of the dense array-of-structs
+        // original, whichever rows are held.
+        let mut aos = feed_aos(&a);
+        aos.merge(&feed_aos(&b));
+        for pairs in indexes(&mesh) {
+            let (mut soa, mut soa_b) = (feed_windows(&pairs, &a), feed_windows(&pairs, &b));
+            soa.finish();
+            soa_b.finish();
+            soa.merge(&soa_b);
+            prop_assert_eq!(digest(|f| soa.digest(f)), digest(|f| aos.digest(f)), "{:?}", pairs);
+        }
     }
 
     #[test]
     fn loss_accum_soa_matches_the_aos_reference(
         depth in 2usize..=MAX_PROBE_LEGS,
+        mesh in arb_mesh(),
         a in proptest::collection::vec(arb_outcome(), 0..80),
         b in proptest::collection::vec(arb_outcome(), 0..80),
     ) {
-        let feed_soa = |outs: &[PairOutcome]| {
-            let mut acc = LossAccum::with_depth(HOSTS as usize, METHODS as usize, depth);
-            for o in outs {
-                acc.on_outcome(o);
-            }
-            acc
-        };
-        let feed_aos = |outs: &[PairOutcome]| {
-            let mut acc = aos::LossAccum::with_depth(HOSTS as usize, METHODS as usize, depth);
-            for o in outs {
-                acc.on_outcome(o);
-            }
-            acc
-        };
-        let (mut soa, mut aos) = (feed_soa(&a), feed_aos(&a));
-        prop_assert_eq!(
-            serde_json::to_string(&soa).unwrap(),
-            serde_json::to_string(&aos).unwrap(),
-            "cell wire bytes diverged from the AoS layout at depth {}", depth
-        );
-        soa.merge(&feed_soa(&b));
-        aos.merge(&feed_aos(&b));
-        prop_assert_eq!(
-            serde_json::to_string(&soa).unwrap(),
-            serde_json::to_string(&aos).unwrap()
-        );
+        let (a, b) = (onto(&mesh, &a), onto(&mesh, &b));
+        let pairs = PairIndex::clique(HOSTS as usize);
+        let mut soa = feed_loss(&pairs, depth, &a);
+        let mut aos = aos::LossAccum::feed(depth, &a);
+        soa.merge(&feed_loss(&pairs, depth, &b));
+        aos.merge(&aos::LossAccum::feed(depth, &b));
         prop_assert_eq!(
             digest(|f| soa.digest(f)),
             digest(|f| aos.digest(f)),
@@ -275,11 +293,52 @@ proptest! {
             for s in 0..HOSTS {
                 for d in 0..HOSTS {
                     let got = soa.cell(m, HostId(s), HostId(d));
-                    let want = &aos.cells[aos.idx(m, HostId(s), HostId(d))];
-                    prop_assert_eq!(
-                        serde_json::to_string(&got).unwrap(),
-                        serde_json::to_string(want).unwrap()
-                    );
+                    let want = aos.cells[aos.idx(m, HostId(s), HostId(d))];
+                    prop_assert_eq!(bits(got), bits(want));
+                }
+            }
+        }
+    }
+
+    /// The sparse rows are pinned to the dense reference, not to luck:
+    /// whatever mesh a run declares, an accumulator rowed by it, the
+    /// clique one and the dense array-of-structs original digest alike —
+    /// a single accumulator and one merged from two halves — and the
+    /// mesh rows answer every reader the way the clique does.
+    #[test]
+    fn sparse_rows_digest_like_the_dense_reference(
+        deep in any::<bool>(),
+        mesh in arb_mesh(),
+        a in proptest::collection::vec(arb_outcome(), 0..80),
+        b in proptest::collection::vec(arb_outcome(), 0..80),
+    ) {
+        let depth = if deep { 4 } else { 2 };
+        let (a, b) = (onto(&mesh, &a), onto(&mesh, &b));
+        let [rows, clique] = indexes(&mesh);
+        let mut sparse = feed_loss(&rows, depth, &a);
+        let mut dense = feed_loss(&clique, depth, &a);
+        let mut aos = aos::LossAccum::feed(depth, &a);
+        for merged in [false, true] {
+            if merged {
+                sparse.merge(&feed_loss(&rows, depth, &b));
+                dense.merge(&feed_loss(&clique, depth, &b));
+                aos.merge(&aos::LossAccum::feed(depth, &b));
+            }
+            let want = digest(|f| aos.digest(f));
+            prop_assert_eq!(digest(|f| sparse.digest(f)), want, "rows, merged: {}", merged);
+            prop_assert_eq!(digest(|f| dense.digest(f)), want, "clique, merged: {}", merged);
+        }
+        prop_assert!(sparse.approx_bytes() <= dense.approx_bytes());
+        for m in 0..METHODS {
+            prop_assert_eq!(sparse.summary(m), dense.summary(m));
+            prop_assert_eq!(sparse.best_of_first_pct(m), dense.best_of_first_pct(m));
+            prop_assert_eq!(sparse.per_path_loss(m), dense.per_path_loss(m));
+            prop_assert_eq!(sparse.per_path_clp(m, 1), dense.per_path_clp(m, 1));
+            prop_assert_eq!(sparse.per_path_latency_ms(m), dense.per_path_latency_ms(m));
+            for s in 0..HOSTS {
+                for d in 0..HOSTS {
+                    let (s, d) = (HostId(s), HostId(d));
+                    prop_assert_eq!(bits(sparse.cell(m, s, d)), bits(dense.cell(m, s, d)));
                 }
             }
         }
@@ -308,18 +367,35 @@ proptest! {
     }
 }
 
-/// The pre-SoA array-of-structs accumulators, kept verbatim as
-/// reference models: the production code now stores parallel arrays for
-/// cache density, and these originals pin both the wire bytes (the v1
-/// serde shape *is* the AoS layout) and the merge/digest semantics the
-/// rewrite must preserve.
+/// A cell's counters as comparable bits (`Cell` holds an f64).
+fn bits(c: Cell) -> [u64; 10] {
+    [
+        c.pairs,
+        c.pairs_lost,
+        c.l1_sent,
+        c.l1_lost,
+        c.l2_sent,
+        c.l2_lost,
+        c.both_lost,
+        c.first_lost_with_second,
+        c.lat_sum_us.to_bits(),
+        c.lat_cnt,
+    ]
+}
+
+/// The pre-SoA array-of-structs accumulators over the dense n² grid,
+/// kept as reference models: the production code stores parallel arrays
+/// and only the rows of its pair index, and these originals pin the
+/// merge/digest semantics every such layout must preserve. (They used to
+/// pin the v1 wire bytes too — the v1 shape *was* the AoS layout — until
+/// the wire became the columns.)
 mod aos {
-    use super::{Cell, Fnv, Histogram};
+    use super::{Cell, Fnv, Histogram, HOSTS, METHODS};
     use netsim::{HostId, SimDuration};
     use trace::PairOutcome;
 
-    #[derive(Debug, Clone, Copy, Default, serde::Serialize, serde::Deserialize)]
-    struct OpenWin {
+    #[derive(Debug, Clone, Copy, Default)]
+    struct Open {
         window_idx: u64,
         sent: u32,
         lost: u32,
@@ -329,7 +405,7 @@ mod aos {
     pub struct WindowAccum {
         width_us: u64,
         n: usize,
-        open: Vec<OpenWin>,
+        open: Vec<Open>,
         hist: Vec<Histogram>,
         thresholds: Vec<[u64; 10]>,
         windows: Vec<u64>,
@@ -340,7 +416,7 @@ mod aos {
             WindowAccum {
                 width_us: width.as_micros(),
                 n,
-                open: vec![OpenWin::default(); n * n * methods],
+                open: vec![Open::default(); n * n * methods],
                 hist: (0..methods).map(|_| Histogram::new(200)).collect(),
                 thresholds: vec![[0; 10]; methods],
                 windows: vec![0; methods],
@@ -376,7 +452,7 @@ mod aos {
             let idx = o.sent.as_micros() / self.width_us;
             if self.open[cell].used && self.open[cell].window_idx != idx {
                 self.close(cell);
-                self.open[cell] = OpenWin::default();
+                self.open[cell] = Open::default();
             }
             let w = &mut self.open[cell];
             w.used = true;
@@ -390,7 +466,7 @@ mod aos {
         pub fn finish(&mut self) {
             for cell in 0..self.open.len() {
                 self.close(cell);
-                self.open[cell] = OpenWin::default();
+                self.open[cell] = Open::default();
             }
         }
 
@@ -427,20 +503,6 @@ mod aos {
         }
     }
 
-    impl serde::Serialize for WindowAccum {
-        fn serialize(&self, out: &mut String) {
-            let mut m = serde::MapWriter::new(out);
-            m.field("v", &1u32);
-            m.field("width_us", &self.width_us);
-            m.field("n", &self.n);
-            m.field("open", &self.open);
-            m.field("hist", &self.hist);
-            m.field("thresholds", &self.thresholds);
-            m.field("windows", &self.windows);
-            m.end();
-        }
-    }
-
     pub struct LossAccum {
         n: usize,
         methods: usize,
@@ -455,6 +517,15 @@ mod aos {
             let deep =
                 if max_legs > 2 { vec![0; n * n * methods * max_legs] } else { Vec::new() };
             LossAccum { n, methods, cells: vec![Cell::default(); n * n * methods], max_legs, deep }
+        }
+
+        /// The test file's testbed, fed `outs`.
+        pub fn feed(max_legs: usize, outs: &[PairOutcome]) -> Self {
+            let mut acc = Self::with_depth(HOSTS as usize, METHODS as usize, max_legs);
+            for o in outs {
+                acc.on_outcome(o);
+            }
+            acc
         }
 
         pub fn idx(&self, method: u8, src: HostId, dst: HostId) -> usize {
@@ -547,19 +618,6 @@ mod aos {
                 fnv.write_f64(c.lat_sum_us);
                 fnv.write_u64(c.lat_cnt);
             }
-        }
-    }
-
-    impl serde::Serialize for LossAccum {
-        fn serialize(&self, out: &mut String) {
-            let mut m = serde::MapWriter::new(out);
-            m.field("v", &1u32);
-            m.field("n", &self.n);
-            m.field("methods", &self.methods);
-            m.field("max_legs", &self.max_legs);
-            m.field("cells", &self.cells);
-            m.field("deep", &self.deep);
-            m.end();
         }
     }
 }

@@ -661,8 +661,10 @@ fn sweep_sizes(max_hosts: usize) -> Vec<usize> {
 /// throughput at each size — the tool that finds the knee before a real
 /// deployment does. Each step is an ordinary single-slice campaign over
 /// a deterministic `sparse_mesh(n, k, seed)` probe mesh, with one
-/// direct-probing method so the O(hosts²) accumulator grids (not the
-/// method count) dominate the memory story.
+/// direct-probing method so the per-host columns (`accum_B/host`,
+/// `table_B/host`) read the mesh degree, not the method count: both are
+/// flat in the host count at fixed `k`, and what still grows with
+/// hosts² is the topology's segment-spec table.
 ///
 /// The sweep deliberately bypasses `ScenarioSpec` and its 1000-host
 /// validation cap: the cap protects scenario authors from accidentally
@@ -683,13 +685,14 @@ fn do_scale_sweep(args: &Args) {
         args.seed
     );
     // `table_B/host` stays the LAST column: CI's awk checks address the
-    // earlier columns positionally ($3 events/sec, $8 lsa_B/s).
+    // earlier columns positionally ($3 events/sec, $4 accum_B/host,
+    // $8 lsa_B/s).
     println!(
         "{:>7} {:>7} {:>12} {:>14} {:>10} {:>10} {:>8} {:>12} {:>12}",
         "hosts",
         "mesh_k",
         "events/sec",
-        "bytes/outcome",
+        "accum_B/host",
         "peak_open",
         "resolved",
         "wall_s",
@@ -730,11 +733,12 @@ fn do_scale_sweep(args: &Args) {
         // timers and sweeps ride along free-ish.
         let events = out.net.sent + out.net.delivered;
         println!(
-            "{:>7} {:>7} {:>12.0} {:>14} {:>10} {:>10} {:>8.2} {:>12.0} {:>12.0}",
+            "{:>7} {:>7} {:>12.0} {:>14.0} {:>10} {:>10} {:>8.2} {:>12.0} {:>12.0}",
             n,
             k,
             events as f64 / wall.max(1e-9),
-            std::mem::size_of::<trace::PairOutcome>(),
+            (out.loss.approx_bytes() + out.win20.approx_bytes() + out.win60.approx_bytes()) as f64
+                / n as f64,
             out.collector.peak_pending,
             out.collector.resolved,
             wall,
@@ -743,8 +747,9 @@ fn do_scale_sweep(args: &Args) {
         );
     }
     println!(
-        "\nevents = underlay sends + deliveries; bytes/outcome = in-memory size of one \
-         recorded probe-pair outcome; peak_open = collector high-water mark of open pairs; \
+        "\nevents = underlay sends + deliveries; accum_B/host = heap bytes of the loss and the \
+         two window accumulators (a row per measured pair) averaged over hosts; \
+         peak_open = collector high-water mark of open pairs; \
          lsa_B/s = dissemination payload bytes per simulated second ({} mode); \
          table_B/host = peak link-state table heap bytes averaged over hosts",
         args.dissem.label()

@@ -98,7 +98,7 @@ fn scale_sweep_resolves_pairs_at_every_size() {
         .collect();
     assert_eq!(rows.iter().map(|r| r[0]).collect::<Vec<_>>(), [30.0, 60.0], "stdout: {stdout}");
     for r in &rows {
-        // Columns: hosts mesh_k events/sec bytes/outcome peak_open resolved wall_s lsa_B/s table_B/host.
+        // Columns: hosts mesh_k events/sec accum_B/host peak_open resolved wall_s lsa_B/s table_B/host.
         assert!(r[2] > 0.0 && r[5] > 0.0 && r[7] > 0.0, "events/sec, resolved, lsa_B/s: {r:?}");
     }
 }

@@ -73,7 +73,9 @@
 //!
 //! A result is bytes from outside the process. Beyond the strict serde
 //! of every field, its scenario digest and its whole *shape* (method
-//! names, host count, accumulator dimensions, no open windows) are
+//! names, host count, accumulator dimensions, the pairs the accumulators
+//! are rowed by — the job's probe mesh, derived here from spec and seed
+//! — and no open windows) are
 //! checked against the job before it may reach the merger; a lying
 //! worker loses its connection and its leases, like any protocol error,
 //! and the campaign goes on.
@@ -116,6 +118,7 @@
 use crate::experiment::{run_slice, ExperimentConfig, ExperimentOutput, OUTPUT_WIRE_VERSION};
 use crate::scenario::ScenarioSpec;
 use crate::shard::{SliceMerger, SlicePlan};
+use analysis::PairIndex;
 use netsim::{SimDuration, Topology};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -474,9 +477,11 @@ struct CoordState {
 
 struct Coord {
     job: CampaignJob,
-    /// `job.config()`, kept to hold every result to the job's stamp
-    /// and shape before it can reach the merger's asserts.
+    /// `job.config()` and the pairs the job's probe mesh declares, kept
+    /// to hold every result to the job's stamp and shape before it can
+    /// reach the merger's asserts.
     cfg: ExperimentConfig,
+    pairs: PairIndex,
     opts: ServeOptions,
     state: Mutex<CoordState>,
 }
@@ -484,9 +489,12 @@ struct Coord {
 impl Coord {
     fn new(job: CampaignJob, slices: usize, opts: ServeOptions) -> Coord {
         let cfg = job.config();
+        let mesh = job.spec.probe_mesh(job.seed);
+        let pairs = PairIndex::new(job.spec.topology.hosts(), mesh.as_deref());
         Coord {
             job,
             cfg,
+            pairs,
             opts,
             state: Mutex::new(CoordState {
                 slices: (0..slices).map(|_| SliceState::Unleased).collect(),
@@ -568,8 +576,7 @@ impl Coord {
     /// state lock is taken, because the merge asserts on a mismatch, and
     /// a panic under the lock would poison it for every other connection.
     fn record(&self, slice: usize, output: ExperimentOutput) -> io::Result<()> {
-        let hosts = self.job.spec.topology.hosts();
-        if let Some(field) = output.shape_mismatch(&self.cfg, hosts) {
+        if let Some(field) = output.shape_mismatch(&self.cfg, &self.pairs) {
             return Err(proto_err(format!(
                 "result for slice {slice} does not fit the campaign: {field}"
             )));

@@ -19,7 +19,7 @@
 //!    outcomes into the loss and window statistics.
 
 use crate::method::{MethodSet, MAX_PROBE_LEGS};
-use analysis::{Fnv, LossAccum, LossShape, WindowAccum, WindowShape, WireVersion};
+use analysis::{Fnv, LossAccum, LossShape, PairIndex, WindowAccum, WindowShape, WireVersion};
 use netsim::{
     Delivery, EventQueue, HostId, LoadProfile, NetCounters, Rng, SimDuration, SimTime, Topology,
 };
@@ -170,12 +170,13 @@ impl ExperimentOutput {
     }
 
     /// Why this output cannot be a result — a slice or their merge — of
-    /// running `cfg` on an `n`-host testbed: the first field whose stamp
-    /// or shape differs, or `None` when everything
+    /// running `cfg` over the measured pairs `pairs`: the first field
+    /// whose stamp or shape differs, or `None` when everything
     /// [`crate::report::merge_outputs`] asserts on agrees. The
     /// coordinator asks before merging a wire-received result, so a
-    /// malformed one is a protocol error instead of a failed assert.
-    pub fn shape_mismatch(&self, cfg: &ExperimentConfig, n: usize) -> Option<String> {
+    /// malformed one — accumulators rowed by another mesh included — is
+    /// a protocol error instead of a failed assert or a mis-merge.
+    pub fn shape_mismatch(&self, cfg: &ExperimentConfig, pairs: &PairIndex) -> Option<String> {
         fn differs<T: PartialEq + std::fmt::Debug>(field: &str, got: T, want: T) -> Option<String> {
             (got != want).then(|| format!("`{field}` is {got:?}, the job produces {want:?}"))
         }
@@ -183,15 +184,16 @@ impl ExperimentOutput {
         let depth = cfg.methods.max_legs().max(1);
         let window = |width: SimDuration| WindowShape {
             width_us: width.as_micros(),
-            n,
+            pairs: pairs.clone(),
             methods,
             finished: true,
         };
+        let loss = LossShape { pairs: pairs.clone(), methods, depth };
         differs("scenario", &self.scenario, &cfg.scenario)
             .or_else(|| differs("spec_digest", self.spec_digest, cfg.spec_digest))
             .or_else(|| differs("names", &self.names, &cfg.methods.names()))
-            .or_else(|| differs("n", self.n, n))
-            .or_else(|| differs("loss", self.loss.shape(), LossShape { n, methods, depth }))
+            .or_else(|| differs("n", self.n, pairs.n()))
+            .or_else(|| differs("loss", self.loss.shape(), loss))
             .or_else(|| differs("win20", self.win20.shape(), window(WIN20)))
             .or_else(|| differs("win60", self.win60.shape(), window(WIN60)))
     }
@@ -203,6 +205,10 @@ impl ExperimentOutput {
     /// Two outputs with equal fingerprints render byte-identical tables
     /// and figures; the sharding equivalence harness uses this to prove
     /// that `shards = N` reproduces `shards = 1` exactly.
+    ///
+    /// The fold is over the dense `n · n · methods` cell grid whatever
+    /// the accumulators hold ([`LossAccum::digest`]), at a cost that
+    /// follows the rows held.
     pub fn fingerprint(&self) -> u64 {
         let mut f = Fnv::new();
         f.write(self.scenario.as_bytes());
@@ -250,11 +256,14 @@ impl ExperimentOutput {
 /// (v2: `CollectorStats` gained `peak_pending` — a v1 binary's strict
 /// field check would reject the new map only *after* a successful
 /// handshake, so the version must say no first. v3: `NetCounters`
-/// gained `lsa_bytes`/`lsa_entries` for dissemination accounting.)
-pub const OUTPUT_WIRE_VERSION: u32 = 3;
+/// gained `lsa_bytes`/`lsa_entries` for dissemination accounting. v4:
+/// the accumulators ship what they hold — one key per counter column and
+/// one row per measured pair, where v3 shipped a map per cell of the
+/// dense n² grid; their own `"v"` went 1 → 2 with it.)
+pub const OUTPUT_WIRE_VERSION: u32 = 4;
 
-// Versioned wire format (v3): the exact in-memory state crosses the
-// wire — every accumulator cell and the bit patterns of every f64 sum —
+// Versioned wire format (v4): the exact in-memory state crosses the
+// wire — every accumulator row and the bit patterns of every f64 sum —
 // so a slice result computed on another host merges byte-identically to
 // one computed locally. `duration` travels as integer microseconds.
 impl serde::Serialize for ExperimentOutput {
@@ -344,6 +353,16 @@ impl ExperimentOutput {
                 self.loss.n(),
                 self.n
             )));
+        }
+        // One run feeds all three accumulators the same outcomes.
+        for (name, win) in [("win20", &self.win20), ("win60", &self.win60)] {
+            if win.pairs() != self.loss.pairs() {
+                return Err(serde::Error::new(format!(
+                    "ExperimentOutput: `{name}` is rowed by a {:?}, `loss` by a {:?}",
+                    win.pairs(),
+                    self.loss.pairs()
+                )));
+            }
         }
         Ok(self)
     }
@@ -436,8 +455,12 @@ impl Runner {
         );
         let root = Rng::new(cfg.seed ^ 0x00E0_77E5_7A11_BEEF);
         // A node peers with its row of the probe mesh the topology
-        // declares, and with everyone when it declares none.
+        // declares, and with everyone when it declares none; hosts probe
+        // their peers only, so the accumulators hold a row per pair of
+        // that same mesh. The clique keeps the exact historical n²
+        // layout.
         let mesh = topo.probe_mesh();
+        let pairs = PairIndex::new(n, mesh.map(|m| m.as_slice()));
         let nodes = (0..n)
             .map(|i| {
                 let me = HostId(i as u16);
@@ -456,12 +479,11 @@ impl Runner {
             net.set_load(LoadProfile::flat());
         }
         let collector = Collector::new(n, cfg.collector);
-        // Depth (max legs over the set) sizes the best-of-first-j curve;
-        // pair-shaped sets keep the exact historical accumulator layout.
-        let loss = LossAccum::with_depth(n, total_methods, cfg.methods.max_legs());
+        // Depth (max legs over the set) sizes the best-of-first-j curve.
+        let loss = LossAccum::with_pairs(pairs.clone(), total_methods, cfg.methods.max_legs());
         // total_methods counts real methods plus inferred views.
-        let win20 = WindowAccum::new(n, total_methods, WIN20);
-        let win60 = WindowAccum::new(n, total_methods, WIN60);
+        let win20 = WindowAccum::with_pairs(pairs.clone(), total_methods, WIN20);
+        let win60 = WindowAccum::with_pairs(pairs, total_methods, WIN60);
         Runner {
             rng: root.derive(7),
             cfg,
@@ -857,8 +879,9 @@ mod tests {
     /// the via → dst core links) the network has animated the segments
     /// its packets crossed — each host's two access links and the core
     /// links to its k mesh neighbours — not one per ordered host pair,
-    /// and the event queue holds buffers for what is pending, not for
-    /// every bucket it ever filled.
+    /// the event queue holds buffers for what is pending, not for every
+    /// bucket it ever filled, and the accumulators a row per declared
+    /// pair, not per ordered host pair.
     #[test]
     fn a_run_holds_state_for_what_it_used() {
         let (hosts, k) = (60, 6);
@@ -877,6 +900,12 @@ mod tests {
         // 25 simulated minutes is more than a ring revolution.
         let held = runner.q.approx_bytes();
         assert!(held < 1 << 20, "the event queue retains {held} bytes");
+        // And the accumulators hold a row per declared pair and method
+        // (one method, ten 8-byte counters), not one per ordered pair.
+        assert!(runner.loss.summary(0).pairs > 1_000);
+        let index = runner.loss.pairs().approx_bytes();
+        assert_eq!(runner.loss.approx_bytes() - index, 80 * hosts * k, "hosts x k loss rows");
+        assert!(runner.win20.approx_bytes() - index < 16 * hosts * k + 4096);
     }
 
     #[test]
@@ -1029,7 +1058,7 @@ mod tests {
             assert_eq!(out.measure_legs, 3 * out.collector.resolved, "a probe lost a leg");
             // The shape the coordinator holds wire results to is the
             // shape the runner really produces, depth 3 included.
-            assert_eq!(out.shape_mismatch(&cfg(true, 1), 5), None);
+            assert_eq!(out.shape_mismatch(&cfg(true, 1), &PairIndex::clique(5)), None);
         }
         assert_ne!(distinct.fingerprint(), all_prior.fingerprint());
         assert_eq!(distinct.fingerprint(), run(false, 4).fingerprint());

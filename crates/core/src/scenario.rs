@@ -542,6 +542,20 @@ impl ScenarioSpec {
         f.finish()
     }
 
+    /// The probe mesh the scenario declares — `mesh[h]` lists the hosts
+    /// `h` probes — or `None` for the clique. Seed-derived: campaign
+    /// entry points (run, run_sharded, the distributed job) all pass the
+    /// *master* seed, so every slice, shard and worker derives the
+    /// identical mesh, and the coordinator the pairs a result may hold.
+    pub fn probe_mesh(&self, seed: u64) -> Option<Vec<Vec<u16>>> {
+        match self.topology {
+            TopologySpec::SparseSynthetic { hosts, mesh_k, .. } => {
+                Some(netsim::sparse_mesh(hosts, mesh_k, seed))
+            }
+            _ => None,
+        }
+    }
+
     /// Builds the testbed: preset parameters, asymmetry skew applied
     /// before the build, scripted impairments compiled afterwards. Pure
     /// in `(self, seed)` — sharded slices rebuild it identically.
@@ -561,19 +575,14 @@ impl ScenarioSpec {
         let mut topo = match self.topology {
             TopologySpec::Ron2003 => Topology::ron2003_with(params, seed),
             TopologySpec::Ron2002 => Topology::ron2002_with(params, seed),
-            TopologySpec::Synthetic { hosts, edge_loss } => {
+            TopologySpec::Synthetic { hosts, edge_loss }
+            | TopologySpec::SparseSynthetic { hosts, edge_loss, .. } => {
                 Topology::synthetic_with(hosts, edge_loss, params, seed)
             }
-            TopologySpec::SparseSynthetic { hosts, edge_loss, mesh_k } => {
-                let mut t = Topology::synthetic_with(hosts, edge_loss, params, seed);
-                // Seed-derived: campaign entry points (run, run_sharded,
-                // the distributed job) all build the topology with the
-                // *master* seed, so every slice, shard and worker
-                // derives the identical mesh.
-                t.set_probe_mesh(netsim::sparse_mesh(hosts, mesh_k, seed));
-                t
-            }
         };
+        if let Some(mesh) = self.probe_mesh(seed) {
+            topo.set_probe_mesh(mesh);
+        }
         if let Some(sr) = &self.impairments.shared_risk {
             apply_shared_risk(&mut topo, sr, seed);
         }

@@ -171,14 +171,7 @@ fn sparse_mesh_distributed_equals_sequential() {
     // sparse probe mesh — from the job's spec + master seed on its own
     // side of the wire; a derivation that drifted per-process would
     // diverge from the sequential bits instantly.
-    let mut j = job("sparse-mesh");
-    j.spec.name = "sparse-mesh-small".to_string();
-    j.spec.topology = mpath::core::TopologySpec::SparseSynthetic {
-        hosts: 24,
-        edge_loss: 0.02,
-        mesh_k: 4,
-    };
-    j.spec.validate().expect("small sparse variant must be a valid spec");
+    let j = small_sparse_job();
     let seq = sequential(&j);
     assert!(seq.measure_legs > 0, "the reference run must move traffic");
     for workers in [1usize, 2] {
@@ -190,6 +183,33 @@ fn sparse_mesh_distributed_equals_sequential() {
         );
         assert_eq!(rendered(&j.spec, &rep.output), rendered(&j.spec, &seq));
     }
+}
+
+#[test]
+fn a_sparse_job_the_loader_accepts_can_be_distributed() {
+    // `ScenarioSpec::validate` admits sparse meshes up to 1000 hosts. A
+    // slice result used to be ~1.9 kB per *ordered host pair*, measured
+    // or not — 77 MB here, which the worker's own `write_msg_blocking`
+    // refused ("exceeds the 64 MiB cap"), so from ~185 hosts up such a
+    // campaign could never finish. A result is now a row per measured
+    // pair: 1 200 of the 40 000.
+    let mut j = job("sparse-mesh");
+    j.spec.name = "sparse-mesh-200".to_string();
+    j.spec.topology =
+        mpath::core::TopologySpec::SparseSynthetic { hosts: 200, edge_loss: 0.02, mesh_k: 6 };
+    j.duration_us = SimDuration::from_secs(20).as_micros();
+    j.slice_width_us = 0;
+    j.validate().expect("a 200-host sparse job is a valid job");
+    let (rep, workers) = distributed(&j, 1);
+    assert_eq!(workers[0].slices_run, rep.slices as u64);
+    let local = mpath::core::run_experiment(j.spec.topology(j.seed), j.config());
+    assert!(local.measure_legs > 1_000, "the run must move traffic");
+    assert_eq!(rep.output.fingerprint(), local.fingerprint());
+    let frame = mpath::core::distrib::encode_msg(&Msg::Result {
+        slice: 0,
+        output: Box::new(j.run_slice_index(0)),
+    });
+    assert!(frame.len() < 1 << 20, "a slice result frame is {} bytes", frame.len());
 }
 
 #[test]
@@ -416,49 +436,90 @@ fn killed_worker_and_duplicate_result_still_merge_to_sequential_bits() {
     );
 }
 
+/// The small `sparse-mesh` variant the equivalence tests run: 24 hosts,
+/// 4 probe neighbours each.
+fn small_sparse_job() -> CampaignJob {
+    let mut j = job("sparse-mesh");
+    j.spec.name = "sparse-mesh-small".to_string();
+    j.spec.topology =
+        mpath::core::TopologySpec::SparseSynthetic { hosts: 24, edge_loss: 0.02, mesh_k: 4 };
+    j.spec.validate().expect("small sparse variant must be a valid spec");
+    j
+}
+
+/// A way to answer a lease of `job`'s slice with something the job does
+/// not produce.
+type Lie = fn(&CampaignJob, usize) -> ExperimentOutput;
+
 #[test]
 fn lying_worker_is_dropped_and_the_campaign_still_merges_to_sequential_bits() {
     // A worker that ran the right campaign (digest matches) but ships a
     // result of the wrong *shape* must cost the coordinator one
     // connection, not its state lock: the merge asserts on such a
     // result, and a panic under the lock would take every other
-    // connection down with it.
-    let j = job("ron-narrow");
-    let (coordinator, addr) = spawn_coordinator(&j);
-    let lies: [fn(&mut ExperimentOutput); 2] = [
+    // connection down with it. Nor may it be merged: accumulators rowed
+    // by another probe mesh have the right *size*, and every one of
+    // their counters would land on the wrong pair.
+    let ron: [(&str, Lie); 2] = [
         // Method names truncated.
-        |out| {
+        ("names", |j, slice| {
+            let mut out = j.run_slice_index(slice);
             out.names.pop();
-        },
+            out
+        }),
         // A 20-minute window accumulator one method short.
-        |out| {
+        ("win20", |j, slice| {
+            let mut out = j.run_slice_index(slice);
             out.win20 = analysis::WindowAccum::new(
                 out.n,
                 out.names.len() - 1,
                 SimDuration::from_mins(20),
             );
-        },
+            out
+        }),
     ];
-    for lie in lies {
-        let mut liar = fake_handshake(addr);
-        let slice = lease_slice(&mut liar);
-        let mut output = Box::new(j.run_slice_index(slice as usize));
-        lie(&mut output);
-        write_msg_blocking(&mut liar, &Msg::Result { slice, output }).unwrap();
-        // The coordinator hangs up on a protocol error.
-        assert!(
-            !matches!(read_msg_blocking(&mut liar), Ok(Some(_))),
-            "a wrong-shaped result must end the connection"
-        );
+    let sparse: [(&str, Lie); 2] = [
+        // The clique's accumulators for a job that declares a mesh.
+        ("loss", |j, slice| {
+            let mut out = j.run_slice_index(slice);
+            out.loss = analysis::LossAccum::new(out.n, out.names.len());
+            out
+        }),
+        // The mesh another seed derives: same spec, names, host count
+        // and row count, other pairs.
+        ("loss", |j, slice| {
+            let mut other = j.clone();
+            other.seed += 1;
+            other.run_slice_index(slice)
+        }),
+    ];
+    for (j, lies) in [(job("ron-narrow"), ron), (small_sparse_job(), sparse)] {
+        let mesh = j.spec.probe_mesh(j.seed);
+        let pairs = analysis::PairIndex::new(j.spec.topology.hosts(), mesh.as_deref());
+        let (coordinator, addr) = spawn_coordinator(&j);
+        for (field, lie) in lies {
+            let mut liar = fake_handshake(addr);
+            let slice = lease_slice(&mut liar);
+            let output = Box::new(lie(&j, slice as usize));
+            // What the coordinator will say of it (to its own stderr).
+            let refusal = output.shape_mismatch(&j.config(), &pairs).expect("a lie");
+            assert!(refusal.starts_with(&format!("`{field}` is")), "got: {refusal}");
+            write_msg_blocking(&mut liar, &Msg::Result { slice, output }).unwrap();
+            // The coordinator hangs up on a protocol error.
+            assert!(
+                !matches!(read_msg_blocking(&mut liar), Ok(Some(_))),
+                "a wrong-shaped result must end the connection"
+            );
+        }
+        let workers = spawn_workers(addr, 1);
+        let rep = coordinator.join().expect("coordinator thread");
+        for w in workers {
+            w.join().expect("worker thread");
+        }
+        assert!(rep.releases >= 1, "the liars' leases must be re-issued");
+        assert_eq!(rep.duplicates, 0, "nothing a liar sent was recorded");
+        assert_eq!(rep.output.fingerprint(), sequential(&j).fingerprint());
     }
-    let workers = spawn_workers(addr, 1);
-    let rep = coordinator.join().expect("coordinator thread");
-    for w in workers {
-        w.join().expect("worker thread");
-    }
-    assert!(rep.releases >= 1, "the liars' leases must be re-issued");
-    assert_eq!(rep.duplicates, 0, "nothing a liar sent was recorded");
-    assert_eq!(rep.output.fingerprint(), sequential(&j).fingerprint());
 }
 
 #[test]

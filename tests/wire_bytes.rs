@@ -4,18 +4,22 @@
 //!
 //! * **No byte moved.** FNV-1a digests of whole `Msg::Result` frames (as
 //!   [`encode_msg`] frames them) for one slice each of `ron2003` — the
-//!   1 766 705-byte result `mpbench` ships — `sparse-mesh` and `ron-wide`,
-//!   and of the canonical JSON of every builtin scenario. The values were
+//!   result `mpbench` ships — `sparse-mesh` and `ron-wide`, and of the
+//!   canonical JSON of every builtin scenario. The scenario digests were
 //!   recorded at the last commit whose serde built a `Value` tree for
-//!   every message; together with the spec digests folded into every
+//!   every message; the frame digests were re-recorded once since, when
+//!   `OUTPUT_WIRE_VERSION` 4 re-cut the accumulators as columns over the
+//!   measured pairs. Together with the spec digests folded into every
 //!   fingerprint golden they are the oracle that a codec change moved
 //!   nothing.
-//! * **Nothing from outside gets through.** A structure-aware fuzz of a
-//!   valid `Result` frame: any reordering of any object's keys decodes to
-//!   the same fingerprint; a dropped, doubled or unknown key, another
-//!   `"v"`, a number of the wrong kind or range, a truncation and
-//!   arbitrary bytes all end in `InvalidData` — never a panic, and never
-//!   an allocation the body's own length does not pay for.
+//! * **Nothing from outside gets through.** A structure-aware fuzz of
+//!   two valid `Result` frames, a clique's and a probe mesh's: any
+//!   reordering of any object's keys decodes to the same fingerprint; a
+//!   dropped, doubled or unknown key, another `"v"`, a number of the
+//!   wrong kind or range, a row index or a column that does not fit the
+//!   rest, a truncation and arbitrary bytes all end in `InvalidData` —
+//!   never a panic, and never an allocation the body's own length does
+//!   not pay for.
 
 use mpath::analysis::Fnv;
 use mpath::core::distrib::{encode_msg, read_msg_blocking, write_msg_blocking, Msg};
@@ -49,19 +53,23 @@ fn result_frame(scenario: &str, duration_s: u64, slice_s: u64) -> Vec<u8> {
 }
 
 #[test]
-fn result_frames_are_byte_identical_to_the_tree_codec() {
-    // (scenario, campaign s, slice s, frame bytes, FNV-1a of the frame)
+fn result_frames_are_pinned_to_their_bytes() {
+    // (scenario, campaign s, slice s, frame bytes, FNV-1a of the frame).
+    // Re-recorded once, at `OUTPUT_WIRE_VERSION` 4 — one key per counter
+    // column and one row per measured pair, where v3 shipped a map per
+    // cell of the dense n² grid; the old values stand beside the new.
     const PINNED: [(&str, u64, u64, usize, u64); 3] = [
         // `mpbench`'s `shards2`/`distrib2` slice: `serde.result_bytes`
-        // (1 766 705) + the `{"Result":{"slice":0,"output":…}}` envelope
-        // + the 4-byte length prefix.
-        ("ron2003", 7200, 300, 1_766_741, 0x7ec2_e49d_4e38_85d8),
-        // Re-recorded once, when the overlay began to peer with the
-        // declared mesh only (fewer overlay probes, same codec): was
-        // 27 782 614 bytes, 0xb5b9_2e5a_2e52_a867.
-        ("sparse-mesh", 20, 20, 27_782_591, 0x35aa_3437_2ea9_62e0),
-        // Round-trip, 12 methods.
-        ("ron-wide", 600, 300, 857_992, 0xa153_adfc_a4a6_2666),
+        // + the `{"Result":{"slice":0,"output":…}}` envelope + the
+        // 4-byte length prefix. Was 1 766 741 bytes, 0x7ec2_e49d_4e38_85d8.
+        ("ron2003", 7200, 300, 190_160, 0xf5ff_c224_e2a5_bc4a),
+        // 720 measured pairs of 14 400 ordered ones. Was 27 782 591
+        // bytes, 0x35aa_3437_2ea9_62e0 (and before the overlay began to
+        // peer with the declared mesh only — fewer overlay probes, same
+        // codec — 27 782 614 bytes, 0xb5b9_2e5a_2e52_a867).
+        ("sparse-mesh", 20, 20, 157_610, 0xe01d_9d63_6720_5e53),
+        // Round-trip, 12 methods. Was 857 992 bytes, 0xa153_adfc_a4a6_2666.
+        ("ron-wide", 600, 300, 98_719, 0x7db4_4f0a_8360_8421),
     ];
     for (scenario, duration_s, slice_s, len, digest) in PINNED {
         let frame = result_frame(scenario, duration_s, slice_s);
@@ -166,45 +174,52 @@ struct Seed {
     integers: Vec<Vec<usize>>,
 }
 
-/// A small but fully shaped result, simulated once per test binary: 4
-/// hosts, a 1-leg and a 3-leg method (so the `deep` extension is on the
-/// wire) and a view.
+/// A small but fully shaped result: a 1-leg and a 3-leg method (so the
+/// `deep` extension is on the wire) and a view, over `topology`.
+fn simulate(topology: TopologySpec) -> Seed {
+    let mut spec = ScenarioRegistry::builtin().get("ron2003").expect("builtin").clone();
+    spec.name = "fuzz-seed".into();
+    spec.topology = topology;
+    let method = |name: &str, legs: Vec<RouteTag>| MethodSpec {
+        name: name.into(),
+        distinct: legs.len() > 1,
+        legs,
+        gap_ms: 0.0,
+        all_prior: false,
+    };
+    spec.methods = MethodsSpec::Custom(MethodSetSpec {
+        methods: vec![
+            method("direct", vec![RouteTag::Direct]),
+            method("triple", vec![RouteTag::Direct, RouteTag::Rand, RouteTag::Loss]),
+        ],
+        views: vec![ViewSpec { name: "triple*".into(), source: 1, leg: 0 }],
+    });
+    let job = CampaignJob::new(spec, 7, SimDuration::from_secs(120));
+    job.validate().expect("fuzz seed validates");
+    let out = job.run_slice_index(0);
+    let fingerprint = out.fingerprint();
+    let frame = encode_msg(&Msg::Result { slice: 3, output: Box::new(out) });
+    let body = std::str::from_utf8(&frame[4..]).expect("frames are JSON text");
+    let tree = serde_json::parse(body).expect("a frame parses as a tree");
+    let (mut objects, mut integers) = (Vec::new(), Vec::new());
+    paths(&tree, |v| matches!(v, Value::Map(_)), &mut Vec::new(), &mut objects);
+    paths(&tree, |v| matches!(v, Value::Int(_) | Value::UInt(_)), &mut Vec::new(), &mut integers);
+    Seed { fingerprint, tree, objects, integers }
+}
+
+/// The clique seed (`"rows": null`), simulated once per test binary: 4
+/// hosts.
 fn seed() -> &'static Seed {
     static SEED: std::sync::OnceLock<Seed> = std::sync::OnceLock::new();
+    SEED.get_or_init(|| simulate(TopologySpec::Synthetic { hosts: 4, edge_loss: 0.05 }))
+}
+
+/// The probe-mesh seed (`"rows": [ids]`): 6 hosts on a ring, 12 of the
+/// 36 ordered pairs measured.
+fn mesh_seed() -> &'static Seed {
+    static SEED: std::sync::OnceLock<Seed> = std::sync::OnceLock::new();
     SEED.get_or_init(|| {
-        let mut spec = ScenarioRegistry::builtin().get("ron2003").expect("builtin").clone();
-        spec.name = "fuzz-seed".into();
-        spec.topology = TopologySpec::Synthetic { hosts: 4, edge_loss: 0.05 };
-        let method = |name: &str, legs: Vec<RouteTag>| MethodSpec {
-            name: name.into(),
-            distinct: legs.len() > 1,
-            legs,
-            gap_ms: 0.0,
-            all_prior: false,
-        };
-        spec.methods = MethodsSpec::Custom(MethodSetSpec {
-            methods: vec![
-                method("direct", vec![RouteTag::Direct]),
-                method("triple", vec![RouteTag::Direct, RouteTag::Rand, RouteTag::Loss]),
-            ],
-            views: vec![ViewSpec { name: "triple*".into(), source: 1, leg: 0 }],
-        });
-        let job = CampaignJob::new(spec, 7, SimDuration::from_secs(120));
-        job.validate().expect("fuzz seed validates");
-        let out = job.run_slice_index(0);
-        let fingerprint = out.fingerprint();
-        let frame = encode_msg(&Msg::Result { slice: 3, output: Box::new(out) });
-        let body = std::str::from_utf8(&frame[4..]).expect("frames are JSON text");
-        let tree = serde_json::parse(body).expect("a frame parses as a tree");
-        let (mut objects, mut integers) = (Vec::new(), Vec::new());
-        paths(&tree, |v| matches!(v, Value::Map(_)), &mut Vec::new(), &mut objects);
-        paths(
-            &tree,
-            |v| matches!(v, Value::Int(_) | Value::UInt(_)),
-            &mut Vec::new(),
-            &mut integers,
-        );
-        Seed { fingerprint, tree, objects, integers }
+        simulate(TopologySpec::SparseSynthetic { hosts: 6, edge_loss: 0.05, mesh_k: 2 })
     })
 }
 
@@ -234,14 +249,35 @@ fn at<'v>(v: &'v mut Value, path: &[usize]) -> &'v mut Value {
     })
 }
 
-/// A copy of the seed tree with its `k`-th object (wrapping) edited.
-fn with_object(k: usize, edit: impl FnOnce(&mut Vec<(String, Value)>)) -> String {
-    let mut tree = seed().tree.clone();
-    match at(&mut tree, &seed().objects[k % seed().objects.len()]) {
+/// A copy of `seed`'s tree with its `k`-th object (wrapping) edited.
+fn with_object(seed: &Seed, k: usize, edit: impl FnOnce(&mut Vec<(String, Value)>)) -> String {
+    let mut tree = seed.tree.clone();
+    match at(&mut tree, &seed.objects[k % seed.objects.len()]) {
         Value::Map(entries) => edit(entries),
         _ => unreachable!("`objects` holds paths to maps"),
     }
     text(&tree)
+}
+
+/// A copy of `seed`'s tree with the value at `keys` (object keys from the
+/// root) edited.
+fn with_value(seed: &Seed, keys: &[&str], edit: impl FnOnce(&mut Value)) -> String {
+    let mut tree = seed.tree.clone();
+    let node = keys.iter().fold(&mut tree, |v, key| match v {
+        Value::Map(entries) => {
+            &mut entries.iter_mut().find(|(k, _)| k == key).expect("the key is on the wire").1
+        }
+        _ => unreachable!("keys lead through objects"),
+    });
+    edit(node);
+    text(&tree)
+}
+
+fn items(v: &mut Value) -> &mut Vec<Value> {
+    match v {
+        Value::Seq(items) => items,
+        other => panic!("expected an array, found {}", other.kind()),
+    }
 }
 
 fn text(tree: &Value) -> String {
@@ -253,13 +289,15 @@ proptest! {
 
     #[test]
     fn mutated_result_frames_are_refused_and_reordered_ones_are_not(
+        mesh in any::<bool>(),
         object in any::<usize>(),
         entry in any::<usize>(),
         leaf in any::<usize>(),
         shuffle in any::<usize>(),
     ) {
+        let seed = if mesh { mesh_seed() } else { seed() };
         // Any order of any object's keys is the same message.
-        let reordered = with_object(object, |entries| {
+        let reordered = with_object(seed, object, |entries| {
             let n = entries.len();
             entries.rotate_left(entry % n);
             if shuffle & 1 == 1 {
@@ -269,20 +307,21 @@ proptest! {
         });
         match decode(reordered.as_bytes()) {
             Ok(Some(Msg::Result { slice: 3, output })) => {
-                prop_assert_eq!(output.fingerprint(), seed().fingerprint);
+                prop_assert_eq!(output.fingerprint(), seed.fingerprint);
             }
             other => panic!("a reordered frame must decode, got {other:?}\n{reordered}"),
         }
 
         // A key dropped, doubled, or unknown.
-        let dropped = with_object(object, |entries| drop(entries.remove(entry % entries.len())));
+        let dropped =
+            with_object(seed, object, |entries| drop(entries.remove(entry % entries.len())));
         assert_refused(dropped.as_bytes(), "dropped key");
-        let doubled = with_object(object, |entries| {
+        let doubled = with_object(seed, object, |entries| {
             let copy = entries[entry % entries.len()].clone();
             entries.insert(shuffle % (entries.len() + 1), copy);
         });
         assert_refused(doubled.as_bytes(), "doubled key");
-        let unknown = with_object(object, |entries| {
+        let unknown = with_object(seed, object, |entries| {
             entries.insert(entry % (entries.len() + 1), ("zeroes".into(), Value::Null));
         });
         assert_refused(unknown.as_bytes(), "unknown key");
@@ -293,12 +332,82 @@ proptest! {
             .into_iter()
             .enumerate()
         {
-            let mut tree = seed().tree.clone();
-            let path = &seed().integers[leaf.wrapping_add(i) % seed().integers.len()];
+            let mut tree = seed.tree.clone();
+            let path = &seed.integers[leaf.wrapping_add(i) % seed.integers.len()];
             *at(&mut tree, path) = Value::Str("@@".into());
             assert_refused(text(&tree).replacen("\"@@\"", wrong, 1).as_bytes(), wrong);
         }
     }
+}
+
+#[test]
+fn rows_and_columns_that_do_not_fit_each_other_are_refused() {
+    const LOSS: [&str; 3] = ["Result", "output", "loss"];
+    let at = |acc: &'static str, key: &'static str| ["Result", "output", acc, key];
+    let mesh = mesh_seed();
+    assert!(text(&mesh.tree).contains("\"rows\":["), "the mesh seed ships its rows");
+    for acc in ["loss", "win20", "win60"] {
+        // The index itself: out of order, doubled, or past the testbed.
+        let unsorted = with_value(mesh, &at(acc, "rows"), |rows| items(rows).swap(3, 4));
+        assert_refused(unsorted.as_bytes(), "rows unsorted");
+        let doubled = with_value(mesh, &at(acc, "rows"), |rows| {
+            let rows = items(rows);
+            rows[5] = rows[4].clone();
+        });
+        assert_refused(doubled.as_bytes(), "rows with a duplicate");
+        let beyond = with_value(mesh, &at(acc, "rows"), |rows| {
+            *items(rows).last_mut().unwrap() = Value::UInt(36);
+        });
+        assert_refused(beyond.as_bytes(), "a row past n^2");
+        // A host with no row at all is no probe mesh.
+        let orphaned = with_value(mesh, &at(acc, "rows"), |rows| drop(items(rows).drain(..2)));
+        assert_refused(orphaned.as_bytes(), "a host without a peer");
+        // Rows of another testbed: fewer rows than the columns hold.
+        let short = with_value(mesh, &at(acc, "rows"), |rows| *rows = Value::Null);
+        assert_refused(short.as_bytes(), "the clique's index over a mesh's columns");
+    }
+    // A column one element short, one long, or of the wrong number kind.
+    for column in ["pairs", "first_lost_with_second", "lat_sum_us", "lat_cnt", "deep"] {
+        let short = with_value(mesh, &[&LOSS[..], &[column]].concat(), |c| drop(items(c).pop()));
+        assert_refused(short.as_bytes(), column);
+        let long =
+            with_value(mesh, &[&LOSS[..], &[column]].concat(), |c| items(c).push(Value::UInt(0)));
+        assert_refused(long.as_bytes(), column);
+    }
+    let fractional =
+        with_value(mesh, &at("loss", "pairs"), |c| items(c)[0] = Value::Float(0.5));
+    assert_refused(fractional.as_bytes(), "a fractional count");
+    let stringly = with_value(mesh, &at("loss", "lat_sum_us"), |c| {
+        items(c)[0] = Value::Str("0.0".into());
+    });
+    assert_refused(stringly.as_bytes(), "a quoted sum");
+    // One open-window column where the other two are `null`.
+    let half_open =
+        with_value(mesh, &at("win20", "sent"), |c| *c = Value::Seq(vec![Value::UInt(0); 36]));
+    assert_refused(half_open.as_bytes(), "one open-window column of three");
+
+    // The clique: `rows: null` sizes the columns by n² x methods, a
+    // product of two numbers from outside — which must not wrap into a
+    // length the columns happen to have, nor allocate before it is
+    // compared.
+    let clique = seed();
+    let hosts = with_value(clique, &at("loss", "n"), |n| *n = Value::UInt(65_535));
+    assert_refused(hosts.as_bytes(), "n^2 cells the body does not hold");
+    let wrapped = with_value(clique, &at("loss", "n"), |n| *n = Value::UInt(1 << 32));
+    assert_refused(wrapped.as_bytes(), "n^2 = 2^64");
+    let methods = with_value(clique, &LOSS, |loss| {
+        let Value::Map(entries) = loss else { unreachable!() };
+        for (key, v) in entries {
+            match key.as_str() {
+                "n" => *v = Value::UInt(65_535),
+                "methods" => *v = Value::UInt(1 << 40),
+                _ => {}
+            }
+        }
+    });
+    assert_refused(methods.as_bytes(), "n^2 x methods overflows");
+    let windows = with_value(clique, &at("win60", "n"), |n| *n = Value::UInt(65_535));
+    assert_refused(windows.as_bytes(), "a window accumulator of another testbed");
 }
 
 #[test]
@@ -344,13 +453,13 @@ fn truncated_and_arbitrary_bodies_are_invalid_data() {
 #[test]
 fn duplicate_key_in_a_result_frame_is_an_error_naming_type_and_field() {
     let body = text(&seed().tree);
-    // A second `"cells"` after the first: whichever a lookup-by-name
+    // A second `"pairs"` after the first: whichever a lookup-by-name
     // codec picked, the other copy's counters would silently vanish.
-    let doubled = body.replacen("\"deep\":", "\"cells\":[],\"deep\":", 1);
+    let doubled = body.replacen("\"deep\":", "\"pairs\":[],\"deep\":", 1);
     let err = decode(doubled.as_bytes()).expect_err("a doubled key must not decode");
     assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     let msg = err.to_string();
-    assert!(msg.contains("duplicate field `cells` in LossAccum"), "got: {msg}");
+    assert!(msg.contains("duplicate field `pairs` in LossAccum"), "got: {msg}");
 }
 
 #[test]
