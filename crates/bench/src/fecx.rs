@@ -146,7 +146,7 @@ fn run_depth(cfg: &FecSweepConfig, depth: usize) -> FecPoint {
         }
     }
 
-    let stats = rx.finish();
+    let stats = rx.finish(tx.groups());
     FecPoint {
         depth,
         raw_loss: dropped as f64 / sent as f64,

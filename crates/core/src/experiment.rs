@@ -509,20 +509,10 @@ impl Runner {
     /// Puts one node-emitted packet on the wire.
     fn transmit(&mut self, now: SimTime, from: u16, tx: Transmit) {
         debug_assert_ne!(HostId(from), tx.to);
-        // Account dissemination payload as it would encode on the wire
-        // (`overlay::wire`): metric vectors cost a 2-byte count prefix
-        // plus 9 bytes per entry; a standalone LSA adds its 13-byte
-        // header. Counted on offer, delivered or not, like `net.sent`.
-        match &tx.packet {
-            Packet::ProbeReq { metrics, .. } | Packet::ProbeResp { metrics, .. }
-                if !metrics.is_empty() =>
-            {
-                self.net.note_lsa(2 + 9 * metrics.len() as u64, metrics.len() as u64);
-            }
-            Packet::Lsa { entries, .. } => {
-                self.net.note_lsa(15 + 9 * entries.len() as u64, entries.len() as u64);
-            }
-            _ => {}
+        // Account dissemination payload as it would encode on the wire,
+        // counted on offer, delivered or not, like `net.sent`.
+        if let Some((bytes, entries)) = tx.packet.link_state_cost() {
+            self.net.note_lsa(bytes, entries);
         }
         match self.net.transmit(now, HostId(from), tx.to) {
             Delivery::Delivered { delay } => {

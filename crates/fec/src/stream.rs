@@ -88,6 +88,12 @@ impl FecSender {
     pub fn r(&self) -> usize {
         self.code.r()
     }
+
+    /// Groups completed so far — after [`FecSender::flush`], every group
+    /// the stream was sent in, numbered `0..groups()`.
+    pub fn groups(&self) -> u32 {
+        self.group
+    }
 }
 
 #[derive(Debug)]
@@ -137,7 +143,8 @@ impl ReceiverStats {
 }
 
 /// Reassembles FEC groups, recovering erased data shards when enough of
-/// the group survives.
+/// the group survives. Groups are numbered consecutively from 0, so a
+/// group the receiver never heard from lost all its data shards.
 #[derive(Debug)]
 pub struct FecReceiver {
     code: ErasureCode,
@@ -145,6 +152,9 @@ pub struct FecReceiver {
     /// Groups older than this many groups behind the newest are closed.
     horizon: u32,
     newest: u32,
+    /// Every group below this is closed and counted; stragglers for
+    /// them are dropped.
+    closed_below: u32,
     slot: u64,
     stats: ReceiverStats,
 }
@@ -158,6 +168,7 @@ impl FecReceiver {
             groups: BTreeMap::new(),
             horizon: horizon.max(1),
             newest: 0,
+            closed_below: 0,
             slot: 0,
             stats: ReceiverStats::default(),
         })
@@ -171,18 +182,14 @@ impl FecReceiver {
             self.ingest(pkt);
         }
         // Close groups that fell behind the horizon.
-        let cutoff = self.newest.saturating_sub(self.horizon);
-        let stale: Vec<u32> = self.groups.range(..cutoff).map(|(&g, _)| g).collect();
-        for g in stale {
-            self.close(g);
-        }
+        self.close_below(self.newest.saturating_sub(self.horizon));
     }
 
     fn ingest(&mut self, pkt: FecPacket) {
         let k = self.code.k();
         let nshards = k + self.code.r();
-        if (pkt.index as usize) >= nshards {
-            return; // corrupt index; drop
+        if (pkt.index as usize) >= nshards || pkt.group < self.closed_below {
+            return; // corrupt index, or a group already counted; drop
         }
         self.newest = self.newest.max(pkt.group);
         let slot = self.slot;
@@ -217,21 +224,28 @@ impl FecReceiver {
         }
     }
 
-    fn close(&mut self, group: u32) {
-        if let Some(g) = self.groups.remove(&group) {
+    /// Closes every group below `end`: one never heard from lost all k
+    /// data shards.
+    fn close_below(&mut self, end: u32) {
+        let k = self.code.k() as u64;
+        let mut unheard = end.saturating_sub(self.closed_below) as u64;
+        while let Some(entry) = self.groups.first_entry().filter(|e| *e.key() < end) {
+            let g = entry.remove();
+            unheard -= 1;
             if !g.done {
-                let k = self.code.k();
-                self.stats.unrecoverable += (k - g.data_seen) as u64;
+                self.stats.unrecoverable += k - g.data_seen as u64;
             }
         }
+        self.stats.unrecoverable += k * unheard;
+        self.closed_below = self.closed_below.max(end);
     }
 
-    /// Closes all open groups and returns the final statistics.
-    pub fn finish(mut self) -> ReceiverStats {
-        let open: Vec<u32> = self.groups.keys().copied().collect();
-        for g in open {
-            self.close(g);
-        }
+    /// Closes all groups and returns the final statistics; `groups` is
+    /// how many the sender emitted ([`FecSender::groups`]), so the
+    /// groups after the last arrival count as lost too.
+    pub fn finish(mut self, groups: u32) -> ReceiverStats {
+        let heard = self.groups.last_key_value().map_or(0, |(&g, _)| g.saturating_add(1));
+        self.close_below(groups.max(heard));
         self.stats
     }
 
@@ -264,7 +278,17 @@ mod tests {
                 slot += 1;
             }
         }
-        rx.finish()
+        rx.finish(tx.groups())
+    }
+
+    #[test]
+    fn groups_lost_whole_count_as_unrecoverable() {
+        // (2, 1): 3 slots a group, 10 groups. Group 4 (slots 12..15) and
+        // the last group (slots 27..30) never arrive at all.
+        let s = run(2, 1, 20, |slot| (12..15).contains(&slot) || slot >= 27);
+        assert_eq!(s.received, 16);
+        assert_eq!(s.unrecoverable, 4, "two whole groups of two data shards");
+        assert_eq!(s.received + s.recovered + s.unrecoverable, 20);
     }
 
     #[test]
@@ -345,7 +369,7 @@ mod tests {
         for pkt in pkts.iter().chain(pkts.iter()) {
             rx.on_slot(Some(pkt.clone()));
         }
-        let s = rx.finish();
+        let s = rx.finish(tx.groups());
         assert_eq!(s.received, 3);
         assert_eq!(s.unrecoverable, 0);
     }
@@ -366,7 +390,7 @@ mod tests {
         for p in pkts {
             rx.on_slot(Some(p));
         }
-        let s = rx.finish();
+        let s = rx.finish(tx.groups());
         assert_eq!(s.unrecoverable, 0, "flush must close the group cleanly");
         assert_eq!(s.received, 10, "7 real + 3 pad data shards");
     }
@@ -384,7 +408,7 @@ mod tests {
     fn corrupt_index_is_dropped() {
         let mut rx = FecReceiver::new(3, 1, 4).unwrap();
         rx.on_slot(Some(FecPacket { group: 0, index: 200, payload: payload(0) }));
-        let s = rx.finish();
+        let s = rx.finish(0);
         assert_eq!(s.received, 0);
         assert_eq!(s.unrecoverable, 0);
     }

@@ -104,9 +104,9 @@ pub fn run_mesh_demo(
 
     // Stream 1: direct only. Stream 2: direct + random intermediate.
     for seq in 0..packets {
-        src.send_data(HostId(1), 1, seq, bytes::Bytes::from_static(b"payload"), Policy::Direct);
-        src.send_data(HostId(1), 2, seq, bytes::Bytes::from_static(b"payload"), Policy::Direct);
-        src.send_data(HostId(1), 2, seq, bytes::Bytes::from_static(b"payload"), Policy::Random);
+        src.send_data(HostId(1), 1, seq, b"payload".to_vec(), Policy::Direct);
+        src.send_data(HostId(1), 2, seq, b"payload".to_vec(), Policy::Direct);
+        src.send_data(HostId(1), 2, seq, b"payload".to_vec(), Policy::Random);
         thread::sleep(pacing);
     }
 
@@ -174,7 +174,7 @@ mod tests {
     }
 
     fn data_to(target: u16) -> Packet {
-        let payload = bytes::Bytes::from_static(b"x");
+        let payload = b"x".to_vec();
         Packet::Data { origin: HostId(1), target: HostId(target), stream: 1, seq: 1, payload }
     }
 
@@ -286,7 +286,7 @@ mod tests {
         let (src, dst) = (&cluster.nodes()[0], &cluster.nodes()[1]);
         // Nobody drains node 1's events: 4096 fit, the rest are counted.
         for seq in 0..5000 {
-            src.send_data(HostId(1), 1, seq, bytes::Bytes::from_static(b"x"), Policy::Direct);
+            src.send_data(HostId(1), 1, seq, b"x".to_vec(), Policy::Direct);
             if seq % 50 == 0 {
                 thread::sleep(Duration::from_millis(1));
             }
@@ -305,12 +305,37 @@ mod tests {
         node.shutdown();
         UdpSocket::bind(node.addr()).expect("port free once shutdown returns");
         node.shutdown();
-        let payload = bytes::Bytes::from_static(b"late");
+        let payload = b"late".to_vec();
         assert!(!node.send_data(HostId(0), 1, 0, payload, Policy::Direct));
         assert_eq!(node.route(HostId(0), Policy::MinLoss), None);
         assert_eq!(node.snapshot(), None);
         assert!(node.counters().probes_sent > 0, "counters outlive the thread");
         cluster.shutdown();
+    }
+
+    #[test]
+    fn a_node_refuses_more_peers_than_a_probe_can_carry() {
+        // `me` plus 256 peers fits one full snapshot; one more does not.
+        for (hosts, fits) in [(258, false), (257, true)] {
+            let socket = UdpSocket::bind("127.0.0.1:0").unwrap();
+            let mut peers = vec![std::net::SocketAddr::from(([127, 0, 0, 1], 9)); hosts];
+            peers[0] = socket.local_addr().unwrap();
+            let cfg = LiveConfig {
+                me: HostId(0),
+                peers,
+                node: demo_node_config(),
+                impair: Impairment::none(),
+                seed: 17,
+            };
+            match LiveNode::spawn(socket, cfg) {
+                Ok(_) => assert!(fits, "{hosts} hosts spawned"),
+                Err(e) => {
+                    assert!(!fits, "{hosts} hosts refused: {e}");
+                    assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput);
+                    assert!(e.to_string().contains("256"), "{e}");
+                }
+            }
+        }
     }
 
     #[test]

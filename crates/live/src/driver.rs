@@ -21,8 +21,8 @@
 //!   merely recomputes its deadline.
 
 use crate::impair::Impairment;
-use bytes::Bytes;
 use netsim::{HostId, Rng, SimTime};
+use overlay::wire::MAX_METRICS;
 use overlay::{Delivered, DisseminationMode, NodeConfig, OverlayNode, Packet, Policy, Transmit};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -85,7 +85,7 @@ pub struct LiveCounters {
     pub probes_lost: u64,
     /// Packets relayed for other nodes.
     pub forwarded: u64,
-    /// Datagrams that were not a [`Packet`] (pokes included).
+    /// Datagrams that were not exactly one [`Packet`] (pokes included).
     pub undecodable: u64,
     /// Packets dropped for naming a host outside the mesh.
     pub unknown_host: u64,
@@ -128,10 +128,17 @@ pub struct LiveNode {
 }
 
 impl LiveNode {
-    /// Spawns the node's thread on an already bound socket.
+    /// Spawns the node's thread on an already bound socket. A node has
+    /// at most [`MAX_METRICS`] other peers: one full snapshot must fit
+    /// in a probe.
     pub fn spawn(socket: UdpSocket, cfg: LiveConfig) -> io::Result<Arc<LiveNode>> {
         if cfg.me.idx() >= cfg.peers.len() {
             return Err(io::Error::new(io::ErrorKind::InvalidInput, "`me` has no slot in `peers`"));
+        }
+        let others = cfg.peers.len() - 1;
+        if others > MAX_METRICS {
+            let msg = format!("{others} peers besides `me`; a probe carries at most {MAX_METRICS}");
+            return Err(io::Error::new(io::ErrorKind::InvalidInput, msg));
         }
         let addr = socket.local_addr()?;
         let recv_side = socket.try_clone()?;
@@ -190,7 +197,7 @@ impl LiveNode {
         dst: HostId,
         stream: u32,
         seq: u32,
-        payload: Bytes,
+        payload: Vec<u8>,
         policy: Policy,
     ) -> bool {
         let mut s = self.lock();
@@ -341,7 +348,7 @@ impl Shared {
             if delay.is_zero() {
                 let _ = socket.send_to(&data, to);
             } else {
-                self.delayed.push(Reverse((Instant::now() + delay, to, data.to_vec())));
+                self.delayed.push(Reverse((Instant::now() + delay, to, data)));
             }
         }
     }

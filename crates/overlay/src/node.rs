@@ -404,7 +404,6 @@ impl OverlayNode {
 mod tests {
     use super::*;
     use crate::wire::MetricEntry;
-    use bytes::Bytes;
 
     fn node(me: u16, n: usize) -> OverlayNode {
         OverlayNode::new_with_dissemination(
@@ -501,7 +500,7 @@ mod tests {
             target: HostId(2),
             stream: 1,
             seq: 4,
-            payload: Bytes::from_static(b"hi"),
+            payload: b"hi".to_vec(),
         };
         let fwd = Packet::Forward { target: HostId(2), inner: Box::new(inner) };
         match d.on_packet(SimTime::from_secs(1), 0, fwd, &mut out) {
@@ -537,7 +536,7 @@ mod tests {
     }
 
     fn data(origin: HostId, target: HostId) -> Packet {
-        Packet::Data { origin, target, stream: 1, seq: 1, payload: Bytes::from_static(b"x") }
+        Packet::Data { origin, target, stream: 1, seq: 1, payload: b"x".to_vec() }
     }
 
     fn measure(origin: HostId, target: HostId) -> Packet {

@@ -5,11 +5,13 @@
 //! round-trip property tests keep the two representations equivalent.
 //!
 //! Layout: a one-byte type tag followed by fixed-width big-endian fields.
-//! Metric vectors (the piggybacked link state) are length-prefixed. The
-//! decoder never panics on malformed input — every read is bounds-checked
-//! and hostile lengths are rejected.
+//! Metric vectors (the piggybacked link state) are length-prefixed. One
+//! datagram holds exactly one packet: bytes after it are
+//! [`WireError::Trailing`]. The decoder never panics on malformed input,
+//! by construction — it reads the datagram in place through a cursor
+//! whose every read returns [`WireError::Truncated`] past the end, and
+//! hostile lengths are rejected before anything is allocated.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use netsim::HostId;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -178,7 +180,7 @@ pub enum Packet {
         /// Sequence number within the stream.
         seq: u32,
         /// Payload bytes.
-        payload: Bytes,
+        payload: Vec<u8>,
     },
 }
 
@@ -197,6 +199,8 @@ pub enum WireError {
     BadLeg(u8),
     /// Forwarding nesting exceeded the one-intermediate design.
     TooDeep,
+    /// This many bytes followed a complete packet.
+    Trailing(usize),
 }
 
 impl fmt::Display for WireError {
@@ -210,6 +214,7 @@ impl fmt::Display for WireError {
                 write!(f, "leg index {l} out of range (max {})", MAX_PROBE_LEGS - 1)
             }
             WireError::TooDeep => write!(f, "forwarding nested too deep"),
+            WireError::Trailing(n) => write!(f, "{n} bytes after the packet"),
         }
     }
 }
@@ -231,201 +236,236 @@ const TAG_MEASURE: u8 = 4;
 const TAG_DATA: u8 = 5;
 const TAG_LSA: u8 = 6;
 
-fn put_metrics(buf: &mut BytesMut, metrics: &[MetricEntry]) {
-    buf.put_u16(metrics.len() as u16);
+/// Bytes of one encoded [`MetricEntry`].
+const METRIC_BYTES: u64 = 2 + 2 + 4 + 1;
+/// Bytes of an encoded [`Packet::Lsa`] around its entries: tag, version,
+/// origin, seq, full flag and the entry count.
+const LSA_HEADER_BYTES: u64 = 1 + 1 + 2 + 8 + 1 + 2;
+
+fn put_metrics(buf: &mut Vec<u8>, metrics: &[MetricEntry]) {
+    debug_assert!(metrics.len() <= MAX_METRICS, "{} metrics exceed the wire cap", metrics.len());
+    buf.extend((metrics.len() as u16).to_be_bytes());
     for m in metrics {
-        buf.put_u16(m.peer.0);
-        buf.put_u16(m.loss_e4);
-        buf.put_u32(m.lat_us);
-        buf.put_u8(m.alive as u8);
+        buf.extend(m.peer.0.to_be_bytes());
+        buf.extend(m.loss_e4.to_be_bytes());
+        buf.extend(m.lat_us.to_be_bytes());
+        buf.push(m.alive as u8);
     }
 }
 
-fn get_metrics(buf: &mut Bytes) -> Result<Vec<MetricEntry>, WireError> {
-    if buf.remaining() < 2 {
-        return Err(WireError::Truncated);
+/// A cursor over a datagram, read in place. Every read is checked:
+/// past the end is [`WireError::Truncated`], never a panic.
+struct Reader<'a>(&'a [u8]);
+
+impl<'a> Reader<'a> {
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
+        let (head, rest) = self.0.split_first_chunk().ok_or(WireError::Truncated)?;
+        self.0 = rest;
+        Ok(*head)
     }
-    let n = buf.get_u16() as usize;
-    if n > MAX_METRICS {
-        return Err(WireError::BadLength(n));
+
+    fn bytes(&mut self, len: usize) -> Result<&'a [u8], WireError> {
+        let (head, rest) = self.0.split_at_checked(len).ok_or(WireError::Truncated)?;
+        self.0 = rest;
+        Ok(head)
     }
-    if buf.remaining() < n * 9 {
-        return Err(WireError::Truncated);
+
+    fn u8(&mut self) -> Result<u8, WireError> {
+        self.array().map(u8::from_be_bytes)
     }
-    let mut v = Vec::with_capacity(n);
-    for _ in 0..n {
-        v.push(MetricEntry {
-            peer: HostId(buf.get_u16()),
-            loss_e4: buf.get_u16(),
-            lat_us: buf.get_u32(),
-            alive: buf.get_u8() != 0,
-        });
+
+    fn u16(&mut self) -> Result<u16, WireError> {
+        self.array().map(u16::from_be_bytes)
     }
-    Ok(v)
+
+    fn u32(&mut self) -> Result<u32, WireError> {
+        self.array().map(u32::from_be_bytes)
+    }
+
+    fn u64(&mut self) -> Result<u64, WireError> {
+        self.array().map(u64::from_be_bytes)
+    }
+
+    fn i64(&mut self) -> Result<i64, WireError> {
+        self.array().map(i64::from_be_bytes)
+    }
+
+    fn host(&mut self) -> Result<HostId, WireError> {
+        self.u16().map(HostId)
+    }
+
+    fn metrics(&mut self) -> Result<Vec<MetricEntry>, WireError> {
+        let n = self.u16()? as usize;
+        if n > MAX_METRICS {
+            return Err(WireError::BadLength(n));
+        }
+        // Take the whole vector's bytes first, so a count the datagram
+        // cannot back allocates nothing.
+        let mut r = Reader(self.bytes(n * METRIC_BYTES as usize)?);
+        let mut v = Vec::with_capacity(n);
+        for _ in 0..n {
+            v.push(MetricEntry {
+                peer: r.host()?,
+                loss_e4: r.u16()?,
+                lat_us: r.u32()?,
+                alive: r.u8()? != 0,
+            });
+        }
+        Ok(v)
+    }
 }
 
 impl Packet {
     /// Encodes into a fresh buffer.
-    pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(64);
+    pub fn encode(&self) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(64);
         self.encode_into(&mut buf);
-        buf.freeze()
+        buf
     }
 
-    fn encode_into(&self, buf: &mut BytesMut) {
+    fn encode_into(&self, buf: &mut Vec<u8>) {
         match self {
             Packet::ProbeReq { id, from, sent_local_us, metrics } => {
-                buf.put_u8(TAG_PROBE_REQ);
-                buf.put_u64(*id);
-                buf.put_u16(from.0);
-                buf.put_i64(*sent_local_us);
+                buf.push(TAG_PROBE_REQ);
+                buf.extend(id.to_be_bytes());
+                buf.extend(from.0.to_be_bytes());
+                buf.extend(sent_local_us.to_be_bytes());
                 put_metrics(buf, metrics);
             }
             Packet::ProbeResp { id, from, resp_local_us, metrics } => {
-                buf.put_u8(TAG_PROBE_RESP);
-                buf.put_u64(*id);
-                buf.put_u16(from.0);
-                buf.put_i64(*resp_local_us);
+                buf.push(TAG_PROBE_RESP);
+                buf.extend(id.to_be_bytes());
+                buf.extend(from.0.to_be_bytes());
+                buf.extend(resp_local_us.to_be_bytes());
                 put_metrics(buf, metrics);
             }
             Packet::Forward { target, inner } => {
-                buf.put_u8(TAG_FORWARD);
-                buf.put_u16(target.0);
+                buf.push(TAG_FORWARD);
+                buf.extend(target.0.to_be_bytes());
                 inner.encode_into(buf);
             }
             Packet::Measure { id, method, leg, origin, target, route, kind, sent_local_us } => {
                 debug_assert!((*leg as usize) < MAX_PROBE_LEGS, "leg {leg} exceeds the wire cap");
-                buf.put_u8(TAG_MEASURE);
-                buf.put_u8(MEASURE_WIRE_VERSION);
-                buf.put_u64(*id);
-                buf.put_u8(*method);
-                buf.put_u8(*leg);
-                buf.put_u16(origin.0);
-                buf.put_u16(target.0);
-                buf.put_u8(*route as u8);
-                buf.put_u8(*kind as u8);
-                buf.put_i64(*sent_local_us);
+                buf.extend([TAG_MEASURE, MEASURE_WIRE_VERSION]);
+                buf.extend(id.to_be_bytes());
+                buf.extend([*method, *leg]);
+                buf.extend(origin.0.to_be_bytes());
+                buf.extend(target.0.to_be_bytes());
+                buf.extend([*route as u8, *kind as u8]);
+                buf.extend(sent_local_us.to_be_bytes());
             }
             Packet::Lsa { origin, seq, full, entries } => {
-                buf.put_u8(TAG_LSA);
-                buf.put_u8(LSA_WIRE_VERSION);
-                buf.put_u16(origin.0);
-                buf.put_u64(*seq);
-                buf.put_u8(*full as u8);
+                buf.extend([TAG_LSA, LSA_WIRE_VERSION]);
+                buf.extend(origin.0.to_be_bytes());
+                buf.extend(seq.to_be_bytes());
+                buf.push(*full as u8);
                 put_metrics(buf, entries);
             }
             Packet::Data { origin, target, stream, seq, payload } => {
-                buf.put_u8(TAG_DATA);
-                buf.put_u16(origin.0);
-                buf.put_u16(target.0);
-                buf.put_u32(*stream);
-                buf.put_u32(*seq);
-                buf.put_u32(payload.len() as u32);
-                buf.put_slice(payload);
+                buf.push(TAG_DATA);
+                buf.extend(origin.0.to_be_bytes());
+                buf.extend(target.0.to_be_bytes());
+                buf.extend(stream.to_be_bytes());
+                buf.extend(seq.to_be_bytes());
+                buf.extend((payload.len() as u32).to_be_bytes());
+                buf.extend_from_slice(payload);
             }
         }
     }
 
-    /// Decodes one packet from `bytes`.
-    pub fn decode(bytes: &[u8]) -> Result<Packet, WireError> {
-        let mut buf = Bytes::copy_from_slice(bytes);
-        let p = Self::decode_buf(&mut buf, 0)?;
-        Ok(p)
+    /// What the link state this packet carries costs on the wire, as
+    /// `(bytes, entries)`: a probe's non-empty metric vector with its
+    /// count prefix, or a whole LSA. `None` for every other packet.
+    #[inline]
+    pub fn link_state_cost(&self) -> Option<(u64, u64)> {
+        let (header, entries) = match self {
+            Packet::ProbeReq { metrics, .. } | Packet::ProbeResp { metrics, .. }
+                if !metrics.is_empty() =>
+            {
+                (2, metrics.len() as u64)
+            }
+            Packet::Lsa { entries, .. } => (LSA_HEADER_BYTES, entries.len() as u64),
+            _ => return None,
+        };
+        Some((header + METRIC_BYTES * entries, entries))
     }
 
-    fn decode_buf(buf: &mut Bytes, depth: usize) -> Result<Packet, WireError> {
+    /// Decodes the one packet `bytes` holds.
+    pub fn decode(bytes: &[u8]) -> Result<Packet, WireError> {
+        let mut r = Reader(bytes);
+        let p = Self::read(&mut r, 0)?;
+        match r.0.len() {
+            0 => Ok(p),
+            n => Err(WireError::Trailing(n)),
+        }
+    }
+
+    fn read(r: &mut Reader<'_>, depth: usize) -> Result<Packet, WireError> {
         if depth >= MAX_DEPTH {
             return Err(WireError::TooDeep);
         }
-        if buf.remaining() < 1 {
-            return Err(WireError::Truncated);
-        }
-        let tag = buf.get_u8();
-        match tag {
-            TAG_PROBE_REQ => {
-                if buf.remaining() < 8 + 2 + 8 {
-                    return Err(WireError::Truncated);
-                }
-                let id = buf.get_u64();
-                let from = HostId(buf.get_u16());
-                let sent_local_us = buf.get_i64();
-                let metrics = get_metrics(buf)?;
-                Ok(Packet::ProbeReq { id, from, sent_local_us, metrics })
-            }
-            TAG_PROBE_RESP => {
-                if buf.remaining() < 8 + 2 + 8 {
-                    return Err(WireError::Truncated);
-                }
-                let id = buf.get_u64();
-                let from = HostId(buf.get_u16());
-                let resp_local_us = buf.get_i64();
-                let metrics = get_metrics(buf)?;
-                Ok(Packet::ProbeResp { id, from, resp_local_us, metrics })
-            }
-            TAG_FORWARD => {
-                if buf.remaining() < 2 {
-                    return Err(WireError::Truncated);
-                }
-                let target = HostId(buf.get_u16());
-                let inner = Box::new(Self::decode_buf(buf, depth + 1)?);
-                Ok(Packet::Forward { target, inner })
-            }
+        match r.u8()? {
+            TAG_PROBE_REQ => Ok(Packet::ProbeReq {
+                id: r.u64()?,
+                from: r.host()?,
+                sent_local_us: r.i64()?,
+                metrics: r.metrics()?,
+            }),
+            TAG_PROBE_RESP => Ok(Packet::ProbeResp {
+                id: r.u64()?,
+                from: r.host()?,
+                resp_local_us: r.i64()?,
+                metrics: r.metrics()?,
+            }),
+            TAG_FORWARD => Ok(Packet::Forward {
+                target: r.host()?,
+                inner: Box::new(Self::read(r, depth + 1)?),
+            }),
             TAG_MEASURE => {
-                if buf.remaining() < 1 + 8 + 1 + 1 + 2 + 2 + 1 + 1 + 8 {
-                    return Err(WireError::Truncated);
-                }
-                let version = buf.get_u8();
+                let version = r.u8()?;
                 if version != MEASURE_WIRE_VERSION {
                     return Err(WireError::BadVersion(version));
                 }
-                let id = buf.get_u64();
-                let method = buf.get_u8();
-                let leg = buf.get_u8();
+                let id = r.u64()?;
+                let method = r.u8()?;
+                let leg = r.u8()?;
                 if leg as usize >= MAX_PROBE_LEGS {
                     // A corrupt or hostile leg index: reject at the wire,
                     // mirroring the collector's `malformed_receives`.
                     return Err(WireError::BadLeg(leg));
                 }
-                let origin = HostId(buf.get_u16());
-                let target = HostId(buf.get_u16());
-                let tag = buf.get_u8();
+                let origin = r.host()?;
+                let target = r.host()?;
+                let tag = r.u8()?;
                 let route = RouteTag::from_u8(tag).ok_or(WireError::BadTag(tag))?;
-                let kv = buf.get_u8();
+                let kv = r.u8()?;
                 let kind = MeasureKind::from_u8(kv).ok_or(WireError::BadTag(kv))?;
-                let sent_local_us = buf.get_i64();
+                let sent_local_us = r.i64()?;
                 Ok(Packet::Measure { id, method, leg, origin, target, route, kind, sent_local_us })
             }
             TAG_DATA => {
-                if buf.remaining() < 2 + 2 + 4 + 4 + 4 {
-                    return Err(WireError::Truncated);
-                }
-                let origin = HostId(buf.get_u16());
-                let target = HostId(buf.get_u16());
-                let stream = buf.get_u32();
-                let seq = buf.get_u32();
-                let len = buf.get_u32() as usize;
+                let origin = r.host()?;
+                let target = r.host()?;
+                let stream = r.u32()?;
+                let seq = r.u32()?;
+                let len = r.u32()? as usize;
                 if len > MAX_PAYLOAD {
                     return Err(WireError::BadLength(len));
                 }
-                if buf.remaining() < len {
-                    return Err(WireError::Truncated);
-                }
-                let payload = buf.copy_to_bytes(len);
+                let payload = r.bytes(len)?.to_vec();
                 Ok(Packet::Data { origin, target, stream, seq, payload })
             }
             TAG_LSA => {
-                if buf.remaining() < 1 + 2 + 8 + 1 {
-                    return Err(WireError::Truncated);
-                }
-                let version = buf.get_u8();
+                let version = r.u8()?;
                 if version != LSA_WIRE_VERSION {
                     return Err(WireError::BadVersion(version));
                 }
-                let origin = HostId(buf.get_u16());
-                let seq = buf.get_u64();
-                let full = buf.get_u8() != 0;
-                let entries = get_metrics(buf)?;
-                Ok(Packet::Lsa { origin, seq, full, entries })
+                Ok(Packet::Lsa {
+                    origin: r.host()?,
+                    seq: r.u64()?,
+                    full: r.u8()? != 0,
+                    entries: r.metrics()?,
+                })
             }
             t => Err(WireError::BadTag(t)),
         }
@@ -488,7 +528,7 @@ mod tests {
             target: HostId(2),
             stream: 77,
             seq: 1_000_000,
-            payload: Bytes::from_static(b"the quick brown fox"),
+            payload: b"the quick brown fox".to_vec(),
         };
         assert_eq!(Packet::decode(&p.encode()).unwrap(), p);
     }
@@ -504,7 +544,7 @@ mod tests {
         let full = p.encode();
         for cut in 0..full.len() {
             let r = Packet::decode(&full[..cut]);
-            assert!(r.is_err(), "decode of {cut}-byte prefix should fail");
+            assert_eq!(r, Err(WireError::Truncated), "decode of {cut}-byte prefix should fail");
         }
     }
 
@@ -540,7 +580,7 @@ mod tests {
             target: HostId(1),
             stream: 0,
             seq: 0,
-            payload: Bytes::new(),
+            payload: Vec::new(),
         };
         for _ in 0..5 {
             p = Packet::Forward { target: HostId(1), inner: Box::new(p) };
@@ -573,7 +613,7 @@ mod tests {
     fn measure_rejects_out_of_range_leg() {
         // Encode a valid measure, then corrupt the leg byte in place
         // (tag, version, id×8, method, then leg).
-        let mut raw = measure(0).encode().to_vec();
+        let mut raw = measure(0).encode();
         raw[1 + 1 + 8 + 1] = MAX_PROBE_LEGS as u8;
         assert_eq!(Packet::decode(&raw), Err(WireError::BadLeg(MAX_PROBE_LEGS as u8)));
         raw[1 + 1 + 8 + 1] = 255;
@@ -582,7 +622,7 @@ mod tests {
 
     #[test]
     fn measure_rejects_unknown_version() {
-        let mut raw = measure(0).encode().to_vec();
+        let mut raw = measure(0).encode();
         raw[1] = MEASURE_WIRE_VERSION + 1;
         assert_eq!(Packet::decode(&raw), Err(WireError::BadVersion(MEASURE_WIRE_VERSION + 1)));
         raw[1] = 0;
@@ -600,7 +640,7 @@ mod tests {
     #[test]
     fn lsa_rejects_unknown_version() {
         let p = Packet::Lsa { origin: HostId(1), seq: 9, full: true, entries: sample_metrics() };
-        let mut raw = p.encode().to_vec();
+        let mut raw = p.encode();
         raw[1] = LSA_WIRE_VERSION + 1;
         assert_eq!(Packet::decode(&raw), Err(WireError::BadVersion(LSA_WIRE_VERSION + 1)));
         raw[1] = 0;
@@ -612,7 +652,11 @@ mod tests {
         let p = Packet::Lsa { origin: HostId(4), seq: 1, full: false, entries: sample_metrics() };
         let full = p.encode();
         for cut in 0..full.len() {
-            assert!(Packet::decode(&full[..cut]).is_err(), "{cut}-byte prefix should fail");
+            assert_eq!(
+                Packet::decode(&full[..cut]),
+                Err(WireError::Truncated),
+                "{cut}-byte prefix should fail"
+            );
         }
     }
 
@@ -640,6 +684,78 @@ mod tests {
             assert_eq!(back, tag);
         }
         assert!(serde_json::from_str::<RouteTag>("\"Fastest\"").is_err());
+    }
+
+    #[test]
+    fn encoding_is_pinned_for_every_variant() {
+        let m = |kind| Packet::Measure {
+            id: 0x0102_0304_0506_0708,
+            method: 4,
+            leg: 1,
+            origin: HostId(2),
+            target: HostId(5),
+            route: RouteTag::Lat,
+            kind,
+            sent_local_us: -2,
+        };
+        let (id, from, metrics) = (7, HostId(3), sample_metrics());
+        let data = b"hi".to_vec();
+        // Field by field (the spaces are for reading): tag, then the
+        // variant's fields in declaration order; a metric vector is a u16
+        // count of 9-byte entries (peer u16, loss_e4 u16, lat_us u32,
+        // alive u8).
+        const METRICS: &str = "0002 0003 0078 0000d372 01 0009 0000 00000834 00";
+        const MEASURE: &str = "04 02 0102030405060708 04 01 0002 0005 02";
+        let cases = [
+            (
+                Packet::ProbeReq { id, from, sent_local_us: -2, metrics: metrics.clone() },
+                format!("01 0000000000000007 0003 fffffffffffffffe {METRICS}"),
+            ),
+            (
+                Packet::ProbeResp { id, from, resp_local_us: 1_000, metrics: Vec::new() },
+                "02 0000000000000007 0003 00000000000003e8 0000".to_string(),
+            ),
+            (
+                Packet::Forward { target: HostId(9), inner: Box::new(m(MeasureKind::OneWay)) },
+                format!("03 0009 {MEASURE} 00 fffffffffffffffe"),
+            ),
+            (m(MeasureKind::OneWay), format!("{MEASURE} 00 fffffffffffffffe")),
+            (m(MeasureKind::Request), format!("{MEASURE} 01 fffffffffffffffe")),
+            (m(MeasureKind::Echo), format!("{MEASURE} 02 fffffffffffffffe")),
+            (
+                Packet::Lsa { origin: HostId(11), seq: 9, full: true, entries: metrics },
+                format!("06 01 000b 0000000000000009 01 {METRICS}"),
+            ),
+            (
+                Packet::Data { origin: HostId(1), target: from, stream: 77, seq: 2, payload: data },
+                "05 0001 0003 0000004d 00000002 00000002 6869".to_string(),
+            ),
+        ];
+        for (p, hex) in cases {
+            let got: String = p.encode().iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!(got, hex.replace(' ', ""), "{p:?}");
+        }
+    }
+
+    #[test]
+    fn link_state_cost_is_what_encode_spends_on_link_state() {
+        let probes: [fn(Vec<MetricEntry>) -> Packet; 2] = [
+            |metrics| Packet::ProbeReq { id: 1, from: HostId(2), sent_local_us: 3, metrics },
+            |metrics| Packet::ProbeResp { id: 1, from: HostId(2), resp_local_us: 3, metrics },
+        ];
+        for metrics in [Vec::new(), sample_metrics()] {
+            let n = metrics.len() as u64;
+            let lsa =
+                Packet::Lsa { origin: HostId(1), seq: 2, full: false, entries: metrics.clone() };
+            assert_eq!(lsa.link_state_cost(), Some((lsa.encode().len() as u64, n)));
+            for probe in probes {
+                let bare = probe(Vec::new()).encode().len();
+                let p = probe(metrics.clone());
+                let bytes = (p.encode().len() - bare + 2) as u64;
+                assert_eq!(p.link_state_cost(), (n > 0).then_some((bytes, n)));
+            }
+        }
+        assert_eq!(measure(0).link_state_cost(), None);
     }
 
     #[test]

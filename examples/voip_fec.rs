@@ -62,7 +62,8 @@ fn main() {
                 }
             }
         }
-        let stats = rx.finish();
+        // Only whole interleaver blocks go out: count the groups sent.
+        let stats = rx.finish((sent / (k + r) as u64) as u32);
         let raw = dropped as f64 / sent as f64;
         println!(
             "{:>6} {:>12.0} {:>9.3}% {:>9.3}% {:>11.0}% {:>12.0}ms",

@@ -3,7 +3,7 @@
 
 use mpath::fec::{BlockInterleaver, ErasureCode};
 use mpath::netsim::{HostId, Rng, SimTime, Topology};
-use mpath::overlay::{MeasureKind, MetricEntry, Packet, RouteTag};
+use mpath::overlay::{MeasureKind, MetricEntry, Packet, RouteTag, WireError};
 use proptest::prelude::*;
 
 fn arb_route_tag() -> impl Strategy<Value = RouteTag> {
@@ -13,6 +13,10 @@ fn arb_route_tag() -> impl Strategy<Value = RouteTag> {
         Just(RouteTag::Lat),
         Just(RouteTag::Loss),
     ]
+}
+
+fn arb_measure_kind() -> impl Strategy<Value = MeasureKind> {
+    prop_oneof![Just(MeasureKind::OneWay), Just(MeasureKind::Request), Just(MeasureKind::Echo)]
 }
 
 fn arb_metrics() -> impl Strategy<Value = Vec<MetricEntry>> {
@@ -54,16 +58,17 @@ fn arb_packet() -> impl Strategy<Value = Packet> {
             any::<u16>(),
             any::<u16>(),
             arb_route_tag(),
+            arb_measure_kind(),
             any::<i64>()
         )
-            .prop_map(|(id, method, leg, o, t, route, sent)| Packet::Measure {
+            .prop_map(|(id, method, leg, o, t, route, kind, sent)| Packet::Measure {
                 id,
                 method,
                 leg,
                 origin: HostId(o),
                 target: HostId(t),
                 route,
-                kind: MeasureKind::OneWay,
+                kind,
                 sent_local_us: sent,
             }),
         (any::<u16>(), any::<u16>(), any::<u32>(), any::<u32>(), proptest::collection::vec(any::<u8>(), 0..256))
@@ -72,8 +77,11 @@ fn arb_packet() -> impl Strategy<Value = Packet> {
                 target: HostId(t),
                 stream,
                 seq,
-                payload: bytes::Bytes::from(payload),
+                payload,
             }),
+        (any::<u16>(), any::<u64>(), any::<bool>(), arb_metrics()).prop_map(
+            |(o, seq, full, entries)| Packet::Lsa { origin: HostId(o), seq, full, entries }
+        ),
     ];
     // Optionally wrap in one Forward layer (the overlay uses at most one
     // intermediate).
@@ -91,6 +99,25 @@ proptest! {
         let encoded = pkt.encode();
         let decoded = Packet::decode(&encoded).expect("own encoding must decode");
         prop_assert_eq!(decoded, pkt);
+    }
+
+    #[test]
+    fn every_strict_prefix_is_truncated(pkt in arb_packet()) {
+        let encoded = pkt.encode();
+        for cut in 0..encoded.len() {
+            let decoded = Packet::decode(&encoded[..cut]);
+            prop_assert_eq!(decoded, Err(WireError::Truncated), "{}-byte prefix", cut);
+        }
+    }
+
+    #[test]
+    fn bytes_after_a_packet_are_trailing(
+        pkt in arb_packet(),
+        extra in proptest::collection::vec(any::<u8>(), 1..17),
+    ) {
+        let mut datagram = pkt.encode();
+        datagram.extend_from_slice(&extra);
+        prop_assert_eq!(Packet::decode(&datagram), Err(WireError::Trailing(extra.len())));
     }
 
     #[test]
@@ -183,7 +210,9 @@ proptest! {
         for pkt in tx.flush().unwrap() {
             deliver(pkt, &mut rng, &mut data_sent, &mut data_dropped, &mut rx);
         }
-        let stats = rx.finish();
+        let stats = rx.finish(tx.groups());
+        prop_assert_eq!(stats.received + stats.recovered + stats.unrecoverable, data_sent,
+            "every data shard sent is received, recovered or unrecoverable");
         let raw_data = data_dropped as f64 / data_sent.max(1) as f64;
         prop_assert!(stats.residual_loss() <= raw_data + 1e-9,
             "residual {} > raw data loss {}", stats.residual_loss(), raw_data);
