@@ -22,7 +22,8 @@
 //! --shards N  worker threads for the sliced campaign (default: the
 //!             MPATH_SHARDS environment variable, else 1). Results are
 //!             byte-identical for every value — only wall-clock changes.
-//! --out DIR   directory for figure CSVs (default target/repro_out)
+//! --out DIR   directory for figure CSVs (default target/repro_out;
+//!             ARTIFACT runs only)
 //!
 //! --list-scenarios   print the registry catalog and exit
 //! --scenario NAMES   run the named scenario(s) (comma-separated sweep)
@@ -181,6 +182,7 @@ fn parse_args() -> Args {
     let mut saw_sweep_knob = false;
     let mut saw_seed_flag = false;
     let mut saw_shards_flag = false;
+    let mut saw_out_flag = false;
     let mut i = 0;
     while i < argv.len() {
         match argv[i].as_str() {
@@ -196,6 +198,7 @@ fn parse_args() -> Args {
                 args.shards = number_of(&argv, &mut i, "--shards", "an integer");
             }
             "--out" => {
+                saw_out_flag = true;
                 args.out = PathBuf::from(value_of(&argv, &mut i, "--out"));
             }
             "--list-scenarios" => args.list_scenarios = true,
@@ -406,6 +409,12 @@ fn parse_args() -> Args {
             "pick one mode: ARTIFACT, --list-scenarios, --scenario, --scenario-file, \
              --dump-scenario, --matrix, --serve, --worker, or --scale-sweep"
         );
+        std::process::exit(2);
+    }
+    if saw_out_flag && modes[1..].contains(&true) {
+        // Every mode but ARTIFACT (`modes[0]`) prints and writes no
+        // file; there --out would be silently ignored.
+        eprintln!("--out only applies to ARTIFACT runs (it is where the figure CSVs go)");
         std::process::exit(2);
     }
     args

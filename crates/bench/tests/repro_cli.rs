@@ -43,6 +43,7 @@ fn bad_invocations_are_one_line_usage_errors() {
         (&["--seeds", "2"], "--seeds only applies to --matrix"),
         (&["--matrix", "ron-narrow", "--seed", MAX_SEED, "--seeds", "2"], "leaves no room for --seeds 2"),
         (&["--jobs", "2"], "--jobs only applies to --worker"),
+        (&["--scenario", "ron-narrow", "--out", "x"], "--out only applies to ARTIFACT runs"),
         (&["--max-hosts", "60"], "--max-hosts, --mesh-k, --sweep-secs and --dissem only apply to"),
         (&["--scale-sweep", "--list-scenarios"], "pick one mode"),
         (&["--scenario", ","], "--scenario requires at least one scenario name"),

@@ -99,13 +99,15 @@
 //!
 //! *Shutdown.* `serve_campaign` returns as soon as the last slice is
 //! recorded, not when connections drain. The thread that recorded it
-//! wakes the accept loop with a loopback connection (never counted in
-//! [`ServeReport::connections`]); the accept loop then shuts down the
-//! read half of every live connection, so a thread blocked on a stalled
-//! or idle worker sees EOF while one answering a final `Ready` can
-//! still say `Done`, and joins them all. On return the listener and
-//! every accepted socket are closed: a worker still computing reads
-//! EOF or a reset and reports `coordinator_closed`.
+//! takes its own connection out of the shutdown set and wakes the
+//! accept loop with a loopback connection (never counted in
+//! [`ServeReport::connections`]); it then answers its worker's next
+//! `Ready` with `Done`, waiting at most [`ServeOptions::lease_timeout`]
+//! for it. The accept loop shuts down the read half of every other live
+//! connection, so a thread blocked on a stalled or idle worker sees EOF
+//! while one mid-reply can still write, and joins them all. On return
+//! the listener and every accepted socket are closed: a worker still
+//! computing reads EOF or a reset and reports `coordinator_closed`.
 //!
 //! *Before the handshake* a peer is anybody. Its first frame is read
 //! under a 4 KiB cap instead of the 64 MiB one and must arrive within
@@ -634,11 +636,16 @@ fn wake_addr(listener: &TcpListener) -> io::Result<SocketAddr> {
     Ok(addr)
 }
 
+/// A second handle on each live connection, which the accept loop uses
+/// to shut their read halves once the campaign is over.
+type Conns = Mutex<BTreeMap<u64, TcpStream>>;
+
 fn drive_conn(
     stream: &mut TcpStream,
     coord: &Coord,
     conn: u64,
     wake: SocketAddr,
+    conns: &Conns,
 ) -> io::Result<()> {
     // Pre-handshake limits: a small frame, and not forever to send it.
     // The write timeout stays: a peer that stops draining its replies
@@ -683,9 +690,17 @@ fn drive_conn(
             Msg::Result { slice, output } => {
                 coord.record(slice as usize, *output)?;
                 if coord.finished() {
+                    // This worker's next `Ready` is owed a `Done`, so its
+                    // read half stays out of the accept loop's shutdown.
+                    conns.lock().unwrap().remove(&conn);
                     // The accept loop is blocked in `accept`, and only a
                     // connection wakes it. Refused means it already left.
                     let _ = TcpStream::connect(wake);
+                    stream.set_read_timeout(Some(patience))?;
+                    if let Ok(Some(Msg::Ready)) = read_msg_blocking(stream) {
+                        write_msg_blocking(stream, &Msg::Done)?;
+                    }
+                    return Ok(());
                 }
             }
             other => {
@@ -695,8 +710,8 @@ fn drive_conn(
     }
 }
 
-fn serve_conn(mut stream: TcpStream, coord: &Coord, conn: u64, wake: SocketAddr) {
-    let res = drive_conn(&mut stream, coord, conn, wake);
+fn serve_conn(mut stream: TcpStream, coord: &Coord, conn: u64, wake: SocketAddr, conns: &Conns) {
+    let res = drive_conn(&mut stream, coord, conn, wake, conns);
     // Dropping the leases *after* the connection ends covers every exit:
     // clean Done (no leases left), worker death (re-lease now), protocol
     // error (ditto).
@@ -727,8 +742,7 @@ pub fn serve_campaign(
     let slices = job.plan().len();
     let coord = Coord::new(job, slices, opts);
     let wake = wake_addr(&listener)?;
-    // A second handle on each live connection, for the shutdown below.
-    let conns: Mutex<BTreeMap<u64, TcpStream>> = Mutex::new(BTreeMap::new());
+    let conns: Conns = Mutex::new(BTreeMap::new());
     thread::scope(|s| {
         let (coord, conns) = (&coord, &conns);
         let accepted = loop {
@@ -753,14 +767,13 @@ pub fn serve_campaign(
             };
             conns.lock().unwrap().insert(conn, handle);
             s.spawn(move || {
-                serve_conn(stream, coord, conn, wake);
+                serve_conn(stream, coord, conn, wake, conns);
                 conns.lock().unwrap().remove(&conn);
             });
         };
         // Connection threads blocked in `read` (an idle or stalled
-        // worker) see EOF and exit; one about to answer the `Ready`
-        // that followed the last result still can, so only the read
-        // half goes. The scope then joins them all.
+        // worker) see EOF and exit; one mid-reply still finishes, so
+        // only the read half goes. The scope then joins them all.
         for handle in conns.lock().unwrap().values() {
             let _ = handle.shutdown(Shutdown::Read);
         }

@@ -112,7 +112,7 @@ mod tests {
     #[test]
     fn classification_matches_the_design() {
         assert!(classify("crates/netsim/src/rng.rs").deterministic);
-        assert!(classify("crates/fec/src/interleave.rs").deterministic);
+        assert!(classify("crates/fec/src/rs.rs").deterministic);
         assert!(classify("crates/overlay/tests/proptest_dissem.rs").deterministic);
         assert!(!classify("crates/core/src/distrib.rs").deterministic, "distrib exception");
         assert!(classify("crates/core/src/report.rs").deterministic);

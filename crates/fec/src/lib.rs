@@ -8,23 +8,17 @@
 //! be spread out by nearly half a second if sending packets down the same
 //! path."
 //!
-//! This crate supplies the machinery to reproduce that analysis:
+//! This crate supplies the erasure code that analysis rests on:
 //!
 //! * [`gf256`] — arithmetic in GF(2⁸) (polynomial 0x11D);
 //! * [`rs`] — a systematic Reed–Solomon erasure code built from a Cauchy
-//!   matrix (any k of the k+r shards reconstruct the group);
-//! * [`interleave`] — a block interleaver that spreads a group's packets
-//!   over time to decorrelate burst losses;
-//! * [`stream`] — a streaming encoder/decoder pair with recovery-delay
-//!   accounting.
+//!   matrix (any k of the k+r shards reconstruct the group).
+//!
+//! The interleaved sweep over a bursty path lives in `mpath_bench::fecx`.
 
 #![warn(missing_docs)]
 
 pub mod gf256;
-pub mod interleave;
 pub mod rs;
-pub mod stream;
 
-pub use interleave::BlockInterleaver;
 pub use rs::{ErasureCode, FecError};
-pub use stream::{FecPacket, FecReceiver, FecSender, ReceiverStats};

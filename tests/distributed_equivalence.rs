@@ -395,6 +395,34 @@ fn stalled_leases_are_re_issued_only_after_the_configured_timeout() {
 }
 
 #[test]
+fn the_worker_whose_result_completes_the_campaign_still_hears_done() {
+    // The last result wakes the accept loop, which hangs up on every
+    // connection's read half. The connection that recorded that result
+    // must still answer the `Ready` its worker sends next.
+    let j = job("ron-narrow");
+    let outputs: Vec<_> = (0..4).map(|k| j.run_slice_index(k)).collect();
+    let (coordinator, addr) = spawn_coordinator(&j);
+    let mut finisher = fake_handshake(addr);
+    for expect in 0..4u64 {
+        assert_eq!(lease_slice(&mut finisher), expect, "plan leases in index order");
+    }
+    for (k, output) in outputs.into_iter().enumerate() {
+        let msg = Msg::Result { slice: k as u64, output: Box::new(output) };
+        write_msg_blocking(&mut finisher, &msg).unwrap();
+    }
+    // Long enough for the accept loop to wake and shut connections
+    // down, well inside `fast_serve`'s 250 ms patience.
+    std::thread::sleep(Duration::from_millis(100));
+    write_msg_blocking(&mut finisher, &Msg::Ready).unwrap();
+    match read_msg_blocking(&mut finisher) {
+        Ok(Some(Msg::Done)) => {}
+        other => panic!("expected Done after the last result, got {other:?}"),
+    }
+    let rep = coordinator.join().expect("coordinator thread");
+    assert_eq!(rep.output.fingerprint(), sequential(&j).fingerprint());
+}
+
+#[test]
 fn killed_worker_and_duplicate_result_still_merge_to_sequential_bits() {
     let j = job("ron-narrow");
     let (coordinator, addr) = spawn_coordinator(&j);

@@ -1,7 +1,7 @@
 //! Cross-crate property tests: invariants that must hold for *any*
 //! input, not just the scripted scenarios.
 
-use mpath::fec::{BlockInterleaver, ErasureCode};
+use mpath::fec::ErasureCode;
 use mpath::netsim::{HostId, Rng, SimTime, Topology};
 use mpath::overlay::{MeasureKind, MetricEntry, Packet, RouteTag, WireError};
 use proptest::prelude::*;
@@ -153,69 +153,6 @@ proptest! {
         for i in 0..k {
             prop_assert_eq!(shards[i].as_ref().unwrap(), &data[i]);
         }
-    }
-
-    #[test]
-    fn interleaver_is_bijective(rows in 1usize..12, cols in 1usize..12, blocks in 1usize..4) {
-        let il = BlockInterleaver::new(rows, cols);
-        let n = il.len() * blocks;
-        let mut seen = vec![false; n];
-        for i in 0..n {
-            let j = il.permute(i);
-            prop_assert!(j < n);
-            prop_assert!(!seen[j]);
-            seen[j] = true;
-            prop_assert_eq!(il.inverse(j), i);
-        }
-    }
-
-    #[test]
-    fn fec_stream_survives_any_loss_pattern(
-        k in 2usize..6,
-        r in 1usize..3,
-        seed in any::<u64>(),
-        loss_pct in 0u32..60,
-    ) {
-        // Residual *data* loss can never exceed the raw data-packet loss,
-        // whatever the pattern (parity slots have their own fate, so the
-        // comparison must count data slots only).
-        let mut tx = mpath::fec::FecSender::new(k, r).unwrap();
-        let mut rx = mpath::fec::FecReceiver::new(k, r, 8).unwrap();
-        let mut rng = Rng::new(seed);
-        let mut data_sent = 0u64;
-        let mut data_dropped = 0u64;
-        let deliver = |pkt: mpath::fec::FecPacket,
-                           rng: &mut Rng,
-                           data_sent: &mut u64,
-                           data_dropped: &mut u64,
-                           rx: &mut mpath::fec::FecReceiver| {
-            let is_data = pkt.is_data(k);
-            if is_data {
-                *data_sent += 1;
-            }
-            if rng.chance(loss_pct as f64 / 100.0) {
-                if is_data {
-                    *data_dropped += 1;
-                }
-                rx.on_slot(None);
-            } else {
-                rx.on_slot(Some(pkt));
-            }
-        };
-        for i in 0..400 {
-            for pkt in tx.push(vec![i as u8; 8]).unwrap() {
-                deliver(pkt, &mut rng, &mut data_sent, &mut data_dropped, &mut rx);
-            }
-        }
-        for pkt in tx.flush().unwrap() {
-            deliver(pkt, &mut rng, &mut data_sent, &mut data_dropped, &mut rx);
-        }
-        let stats = rx.finish(tx.groups());
-        prop_assert_eq!(stats.received + stats.recovered + stats.unrecoverable, data_sent,
-            "every data shard sent is received, recovered or unrecoverable");
-        let raw_data = data_dropped as f64 / data_sent.max(1) as f64;
-        prop_assert!(stats.residual_loss() <= raw_data + 1e-9,
-            "residual {} > raw data loss {}", stats.residual_loss(), raw_data);
     }
 
     #[test]
