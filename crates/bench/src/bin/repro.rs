@@ -673,7 +673,8 @@ fn sweep_sizes(max_hosts: usize) -> Vec<usize> {
 /// direct-probing method so the per-host columns (`accum_B/host`,
 /// `table_B/host`) read the mesh degree, not the method count: both are
 /// flat in the host count at fixed `k`, and what still grows with
-/// hosts² is the topology's segment-spec table.
+/// hosts² is the topology's per-pair draws (8 B per ordered pair) and
+/// the network's zero-initialised slot table.
 ///
 /// The sweep deliberately bypasses `ScenarioSpec` and its 1000-host
 /// validation cap: the cap protects scenario authors from accidentally

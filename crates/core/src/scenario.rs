@@ -831,6 +831,7 @@ pub fn builtin_specs() -> Vec<ScenarioSpec> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netsim::SegmentId;
 
     #[test]
     fn builtin_catalog_has_paper_and_stress_entries() {
@@ -1135,14 +1136,17 @@ mod tests {
     #[test]
     fn stress_scenarios_actually_impair_the_testbed() {
         let r = ScenarioRegistry::builtin();
+        let specs = |t: &Topology| {
+            (0..t.segments()).map(|i| t.spec(SegmentId(i as u32))).collect::<Vec<_>>()
+        };
         let sr = r.get("correlated-outages").unwrap().topology(1);
         assert!(
-            sr.specs().iter().any(|s| !s.down.is_empty()),
+            specs(&sr).iter().any(|s| !s.down.is_empty()),
             "shared-risk windows missing"
         );
         let lw = r.get("load-waves").unwrap().topology(1);
-        let waves: usize = lw.specs().iter().map(|s| s.hot.len()).sum();
-        let base: usize = Topology::ron2003(1).specs().iter().map(|s| s.hot.len()).sum();
+        let waves: usize = specs(&lw).iter().map(|s| s.hot.len()).sum();
+        let base: usize = specs(&Topology::ron2003(1)).iter().map(|s| s.hot.len()).sum();
         assert!(waves > base, "load wave adds hot windows ({waves} vs {base})");
         let asym = r.get("asymmetric-paths").unwrap().topology(1);
         assert!((asym.params().dir_loss_skew - 3.0).abs() < 1e-12);

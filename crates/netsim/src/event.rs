@@ -145,6 +145,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Schedules `event` at instant `at`.
+    #[inline]
     pub fn push(&mut self, at: SimTime, event: E) {
         let seq = self.seq;
         self.seq += 1;
@@ -217,6 +218,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Removes and returns the earliest event.
+    #[inline]
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         if self.current.is_empty() {
             self.refill();

@@ -87,11 +87,13 @@ impl NetCounters {
 /// until a [`Self::transmit`] or [`Self::segment_mut`] names it, so a
 /// run holds live state for the segments it crossed, not for every
 /// ordered host pair of the testbed (a k-regular mesh transmits on n·k
-/// of its n² core segments). This is exact, not approximate: a segment
-/// is built from its own spec and from an RNG stream derived from the
-/// seed and *its id alone*, and its processes initialise at their first
-/// observation — so when, and in what order, segments come to exist
-/// cannot move a draw.
+/// of its n² core segments). The spec itself is materialised then too:
+/// the topology keeps only each core's per-pair draws, and
+/// [`Topology::spec`] derives the spec on first transit. This is exact,
+/// not approximate: a segment is built from its own spec and from an RNG
+/// stream derived from the seed and *its id alone*, and its processes
+/// initialise at their first observation — so when, and in what order,
+/// segments come to exist cannot move a draw.
 pub struct Network {
     topo: Arc<Topology>,
     /// One slot per [`SegmentId`]; the never-touched pages of this
@@ -133,7 +135,7 @@ impl Network {
         };
         let host_proc = (0..topo.n()).map(|_| OutageProcess::new(crash_params)).collect();
         Network {
-            segments: vec![None; topo.specs().len()],
+            segments: vec![None; topo.segments()],
             animated: 0,
             topo,
             host_proc,
@@ -219,7 +221,7 @@ impl Network {
         let i = id.0 as usize;
         segments[i].get_or_insert_with(|| {
             *animated += 1;
-            Box::new(Segment::new(id, topo.specs()[i].clone(), root.derive(0x5E6 + i as u64)))
+            Box::new(Segment::new(id, topo.spec(id), root.derive(0x5E6 + i as u64)))
         })
     }
 

@@ -26,10 +26,12 @@
 //!   different worlds in the two directions.
 //!
 //! All planners are **pure functions of (spec, seed, topology shape)**:
-//! they compile the spec into scripted windows on the topology's
-//! [`SegmentSpec`](crate::segment::SegmentSpec)s before the network is
-//! animated. A sharded run rebuilds the topology per slice from the same
-//! seed, so every slice sees the identical schedule and the sharding
+//! they compile the spec into scripted windows in the topology's side
+//! table of windows per segment, before the network is animated;
+//! [`Topology::spec`] attaches a segment's windows to the
+//! [`SegmentSpec`](crate::segment::SegmentSpec) it hands the network. A
+//! sharded run rebuilds the topology per slice from the same seed, so
+//! every slice sees the identical schedule and the sharding
 //! byte-identity invariant holds with no extra machinery.
 
 use crate::rng::Rng;
@@ -76,8 +78,8 @@ pub fn apply_shared_risk(topo: &mut Topology, spec: &SharedRiskSpec, seed: u64) 
             let window = (start, start + dur);
             for &h in &members {
                 let (out, inn) = (topo.seg_out(h), topo.seg_in(h));
-                topo.specs_mut()[out.0 as usize].down.push(window);
-                topo.specs_mut()[inn.0 as usize].down.push(window);
+                topo.push_down(out, window);
+                topo.push_down(inn, window);
             }
         }
     }
@@ -114,8 +116,8 @@ pub fn apply_load_wave(topo: &mut Topology, spec: &LoadWaveSpec) {
             let start = cycle_start + period.mul_f64(h as f64 / n as f64);
             let window = (start, start + dwell, spec.hot_factor);
             let (out, inn) = (topo.seg_out(HostId(h as u16)), topo.seg_in(HostId(h as u16)));
-            topo.specs_mut()[out.0 as usize].hot.push(window);
-            topo.specs_mut()[inn.0 as usize].hot.push(window);
+            topo.push_hot(out, window);
+            topo.push_hot(inn, window);
         }
     }
 }
@@ -151,13 +153,13 @@ pub fn apply_flash_crowds(topo: &mut Topology, spec: &FlashCrowdSpec, seed: u64)
         );
         let factor = rng.uniform(spec.factor.0, spec.factor.1);
         let inn = topo.seg_in(victim);
-        topo.specs_mut()[inn.0 as usize].hot.push((start, start + dur, factor));
+        topo.push_hot(inn, (start, start + dur, factor));
         for src in 0..n as u16 {
             if src == victim.0 {
                 continue;
             }
             let core = topo.seg_core(HostId(src), victim);
-            topo.specs_mut()[core.0 as usize].hot.push((start, start + dur, factor * 0.25));
+            topo.push_hot(core, (start, start + dur, factor * 0.25));
         }
     }
 }
@@ -187,6 +189,12 @@ impl AsymmetrySpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::segment::{SegmentId, SegmentSpec};
+
+    /// Every segment's spec, in id order.
+    fn all_specs(topo: &Topology) -> Vec<SegmentSpec> {
+        (0..topo.segments()).map(|i| topo.spec(SegmentId(i as u32))).collect()
+    }
 
     #[test]
     fn shared_risk_scripts_identical_windows_on_all_members() {
@@ -201,10 +209,9 @@ mod tests {
             },
             1,
         );
-        let touched: Vec<&Vec<(SimTime, SimTime)>> = topo
-            .specs()
-            .iter()
-            .map(|s| &s.down)
+        let touched: Vec<Vec<(SimTime, SimTime)>> = all_specs(&topo)
+            .into_iter()
+            .map(|s| s.down)
             .filter(|d| !d.is_empty())
             .collect();
         // 3 members × 2 directions.
@@ -225,7 +232,7 @@ mod tests {
                 down_mins: (5.0, 20.0),
             };
             apply_shared_risk(&mut t, &spec, seed);
-            t.specs().iter().map(|s| s.down.clone()).collect::<Vec<_>>()
+            all_specs(&t).into_iter().map(|s| s.down).collect::<Vec<_>>()
         };
         assert_eq!(build(7), build(7));
         assert_ne!(build(7), build(8));
@@ -240,7 +247,7 @@ mod tests {
         );
         let horizon = topo.params().horizon;
         for h in 0..4u16 {
-            let out = &topo.specs()[topo.seg_out(HostId(h)).0 as usize];
+            let out = topo.spec(topo.seg_out(HostId(h)));
             assert!(!out.hot.is_empty(), "host {h} never gets hot");
             // Windows are staggered: host h's first window starts at h/n
             // of the cycle.
@@ -266,22 +273,19 @@ mod tests {
             4,
         );
         let n = topo.n();
-        let edge_windows: usize =
-            (0..2 * n).map(|i| topo.specs()[i].hot.len()).sum();
-        let core_windows: usize =
-            (2 * n..topo.specs().len()).map(|i| topo.specs()[i].hot.len()).sum();
+        let specs = all_specs(&topo);
+        let edge_windows: usize = specs[..2 * n].iter().map(|s| s.hot.len()).sum();
+        let core_windows: usize = specs[2 * n..].iter().map(|s| s.hot.len()).sum();
         assert!(edge_windows > 0, "no flash crowd landed");
         // Each event heats 1 edge and n-1 cores.
         assert_eq!(core_windows, edge_windows * (n - 1));
-        let edge_factor = topo
-            .specs()
+        let edge_factor = specs
             .iter()
             .take(2 * n)
             .flat_map(|s| s.hot.iter())
             .map(|w| w.2)
             .fold(0.0f64, f64::max);
-        let core_factor = topo
-            .specs()
+        let core_factor = specs
             .iter()
             .skip(2 * n)
             .flat_map(|s| s.hot.iter())
@@ -296,8 +300,8 @@ mod tests {
         AsymmetrySpec { loss_skew: 4.0, delay_skew_ms: 25.0 }.apply(&mut params);
         let topo = Topology::synthetic_with(6, 0.001, params, 5);
         let (a, b) = (HostId(1), HostId(4));
-        let fwd = &topo.specs()[topo.seg_core(a, b).0 as usize];
-        let rev = &topo.specs()[topo.seg_core(b, a).0 as usize];
+        let fwd = topo.spec(topo.seg_core(a, b));
+        let rev = topo.spec(topo.seg_core(b, a));
         let ratio = fwd.loss.stationary_loss(1.0) / rev.loss.stationary_loss(1.0);
         assert!((ratio - 16.0).abs() < 0.5, "skew² expected, got {ratio}");
         // Per-pair inflation draws differ by direction, so assert the
@@ -307,8 +311,8 @@ mod tests {
         let mut pairs = 0.0;
         for i in 0..6u16 {
             for j in (i + 1)..6u16 {
-                let f = &topo.specs()[topo.seg_core(HostId(i), HostId(j)).0 as usize];
-                let r = &topo.specs()[topo.seg_core(HostId(j), HostId(i)).0 as usize];
+                let f = topo.spec(topo.seg_core(HostId(i), HostId(j)));
+                let r = topo.spec(topo.seg_core(HostId(j), HostId(i)));
                 diff_ms += f.latency.prop.as_millis_f64() - r.latency.prop.as_millis_f64();
                 pairs += 1.0;
             }

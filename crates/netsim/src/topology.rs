@@ -8,8 +8,10 @@
 //! academic, ...), matching the paper's description ("from OC3s to cable
 //! modems and DSL links", §4).
 //!
-//! A topology is *pure data*: per-segment [`SegmentSpec`]s plus host
-//! metadata. The [`crate::net::Network`] animates it.
+//! A topology is *pure data*: host metadata, the 2n access
+//! [`SegmentSpec`]s, and for the n² core segments only what the build drew
+//! for each ordered pair. [`Topology::spec`] derives a core spec from those
+//! draws when the [`crate::net::Network`] first animates the segment.
 
 use crate::clock::ClockModel;
 use crate::latency::{Episode, LatencyModel};
@@ -19,6 +21,7 @@ use crate::rng::Rng;
 use crate::segment::{SegmentId, SegmentSpec};
 use crate::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 
 /// Index of a host within a topology.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -209,12 +212,36 @@ impl Default for TopologyParams {
 /// here and overflows one host later.
 pub const MAX_HOSTS: usize = u16::MAX as usize;
 
+/// The scripted windows of one segment, each list in push order.
+#[derive(Debug, Clone, Default)]
+struct Scripted {
+    hot: Vec<(SimTime, SimTime, f64)>,
+    down: Vec<(SimTime, SimTime)>,
+}
+
 /// A complete testbed description.
+///
+/// A core segment's spec is a pure function of its hosts, the build
+/// parameters and two per-pair draws, so the topology keeps the draws
+/// (8 or 16 bytes per ordered pair) and [`Topology::spec`] recomputes the
+/// spec on demand, bit for bit what an eager build would have stored.
 #[derive(Debug, Clone)]
 pub struct Topology {
     hosts: Vec<HostInfo>,
     clocks: Vec<ClockModel>,
-    specs: Vec<SegmentSpec>,
+    /// The 2n access specs, indexed by [`SegmentId`]; their scripted
+    /// windows live in `scripted`.
+    edges: Vec<SegmentSpec>,
+    /// Routing-inflation draw of the core `src → dst`, at `src·n + dst`
+    /// (0 on the diagonal, which draws nothing).
+    core_inflation: Vec<f64>,
+    /// Lognormal loss-diversity draw of each core, laid out like
+    /// `core_inflation`; empty when `diversity_sigma` is 0 and nothing is
+    /// drawn.
+    core_mult: Vec<f64>,
+    /// Scripted hot and down windows: the build's storms and trouble
+    /// episodes and the [`crate::stress`] planners' windows.
+    scripted: BTreeMap<SegmentId, Scripted>,
     params: TopologyParams,
     /// Optional sparse probe mesh: `probe_mesh[h]` lists the hosts `h`
     /// peers with — the only ones it probes, keeps link state for and
@@ -359,15 +386,97 @@ impl Topology {
         &self.params
     }
 
-    /// All segment specs, indexable by [`SegmentId`].
-    pub fn specs(&self) -> &[SegmentSpec] {
-        &self.specs
+    /// The number of segments: 2n access segments, then n² cores.
+    pub fn segments(&self) -> usize {
+        self.edges.len() + self.core_inflation.len()
     }
 
-    /// Mutable segment specs, for the scripted impairment planners in
-    /// [`crate::stress`].
-    pub(crate) fn specs_mut(&mut self) -> &mut [SegmentSpec] {
-        &mut self.specs
+    /// The spec of one segment, with its scripted windows attached. A
+    /// core spec is derived from the pair's draws on every call.
+    ///
+    /// # Panics
+    ///
+    /// When `id` is not below [`Self::segments`].
+    pub fn spec(&self, id: SegmentId) -> SegmentSpec {
+        let i = id.0 as usize;
+        let mut spec = match self.edges.get(i) {
+            Some(edge) => edge.clone(),
+            None => self.core_spec(i - self.edges.len()),
+        };
+        if let Some(s) = self.scripted.get(&id) {
+            spec.hot.clone_from(&s.hot);
+            spec.down.clone_from(&s.down);
+        }
+        spec
+    }
+
+    /// The spec of the core at `pair = src·n + dst`, from the pair's
+    /// stored draws; the diagonal is an unused ideal segment.
+    fn core_spec(&self, pair: usize) -> SegmentSpec {
+        let (n, params) = (self.n(), &self.params);
+        let (i, j) = (pair / n, pair % n);
+        if i == j {
+            return SegmentSpec::ideal(SimDuration::from_millis(1));
+        }
+        let (hi, hj) = (&self.hosts[i], &self.hosts[j]);
+        let base = if hi.i2 && hj.i2 { params.i2_core_loss } else { params.core_loss };
+        let mult = self.core_mult.get(pair).copied().unwrap_or(1.0);
+        // Per-direction asymmetry: the forward (i < j) direction carries
+        // the skew, the reverse its inverse, so the *pair* mean stays put
+        // while the directions diverge.
+        let dir_mult = if i < j { params.dir_loss_skew } else { 1.0 / params.dir_loss_skew };
+        let loss = (base * mult * params.loss_scale * dir_mult).min(0.1);
+        let dist = haversine_km((hi.lat, hi.lon), (hj.lat, hj.lon));
+        let dir_extra_us = if i < j { params.dir_delay_skew.as_micros() as f64 } else { 0.0 };
+        let prop_us = params.core_base_delay.as_micros() as f64
+            + dist / 200.0 * 1000.0 * self.core_inflation[pair]
+            + dir_extra_us;
+        let outage = if params.outages {
+            OutageParams::core(20.0 / params.outage_scale)
+        } else {
+            OutageParams::never()
+        };
+        SegmentSpec {
+            loss: GeParams::from_stationary_loss(loss),
+            outage,
+            latency: LatencyModel::typical(SimDuration::from_micros(prop_us as u64)),
+            hot: Vec::new(),
+            down: Vec::new(),
+        }
+    }
+
+    /// Scripts a hot window onto a segment, after the ones it has.
+    pub(crate) fn push_hot(&mut self, id: SegmentId, window: (SimTime, SimTime, f64)) {
+        self.scripted.entry(id).or_default().hot.push(window);
+    }
+
+    /// Scripts a down window onto a segment, after the ones it has.
+    pub(crate) fn push_down(&mut self, id: SegmentId, window: (SimTime, SimTime)) {
+        self.scripted.entry(id).or_default().down.push(window);
+    }
+
+    /// Heap bytes this topology holds: access specs, per-pair draws,
+    /// scripted windows, hosts, clocks and the probe mesh. The scripted
+    /// table's tree nodes are counted at their entries' size, so this is
+    /// a close lower bound, not an allocator reading.
+    pub fn approx_bytes(&self) -> usize {
+        fn heap<T>(v: &Vec<T>) -> usize {
+            v.capacity() * std::mem::size_of::<T>()
+        }
+        let edges = heap(&self.edges)
+            + self.edges.iter().map(|s| heap(&s.latency.episodes)).sum::<usize>();
+        let draws = heap(&self.core_inflation) + heap(&self.core_mult);
+        let scripted = self
+            .scripted
+            .values()
+            .map(|s| std::mem::size_of::<(SegmentId, Scripted)>() + heap(&s.hot) + heap(&s.down))
+            .sum::<usize>();
+        let hosts = heap(&self.hosts) + self.hosts.iter().map(|h| h.name.capacity()).sum::<usize>();
+        let mesh = self
+            .probe_mesh
+            .as_ref()
+            .map_or(0, |m| heap(m) + m.iter().map(heap).sum::<usize>());
+        edges + draws + scripted + hosts + heap(&self.clocks) + mesh
     }
 
     /// The sparse probe mesh, if one is installed: `mesh[h]` lists the
@@ -580,7 +689,7 @@ impl Topology {
         );
         let root = Rng::new(seed);
         let mut param_rng = root.derive(0xA11CE);
-        let mut specs = Vec::with_capacity(2 * n + n * n);
+        let mut edges = Vec::with_capacity(2 * n);
 
         // Access segments: 2 per host (out, in).
         for h in &hosts {
@@ -610,7 +719,7 @@ impl Topology {
                 } else {
                     OutageParams::never()
                 };
-                specs.push(SegmentSpec {
+                edges.push(SegmentSpec {
                     loss: GeParams::from_stationary_loss(loss),
                     outage,
                     latency,
@@ -621,51 +730,56 @@ impl Topology {
         }
 
         // Core segments: one per ordered pair (diagonal entries unused but
-        // present to keep indexing O(1)).
+        // present to keep indexing O(1)). Only the draws are kept, in walk
+        // order; `core_spec` derives the rest.
+        let diversity = params.diversity_sigma > 0.0;
+        let mut core_inflation = vec![0.0; n * n];
+        let mut core_mult = if diversity { vec![0.0; n * n] } else { Vec::new() };
         for i in 0..n {
             for j in 0..n {
                 if i == j {
-                    specs.push(SegmentSpec::ideal(SimDuration::from_millis(1)));
                     continue;
                 }
-                let both_i2 = hosts[i].i2 && hosts[j].i2;
-                let base = if both_i2 { params.i2_core_loss } else { params.core_loss };
-                let mult = if params.diversity_sigma > 0.0 {
-                    param_rng.lognormal(1.0, params.diversity_sigma)
-                } else {
-                    1.0
-                };
-                // Per-direction asymmetry: the forward (i < j) direction
-                // carries the skew, the reverse its inverse, so the
-                // *pair* mean stays put while the directions diverge.
-                let dir_mult =
-                    if i < j { params.dir_loss_skew } else { 1.0 / params.dir_loss_skew };
-                let loss = (base * mult * params.loss_scale * dir_mult).min(0.1);
-                let dist = haversine_km((hosts[i].lat, hosts[i].lon), (hosts[j].lat, hosts[j].lon));
-                let inflation = if both_i2 {
+                if diversity {
+                    core_mult[i * n + j] = param_rng.lognormal(1.0, params.diversity_sigma);
+                }
+                core_inflation[i * n + j] = if hosts[i].i2 && hosts[j].i2 {
                     param_rng.uniform(1.15, 1.5)
                 } else {
                     param_rng.uniform(params.inflation.0, params.inflation.1)
                 };
-                let dir_extra_us =
-                    if i < j { params.dir_delay_skew.as_micros() as f64 } else { 0.0 };
-                let prop_us = params.core_base_delay.as_micros() as f64
-                    + dist / 200.0 * 1000.0 * inflation
-                    + dir_extra_us;
-                let outage = if params.outages {
-                    OutageParams::core(20.0 / params.outage_scale)
-                } else {
-                    OutageParams::never()
-                };
-                specs.push(SegmentSpec {
-                    loss: GeParams::from_stationary_loss(loss),
-                    outage,
-                    latency: LatencyModel::typical(SimDuration::from_micros(prop_us as u64)),
-                    hot: Vec::new(),
-                    down: Vec::new(),
-                });
             }
         }
+
+        // Clocks.
+        let mut clock_rng = root.derive(0xC10C);
+        let clocks: Vec<ClockModel> = hosts
+            .iter()
+            .map(|_| {
+                if clock_rng.chance(params.gps_fraction) {
+                    ClockModel::gps()
+                } else {
+                    ClockModel::skewed(
+                        clock_rng.uniform(-25_000.0, 25_000.0) as i64,
+                        clock_rng.uniform(-2_000.0, 2_000.0) as i64,
+                    )
+                }
+            })
+            .collect();
+
+        let mut topo = Topology {
+            hosts,
+            clocks,
+            edges,
+            core_inflation,
+            core_mult,
+            scripted: BTreeMap::new(),
+            params,
+            probe_mesh: None,
+        };
+        // The windows below go to the side table; the build's knobs are
+        // read from a copy while `topo` takes them.
+        let params = topo.params.clone();
 
         // Scripted hot periods: congestion storms hitting one host's edge
         // (both directions) or one core segment.
@@ -679,9 +793,9 @@ impl Topology {
             let factor = hot_rng.uniform(params.hot_factor.0, params.hot_factor.1);
             if hot_rng.chance(0.7) {
                 // Edge storm: hits everything through one host.
-                let h = hot_rng.below(n as u64) as usize;
-                specs[2 * h].hot.push((start, start + dur, factor));
-                specs[2 * h + 1].hot.push((start, start + dur, factor));
+                let h = HostId(hot_rng.below(n as u64) as u16);
+                topo.push_hot(topo.seg_out(h), (start, start + dur, factor));
+                topo.push_hot(topo.seg_in(h), (start, start + dur, factor));
             } else {
                 // Core storm on one ordered pair.
                 let i = hot_rng.below(n as u64) as usize;
@@ -689,7 +803,8 @@ impl Topology {
                 if i == j {
                     j = (j + 1) % n;
                 }
-                specs[2 * n + i * n + j].hot.push((start, start + dur, factor));
+                let core = topo.seg_core(HostId(i as u16), HostId(j as u16));
+                topo.push_hot(core, (start, start + dur, factor));
             }
         }
 
@@ -709,26 +824,11 @@ impl Topology {
             if i == j {
                 j = (j + 1) % n;
             }
-            specs[2 * n + i * n + j].hot.push((start, start + dur, factor));
+            let core = topo.seg_core(HostId(i as u16), HostId(j as u16));
+            topo.push_hot(core, (start, start + dur, factor));
         }
 
-        // Clocks.
-        let mut clock_rng = root.derive(0xC10C);
-        let clocks: Vec<ClockModel> = hosts
-            .iter()
-            .map(|_| {
-                if clock_rng.chance(params.gps_fraction) {
-                    ClockModel::gps()
-                } else {
-                    ClockModel::skewed(
-                        clock_rng.uniform(-25_000.0, 25_000.0) as i64,
-                        clock_rng.uniform(-2_000.0, 2_000.0) as i64,
-                    )
-                }
-            })
-            .collect();
-
-        Topology { hosts, clocks, specs, params, probe_mesh: None }
+        topo
     }
 }
 
@@ -771,7 +871,7 @@ mod tests {
                 .map(|&(a, b)| {
                     t.path(a, b)
                         .iter()
-                        .map(|s| t.specs()[s.0 as usize].loss.stationary_loss(1.0))
+                        .map(|s| t.spec(*s).loss.stationary_loss(1.0))
                         .sum::<f64>()
                 })
                 .sum::<f64>()
@@ -805,7 +905,20 @@ mod tests {
             assert!(seen.insert(t.seg_core(a, b)), "core {a:?}->{b:?} collided");
         }
         let max = seen.iter().map(|s| s.0).max().unwrap() as usize;
-        assert!(max < t.specs().len());
+        assert!(max < t.segments());
+    }
+
+    /// A topology holds one `f64` draw per ordered pair, two with
+    /// diversity on, and O(n) besides: no per-pair spec.
+    #[test]
+    fn footprint_is_the_per_pair_draws() {
+        let n = 1000;
+        let mib = 1 << 20;
+        let plain = Topology::synthetic(n, 0.01, 1).approx_bytes();
+        assert!((8 * n * n..=8 * n * n + mib).contains(&plain), "{plain} B at n={n}");
+        let params = TopologyParams { diversity_sigma: 0.65, ..Topology::synthetic_params(0.01) };
+        let diverse = Topology::synthetic_with(n, 0.01, params, 1).approx_bytes();
+        assert!((16 * n * n..=16 * n * n + mib).contains(&diverse), "{diverse} B at n={n}");
     }
 
     #[test]
@@ -866,8 +979,8 @@ mod tests {
         let mit = t.host_by_name("MIT").unwrap();
         let cmu = t.host_by_name("CMU").unwrap();
         let dsl = t.host_by_name("CA-DSL").unwrap();
-        let clean = &t.specs()[t.seg_core(mit, cmu).0 as usize];
-        let dirty = &t.specs()[t.seg_core(mit, dsl).0 as usize];
+        let clean = t.spec(t.seg_core(mit, cmu));
+        let dirty = t.spec(t.seg_core(mit, dsl));
         assert!(
             clean.loss.stationary_loss(1.0) < dirty.loss.stationary_loss(1.0),
             "Internet2 core should be cleaner"
@@ -878,12 +991,12 @@ mod tests {
     fn cornell_has_latency_episode_in_2003_only() {
         let t3 = Topology::ron2003(5);
         let cornell = t3.host_by_name("Cornell").unwrap();
-        let spec = &t3.specs()[t3.seg_in(cornell).0 as usize];
+        let spec = t3.spec(t3.seg_in(cornell));
         assert!(!spec.latency.episodes.is_empty(), "2003 Cornell episode missing");
 
         let t2 = Topology::ron2002(5);
         let cornell2 = t2.host_by_name("Cornell").unwrap();
-        let spec2 = &t2.specs()[t2.seg_in(cornell2).0 as usize];
+        let spec2 = t2.spec(t2.seg_in(cornell2));
         assert!(spec2.latency.episodes.is_empty(), "2002 must not have the episode");
     }
 
@@ -891,7 +1004,8 @@ mod tests {
     fn deterministic_build() {
         let a = Topology::ron2003(77);
         let b = Topology::ron2003(77);
-        for (sa, sb) in a.specs().iter().zip(b.specs()) {
+        for i in 0..a.segments() {
+            let (sa, sb) = (a.spec(SegmentId(i as u32)), b.spec(SegmentId(i as u32)));
             assert_eq!(
                 sa.loss.stationary_loss(1.0),
                 sb.loss.stationary_loss(1.0)
@@ -904,7 +1018,7 @@ mod tests {
         let t = Topology::synthetic(5, 0.01, 9);
         assert_eq!(t.n(), 5);
         for i in 0..5u16 {
-            let s = &t.specs()[t.seg_out(HostId(i)).0 as usize];
+            let s = t.spec(t.seg_out(HostId(i)));
             let loss = s.loss.stationary_loss(1.0);
             assert!((loss - 0.01).abs() < 1e-6, "loss={loss}");
         }
@@ -916,8 +1030,8 @@ mod tests {
         let mit = t.host_by_name("MIT").unwrap();
         let lon = t.host_by_name("GBLX-LON").unwrap();
         let mazu = t.host_by_name("Mazu").unwrap(); // also Boston
-        let far = &t.specs()[t.seg_core(mit, lon).0 as usize];
-        let near = &t.specs()[t.seg_core(mit, mazu).0 as usize];
+        let far = t.spec(t.seg_core(mit, lon));
+        let near = t.spec(t.seg_core(mit, mazu));
         assert!(far.latency.prop > near.latency.prop * 3);
     }
 }

@@ -245,10 +245,8 @@ fn dense_correlated_outages_exercise_the_down_windows_under_sharding() {
     let spec = dense_correlated();
     // The scripted windows must actually intersect the 40-minute run.
     let topo = spec.topology(42);
-    let in_run = topo
-        .specs()
-        .iter()
-        .flat_map(|s| s.down.iter())
+    let in_run = (0..topo.segments())
+        .flat_map(|i| topo.spec(mpath::netsim::SegmentId(i as u32)).down)
         .filter(|w| w.0 < mpath::netsim::SimTime::ZERO + SimDuration::from_mins(40))
         .count();
     assert!(in_run > 10, "only {in_run} down windows start inside the run");

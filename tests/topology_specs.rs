@@ -20,7 +20,7 @@ fn digest(topo: &Topology) -> u64 {
     let mut f = Fnv::new();
     for i in 0..2 * n + n * n {
         let id = SegmentId(i as u32);
-        let spec = &topo.specs()[id.0 as usize];
+        let spec = &topo.spec(id);
         f.write(format!("{spec:?}").as_bytes());
     }
     f.finish()
