@@ -1,25 +1,24 @@
-//! `detlint` — workspace determinism & wire-invariant linter.
+//! `detlint` — workspace determinism linter.
 //!
-//! The repo's two hardest-won invariants are (a) campaign reports are
+//! The repo's hardest-won invariant is that campaign reports are
 //! byte-identical across shard counts, worker fleets, and injected
-//! faults, and (b) wire-type layout changes always ride with a version
-//! bump. Both were defended only by runtime equivalence suites — which
-//! catch a violation *after* a golden fingerprint moves. This crate
-//! checks them statically, before anything runs:
+//! faults. The runtime equivalence suites catch a violation only *after*
+//! a golden fingerprint moves; this crate checks the code patterns that
+//! break it statically, before anything runs:
 //!
 //! - [`rules`] — token-level rule families over every workspace source
 //!   file: `nondet-iter`, `wall-clock`, `float-total-order`.
-//! - [`manifest`] — the `wire-manifest` family: wire-type field sets
-//!   extracted from source and pinned in `WIRE_MANIFEST.json`.
 //! - [`lexer`] — the hand-rolled token scanner underneath (crates.io /
 //!   `syn` is unreachable here; see `vendor/README.md`).
+//!
+//! (That a wire-shape change rides with its version bump is pinned by
+//! the frames themselves, in `tests/wire_bytes.rs`.)
 //!
 //! Run it with `cargo run -p detlint` (CI gates on it); suppress a
 //! finding with `// detlint: allow(<rule>) — <reason>` on the offending
 //! line or the line above. The reason is mandatory.
 
 pub mod lexer;
-pub mod manifest;
 pub mod rules;
 
 use rules::{FileClass, Violation};
@@ -83,15 +82,15 @@ fn rel_str(path: &Path, root: &Path) -> String {
 }
 
 /// Lints the whole workspace: every scanned file through the token
-/// rules, plus the wire-manifest check. Violations are sorted by file
-/// then line.
+/// rules, and an `unreadable` finding for a file that cannot be read as
+/// UTF-8. Violations are sorted by file then line.
 pub fn lint_workspace(root: &Path) -> Vec<Violation> {
     let mut out = Vec::new();
     for path in workspace_files(root) {
         let rel = rel_str(&path, root);
         let Ok(src) = std::fs::read_to_string(&path) else {
             out.push(Violation {
-                rule: "wire-manifest",
+                rule: "unreadable",
                 file: rel,
                 line: 1,
                 msg: "unreadable file".into(),
@@ -100,7 +99,6 @@ pub fn lint_workspace(root: &Path) -> Vec<Violation> {
         };
         out.extend(rules::lint_source(&rel, &src, classify(&rel)));
     }
-    out.extend(manifest::check(root));
     out.sort_by(|a, b| a.file.cmp(&b.file).then(a.line.cmp(&b.line)));
     out
 }

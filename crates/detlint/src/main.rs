@@ -1,15 +1,12 @@
-//! CLI entry point: `cargo run -p detlint [-- --root DIR]
-//! [--update-manifest]`.
+//! CLI entry point: `cargo run -p detlint [-- --root DIR]`.
 //!
-//! Exit codes: 0 clean, 1 violations or manifest drift, 2 usage/IO
-//! error.
+//! Exit codes: 0 clean, 1 violations, 2 usage/IO error.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let mut root = PathBuf::from(".");
-    let mut update = false;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -20,15 +17,12 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 }
             },
-            "--update-manifest" => update = true,
             "--help" | "-h" => {
                 println!(
-                    "detlint — determinism & wire-invariant linter\n\n\
-                     USAGE: detlint [--root DIR] [--update-manifest]\n\n\
+                    "detlint — determinism linter\n\n\
+                     USAGE: detlint [--root DIR]\n\n\
                      Checks every workspace source file for the nondet-iter, wall-clock and\n\
-                     float-total-order rules, and the wire-type field sets against\n\
-                     WIRE_MANIFEST.json. --update-manifest regenerates the manifest (refused\n\
-                     when a field set changed without its governing version bump)."
+                     float-total-order rules."
                 );
                 return ExitCode::SUCCESS;
             }
@@ -52,29 +46,12 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
 
-    if update {
-        return match detlint::manifest::update(&root) {
-            Ok(summary) => {
-                println!("detlint: wrote {summary}");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("detlint: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-
     let violations = detlint::lint_workspace(&root);
     for v in &violations {
         println!("{v}");
     }
     if violations.is_empty() {
-        println!(
-            "detlint: clean ({} files scanned, {} wire types pinned)",
-            detlint::workspace_files(&root).len(),
-            detlint::manifest::WIRE_TYPES.len()
-        );
+        println!("detlint: clean ({} files scanned)", detlint::workspace_files(&root).len());
         ExitCode::SUCCESS
     } else {
         println!("detlint: {} violation(s)", violations.len());

@@ -28,7 +28,7 @@ use crate::lexer::{scan, Kind, Scan};
 #[derive(Debug, Clone)]
 pub struct Violation {
     /// Rule family name (`nondet-iter`, `wall-clock`,
-    /// `float-total-order`, `bad-annotation`, or `wire-manifest`).
+    /// `float-total-order`, `bad-annotation`, or `unreadable`).
     pub rule: &'static str,
     /// Path as reported (workspace-relative for real files).
     pub file: String,

@@ -1,7 +1,6 @@
 //! Measurement event and outcome records.
 
 use netsim::{HostId, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Maximum redundant legs per probe, mirroring the wire format's cap
 /// (`overlay::wire::MAX_PROBE_LEGS` — the crates are siblings, so the
@@ -10,7 +9,7 @@ use serde::{Deserialize, Serialize};
 pub const MAX_PROBE_LEGS: usize = 4;
 
 /// A measurement packet leaving its origin host.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SendEvent {
     /// Random 64-bit probe identifier, shared by every leg of a probe.
     pub id: u64,
@@ -32,7 +31,7 @@ pub struct SendEvent {
 
 /// A measurement packet arriving at its destination (or, for round-trip
 /// datasets, its echo arriving back at the origin).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RecvEvent {
     /// Echoed probe identifier.
     pub id: u64,
@@ -45,7 +44,7 @@ pub struct RecvEvent {
 }
 
 /// The resolved fate of one measurement leg.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LegOutcome {
     /// Route kind tag.
     pub route: u8,
@@ -79,8 +78,8 @@ const ONE_WAY_NONE: i64 = i64::MIN;
 /// `[Option<LegOutcome>; MAX_PROBE_LEGS]`, which cost ~120 bytes per
 /// outcome and dominated the windowed-accumulation hot path. The
 /// [`leg`](Self::leg) accessor (and [`legs`](Self::legs)) still speak
-/// `Option<LegOutcome>`, so consumers are layout-agnostic, and the
-/// serde form is unchanged (a `legs` array of nullable leg objects).
+/// `Option<LegOutcome>`, so consumers are layout-agnostic. No frame,
+/// log or fixture carries an outcome, so it has no serde form.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PairOutcome {
     /// Probe identifier.
@@ -199,31 +198,6 @@ impl PairOutcome {
     }
 }
 
-// Hand-written serde preserving the pre-compaction wire shape: a `legs`
-// array of nullable leg objects. The packed encoding is an in-memory
-// layout decision and must not leak into logs or fixtures.
-impl serde::Serialize for PairOutcome {
-    fn serialize(&self, out: &mut String) {
-        let mut m = serde::MapWriter::new(out);
-        m.field("id", &self.id);
-        m.field("method", &self.method);
-        m.field("src", &self.src);
-        m.field("dst", &self.dst);
-        m.field("sent", &self.sent);
-        m.field("legs", &self.legs());
-        m.field("discarded", &self.discarded);
-        m.end();
-    }
-}
-
-impl serde::Deserialize for PairOutcome {
-    fn deserialize(r: &mut serde::Reader<'_>) -> Result<PairOutcome, serde::Error> {
-        let (id, method, src, dst, sent, legs, discarded) =
-            serde::read_fields!(r, "PairOutcome", [id, method, src, dst, sent, legs, discarded]);
-        Ok(PairOutcome::from_legs(id, method, src, dst, sent, legs, discarded))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -305,17 +279,5 @@ mod tests {
             "PairOutcome grew to {} bytes",
             std::mem::size_of::<PairOutcome>()
         );
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let p = pair([leg(false, Some(-250)), leg(true, None)]);
-        let json = serde_json::to_string(&p).unwrap();
-        let back: PairOutcome = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, p);
-        // The wire shape is the pre-compaction one: nullable leg objects
-        // under `legs`, nothing about the packed arrays.
-        assert!(json.contains(r#""legs":[{"#), "unexpected wire shape: {json}");
-        assert!(!json.contains("state"), "packed field leaked: {json}");
     }
 }

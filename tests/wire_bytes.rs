@@ -1,6 +1,6 @@
 //! The distributed wire, held to its bytes and fed hostile input.
 //!
-//! Two halves:
+//! Three parts:
 //!
 //! * **No byte moved.** FNV-1a digests of whole `Msg::Result` frames (as
 //!   [`encode_msg`] frames them) for one slice each of `ron2003` — the
@@ -20,12 +20,20 @@
 //!   rest, a truncation and arbitrary bytes all end in `InvalidData` —
 //!   never a panic, and never an allocation the body's own length does
 //!   not pay for.
+//! * **No key moved without its version.** One frame of every `Msg`
+//!   variant, walked to its key paths, each filed under the nearest
+//!   `"v"` above it (`PROTO_VERSION` where there is none) and pinned as
+//!   a table. A key that changes under an unchanged version fails and
+//!   names the version to bump.
 
 use mpath::analysis::Fnv;
-use mpath::core::distrib::{encode_msg, read_msg_blocking, write_msg_blocking, Msg};
+use mpath::core::distrib::{
+    encode_msg, read_msg_blocking, write_msg_blocking, Msg, PROTO_VERSION,
+};
+use mpath::core::experiment::OUTPUT_WIRE_VERSION;
 use mpath::core::{
-    builtin_specs, CampaignJob, MethodSetSpec, MethodSpec, MethodsSpec, ScenarioRegistry,
-    TopologySpec, ViewSpec,
+    builtin_specs, CampaignJob, DisseminationSpec, MethodSetSpec, MethodSpec, MethodsSpec,
+    ScenarioRegistry, ScenarioSpec, TopologySpec, ViewSpec,
 };
 use mpath::netsim::SimDuration;
 use mpath::overlay::RouteTag;
@@ -33,6 +41,7 @@ use proptest::prelude::*;
 use serde::Value;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::collections::{BTreeMap, BTreeSet};
 use std::io;
 
 // ------------------------------------------------------------ no byte moved
@@ -177,6 +186,20 @@ struct Seed {
 /// A small but fully shaped result: a 1-leg and a 3-leg method (so the
 /// `deep` extension is on the wire) and a view, over `topology`.
 fn simulate(topology: TopologySpec) -> Seed {
+    let job = CampaignJob::new(fuzz_spec(topology), 7, SimDuration::from_secs(120));
+    job.validate().expect("fuzz seed validates");
+    let out = job.run_slice_index(0);
+    let fingerprint = out.fingerprint();
+    let frame = encode_msg(&Msg::Result { slice: 3, output: Box::new(out) });
+    let tree = parse(&frame);
+    let (mut objects, mut integers) = (Vec::new(), Vec::new());
+    paths(&tree, |v| matches!(v, Value::Map(_)), &mut Vec::new(), &mut objects);
+    paths(&tree, |v| matches!(v, Value::Int(_) | Value::UInt(_)), &mut Vec::new(), &mut integers);
+    Seed { fingerprint, tree, objects, integers }
+}
+
+/// The fuzz seeds' scenario over `topology`.
+fn fuzz_spec(topology: TopologySpec) -> ScenarioSpec {
     let mut spec = ScenarioRegistry::builtin().get("ron2003").expect("builtin").clone();
     spec.name = "fuzz-seed".into();
     spec.topology = topology;
@@ -194,17 +217,13 @@ fn simulate(topology: TopologySpec) -> Seed {
         ],
         views: vec![ViewSpec { name: "triple*".into(), source: 1, leg: 0 }],
     });
-    let job = CampaignJob::new(spec, 7, SimDuration::from_secs(120));
-    job.validate().expect("fuzz seed validates");
-    let out = job.run_slice_index(0);
-    let fingerprint = out.fingerprint();
-    let frame = encode_msg(&Msg::Result { slice: 3, output: Box::new(out) });
+    spec
+}
+
+/// The body of a frame from [`encode_msg`], as a tree.
+fn parse(frame: &[u8]) -> Value {
     let body = std::str::from_utf8(&frame[4..]).expect("frames are JSON text");
-    let tree = serde_json::parse(body).expect("a frame parses as a tree");
-    let (mut objects, mut integers) = (Vec::new(), Vec::new());
-    paths(&tree, |v| matches!(v, Value::Map(_)), &mut Vec::new(), &mut objects);
-    paths(&tree, |v| matches!(v, Value::Int(_) | Value::UInt(_)), &mut Vec::new(), &mut integers);
-    Seed { fingerprint, tree, objects, integers }
+    serde_json::parse(body).expect("a frame parses as a tree")
 }
 
 /// The clique seed (`"rows": null`), simulated once per test binary: 4
@@ -493,4 +512,357 @@ fn deep_nesting_where_a_string_belongs_is_invalid_data_not_a_stack_overflow() {
     let err = decode(hostile.as_bytes()).expect_err("must not decode");
     assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     assert!(err.to_string().contains("expected string"), "got: {err}");
+}
+
+// ------------------------------------------------------------ the wire's shape
+
+/// Every key the frames of [`shape_frames`] send, by the version that
+/// governs it: (version, its value, the keys under the object that
+/// carries it, array elements collapsed to `[]`). A version is a
+/// constant or the path of an inline `"v"`. Change a key and you bump
+/// its version, then re-record this table from the one
+/// `wire_shape_is_pinned` prints.
+///
+/// The scenario keys inside `Job` sit under `PROTO_VERSION`. A worker's
+/// `Hello` is checked against `PROTO_VERSION` and `OUTPUT_WIRE_VERSION`
+/// alone, and its decoder refuses unknown keys. Two builds that disagree
+/// on a scenario key at one `PROTO_VERSION` would shake hands and then
+/// fail to decode the `Job`, with no `Deny` that names the version.
+const SHAPE: &[(&str, u64, &[&str])] = &[
+    ("PROTO_VERSION", 1, &[
+        "Deny", "Deny.reason", "Done", "Heartbeat", "Heartbeat.slice", "Hello", "Hello.output_wire",
+        "Hello.proto", "Job", "Job.job", "Job.job.duration_us", "Job.job.seed",
+        "Job.job.slice_width_us", "Job.job.spec", "Job.job.spec.calibration",
+        "Job.job.spec.calibration.flat_load", "Job.job.spec.calibration.forward_drop",
+        "Job.job.spec.calibration.slice_hours", "Job.job.spec.calibration.wait_range_s",
+        "Job.job.spec.days", "Job.job.spec.dissemination", "Job.job.spec.dissemination.Delta",
+        "Job.job.spec.dissemination.Delta.max_age_probes", "Job.job.spec.horizon_days",
+        "Job.job.spec.impairments", "Job.job.spec.impairments.asymmetry",
+        "Job.job.spec.impairments.asymmetry.delay_skew_ms",
+        "Job.job.spec.impairments.asymmetry.loss_skew", "Job.job.spec.impairments.flash_crowd",
+        "Job.job.spec.impairments.flash_crowd.duration_mins",
+        "Job.job.spec.impairments.flash_crowd.events_per_day",
+        "Job.job.spec.impairments.flash_crowd.factor", "Job.job.spec.impairments.load_wave",
+        "Job.job.spec.impairments.load_wave.dwell_mins",
+        "Job.job.spec.impairments.load_wave.hot_factor",
+        "Job.job.spec.impairments.load_wave.period_hours", "Job.job.spec.impairments.shared_risk",
+        "Job.job.spec.impairments.shared_risk.down_mins",
+        "Job.job.spec.impairments.shared_risk.groups",
+        "Job.job.spec.impairments.shared_risk.hosts_per_group",
+        "Job.job.spec.impairments.shared_risk.outages_per_day", "Job.job.spec.methods",
+        "Job.job.spec.methods.Custom", "Job.job.spec.methods.Custom.methods",
+        "Job.job.spec.methods.Custom.methods[].all_prior",
+        "Job.job.spec.methods.Custom.methods[].distinct",
+        "Job.job.spec.methods.Custom.methods[].gap_ms",
+        "Job.job.spec.methods.Custom.methods[].legs", "Job.job.spec.methods.Custom.methods[].name",
+        "Job.job.spec.methods.Custom.views", "Job.job.spec.methods.Custom.views[].leg",
+        "Job.job.spec.methods.Custom.views[].name", "Job.job.spec.methods.Custom.views[].source",
+        "Job.job.spec.name", "Job.job.spec.round_trip", "Job.job.spec.summary",
+        "Job.job.spec.topology", "Job.job.spec.topology.SparseSynthetic",
+        "Job.job.spec.topology.SparseSynthetic.edge_loss",
+        "Job.job.spec.topology.SparseSynthetic.hosts",
+        "Job.job.spec.topology.SparseSynthetic.mesh_k", "Job.job.spec.topology.Synthetic",
+        "Job.job.spec.topology.Synthetic.edge_loss", "Job.job.spec.topology.Synthetic.hosts",
+        "Lease", "Lease.slice", "Ready", "Result", "Result.output", "Result.slice", "Wait",
+        "Wait.poll_ms",
+    ]),
+    ("OUTPUT_WIRE_VERSION", 4, &[
+        "collector", "collector.discarded", "collector.late_receives",
+        "collector.malformed_receives", "collector.malformed_sends", "collector.peak_pending",
+        "collector.resolved", "duration_us", "loss", "measure_legs", "n", "names", "net",
+        "net.delivered", "net.dropped_congestion", "net.dropped_outage", "net.lsa_bytes",
+        "net.lsa_entries", "net.sent", "overlay_probes", "route_usage", "scenario", "spec_digest",
+        "v", "win20", "win60",
+    ]),
+    ("Result.output.loss.v", 2, &[
+        "both_lost", "deep", "first_lost_with_second", "l1_lost", "l1_sent", "l2_lost", "l2_sent",
+        "lat_cnt", "lat_sum_us", "max_legs", "methods", "n", "pairs", "pairs_lost", "rows", "v",
+    ]),
+    ("Result.output.win20.v", 2, &[
+        "hist", "lost", "n", "rows", "sent", "thresholds", "v", "width_us", "win", "windows",
+    ]),
+    ("Result.output.win20.hist[].v", 1, &[
+        "bins", "count", "v", "zeros",
+    ]),
+    ("Result.output.win60.v", 2, &[
+        "hist", "lost", "n", "rows", "sent", "thresholds", "v", "width_us", "win", "windows",
+    ]),
+    ("Result.output.win60.hist[].v", 1, &[
+        "bins", "count", "v", "zeros",
+    ]),
+];
+
+/// The keys one version governs.
+#[derive(Clone)]
+struct Group {
+    version: String,
+    value: u64,
+    keys: BTreeSet<String>,
+}
+
+fn pinned() -> Vec<Group> {
+    SHAPE
+        .iter()
+        .map(|&(version, value, keys)| Group {
+            version: version.into(),
+            value,
+            keys: keys.iter().map(|k| k.to_string()).collect(),
+        })
+        .collect()
+}
+
+/// One frame of every `Msg` variant, as trees. `Job` comes once per
+/// scenario these tests know: every builtin, the checked-in file, and
+/// the fuzz seeds' spec with the keys a default leaves out switched on.
+/// `Result` comes once per fuzz seed. The `match`es have no wildcard, so
+/// a new variant of `Msg`, `TopologySpec` or `MethodsSpec` does not
+/// compile until it is counted, and then not pass until it is framed.
+fn shape_frames() -> &'static [Value] {
+    static FRAMES: std::sync::OnceLock<Vec<Value>> = std::sync::OnceLock::new();
+    FRAMES.get_or_init(|| {
+        let mut specs = builtin_specs();
+        let file = include_str!("../scenarios/triple-redundant.json");
+        specs.push(serde_json::from_str(file).expect("the checked-in scenario parses"));
+        let mut fuzz = fuzz_spec(TopologySpec::Synthetic { hosts: 4, edge_loss: 0.05 });
+        fuzz.dissemination = DisseminationSpec::Delta { max_age_probes: 4 };
+        if let MethodsSpec::Custom(set) = &mut fuzz.methods {
+            set.methods[1].all_prior = true;
+        }
+        specs.push(fuzz);
+        let topologies = specs.iter().map(|s| match s.topology {
+            TopologySpec::Ron2003 => 0,
+            TopologySpec::Ron2002 => 1,
+            TopologySpec::Synthetic { .. } => 2,
+            TopologySpec::SparseSynthetic { .. } => 3,
+        });
+        assert_covers("TopologySpec", topologies, 4);
+        let methods = specs.iter().map(|s| match s.methods {
+            MethodsSpec::Ron2003 => 0,
+            MethodsSpec::RonNarrow => 1,
+            MethodsSpec::RonWide => 2,
+            MethodsSpec::Custom(_) => 3,
+        });
+        assert_covers("MethodsSpec", methods, 4);
+        let mut frames = vec![
+            Msg::Hello { proto: PROTO_VERSION, output_wire: OUTPUT_WIRE_VERSION },
+            Msg::Deny { reason: String::new() },
+            Msg::Ready,
+            Msg::Lease { slice: 0 },
+            Msg::Wait { poll_ms: 0 },
+            Msg::Done,
+            Msg::Heartbeat { slice: 0 },
+        ];
+        frames.extend(specs.into_iter().map(|spec| Msg::Job {
+            job: Box::new(CampaignJob::new(spec, 1, SimDuration::from_secs(60))),
+        }));
+        for seed in [seed(), mesh_seed()] {
+            frames.push(decode(text(&seed.tree).as_bytes()).unwrap().expect("a frame"));
+        }
+        let variants = frames.iter().map(|m| match m {
+            Msg::Hello { .. } => 0,
+            Msg::Job { .. } => 1,
+            Msg::Deny { .. } => 2,
+            Msg::Ready => 3,
+            Msg::Lease { .. } => 4,
+            Msg::Wait { .. } => 5,
+            Msg::Done => 6,
+            Msg::Heartbeat { .. } => 7,
+            Msg::Result { .. } => 8,
+        });
+        assert_covers("Msg", variants, 9);
+        frames.iter().map(|m| parse(&encode_msg(m))).collect()
+    })
+}
+
+/// Asserts that the variant indices in `seen` cover all `count` of `ty`'s.
+fn assert_covers(ty: &str, seen: impl Iterator<Item = usize>, count: usize) {
+    let seen: BTreeSet<usize> = seen.collect();
+    let missing: Vec<usize> = (0..count).filter(|i| !seen.contains(i)).collect();
+    assert!(missing.is_empty(), "no frame carries {ty} variant(s) {missing:?}");
+}
+
+/// The shape of [`shape_frames`].
+fn observed() -> &'static [Group] {
+    static GROUPS: std::sync::OnceLock<Vec<Group>> = std::sync::OnceLock::new();
+    GROUPS.get_or_init(|| {
+        let mut groups = BTreeMap::new();
+        for frame in shape_frames() {
+            walk(frame, "", ("", PROTO_VERSION.into()), &mut groups);
+        }
+        groups.into_values().collect()
+    })
+}
+
+/// Files every key path in `v`, which sits at `path`, in the group of
+/// the nearest object at or above it that carries a `"v"`: `governor` is
+/// the one above, by its path and the value of its `"v"`. Groups are
+/// keyed by that path.
+fn walk<'a>(
+    v: &Value,
+    path: &'a str,
+    governor: (&'a str, u64),
+    groups: &mut BTreeMap<String, Group>,
+) {
+    fn file(groups: &mut BTreeMap<String, Group>, (at, value): (&str, u64), key: &str) {
+        let group = groups.entry(at.to_string()).or_insert_with(|| Group {
+            version: match at {
+                "" => "PROTO_VERSION".into(),
+                "Result.output" => "OUTPUT_WIRE_VERSION".into(),
+                _ => format!("{at}.v"),
+            },
+            value,
+            keys: BTreeSet::new(),
+        });
+        group.keys.insert(key[at.len()..].trim_start_matches('.').to_string());
+    }
+    match v {
+        // A unit variant travels as its bare name.
+        Value::Str(tag) if path.is_empty() => file(groups, governor, tag),
+        Value::Seq(items) => {
+            let path = format!("{path}[]");
+            items.iter().for_each(|item| walk(item, &path, governor, groups));
+        }
+        Value::Map(entries) => {
+            let governor = match entries.iter().find(|(k, _)| k == "v") {
+                Some((_, Value::Int(v))) => (path, *v as u64),
+                Some((_, Value::UInt(v))) => (path, *v),
+                Some((_, other)) => panic!("{path}.v is {}", other.kind()),
+                None => governor,
+            };
+            for (key, child) in entries {
+                let at = if path.is_empty() { key.clone() } else { format!("{path}.{key}") };
+                file(groups, governor, &at);
+                walk(child, &at, governor, groups);
+            }
+        }
+        _ => {}
+    }
+}
+
+/// What the wire's move from the `pinned` shape to the `observed` one
+/// asks for: nothing, a version bump (named), or a re-recorded table
+/// (printed). Any change is an `Err`.
+fn verdict(pinned: &[Group], observed: &[Group]) -> Result<(), String> {
+    let mut faults = Vec::new();
+    let mut unbumped = false;
+    for p in pinned {
+        match observed.iter().find(|o| o.version == p.version) {
+            None => faults.push(format!("{} governs no key any more", p.version)),
+            Some(o) if o.value != p.value => {
+                faults.push(format!("{} is {}, pinned at {}", o.version, o.value, p.value))
+            }
+            Some(o) if o.keys != p.keys => {
+                unbumped = true;
+                let added = o.keys.difference(&p.keys).map(|k| format!("+{k}"));
+                let gone = p.keys.difference(&o.keys).map(|k| format!("-{k}"));
+                let what = match o.version.strip_suffix(".v") {
+                    Some(at) => format!("the \"v\" at {at}"),
+                    None => o.version.clone(),
+                };
+                faults.push(format!(
+                    "keys changed under {} = {} ({}): bump {what}",
+                    o.version,
+                    o.value,
+                    added.chain(gone).collect::<Vec<_>>().join(" ")
+                ));
+            }
+            Some(_) => {}
+        }
+    }
+    for o in observed.iter().filter(|o| !pinned.iter().any(|p| p.version == o.version)) {
+        faults.push(format!("{} = {} governs keys no pin names", o.version, o.value));
+    }
+    if faults.is_empty() {
+        return Ok(());
+    }
+    if !unbumped {
+        faults.push(format!("re-record SHAPE as\n{}", render(observed)));
+    }
+    Err(faults.join("\n"))
+}
+
+/// `groups` as the source of [`SHAPE`].
+fn render(groups: &[Group]) -> String {
+    let mut out = String::new();
+    for g in groups {
+        out += &format!("    (\"{}\", {}, &[\n", g.version, g.value);
+        let mut line = String::from("       ");
+        for k in &g.keys {
+            if line.len() + k.len() + 4 > 100 {
+                out += &line;
+                out += "\n";
+                line = String::from("       ");
+            }
+            line += &format!(" \"{k}\",");
+        }
+        out += &format!("{line}\n    ]),\n");
+    }
+    out
+}
+
+#[test]
+fn wire_shape_is_pinned() {
+    if let Err(why) = verdict(&pinned(), observed()) {
+        panic!("the frames' key shape moved:\n{why}");
+    }
+}
+
+/// Today's shape with the group of `version` edited: the pin as it was
+/// recorded before the frames changed.
+fn doctored(version: &str, edit: impl FnOnce(&mut Group)) -> Vec<Group> {
+    let mut pins = observed().to_vec();
+    edit(pins.iter_mut().find(|g| g.version == version).expect("a group of today's frames"));
+    pins
+}
+
+#[test]
+fn wire_shape_key_removed_without_a_bump_names_the_version() {
+    // The pin holds a key the frames no longer send, at the version they
+    // still carry.
+    let pins = doctored("OUTPUT_WIRE_VERSION", |g| {
+        g.keys.insert("dropped".into());
+    });
+    let why = verdict(&pins, observed()).unwrap_err();
+    assert!(why.contains("(-dropped): bump OUTPUT_WIRE_VERSION"), "{why}");
+    assert!(!why.contains("re-record"), "no table to paste over a change without its bump: {why}");
+}
+
+#[test]
+fn wire_shape_key_change_with_a_bump_asks_to_re_record() {
+    let pins = doctored("OUTPUT_WIRE_VERSION", |g| {
+        g.keys.insert("dropped".into());
+        g.value -= 1;
+    });
+    let why = verdict(&pins, observed()).unwrap_err();
+    let moved = format!("OUTPUT_WIRE_VERSION is {}, pinned at {}", OUTPUT_WIRE_VERSION, OUTPUT_WIRE_VERSION - 1);
+    assert!(why.contains(&moved), "{why}");
+    assert!(why.ends_with(&format!("re-record SHAPE as\n{}", render(observed()))), "{why}");
+}
+
+#[test]
+fn wire_shape_inline_version_is_judged_like_a_constant() {
+    let renamed = |g: &mut Group| {
+        g.keys.remove("both_lost");
+        g.keys.insert("both_dropped".into());
+    };
+    let pins = doctored("Result.output.loss.v", renamed);
+    let why = verdict(&pins, observed()).unwrap_err();
+    assert!(why.contains("(+both_lost -both_dropped): bump the \"v\" at Result.output.loss"), "{why}");
+    let pins = doctored("Result.output.loss.v", |g| {
+        renamed(g);
+        g.value -= 1;
+    });
+    let why = verdict(&pins, observed()).unwrap_err();
+    assert!(why.contains("Result.output.loss.v is 2, pinned at 1"), "{why}");
+    assert!(why.contains("re-record SHAPE as"), "{why}");
+}
+
+#[test]
+fn wire_shape_missing_group_fails() {
+    let mut pins = observed().to_vec();
+    let hist = pins.pop().expect("today's frames have groups");
+    let why = verdict(&pins, observed()).unwrap_err();
+    assert!(why.starts_with(&format!("{} = 1 governs keys no pin names", hist.version)), "{why}");
+    let why = verdict(observed(), &pins).unwrap_err();
+    assert!(why.starts_with(&format!("{} governs no key any more", hist.version)), "{why}");
 }
