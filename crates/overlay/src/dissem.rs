@@ -170,7 +170,7 @@ impl Disseminator {
     /// [`Self::with_peers`] over [`PeerSet::everyone`]. `_rng` and
     /// `_start` are ignored — neither mode draws or keeps a timer; the
     /// two parameters stay only until the benchmark's call sites move to
-    /// `with_peers` (ROADMAP 5(b)).
+    /// `with_peers` (ROADMAP 8(a)).
     pub fn new(mode: DisseminationMode, me: HostId, n: usize, _rng: Rng, _start: SimTime) -> Self {
         Self::with_peers(mode, me, PeerSet::everyone(me, n))
     }
@@ -331,19 +331,20 @@ impl Disseminator {
         }
     }
 
-    /// Metrics piggybacked on a probe packet from `from`. Only the
+    /// Metrics piggybacked on a probe packet from `from`, handed over
+    /// whole: the table keeps them as they arrived. Only the
     /// full-snapshot mode carries link state this way; delta mode
     /// ignores any stray payload rather than letting an empty vector
     /// wipe LSA-learned state.
     pub fn on_probe_metrics(
         &mut self,
         from: HostId,
-        entries: &[MetricEntry],
+        entries: Vec<MetricEntry>,
         now: SimTime,
         table: &mut LinkStateTable,
     ) {
         if self.mode == DisseminationMode::FullSnapshot {
-            table.ingest_full(from, entries, now);
+            table.adopt_full(from, entries, now);
         }
     }
 
@@ -351,13 +352,13 @@ impl Disseminator {
     /// origin: deltas must strictly advance, full refreshes may repeat
     /// the current seqno (they repair entries an earlier lost delta
     /// carried past us). An LSA whose origin is not a peer is not
-    /// ingested.
+    /// ingested; a full one that is, is kept as it arrived.
     pub fn on_lsa(
         &mut self,
         origin: HostId,
         seq: u64,
         full: bool,
-        entries: &[MetricEntry],
+        entries: Vec<MetricEntry>,
         now: SimTime,
         table: &mut LinkStateTable,
     ) {
@@ -368,11 +369,11 @@ impl Disseminator {
             DisseminationMode::Delta { .. } => {
                 if full {
                     if seq >= stored {
-                        table.ingest_full(origin, entries, now);
+                        table.adopt_full(origin, entries, now);
                         self.origin_seq[slot] = seq;
                     }
                 } else if seq > stored {
-                    table.ingest_delta(origin, entries, now);
+                    table.ingest_delta(origin, &entries, now);
                     self.origin_seq[slot] = seq;
                 }
             }
@@ -533,13 +534,13 @@ mod tests {
         let now = SimTime::from_secs(10);
         let e1 = MetricEntry { peer: HostId(2), loss_e4: 100, lat_us: 9_000, alive: true };
         let e2 = MetricEntry { peer: HostId(3), loss_e4: 200, lat_us: 8_000, alive: true };
-        d.on_lsa(HostId(1), 5, false, &[e1], now, &mut t);
+        d.on_lsa(HostId(1), 5, false, vec![e1], now, &mut t);
         assert!(t.remote_metric(HostId(1), HostId(2), now).is_some());
         // A stale delta (seq 5 again) is ignored...
-        d.on_lsa(HostId(1), 5, false, &[e2], now, &mut t);
+        d.on_lsa(HostId(1), 5, false, vec![e2], now, &mut t);
         assert!(t.remote_metric(HostId(1), HostId(3), now).is_none());
         // ...but a full refresh at the same seq repairs the hole.
-        d.on_lsa(HostId(1), 5, true, &[e1, e2], now, &mut t);
+        d.on_lsa(HostId(1), 5, true, vec![e1, e2], now, &mut t);
         assert!(t.remote_metric(HostId(1), HostId(3), now).is_some());
     }
 

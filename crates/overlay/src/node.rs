@@ -255,7 +255,7 @@ impl OverlayNode {
         match packet {
             Packet::ProbeReq { id, from, metrics, .. } => {
                 if self.is_peer(from) {
-                    self.dissem.on_probe_metrics(from, &metrics, now, &mut self.table);
+                    self.dissem.on_probe_metrics(from, metrics, now, &mut self.table);
                 }
                 let (metrics, lsa) = self.dissem.on_probe_reply(from, &mut self.table);
                 out.push(Transmit {
@@ -276,7 +276,7 @@ impl OverlayNode {
                 if !self.is_peer(from) {
                     return None;
                 }
-                self.dissem.on_probe_metrics(from, &metrics, now, &mut self.table);
+                self.dissem.on_probe_metrics(from, metrics, now, &mut self.table);
                 if self.prober.on_response(id, from, now, &mut self.table).is_some() {
                     // A valid response acknowledges the LSA that rode
                     // along with the probe (delta mode).
@@ -288,7 +288,7 @@ impl OverlayNode {
                 if !self.is_peer(origin) {
                     return None;
                 }
-                self.dissem.on_lsa(origin, seq, full, &entries, now, &mut self.table);
+                self.dissem.on_lsa(origin, seq, full, entries, now, &mut self.table);
                 None
             }
             Packet::Forward { target, inner } => {

@@ -58,6 +58,11 @@ pub struct RemoteMetric {
 }
 
 impl RemoteMetric {
+    /// A second hop that adds nothing: composed behind a first hop it
+    /// scores that hop alone, and no advertised metric scores better
+    /// (see [`LinkStateTable::argmin_avoiding`]).
+    const PERFECT: RemoteMetric = RemoteMetric { loss: 0.0, lat_us: 0.0, alive: true };
+
     fn from_entry(e: &MetricEntry) -> RemoteMetric {
         RemoteMetric {
             loss: e.loss_e4 as f64 / 10_000.0,
@@ -67,57 +72,68 @@ impl RemoteMetric {
     }
 }
 
-/// A remote metric stamped with the time it was learned. Staleness is
-/// per *entry*, not per vector: delta dissemination refreshes entries
-/// individually, and an entry a silent peer last advertised long ago
-/// must age out of route selection even if the peer still chatters
-/// about other destinations.
-#[derive(Debug, Clone, Copy)]
-struct Stamped {
-    at: SimTime,
-    metric: RemoteMetric,
-}
-
-/// One peer's advertised entries, stored sparse: a vec sorted by
-/// destination index with one slot per destination the peer has
-/// actually *advertised*, looked up by binary search. Under a sparse
-/// probe mesh a peer advertises O(k) destinations, so a node's full
-/// table is O(n·k) instead of the dense layout's O(n²) — the dominant
-/// per-node allocation at thousands of hosts.
+/// One peer's advertised entries, stored sparse and as they arrived:
+/// the wire entries sorted by destination, one per destination the peer
+/// has actually *advertised*, beside a column of the instants each was
+/// learned, looked up by binary search. Under a sparse probe mesh a peer
+/// advertises O(k) destinations, so a node's full table is O(n·k)
+/// instead of the dense layout's O(n²) — the dominant per-node
+/// allocation at thousands of hosts.
+///
+/// Staleness is per *entry*, not per vector: delta dissemination
+/// refreshes entries individually, and an entry a silent peer last
+/// advertised long ago must age out of route selection even if the peer
+/// still chatters about other destinations.
 ///
 /// A peer that has advertised nothing is the empty vector (no heap).
 /// Advertisements arrive sorted by destination — senders emit them in
-/// [`LinkStateTable::snapshot`] order — so [`Self::merge`] walks the
-/// stored and the arriving list side by side instead of searching per
-/// entry; the buffer is reused across advertisements, so steady-state
-/// ingest allocates nothing.
+/// [`LinkStateTable::snapshot`] order — so a full one is kept whole
+/// ([`LinkStateTable::adopt_full`]) and [`Self::merge`] walks the stored
+/// and the arriving list side by side instead of searching per entry.
+/// Reads convert an entry through [`RemoteMetric::from_entry`].
 #[derive(Debug, Clone, Default)]
 struct PeerVector {
-    entries: Vec<(u16, Stamped)>,
+    entries: Vec<MetricEntry>,
+    /// When `entries[i]` was learned.
+    stamps: Vec<SimTime>,
+}
+
+/// Whether `entries` is what every sender emits: strictly ascending by
+/// destination, every destination inside the `n`-node mesh. Such a list
+/// is stored as it is; [`PeerVector::merge`] of it into an empty vector
+/// would store exactly the same entries.
+fn well_formed(entries: &[MetricEntry], n: usize) -> bool {
+    let ascending = entries.windows(2).all(|w| w[0].peer.0 < w[1].peer.0);
+    ascending && entries.last().is_none_or(|e| e.peer.idx() < n)
 }
 
 impl PeerVector {
-    fn get(&self, dst: u16) -> Option<&Stamped> {
+    /// The entry toward `dst` and when it was learned.
+    #[inline]
+    fn get(&self, dst: u16) -> Option<(&MetricEntry, &SimTime)> {
         // A verified hint: a peer that advertises everyone but itself
         // (a clique's steady state) keeps `dst` at index `dst` or one
         // below. Whatever the contents, a hit is checked by key and a
         // miss falls through to the search.
         let guess = usize::from(dst).min(self.entries.len().saturating_sub(1));
         for at in [guess, guess.wrapping_sub(1)] {
-            if let Some((_, s)) = self.entries.get(at).filter(|(d, _)| *d == dst) {
-                return Some(s);
+            if self.entries.get(at).is_some_and(|e| e.peer.0 == dst) {
+                return Some((&self.entries[at], &self.stamps[at]));
             }
         }
-        self.entries.binary_search_by_key(&dst, |&(d, _)| d).ok().map(|i| &self.entries[i].1)
+        let i = self.entries.binary_search_by_key(&dst, |e| e.peer.0).ok()?;
+        Some((&self.entries[i], &self.stamps[i]))
     }
 
-    /// Inserts or overwrites the entry toward `dst` (last write wins,
-    /// matching the dense layout's slot-assignment semantics). Only
-    /// [`Self::merge`] calls this, for entries that arrive out of order.
-    fn upsert(&mut self, dst: u16, s: Stamped) {
-        match self.entries.binary_search_by_key(&dst, |&(d, _)| d) {
-            Ok(i) => self.entries[i].1 = s,
-            Err(i) => self.entries.insert(i, (dst, s)),
+    /// Stores `e` learned `now` at index `at`, over the entry there when
+    /// it has the same destination.
+    fn put(&mut self, at: usize, e: &MetricEntry, now: SimTime) {
+        if self.entries.get(at).is_some_and(|old| old.peer == e.peer) {
+            self.entries[at] = *e;
+            self.stamps[at] = now;
+        } else {
+            self.entries.insert(at, *e);
+            self.stamps.insert(at, now);
         }
     }
 
@@ -129,29 +145,24 @@ impl PeerVector {
     /// stored entries (and pure appends into an empty vector). The
     /// vector is sorted, so a destination above the key in slot
     /// `at - 1` belongs at `at` or later whatever came before; any
-    /// other entry — shuffled or duplicated input — takes the
-    /// binary-search [`Self::upsert`].
+    /// other entry — shuffled or duplicated input — is placed by binary
+    /// search.
     fn merge(&mut self, entries: &[MetricEntry], n: usize, now: SimTime) {
         let mut at = 0;
         for e in entries {
             if e.peer.idx() >= n {
                 continue;
             }
-            let (dst, s) = (e.peer.0, Stamped { at: now, metric: RemoteMetric::from_entry(e) });
-            if at > 0 && dst <= self.entries[at - 1].0 {
-                self.upsert(dst, s);
+            let dst = e.peer.0;
+            if at > 0 && dst <= self.entries[at - 1].peer.0 {
+                let i = self.entries.binary_search_by_key(&dst, |s| s.peer.0).unwrap_or_else(|i| i);
+                self.put(i, e, now);
                 continue;
             }
-            while at < self.entries.len() && self.entries[at].0 < dst {
+            while at < self.entries.len() && self.entries[at].peer.0 < dst {
                 at += 1;
             }
-            if at == self.entries.len() {
-                self.entries.push((dst, s));
-            } else if self.entries[at].0 == dst {
-                self.entries[at].1 = s;
-            } else {
-                self.entries.insert(at, (dst, s));
-            }
+            self.put(at, e, now);
             at += 1;
         }
     }
@@ -289,7 +300,7 @@ impl LinkStateTable {
         }
         b += self.vectors.capacity() * size_of::<PeerVector>();
         for v in &self.vectors {
-            b += v.entries.capacity() * size_of::<(u16, Stamped)>();
+            b += v.entries.capacity() * size_of::<MetricEntry>() + v.stamps.capacity() * size_of::<SimTime>();
         }
         b += self.snap_cache.capacity() * size_of::<MetricEntry>();
         b += self.snap_touched.capacity() * size_of::<u16>();
@@ -338,30 +349,55 @@ impl LinkStateTable {
 
     /// Ingests a *complete* advertisement from `from`: every previously
     /// known entry is discarded and the new ones are stamped `now`.
+    /// A well-formed list (strictly ascending, inside the mesh: what
+    /// every sender emits) is copied in bulk into the buffers the peer's
+    /// last advertisement left behind; anything else is merged into them.
     pub fn ingest_full(&mut self, from: HostId, entries: &[MetricEntry], now: SimTime) {
-        self.ingest(from, entries, now, true);
+        let Some(slot) = self.peers.slot(from) else { return };
+        let n = self.peers.n();
+        // Reuse the buffers; grow them (rarely, and to the exact size, as
+        // a fresh vector would be) only when the peer advertises more
+        // than it ever has.
+        let v = &mut self.vectors[slot];
+        v.entries.clear();
+        v.stamps.clear();
+        v.entries.reserve_exact(entries.len());
+        v.stamps.reserve_exact(entries.len());
+        if well_formed(entries, n) {
+            v.entries.extend_from_slice(entries);
+            v.stamps.resize(entries.len(), now);
+        } else {
+            v.merge(entries, n, now);
+        }
+    }
+
+    /// [`Self::ingest_full`] of an advertisement the caller owns: a
+    /// well-formed list is kept as it arrived — its buffer becomes the
+    /// peer's stored vector, so nothing is copied or converted — and
+    /// anything else is ingested as `ingest_full` would, ending in the
+    /// same state.
+    pub fn adopt_full(&mut self, from: HostId, entries: Vec<MetricEntry>, now: SimTime) {
+        let Some(slot) = self.peers.slot(from) else { return };
+        if !well_formed(&entries, self.peers.n()) {
+            return self.ingest_full(from, &entries, now);
+        }
+        let v = &mut self.vectors[slot];
+        v.stamps.clear();
+        v.stamps.reserve_exact(entries.len());
+        v.stamps.resize(entries.len(), now);
+        v.entries = entries;
     }
 
     /// Ingests a *partial* advertisement from `from`: only the listed
     /// destinations are updated (stamped `now`); everything else keeps
     /// its previous value and timestamp, so unrefreshed entries age out
     /// of route selection on their own.
+    ///
+    /// An advertisement from a host with no slot is not stored, by this
+    /// or either full ingest.
     pub fn ingest_delta(&mut self, from: HostId, entries: &[MetricEntry], now: SimTime) {
-        self.ingest(from, entries, now, false);
-    }
-
-    /// An advertisement from a host with no slot is not stored.
-    fn ingest(&mut self, from: HostId, entries: &[MetricEntry], now: SimTime, complete: bool) {
         let Some(slot) = self.peers.slot(from) else { return };
-        let v = &mut self.vectors[slot];
-        if complete {
-            // Reuse the buffer; grow it (rarely, and to the exact size,
-            // as a fresh vector would be) only when the peer advertises
-            // more than it ever has.
-            v.entries.clear();
-            v.entries.reserve_exact(entries.len());
-        }
-        v.merge(entries, self.peers.n(), now);
+        self.vectors[slot].merge(entries, self.peers.n(), now);
     }
 
     /// Snapshot of my direct metrics for piggybacking on probe packets:
@@ -387,17 +423,13 @@ impl LinkStateTable {
     /// so convergence tests can compare tables fed by different
     /// dissemination strategies.
     pub fn remote_metric(&self, from: HostId, dst: HostId, now: SimTime) -> Option<RemoteMetric> {
-        self.fresh(&self.vectors[self.peers.slot(from)?], dst, now)
+        let (e, &at) = self.vectors[self.peers.slot(from)?].get(dst.0)?;
+        self.is_fresh(at, now).then(|| RemoteMetric::from_entry(e))
     }
 
-    /// What the peer behind `vector` advertised toward `dst`, unless
-    /// that has gone stale.
-    fn fresh(&self, vector: &PeerVector, dst: HostId, now: SimTime) -> Option<RemoteMetric> {
-        let e = *vector.get(dst.0)?;
-        if now.since(e.at) > self.staleness {
-            return None;
-        }
-        Some(e.metric)
+    /// Whether an entry learned `at` is still trusted `now`.
+    fn is_fresh(&self, at: SimTime, now: SimTime) -> bool {
+        now.since(at) <= self.staleness
     }
 
     /// The peers a packet for `dst` could detour through, ascending:
@@ -446,12 +478,20 @@ impl LinkStateTable {
         let candidate = match policy {
             Policy::Direct => Route::Direct,
             Policy::Random => self.random_avoiding(dst, rng, avoid),
-            Policy::MinLoss => self.argmin_avoiding(dst, now, avoid, |mine, rm| {
-                1.0 - (1.0 - mine.loss_estimate()) * (1.0 - rm.loss)
-            }),
-            Policy::MinLat => self.argmin_avoiding(dst, now, avoid, |mine, rm| {
-                mine.latency_us().unwrap_or(f64::INFINITY) + rm.lat_us
-            }),
+            Policy::MinLoss => self.argmin_avoiding(
+                dst,
+                now,
+                avoid,
+                |mine| 1.0 - mine.loss_estimate(),
+                |delivered, rm| 1.0 - delivered * (1.0 - rm.loss),
+            ),
+            Policy::MinLat => self.argmin_avoiding(
+                dst,
+                now,
+                avoid,
+                |mine| mine.latency_us().unwrap_or(f64::INFINITY),
+                |lat1, rm| lat1 + rm.lat_us,
+            ),
         };
         if avoid.contains(&candidate) {
             // Direct policy with direct excluded, or a degenerate mesh:
@@ -474,12 +514,29 @@ impl LinkStateTable {
     }
 
     /// Best route by `score` (lower is better) among direct and one-hop
-    /// candidates, skipping everything in `avoid`. No hysteresis: when
+    /// candidates, skipping everything in `avoid`: a route scores
+    /// `score(hop(first hop's stats), second hop)`. No hysteresis: when
     /// routes are excluded the question is "what is the best *other*
     /// path", not "is a detour worth the risk".
-    fn argmin_avoiding<F>(&self, dst: HostId, now: SimTime, avoid: &[Route], score: F) -> Route
+    ///
+    /// `score` must rate no advertised second hop better than
+    /// [`RemoteMetric::PERFECT`]. Both callers' scores are monotone in
+    /// the second hop, and so is their rounding: `1 − (1−a)(1−b)` with
+    /// `0 ≤ 1−a ≤ 1` and `b ≥ 0` (`loss_e4` may exceed 10 000) rounds
+    /// to at least `1 − (1−a)`, and `lat₁ + l₂` with `l₂ ≥ 0` to at least
+    /// `lat₁`. So a candidate whose first hop alone does not beat the
+    /// best so far cannot win (a win is strictly lower), and is skipped
+    /// without reading its vector. Nothing here draws randomness or has
+    /// a side effect, so the skip changes no result.
+    ///
+    /// For the same reason the order of the filters is free, and the
+    /// ones a loser need not pass — staleness and, here, `avoid` — are
+    /// asked last, of a candidate that would otherwise win. When every
+    /// detour scores alike (a clean mesh) almost none does.
+    fn argmin_avoiding<H, F>(&self, dst: HostId, now: SimTime, avoid: &[Route], hop: H, score: F) -> Route
     where
-        F: Fn(&PathStats, &RemoteMetric) -> f64,
+        H: Fn(&PathStats) -> f64,
+        F: Fn(f64, &RemoteMetric) -> f64,
     {
         let mut best = None;
         let mut best_score = f64::INFINITY;
@@ -487,7 +544,7 @@ impl LinkStateTable {
             let d = self.direct(dst);
             if !d.is_dead() {
                 // Score direct as a one-hop with a perfect second hop.
-                let s = score(d, &RemoteMetric { loss: 0.0, lat_us: 0.0, alive: true });
+                let s = score(hop(d), &RemoteMetric::PERFECT);
                 if s < best_score {
                     best_score = s;
                     best = Some(Route::Direct);
@@ -495,18 +552,20 @@ impl LinkStateTable {
             }
         }
         for (kh, mine, vector) in self.intermediates(dst) {
-            if avoid.contains(&Route::Via(kh)) {
-                continue;
-            }
             if mine.is_dead() || mine.samples() == 0 {
                 continue;
             }
-            let Some(rm) = self.fresh(vector, dst, now) else { continue };
+            let first = hop(mine);
+            if score(first, &RemoteMetric::PERFECT) >= best_score {
+                continue;
+            }
+            let Some((e, &at)) = vector.get(dst.0) else { continue };
+            let rm = RemoteMetric::from_entry(e);
             if !rm.alive {
                 continue;
             }
-            let s = score(mine, &rm);
-            if s < best_score {
+            let s = score(first, &rm);
+            if s < best_score && self.is_fresh(at, now) && !avoid.contains(&Route::Via(kh)) {
                 best_score = s;
                 best = Some(Route::Via(kh));
             }
@@ -531,16 +590,28 @@ impl LinkStateTable {
         let mut best = Route::Direct;
         // Hysteresis: an indirect path must beat direct by a margin.
         let mut best_score = (direct_loss - self.loss_hysteresis).max(0.0);
+        if best_score == 0.0 {
+            // Direct sits inside the hysteresis band, and no detour's
+            // bound below is under 0: nothing can win.
+            return best;
+        }
         for (kh, mine, vector) in self.intermediates(dst) {
             if mine.is_dead() || mine.samples() == 0 {
                 continue;
             }
-            let Some(rm) = self.fresh(vector, dst, now) else { continue };
+            // The first hop with a perfect second one: a bound no
+            // advertised second hop can beat (see `argmin_avoiding`).
+            let first = 1.0 - mine.loss_estimate();
+            if 1.0 - first >= best_score {
+                continue;
+            }
+            let Some((e, &at)) = vector.get(dst.0) else { continue };
+            let rm = RemoteMetric::from_entry(e);
             if !rm.alive {
                 continue;
             }
-            let p = 1.0 - (1.0 - mine.loss_estimate()) * (1.0 - rm.loss);
-            if p < best_score {
+            let p = 1.0 - first * (1.0 - rm.loss);
+            if p < best_score && self.is_fresh(at, now) {
                 best_score = p;
                 best = Route::Via(kh);
             }
@@ -558,12 +629,18 @@ impl LinkStateTable {
                 continue;
             }
             let Some(lat1) = mine.latency_us() else { continue };
-            let Some(rm) = self.fresh(vector, dst, now) else { continue };
+            // `lat1 + l2 ≥ lat1` for every advertised `l2` (see
+            // `argmin_avoiding`).
+            if lat1 >= best_score {
+                continue;
+            }
+            let Some((e, &at)) = vector.get(dst.0) else { continue };
+            let rm = RemoteMetric::from_entry(e);
             if !rm.alive || rm.lat_us <= 0.0 {
                 continue;
             }
             let lat = lat1 + rm.lat_us;
-            if lat < best_score {
+            if lat < best_score && self.is_fresh(at, now) {
                 best_score = lat;
                 best = Route::Via(kh);
             }
@@ -657,6 +734,26 @@ mod tests {
         vector_from(&mut t, 1, 3, 0.008, 10, now);
         let mut rng = Rng::new(4);
         assert_eq!(t.route(HostId(3), Policy::MinLoss, now, &mut rng), Route::Direct);
+    }
+
+    #[test]
+    fn a_detour_whose_first_hop_nearly_ties_the_best_is_still_scored() {
+        // The scans skip a detour only when its first hop alone cannot
+        // beat the best so far. Hop 2 comes within a hair of hop 1's
+        // score on its first hop alone, and its perfect second hop wins.
+        let mut t = table(5);
+        let now = SimTime::from_secs(100);
+        feed_direct(&mut t, 4, 2, 98, 100); // loss 2.5/101, 100 ms
+        feed_direct(&mut t, 1, 0, 100, 10); // loss 0.5/101, 10 ms
+        feed_direct(&mut t, 2, 0, 50, 88); // loss 0.5/51, 88 ms
+        vector_from(&mut t, 1, 4, 0.005, 80, now); // 0.00993, 90 ms
+        vector_from(&mut t, 2, 4, 0.0, 1, now); // 0.00980, 89 ms
+        let mut rng = Rng::new(12);
+        for policy in [Policy::MinLoss, Policy::MinLat] {
+            assert_eq!(t.route(HostId(4), policy, now, &mut rng), Route::Via(HostId(2)), "{policy:?}");
+            let avoiding = t.route_avoiding(HostId(4), policy, now, &mut rng, &[Route::Direct]);
+            assert_eq!(avoiding, Route::Via(HostId(2)), "{policy:?} avoiding direct");
+        }
     }
 
     #[test]
@@ -842,6 +939,32 @@ mod tests {
         assert!(e1.lat_us > 0);
         let e2 = snap.iter().find(|e| e.peer == HostId(2)).unwrap();
         assert!(!e2.alive, "no samples yet → not claimed alive");
+    }
+
+    #[test]
+    fn a_stored_entry_costs_its_wire_bytes_and_a_stamp() {
+        // Every peer of a 30-host clique advertises the other 29 hosts,
+        // ascending, as senders do; owned and borrowed ingest alike
+        // store 12 + 8 bytes per entry beside the empty table.
+        const N: u16 = 30;
+        let now = SimTime::from_secs(5);
+        let vector = |from: u16| {
+            let mut v = Vec::with_capacity(usize::from(N) - 1);
+            let entry = |j| MetricEntry { peer: HostId(j), loss_e4: 120, lat_us: 9_000, alive: true };
+            v.extend((0..N).filter(|&j| j != from).map(entry));
+            v
+        };
+        let (mut owned, mut borrowed) = (table(usize::from(N)), table(usize::from(N)));
+        let empty = owned.approx_bytes();
+        for from in 1..N {
+            owned.adopt_full(HostId(from), vector(from), now);
+            borrowed.ingest_full(HostId(from), &vector(from), now);
+        }
+        let per_entry = std::mem::size_of::<MetricEntry>() + std::mem::size_of::<SimTime>();
+        assert_eq!(per_entry, 20);
+        let grown = 29 * 29 * per_entry;
+        assert_eq!(owned.approx_bytes(), empty + grown);
+        assert_eq!(borrowed.approx_bytes(), empty + grown);
     }
 }
 

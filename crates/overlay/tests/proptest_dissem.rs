@@ -93,10 +93,10 @@ proptest! {
                            now: SimTime| {
             if let Some(Packet::Lsa { origin, seq, full, entries }) = lsa {
                 if !dropped {
-                    receiver.on_lsa(origin, seq, full, &entries, now, recv_table);
                     if full {
-                        *last_full = Some(entries);
+                        *last_full = Some(entries.clone());
                     }
+                    receiver.on_lsa(origin, seq, full, entries, now, recv_table);
                 }
             }
         };

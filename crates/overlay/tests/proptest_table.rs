@@ -2,8 +2,9 @@
 //! each against a model that shares no code with it:
 //!
 //! * advertisement ingest (`ingest_full` / `ingest_delta`, one
-//!   merge-join underneath) against a last-write-wins map, for entry
-//!   lists in every order a peer could send them;
+//!   merge-join underneath, and `adopt_full`, which keeps a well-formed
+//!   list as it arrived) against a last-write-wins map, for entry lists
+//!   in every order a peer could send them;
 //! * the incrementally patched `snapshot()` against the full rebuild a
 //!   table performs on its first call.
 
@@ -28,10 +29,12 @@ fn arb_entry() -> impl Strategy<Value = MetricEntry> {
     )
 }
 
-/// One advertisement: `(complete, from, order, entries, seconds later)`.
-/// `from` covers the table's own id and ids outside the mesh (both
-/// ignored); `order` picks how the entry list is arranged.
-type Advert = (bool, u16, u8, Vec<MetricEntry>, u64);
+/// One advertisement: `(complete, from, order, entries, about, seconds
+/// later)`. `from` covers the table's own id and ids outside the mesh
+/// (both ignored); `order` picks how the entry list is arranged; `about`
+/// adds an entry toward the table's own id (bit 0) and one toward the
+/// advertiser's (bit 1), which a table stores like any other.
+type Advert = (bool, u16, u8, Vec<MetricEntry>, u8, u64);
 
 fn arb_advert() -> impl Strategy<Value = Advert> {
     (
@@ -39,8 +42,25 @@ fn arb_advert() -> impl Strategy<Value = Advert> {
         0u16..N as u16 + 2,
         0u8..3,
         proptest::collection::vec(arb_entry(), 0..24),
+        0u8..4,
         0u64..60,
     )
+}
+
+/// `entries` plus the entries `about` asks for, each drawn like the rest
+/// but for its destination.
+fn with_self_references(
+    mut entries: Vec<MetricEntry>,
+    about: u8,
+    from: u16,
+    lat_us: u32,
+) -> Vec<MetricEntry> {
+    for (bit, peer) in [(1, ME), (2, from)] {
+        if about & bit != 0 {
+            entries.push(MetricEntry { peer: HostId(peer), loss_e4: 7, lat_us, alive: true });
+        }
+    }
+    entries
 }
 
 /// Arranges a generated list: strictly ascending (what senders emit),
@@ -66,16 +86,20 @@ proptest! {
     fn ingest_is_last_write_wins_per_entry(
         adverts in proptest::collection::vec(arb_advert(), 1..40),
     ) {
-        let mut t = table();
+        // `twin` takes every complete advertisement by value.
+        let (mut t, mut twin) = (table(), table());
         let mut model: BTreeMap<(u16, u16), (MetricEntry, SimTime)> = BTreeMap::new();
         let mut now = SimTime::from_secs(1_000);
-        for (complete, from, order, entries, later) in adverts {
+        for (complete, from, order, entries, about, later) in adverts {
             now += SimDuration::from_secs(later);
-            let entries = arrange(order, entries);
+            let lat_us = 1_000 * later as u32;
+            let entries = arrange(order, with_self_references(entries, about, from, lat_us));
             if complete {
                 t.ingest_full(HostId(from), &entries, now);
+                twin.adopt_full(HostId(from), entries.clone(), now);
             } else {
                 t.ingest_delta(HostId(from), &entries, now);
+                twin.ingest_delta(HostId(from), &entries, now);
             }
             if from != ME && (from as usize) < N {
                 if complete {
@@ -92,11 +116,13 @@ proptest! {
                         .get(&(from, dst))
                         .filter(|(_, at)| now.since(*at) <= STALENESS)
                         .map(|(e, _)| metric(e));
-                    prop_assert_eq!(
-                        t.remote_metric(HostId(from), HostId(dst), now),
-                        expect,
-                        "view of {} toward {}", from, dst
-                    );
+                    for (name, table) in [("borrowed", &t), ("owned", &twin)] {
+                        prop_assert_eq!(
+                            table.remote_metric(HostId(from), HostId(dst), now),
+                            expect,
+                            "{} view of {} toward {}", name, from, dst
+                        );
+                    }
                 }
             }
         }
@@ -104,9 +130,11 @@ proptest! {
         // the staleness horizon, gone one microsecond past it.
         for (&(from, dst), (e, at)) in &model {
             let horizon = *at + STALENESS;
-            prop_assert_eq!(t.remote_metric(HostId(from), HostId(dst), horizon), Some(metric(e)));
             let past = horizon + SimDuration::from_micros(1);
-            prop_assert_eq!(t.remote_metric(HostId(from), HostId(dst), past), None);
+            for table in [&t, &twin] {
+                prop_assert_eq!(table.remote_metric(HostId(from), HostId(dst), horizon), Some(metric(e)));
+                prop_assert_eq!(table.remote_metric(HostId(from), HostId(dst), past), None);
+            }
         }
     }
 
