@@ -349,12 +349,8 @@ impl LinkStateTable {
 
     /// Ingests a *complete* advertisement from `from`: every previously
     /// known entry is discarded and the new ones are stamped `now`.
-    /// A well-formed list (strictly ascending, inside the mesh: what
-    /// every sender emits) is copied in bulk into the buffers the peer's
-    /// last advertisement left behind; anything else is merged into them.
     pub fn ingest_full(&mut self, from: HostId, entries: &[MetricEntry], now: SimTime) {
         let Some(slot) = self.peers.slot(from) else { return };
-        let n = self.peers.n();
         // Reuse the buffers; grow them (rarely, and to the exact size, as
         // a fresh vector would be) only when the peer advertises more
         // than it ever has.
@@ -363,12 +359,7 @@ impl LinkStateTable {
         v.stamps.clear();
         v.entries.reserve_exact(entries.len());
         v.stamps.reserve_exact(entries.len());
-        if well_formed(entries, n) {
-            v.entries.extend_from_slice(entries);
-            v.stamps.resize(entries.len(), now);
-        } else {
-            v.merge(entries, n, now);
-        }
+        v.merge(entries, self.peers.n(), now);
     }
 
     /// [`Self::ingest_full`] of an advertisement the caller owns: a
@@ -590,11 +581,6 @@ impl LinkStateTable {
         let mut best = Route::Direct;
         // Hysteresis: an indirect path must beat direct by a margin.
         let mut best_score = (direct_loss - self.loss_hysteresis).max(0.0);
-        if best_score == 0.0 {
-            // Direct sits inside the hysteresis band, and no detour's
-            // bound below is under 0: nothing can win.
-            return best;
-        }
         for (kh, mine, vector) in self.intermediates(dst) {
             if mine.is_dead() || mine.samples() == 0 {
                 continue;
