@@ -47,9 +47,21 @@
 //!   | -- Ready ---------------------> |       lease loop
 //!   | <- Lease{slice} | Wait | Done - |
 //!   | -- Heartbeat{slice} ----------> |       while simulating
-//!   | -- Result{slice, output} -----> |
-//!   | -- Ready ---------------------> |       ... until Done
+//!   | -- Ready ---------------------> |       a slice finished: lease first,
+//!   | <- Lease{slice} | Wait | Done - |
+//!   | -- Result{slice, output} -----> |       then ship its result
+//!   |            ...                  |       ... until Done
 //! ```
+//!
+//! A worker whose slice finished asks for its next lease *before* it
+//! ships the result, so its core is simulating again while the result
+//! crosses the wire and the coordinator checks and merges it. The
+//! coordinator reads frames in order either way, so the grammar is the
+//! same. Two rules keep the campaign end prompt: a `Wait` that answers
+//! the `Ready` while a result is still unsent makes the worker ship it
+//! and ask again at once (it may be the result that finishes the
+//! campaign, and the hint may be long), and a `Done` makes it drop the
+//! unsent result (`Done` means every slice already has one).
 //!
 //! A worker may pipeline: it holds up to [`WorkerOptions::jobs`] leases
 //! at once (acquired by extra `Ready` round-trips), simulates them on a
@@ -58,6 +70,12 @@
 //! slice, heartbeats already named their slice, and results were always
 //! slice-indexed — so a pipelined worker and a sequential one are
 //! indistinguishable on the wire except for frame interleaving.
+//!
+//! Heartbeats run on a deadline: once [`WorkerOptions::heartbeat`] has
+//! passed since the last re-arm, the next time the worker's socket
+//! thread wakes — a slice finished, or the deadline itself came — it
+//! sends one `Heartbeat` per outstanding lease. Results arriving faster
+//! than the interval therefore cannot starve a slow slice beside them.
 //!
 //! # Failure semantics
 //!
@@ -94,8 +112,16 @@
 //! and one scoped thread per worker connection; that thread owns its
 //! socket and sits in `read` whenever the worker has nothing to say.
 //! [`run_worker`] owns its one socket on the calling thread and spawns
-//! a compute thread per lease; finished slices come back over a channel
-//! whose receive timeout is the heartbeat.
+//! a compute thread per lease. The compute thread encodes its own
+//! `Result` frame, so the slice's output is freed before another slice
+//! can start beside it and the socket thread only writes bytes; finished
+//! frames come back over a channel whose receive timeout is the time
+//! left until the next heartbeat is due.
+//!
+//! Both ends set `TCP_NODELAY`. A frame is always one `write_all`, so
+//! Nagle's algorithm only ever delays it: with it on, a `Ready` written
+//! behind a large `Result` waits for the ACK of that result's last
+//! segment, which the receiver may hold back for up to 40 ms.
 //!
 //! *Shutdown.* `serve_campaign` returns as soon as the last slice is
 //! recorded, not when connections drain. The thread that recorded it
@@ -343,16 +369,27 @@ fn decode_body(body: &[u8]) -> io::Result<Msg> {
 /// written, so the sender fails with the reason instead of being hung
 /// up on.
 pub fn write_msg_blocking<W: Write>(w: &mut W, msg: &Msg) -> io::Result<()> {
-    let frame = encode_msg(msg);
+    write_frame(w, msg.kind(), &encode_msg(msg))
+}
+
+/// Sends one frame [`encode_msg`] made earlier, under the same 64 MiB
+/// cap as [`write_msg_blocking`]; `kind` names the message in the
+/// refusal.
+fn write_frame<W: Write>(w: &mut W, kind: &str, frame: &[u8]) -> io::Result<()> {
     let body = frame.len() - 4;
     if body > MAX_FRAME {
         return Err(proto_err(format!(
-            "{} frame of {body} bytes exceeds the {} MiB cap",
-            msg.kind(),
+            "{kind} frame of {body} bytes exceeds the {} MiB cap",
             MAX_FRAME >> 20
         )));
     }
-    w.write_all(&frame)
+    w.write_all(frame)
+}
+
+/// Turns Nagle's algorithm off on a campaign socket (the module docs'
+/// *I/O model* says why).
+fn campaign_socket(stream: &TcpStream) -> io::Result<()> {
+    stream.set_nodelay(true)
 }
 
 /// Receives one frame. `Ok(None)` is a clean close — EOF *between*
@@ -426,9 +463,10 @@ pub struct ServeReport {
 #[derive(Debug, Clone, Copy)]
 pub struct WorkerOptions {
     /// Heartbeat cadence while slices simulate. Must beat the
-    /// coordinator's [`ServeOptions::lease_timeout`] comfortably. Each
-    /// quiet interval the worker re-arms *every* outstanding lease — one
-    /// [`Msg::Heartbeat`] frame per leased slice, the same frame a
+    /// coordinator's [`ServeOptions::lease_timeout`] comfortably. Once
+    /// this much time has passed since the last re-arm, whatever else
+    /// happened meanwhile, the worker re-arms *every* outstanding lease —
+    /// one [`Msg::Heartbeat`] frame per leased slice, the same frame a
     /// single-slice worker sends — so multi-lease liveness needs no new
     /// protocol message.
     pub heartbeat: Duration,
@@ -647,6 +685,7 @@ fn drive_conn(
     wake: SocketAddr,
     conns: &Conns,
 ) -> io::Result<()> {
+    campaign_socket(stream)?;
     // Pre-handshake limits: a small frame, and not forever to send it.
     // The write timeout stays: a peer that stops draining its replies
     // must not pin this thread past the end of the campaign.
@@ -808,19 +847,20 @@ fn closed_cleanly(e: &io::Error) -> bool {
 /// [`Msg::Done`] (or vanishes — see
 /// [`WorkerReport::coordinator_closed`]).
 ///
-/// Each leased slice simulates on its own OS thread while the calling
-/// thread owns the socket: it tops the lease set up with `Ready`, ships
-/// each [`Msg::Result`] the moment that slice finishes (slices complete
-/// out of order; the coordinator's merge is slice-indexed, so delivery
-/// order is free), and each quiet heartbeat interval re-arms every
-/// outstanding lease. The exchange stays strictly request/response —
-/// the coordinator only ever speaks when spoken to — so pipelining
-/// needs no protocol change at all.
+/// Each leased slice simulates, and encodes its [`Msg::Result`], on its
+/// own OS thread while the calling thread owns the socket: when a slice
+/// finishes it first tops the lease set up with `Ready`, then ships that
+/// result (slices complete out of order; the coordinator's merge is
+/// slice-indexed, so delivery order is free), and once per heartbeat
+/// interval it re-arms every outstanding lease. The exchange stays
+/// strictly request/response — the coordinator only ever speaks when
+/// spoken to — so pipelining needs no protocol change at all.
 pub fn run_worker<A: ToSocketAddrs + Send + 'static>(
     addr: A,
     opts: WorkerOptions,
 ) -> io::Result<WorkerReport> {
     let mut stream = TcpStream::connect(addr)?;
+    campaign_socket(&stream)?;
     write_msg_blocking(
         &mut stream,
         &Msg::Hello { proto: PROTO_VERSION, output_wire: OUTPUT_WIRE_VERSION },
@@ -850,25 +890,35 @@ fn lease_loop(
     let jobs = opts.jobs.max(1);
     let plan_len = job.plan().len() as u64;
     let topo = Arc::new(job.spec.topology(job.seed));
-    // Finished computes flow back over one channel. Capacity `jobs`
-    // means a compute thread's `send` never blocks: at most `jobs`
-    // computes are outstanding and each sends exactly once.
-    let (tx, rx) = mpsc::sync_channel::<(u64, thread::Result<ExperimentOutput>)>(jobs);
+    // Finished computes flow back over one channel, each as its encoded
+    // `Result` frame. Capacity `jobs` means a compute thread's `send`
+    // never blocks: at most `jobs` computes are outstanding and each
+    // sends exactly once.
+    let (tx, rx) = mpsc::sync_channel::<(u64, thread::Result<Vec<u8>>)>(jobs);
     let mut outstanding: Vec<u64> = Vec::with_capacity(jobs);
+    // A finished slice's frame, held back while the lease set is topped
+    // up so the freed core starts its next slice before the wire moves.
+    let mut unsent: Option<Vec<u8>> = None;
+    let mut last_beat = Instant::now();
     loop {
         // Top the lease set up to `jobs` slices.
         while outstanding.len() < jobs {
             write_msg_blocking(stream, &Msg::Ready)?;
             match read_msg_blocking(stream)?.ok_or(io::ErrorKind::UnexpectedEof)? {
                 // `Done` means every slice in the plan already has a
-                // result, so anything still computing here is a
-                // duplicate-to-be of a slice someone else delivered
-                // (after this worker's lease timed out). The coordinator
-                // hangs up after `Done`; abandon the threads — their
-                // `send` into a dropped channel is a no-op.
+                // result, so an unsent frame and anything still
+                // computing here are duplicates-to-be of slices someone
+                // else delivered (after this worker's leases timed out).
+                // The coordinator hangs up after `Done`; abandon the
+                // threads — their `send` into a dropped channel is a
+                // no-op.
                 Msg::Done => return Ok(()),
                 Msg::Wait { poll_ms } => {
-                    if outstanding.is_empty() {
+                    if let Some(frame) = unsent.take() {
+                        // The unsent frame may be the one that finishes
+                        // the campaign: ship it and ask again at once.
+                        send_result(stream, &frame, slices_run)?;
+                    } else if outstanding.is_empty() {
                         thread::sleep(Duration::from_millis(poll_ms.clamp(1, 10_000)));
                     } else {
                         // Something is already simulating: service it
@@ -884,11 +934,17 @@ fn lease_loop(
                     }
                     let (job, topo, tx) = (job.clone(), topo.clone(), tx.clone());
                     thread::spawn(move || {
-                        let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-                            move || job.run_slice_on(topo, slice as usize),
+                        // Encoding here frees the output before a new
+                        // slice can start beside it, and keeps the I/O
+                        // thread's work per result to one write.
+                        let frame = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
+                            move || {
+                                let output = Box::new(job.run_slice_on(topo, slice as usize));
+                                encode_msg(&Msg::Result { slice, output })
+                            },
                         ));
                         // An error means the worker already bailed.
-                        let _ = tx.send((slice, out));
+                        let _ = tx.send((slice, frame));
                     });
                     outstanding.push(slice);
                 }
@@ -897,27 +953,40 @@ fn lease_loop(
                 }
             }
         }
-        // Wait for a compute to finish; every quiet heartbeat
-        // interval, one Heartbeat frame per outstanding lease keeps
-        // them all alive.
-        match rx.recv_timeout(opts.heartbeat) {
-            Ok((slice, result)) => {
-                let output = result
-                    .map_err(|_| proto_err(format!("slice {slice} simulation panicked")))?;
-                write_msg_blocking(stream, &Msg::Result { slice, output: Box::new(output) })?;
-                *slices_run += 1;
+        if let Some(frame) = unsent.take() {
+            send_result(stream, &frame, slices_run)?;
+        }
+        // Wait for a compute to finish, but no later than the next
+        // heartbeat is due.
+        match rx.recv_timeout(opts.heartbeat.saturating_sub(last_beat.elapsed())) {
+            Ok((slice, frame)) => {
                 outstanding.retain(|&s| s != slice);
+                unsent = Some(
+                    frame.map_err(|_| proto_err(format!("slice {slice} simulation panicked")))?,
+                );
             }
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                for &slice in &outstanding {
-                    write_msg_blocking(stream, &Msg::Heartbeat { slice })?;
-                }
-            }
+            Err(mpsc::RecvTimeoutError::Timeout) => {}
             Err(mpsc::RecvTimeoutError::Disconnected) => {
                 unreachable!("the worker loop holds a live sender")
             }
         }
+        // Heartbeats run on a deadline, not on quiet: results arriving
+        // faster than `heartbeat` must not starve a slow slice beside
+        // them of its re-arm.
+        if last_beat.elapsed() >= opts.heartbeat {
+            for &slice in &outstanding {
+                write_msg_blocking(stream, &Msg::Heartbeat { slice })?;
+            }
+            last_beat = Instant::now();
+        }
     }
+}
+
+/// Ships a finished slice's `Result` frame.
+fn send_result(stream: &mut TcpStream, frame: &[u8], slices_run: &mut u64) -> io::Result<()> {
+    write_frame(stream, "Result", frame)?;
+    *slices_run += 1;
+    Ok(())
 }
 
 #[cfg(test)]

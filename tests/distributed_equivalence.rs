@@ -19,7 +19,11 @@
 //!   without damaging the campaign;
 //! * the shutdown contract of the blocking I/O model: the coordinator's
 //!   sockets are closed when `serve_campaign` returns, and a pipelined
-//!   worker reads a hang-up as "campaign finished without me".
+//!   worker reads a hang-up as "campaign finished without me";
+//! * the worker's side of the exchange, against fake coordinators: it
+//!   asks for its next lease before shipping a finished result, never
+//!   naps on a `Wait` with a result in hand, and re-arms every lease on
+//!   a heartbeat deadline however often other results arrive.
 //!
 //! Timeouts here are aggressively short (`lease_timeout` 250 ms,
 //! heartbeats every 50 ms) so the failure paths run in test time; the
@@ -109,6 +113,20 @@ fn fake_handshake(addr: SocketAddr) -> TcpStream {
         Some(Msg::Job { .. }) => s,
         other => panic!("expected Job, got {other:?}"),
     }
+}
+
+/// A fake coordinator's side of the handshake: accepts one worker on
+/// `listener`, checks its `Hello` and hands it `j`.
+fn fake_coordinator_accept(listener: &TcpListener, j: &CampaignJob) -> TcpStream {
+    let (mut s, _peer) = listener.accept().expect("worker connects");
+    match read_msg_blocking(&mut s).unwrap() {
+        Some(Msg::Hello { proto, output_wire }) => {
+            assert_eq!((proto, output_wire), (PROTO_VERSION, OUTPUT_WIRE_VERSION));
+        }
+        other => panic!("expected Hello, got {other:?}"),
+    }
+    write_msg_blocking(&mut s, &Msg::Job { job: Box::new(j.clone()) }).unwrap();
+    s
 }
 
 /// Sends `Ready` and insists on a `Lease`, retrying through `Wait`s.
@@ -292,14 +310,7 @@ fn pipelined_worker_heartbeats_name_every_outstanding_lease() {
         run_worker(addr, WorkerOptions { heartbeat: Duration::from_millis(10), jobs: 2 })
             .expect("worker runs")
     });
-    let (mut s, _peer) = listener.accept().expect("worker connects");
-    match read_msg_blocking(&mut s).unwrap() {
-        Some(Msg::Hello { proto, output_wire }) => {
-            assert_eq!((proto, output_wire), (PROTO_VERSION, OUTPUT_WIRE_VERSION));
-        }
-        other => panic!("expected Hello, got {other:?}"),
-    }
-    write_msg_blocking(&mut s, &Msg::Job { job: Box::new(j.clone()) }).unwrap();
+    let mut s = fake_coordinator_accept(&listener, &j);
     // Heartbeats arrive in runs between the worker's other frames; any
     // run naming both slices proves one timeout tick re-armed them all.
     let mut granted = 0u64;
@@ -340,6 +351,142 @@ fn pipelined_worker_heartbeats_name_every_outstanding_lease() {
         batches.iter().any(|b| b.contains(&0) && b.contains(&1)),
         "no heartbeat run named both outstanding slices; runs seen: {batches:?}"
     );
+}
+
+#[test]
+fn heartbeats_run_on_a_deadline_while_other_results_keep_arriving() {
+    // A --jobs 2 worker holds one long slice and one short one, and the
+    // fake coordinator keeps re-leasing the short one: results then
+    // arrive far more often than the heartbeat interval. The long
+    // slice's lease must still be re-armed every interval — a worker
+    // that heartbeats only when nothing else happens would let it
+    // expire however honest it is.
+    let heartbeat = Duration::from_millis(100);
+    let spec = ScenarioRegistry::builtin().get("ron-narrow").expect("builtin scenario").clone();
+    // Slice 0 is an hour of simulation, slice 1 (the remainder) a
+    // second.
+    let j = CampaignJob {
+        spec,
+        seed: 42,
+        duration_us: SimDuration::from_secs(3_601).as_micros(),
+        slice_width_us: SimDuration::from_secs(3_600).as_micros(),
+    };
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let addr = listener.local_addr().unwrap();
+    let worker = std::thread::spawn(move || {
+        run_worker(addr, WorkerOptions { heartbeat, jobs: 2 }).expect("worker runs")
+    });
+    let mut s = fake_coordinator_accept(&listener, &j);
+    let (long, short) = (0u64, 1u64);
+    let mut granted_long = false;
+    let mut long_done = false;
+    let mut short_results = 0u64;
+    // When the long slice's lease was last (re-)armed, and the longest
+    // it went without.
+    let mut armed = std::time::Instant::now();
+    let mut longest = Duration::ZERO;
+    loop {
+        match read_msg_blocking(&mut s).unwrap() {
+            Some(Msg::Ready) => {
+                if !granted_long {
+                    write_msg_blocking(&mut s, &Msg::Lease { slice: long }).unwrap();
+                    armed = std::time::Instant::now();
+                    granted_long = true;
+                } else if !long_done {
+                    write_msg_blocking(&mut s, &Msg::Lease { slice: short }).unwrap();
+                } else {
+                    write_msg_blocking(&mut s, &Msg::Done).unwrap();
+                    break;
+                }
+            }
+            Some(Msg::Heartbeat { slice }) if slice == long => {
+                longest = longest.max(armed.elapsed());
+                armed = std::time::Instant::now();
+            }
+            Some(Msg::Heartbeat { .. }) => {}
+            Some(Msg::Result { slice, .. }) if slice == long => {
+                longest = longest.max(armed.elapsed());
+                long_done = true;
+            }
+            Some(Msg::Result { .. }) => short_results += 1,
+            other => panic!("unexpected frame from worker: {other:?}"),
+        }
+    }
+    let wr = worker.join().expect("worker thread");
+    assert!(!wr.coordinator_closed);
+    assert!(short_results > 0, "the short slice must keep finishing beside the long one");
+    assert_eq!(wr.slices_run, short_results + 1);
+    assert!(
+        longest < 4 * heartbeat,
+        "the long slice went {longest:?} without a heartbeat while {short_results} short \
+         results arrived (heartbeat every {heartbeat:?})"
+    );
+}
+
+#[test]
+fn a_finished_slice_asks_for_its_next_lease_before_shipping_its_result() {
+    // A worker whose slice finished asks for the next lease first, so
+    // its core is busy again before the result crosses the wire. The
+    // grammar still holds: the coordinator reads frames in order.
+    let j = job("ron-narrow");
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let addr = listener.local_addr().unwrap();
+    let worker = std::thread::spawn(move || {
+        run_worker(addr, WorkerOptions { heartbeat: Duration::from_secs(60), jobs: 1 })
+            .expect("worker runs")
+    });
+    let mut s = fake_coordinator_accept(&listener, &j);
+    assert!(matches!(read_msg_blocking(&mut s).unwrap(), Some(Msg::Ready)));
+    write_msg_blocking(&mut s, &Msg::Lease { slice: 0 }).unwrap();
+    match read_msg_blocking(&mut s).unwrap() {
+        Some(Msg::Ready) => {}
+        other => panic!("a finished slice must ask for its next lease first, got {other:?}"),
+    }
+    // A `Wait` with a frame unsent must not park it for `poll_ms`: that
+    // frame may be the one that finishes the campaign.
+    write_msg_blocking(&mut s, &Msg::Wait { poll_ms: 10_000 }).unwrap();
+    let asked = std::time::Instant::now();
+    s.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+    match read_msg_blocking(&mut s).unwrap() {
+        Some(Msg::Result { slice: 0, output }) => {
+            assert_eq!(output.fingerprint(), j.run_slice_index(0).fingerprint());
+        }
+        other => panic!("expected Result{{0}} right after the Wait, got {other:?}"),
+    }
+    assert!(matches!(read_msg_blocking(&mut s).unwrap(), Some(Msg::Ready)));
+    assert!(asked.elapsed() < Duration::from_secs(2), "the worker slept on the Wait");
+    write_msg_blocking(&mut s, &Msg::Done).unwrap();
+    let wr = worker.join().expect("worker thread");
+    assert_eq!(wr.slices_run, 1);
+    assert!(!wr.coordinator_closed);
+}
+
+#[test]
+fn a_long_poll_hint_does_not_hold_up_the_campaign_end() {
+    // Every `Ready` a pipelined worker sends ahead of its last results
+    // is answered `Wait` with the full 10 s hint (30 s leases never come
+    // close to expiring). The worker must ship those results at once,
+    // not nap on the hint with them in hand.
+    let j = job("ron-narrow");
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let addr = listener.local_addr().unwrap();
+    let serve_job = j.clone();
+    let opts = ServeOptions { lease_timeout: Duration::from_secs(30), poll_ms: 10_000 };
+    let started = std::time::Instant::now();
+    let coordinator = std::thread::spawn(move || {
+        serve_campaign(listener, serve_job, opts).expect("campaign serves")
+    });
+    let worker = std::thread::spawn(move || {
+        run_worker(addr, WorkerOptions { jobs: 2, ..fast_worker() }).expect("worker runs")
+    });
+    let rep = coordinator.join().expect("coordinator thread");
+    let wr = worker.join().expect("worker thread");
+    let took = started.elapsed();
+    assert!(took < Duration::from_secs(5), "the campaign took {took:?}");
+    assert!(!wr.coordinator_closed, "the worker must hear Done");
+    assert_eq!(wr.slices_run, rep.slices as u64);
+    let local = mpath::core::run_experiment(j.spec.topology(j.seed), j.config());
+    assert_eq!(rep.output.fingerprint(), local.fingerprint());
 }
 
 #[test]
@@ -629,9 +776,7 @@ fn pipelined_worker_reads_a_hang_up_mid_compute_as_campaign_over() {
     let worker = std::thread::spawn(move || {
         run_worker(addr, WorkerOptions { heartbeat: Duration::from_millis(10), jobs: 2 })
     });
-    let (mut s, _peer) = listener.accept().expect("worker connects");
-    assert!(matches!(read_msg_blocking(&mut s).unwrap(), Some(Msg::Hello { .. })));
-    write_msg_blocking(&mut s, &Msg::Job { job: Box::new(j) }).unwrap();
+    let mut s = fake_coordinator_accept(&listener, &j);
     for slice in 0..2u64 {
         assert!(matches!(read_msg_blocking(&mut s).unwrap(), Some(Msg::Ready)));
         write_msg_blocking(&mut s, &Msg::Lease { slice }).unwrap();
