@@ -20,7 +20,7 @@ impl Series {
 
     /// Linear interpolation of `y` at `x` (clamping outside the domain);
     /// `None` for an empty series. Assumes points sorted by `x`.
-    pub fn y_at(&self, x: f64) -> Option<f64> {
+    fn y_at(&self, x: f64) -> Option<f64> {
         if self.points.is_empty() {
             return None;
         }

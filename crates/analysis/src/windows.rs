@@ -30,8 +30,8 @@ pub struct WindowShape {
     pub pairs: PairIndex,
     /// Analysis-method count.
     pub methods: usize,
-    /// No window is open (see [`WindowAccum::is_finished`]); a merge
-    /// needs this true on both sides.
+    /// No window is open ([`WindowAccum::finish`] ran after the last
+    /// outcome); a merge needs this true on both sides.
     pub finished: bool,
 }
 
@@ -172,7 +172,7 @@ impl WindowAccum {
 
     /// True when no window is open (i.e. [`finish`](Self::finish) ran
     /// after the last outcome).
-    pub fn is_finished(&self) -> bool {
+    fn is_finished(&self) -> bool {
         self.win.iter().all(|&w| w == 0)
     }
 

@@ -143,6 +143,12 @@
 //! draining replies cannot pin its thread. A refused peer costs one
 //! connection, never the campaign.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "the coordinator and its workers keep real lease deadlines against real TCP peers; \
+              no clock read reaches a simulated slice"
+)]
+
 use crate::experiment::{run_slice, ExperimentConfig, ExperimentOutput, OUTPUT_WIRE_VERSION};
 use crate::scenario::ScenarioSpec;
 use crate::shard::{SliceMerger, SlicePlan};

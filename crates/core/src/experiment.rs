@@ -522,7 +522,7 @@ impl Runner {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "the fields of one SendEvent, passed on the hot path without a struct")]
     fn send_measure(
         &mut self,
         now: SimTime,
@@ -606,7 +606,7 @@ impl Runner {
     /// only the first leg's ("every later copy avoids the first copy's
     /// path" — copies beyond the second may still share a detour, as
     /// two `rand` legs may), same-path probes none.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "a probe's identity plus the leg cursor its Ev::Leg event resumes from")]
     fn send_legs(
         &mut self,
         now: SimTime,

@@ -70,14 +70,8 @@ impl Method {
         Method { name: name.to_string(), legs, gap, distinct: true, all_prior: false }
     }
 
-    /// A k-redundant probe under full diversity: every copy avoids the
-    /// paths of all earlier copies (best effort on small meshes).
-    pub fn redundant_diverse(name: &str, legs: Vec<RouteTag>, gap: SimDuration) -> Method {
-        Method { name: name.to_string(), legs, gap, distinct: true, all_prior: true }
-    }
-
     /// A same-path pair (direct direct / dd 10 ms / dd 20 ms).
-    pub fn same_path(name: &str, gap: SimDuration) -> Method {
+    fn same_path(name: &str, gap: SimDuration) -> Method {
         Method {
             name: name.to_string(),
             legs: vec![RouteTag::Direct, RouteTag::Direct],
@@ -116,7 +110,7 @@ impl MethodSet {
     }
 
     /// Display names in analysis-method id order, borrowed.
-    pub fn iter_names(&self) -> impl Iterator<Item = &str> {
+    fn iter_names(&self) -> impl Iterator<Item = &str> {
         self.methods
             .iter()
             .map(|m| m.name.as_str())
@@ -605,18 +599,6 @@ mod tests {
             r#"{"name":"x","legs":["Rand"],"gap_ms":0,"distinct":false,"al_prior":true}"#
         )
         .is_err());
-    }
-
-    #[test]
-    fn redundant_diverse_constructor_sets_both_flags() {
-        let m = Method::redundant_diverse(
-            "r4!",
-            vec![RouteTag::Rand; 4],
-            SimDuration::from_millis(10),
-        );
-        assert!(m.distinct && m.all_prior);
-        let set = MethodSet { methods: vec![m], views: Vec::new() };
-        assert!(set.validate().is_ok());
     }
 
     #[test]

@@ -164,8 +164,11 @@ pub fn fig5(out: &ExperimentOutput) -> Figure {
         "fraction_of_paths",
     );
     let Some((direct_idx, _)) = resolve(out, "direct") else { return fig };
-    // detlint: allow(nondet-iter) — membership probe only (`contains`
-    // below); the series order is per_path_latency_ms's, never the set's.
+    #[allow(
+        clippy::disallowed_types,
+        reason = "membership probe only (`contains` below); the series order is \
+                  per_path_latency_ms's, never the set's"
+    )]
     let slow: std::collections::HashSet<(HostId, HostId)> = out
         .loss
         .per_path_latency_ms(direct_idx)

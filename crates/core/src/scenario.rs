@@ -18,10 +18,10 @@
 //! The [`ScenarioRegistry`] holds the named specs: the three paper
 //! campaigns (re-expressed as specs) plus synthetic stress scenarios
 //! probing exactly the conditions where the best-path vs. multi-path
-//! question flips. The registry is *open*: `register` accepts any spec,
-//! and the `repro` binary validates and runs user-written spec files
-//! directly — including files whose [`MethodsSpec::Custom`] set defines
-//! k-redundant probe methods the paper never ran.
+//! question flips. Beside them, the `repro` binary validates and runs
+//! user-written spec files directly — including files whose
+//! [`MethodsSpec::Custom`] set defines k-redundant probe methods the
+//! paper never ran.
 //!
 //! Determinism: a spec plus a seed fully determine the run.
 //! [`ScenarioSpec::digest`] folds the spec's canonical JSON into a
@@ -228,7 +228,7 @@ impl DisseminationSpec {
 
     /// True for the historical default (the variant omitted from
     /// canonical JSON).
-    pub fn is_default(&self) -> bool {
+    fn is_default(&self) -> bool {
         *self == DisseminationSpec::FullSnapshot
     }
 }
@@ -665,7 +665,7 @@ pub struct ScenarioRegistry {
 
 impl ScenarioRegistry {
     /// An empty registry.
-    pub fn empty() -> Self {
+    fn empty() -> Self {
         ScenarioRegistry { entries: Vec::new() }
     }
 
@@ -681,7 +681,7 @@ impl ScenarioRegistry {
 
     /// Adds a scenario; rejects duplicate or empty names and
     /// semantically invalid specs (see [`ScenarioSpec::validate`]).
-    pub fn register(&mut self, spec: ScenarioSpec) -> Result<(), String> {
+    fn register(&mut self, spec: ScenarioSpec) -> Result<(), String> {
         if spec.name.is_empty() {
             return Err("scenario name must not be empty".to_string());
         }

@@ -21,10 +21,15 @@
 //!   overlay nodes and [`trace::Collector`];
 //! * the *true* campaign clock: events run at the slice's absolute time
 //!   offset, so the diurnal load profile, host clock skews and the
-//!   window accumulators all see the real timeline (the lazily
-//!   initialised loss/outage chains start from their stationary
-//!   distribution at first observation, so an offset start costs
-//!   nothing).
+//!   window accumulators all see the real timeline. The underlay's
+//!   lazily initialised loss and outage chains start from their
+//!   stationary distribution at first observation, so for them an
+//!   offset start costs nothing. The overlay does start cold: `Runner`
+//!   builds every node with empty link-state tables, and a path with no
+//!   samples estimates 50% loss ([`overlay::PathStats::loss_estimate`]),
+//!   so the reactive methods route on a partial table for the first
+//!   probe cycles of every slice. How much that moves the reactive rows
+//!   at narrow slice widths is ROADMAP item 5(b).
 //!
 //! # One executor, one merger
 //!
@@ -165,7 +170,7 @@ impl SlicePlan {
 /// The effective worker-thread count for `cfg`: an explicit
 /// [`ExperimentConfig::shards`], else the `MPATH_SHARDS` environment
 /// variable (the CI toggle), else 1.
-pub fn resolve_shards(cfg: &ExperimentConfig) -> usize {
+fn resolve_shards(cfg: &ExperimentConfig) -> usize {
     if cfg.shards > 0 {
         return cfg.shards;
     }

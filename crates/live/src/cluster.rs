@@ -16,7 +16,7 @@ pub struct Cluster {
 
 /// Demo-friendly node configuration: everything runs ~50× faster than
 /// the RON defaults so convergence takes seconds, not minutes.
-pub fn demo_node_config() -> NodeConfig {
+fn demo_node_config() -> NodeConfig {
     NodeConfig {
         prober: ProberConfig {
             interval: netsim::SimDuration::from_millis(300),

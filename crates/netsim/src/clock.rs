@@ -7,10 +7,9 @@
 //! by averaging the forward and reverse path summaries.
 
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// A host clock model.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ClockModel {
     /// Fixed offset from true time, microseconds (signed).
     pub offset_us: i64,

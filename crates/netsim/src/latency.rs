@@ -15,12 +15,11 @@
 
 use crate::rng::Rng;
 use crate::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// A scripted latency pathology: between `start` and `end` the segment's
 /// delay is inflated by roughly `extra` (the paper's §4.5 Cornell episode
 /// is the canonical example).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Episode {
     /// Episode start (inclusive).
     pub start: SimTime,
@@ -31,7 +30,7 @@ pub struct Episode {
 }
 
 /// The latency model of one segment.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LatencyModel {
     /// Fixed propagation + transmission delay.
     pub prop: SimDuration,

@@ -8,10 +8,9 @@
 //! builder, handled in [`crate::segment`].
 
 use crate::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// A smooth 24-hour load profile.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct LoadProfile {
     /// Relative swing around 1.0; 0.6 means intensity varies 0.4..1.6.
     pub amplitude: f64,

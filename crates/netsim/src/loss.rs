@@ -18,10 +18,9 @@
 
 use crate::rng::Rng;
 use crate::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the Gilbert–Elliott congestion process.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct GeParams {
     /// Mean sojourn in the good state at load intensity 1.0.
     pub mean_good: SimDuration,
@@ -83,14 +82,14 @@ impl GeParams {
     }
 
     /// Mean bad sojourn in microseconds.
-    pub fn mean_bad_micros(&self) -> f64 {
+    fn mean_bad_micros(&self) -> f64 {
         (1.0 - self.p_long) * self.short_bad.as_micros() as f64
             + self.p_long * self.long_bad.as_micros() as f64
     }
 
     /// Long-run fraction of time spent in the bad state at intensity
     /// `intensity` (which scales how often bursts start).
-    pub fn stationary_bad(&self, intensity: f64) -> f64 {
+    fn stationary_bad(&self, intensity: f64) -> f64 {
         let g = self.mean_good.as_micros() as f64 / intensity.max(1e-9);
         let b = self.mean_bad_micros();
         b / (g + b)
@@ -148,7 +147,7 @@ impl GilbertElliott {
     /// read when a sojourn must be drawn (a crossing in fifty on the
     /// paper's campaign), so the caller's diurnal `sin` and hot-window
     /// scan run on that path alone. Same draws, same bits.
-    pub fn is_bad_with(
+    fn is_bad_with(
         &mut self,
         now: SimTime,
         intensity: impl FnOnce() -> f64,
@@ -188,7 +187,8 @@ impl GilbertElliott {
         self.observe_with(now, || intensity, rng)
     }
 
-    /// [`Self::observe`] over [`Self::is_bad_with`].
+    /// [`Self::observe`] with the load intensity as a thunk, read only
+    /// when a sojourn must be drawn (see [`Self::is_bad`]).
     pub fn observe_with(
         &mut self,
         now: SimTime,

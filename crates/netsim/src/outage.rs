@@ -10,10 +10,9 @@
 
 use crate::rng::Rng;
 use crate::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the outage process.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct OutageParams {
     /// Mean time between failures (exponential).
     pub mean_up: SimDuration,
@@ -61,7 +60,7 @@ impl OutageParams {
     }
 
     /// Mean downtime in microseconds (bounded-Pareto mean).
-    pub fn mean_down_micros(&self) -> f64 {
+    fn mean_down_micros(&self) -> f64 {
         let l = self.min_down.as_micros() as f64;
         let h = self.max_down.as_micros() as f64;
         let a = self.alpha;
@@ -76,7 +75,7 @@ impl OutageParams {
     }
 
     /// Long-run fraction of time the segment is down.
-    pub fn duty_down(&self) -> f64 {
+    fn duty_down(&self) -> f64 {
         let down = self.mean_down_micros();
         let up = self.mean_up.as_micros() as f64;
         down / (up + down)

@@ -227,15 +227,6 @@ impl Rng {
             xs.swap(i, j);
         }
     }
-
-    /// Picks a uniformly random element index, `None` for an empty slice.
-    pub fn pick_index(&mut self, len: usize) -> Option<usize> {
-        if len == 0 {
-            None
-        } else {
-            Some(self.below(len as u64) as usize)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -410,12 +401,5 @@ mod tests {
         let mut sorted = xs.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn pick_index_empty() {
-        let mut r = Rng::new(13);
-        assert_eq!(r.pick_index(0), None);
-        assert!(r.pick_index(3).unwrap() < 3);
     }
 }

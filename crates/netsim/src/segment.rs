@@ -12,14 +12,14 @@ use crate::loss::{GeParams, GilbertElliott};
 use crate::outage::{OutageParams, OutageProcess};
 use crate::rng::Rng;
 use crate::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Identifies one segment within a topology.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[allow(clippy::disallowed_methods, reason = "derived PartialOrd on an integer; no float is compared")]
 pub struct SegmentId(pub u32);
 
 /// Why a packet died on a segment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DropCause {
     /// The segment was inside a failure window.
     Outage,
@@ -42,7 +42,7 @@ pub enum Transit {
 
 /// Static description of a segment; the topology builder produces these
 /// and [`Segment::new`] animates them.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SegmentSpec {
     /// Congestion-loss parameters.
     pub loss: GeParams,

@@ -11,10 +11,12 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub};
 
 /// An absolute instant in simulated time, in microseconds since the epoch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default)]
+#[allow(clippy::disallowed_methods, reason = "derived PartialOrd on an integer; no float is compared")]
 pub struct SimTime(u64);
 
 /// A non-negative span of simulated time, in microseconds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default)]
+#[allow(clippy::disallowed_methods, reason = "derived PartialOrd on an integer; no float is compared")]
 pub struct SimDuration(u64);
 
 impl SimTime {

@@ -20,11 +20,11 @@ use crate::outage::OutageParams;
 use crate::rng::Rng;
 use crate::segment::{SegmentId, SegmentSpec};
 use crate::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Index of a host within a topology.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[allow(clippy::disallowed_methods, reason = "derived PartialOrd on an integer; no float is compared")]
 pub struct HostId(pub u16);
 
 impl HostId {
@@ -35,7 +35,7 @@ impl HostId {
 }
 
 /// Access-link technology / administrative class of a host (Table 2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum HostClass {
     /// US university on the Internet2 backbone (asterisks in Table 1).
     EduI2,
@@ -75,7 +75,7 @@ impl HostClass {
     }
 
     /// Extra one-way propagation on the access link (last-mile delay).
-    pub fn edge_prop(self) -> SimDuration {
+    fn edge_prop(self) -> SimDuration {
         match self {
             HostClass::EduI2 => SimDuration::from_micros(300),
             HostClass::Edu => SimDuration::from_micros(500),
@@ -90,7 +90,7 @@ impl HostClass {
     }
 
     /// Mean days between access-link failures.
-    pub fn edge_mtbf_days(self) -> f64 {
+    fn edge_mtbf_days(self) -> f64 {
         match self {
             HostClass::EduI2 => 18.0,
             HostClass::Edu => 12.0,
@@ -106,7 +106,7 @@ impl HostClass {
 }
 
 /// One testbed host.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HostInfo {
     /// Short name (Table 1 column 1).
     pub name: String,
@@ -124,7 +124,7 @@ pub struct HostInfo {
 }
 
 /// Global knobs distinguishing testbed eras and scenarios.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TopologyParams {
     /// Multiplier on all stationary congestion loss (2002 ran hotter).
     pub loss_scale: f64,
@@ -894,8 +894,10 @@ mod tests {
     fn segment_indexing_is_unique_and_in_bounds() {
         let t = Topology::ron2003(2);
         let n = t.n();
-        // detlint: allow(nondet-iter) — test-side uniqueness probe; the
-        // only iteration is an order-insensitive max().
+        #[allow(
+            clippy::disallowed_types,
+            reason = "test-side uniqueness probe; the only iteration is an order-insensitive max()"
+        )]
         let mut seen = std::collections::HashSet::new();
         for i in 0..n as u16 {
             assert!(seen.insert(t.seg_out(HostId(i))));

@@ -16,10 +16,9 @@ use crate::prober::{Prober, ProberConfig};
 use crate::table::{LinkStateTable, Policy, Route};
 use crate::wire::{MeasureKind, Packet, RouteTag};
 use netsim::{HostId, Rng, SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Node configuration: probing plus routing-metric parameters.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct NodeConfig {
     /// Prober timing.
     pub prober: ProberConfig,
@@ -730,8 +729,10 @@ mod tests {
                 break;
             }
         }
-        // detlint: allow(nondet-iter) — test assertion set compared by
-        // set equality, order never observed.
+        #[allow(
+            clippy::disallowed_types,
+            reason = "test assertion set compared by set equality, order never observed"
+        )]
         let probed: std::collections::HashSet<u16> = out
             .iter()
             .filter_map(|tx| match &tx.packet {

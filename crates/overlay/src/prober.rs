@@ -16,10 +16,9 @@ use crate::peers::PeerSet;
 use crate::stats::PathStats;
 use crate::table::LinkStateTable;
 use netsim::{HostId, Rng, SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Prober timing configuration.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ProberConfig {
     /// Steady-state interval between probes to each peer.
     pub interval: SimDuration,

@@ -84,7 +84,6 @@ pub struct PathStats {
     consecutive_losses: u32,
     dead_threshold: u32,
     dead: bool,
-    last_success: Option<SimTime>,
 }
 
 impl PathStats {
@@ -98,7 +97,6 @@ impl PathStats {
             consecutive_losses: 0,
             dead_threshold,
             dead: false,
-            last_success: None,
         }
     }
 
@@ -108,7 +106,8 @@ impl PathStats {
     }
 
     /// Records a successful probe with the measured one-way latency.
-    pub fn record_success(&mut self, now: SimTime, one_way: SimDuration) {
+    /// The probe's arrival time is not read.
+    pub fn record_success(&mut self, _now: SimTime, one_way: SimDuration) {
         self.window.push(false);
         let sample = one_way.as_micros() as f64;
         self.lat_us = Some(match self.lat_us {
@@ -117,7 +116,6 @@ impl PathStats {
         });
         self.consecutive_losses = 0;
         self.dead = false;
-        self.last_success = Some(now);
     }
 
     /// Records a probe loss (timeout).
@@ -162,19 +160,9 @@ impl PathStats {
         self.dead
     }
 
-    /// Instant of the last successful probe.
-    pub fn last_success(&self) -> Option<SimTime> {
-        self.last_success
-    }
-
     /// Number of probes recorded in the window.
     pub fn samples(&self) -> usize {
         self.window.len()
-    }
-
-    /// Consecutive losses so far (drives the fast-probe chain).
-    pub fn consecutive_losses(&self) -> u32 {
-        self.consecutive_losses
     }
 }
 

@@ -217,7 +217,7 @@ fn advertised(peer: HostId, s: &PathStats) -> MetricEntry {
 impl LinkStateTable {
     /// Creates a table for a clique of `n` nodes: [`Self::with_peers`]
     /// over [`PeerSet::everyone`].
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "mirrors with_peers, whose parameters are the table's knobs")]
     pub fn new(
         me: HostId,
         n: usize,
@@ -245,7 +245,7 @@ impl LinkStateTable {
     /// # Panics
     ///
     /// When `me` is one of its own peers.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "one parameter per knob of the node's overlay configuration")]
     pub fn with_peers(
         me: HostId,
         peers: PeerSet,

@@ -36,7 +36,7 @@
 
 use crate::record::{LegOutcome, PairOutcome, RecvEvent, SendEvent, MAX_PROBE_LEGS};
 use netsim::{HostId, SimDuration, SimTime};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// An FxHash-style hasher for 64-bit probe ids: one XOR and one multiply
@@ -64,10 +64,12 @@ impl Hasher for FxU64 {
     }
 }
 
-// detlint: allow(nondet-iter) — lookup-only id→slot index: outcome order
-// comes from the slab + deadline ring (see `finish`), never from map
-// iteration; the hasher is fixed-seed Fx, not RandomState, besides.
-type FxMap<V> = HashMap<u64, V, BuildHasherDefault<FxU64>>;
+#[allow(
+    clippy::disallowed_types,
+    reason = "lookup-only id→slot index: outcome order comes from the slab and deadline ring \
+              (see `finish`), never from map iteration; the hasher is fixed-seed Fx besides"
+)]
+type FxMap<V> = std::collections::HashMap<u64, V, BuildHasherDefault<FxU64>>;
 
 /// A collector's aggregate counters in mergeable form.
 ///
@@ -430,11 +432,6 @@ impl Collector {
             peak_pending: self.peak_pending,
         }
     }
-
-    /// Number of still-open pairs (memory watermark).
-    pub fn pending_len(&self) -> usize {
-        self.index.len()
-    }
 }
 
 #[cfg(test)]
@@ -600,7 +597,7 @@ mod tests {
         heartbeat(&mut c, &[0, 1], 0);
         c.on_send(send(52, MAX_PROBE_LEGS as u8, 0, 1, 1));
         assert_eq!(c.stats().malformed_sends, 1);
-        assert_eq!(c.pending_len(), 2, "only the heartbeats are pending");
+        assert_eq!(c.index.len(), 2, "only the heartbeats are pending");
         // The stat merges like the others.
         let mut total = CollectorStats::default();
         total.merge(&c.stats());
@@ -693,9 +690,9 @@ mod tests {
         let mut c = Collector::new(4, cfg());
         heartbeat(&mut c, &[0, 1], 0);
         c.on_send(send(46, 0, 0, 1, 5));
-        assert!(c.pending_len() > 0);
+        assert!(!c.index.is_empty());
         c.finish(SimTime::from_secs(6));
-        assert_eq!(c.pending_len(), 0);
+        assert_eq!(c.index.len(), 0);
         assert!(c.drain().iter().any(|o| o.id == 46));
     }
 
@@ -778,7 +775,7 @@ mod tests {
         }
         assert_eq!(c.stats().peak_pending, 12);
         c.advance(SimTime::from_secs(60));
-        assert_eq!(c.pending_len(), 0, "everything resolved");
+        assert_eq!(c.index.len(), 0, "everything resolved");
         assert_eq!(c.stats().peak_pending, 12, "the mark survives the drain");
         // A second leg on an open pair opens nothing new.
         heartbeat(&mut c, &[0, 1], 70);

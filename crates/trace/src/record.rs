@@ -183,7 +183,7 @@ impl PairOutcome {
     /// The smallest observed one-way time across the first `j` legs —
     /// what an application sending only j copies would have seen.
     #[inline]
-    pub fn best_of_first_one_way_us(&self, j: usize) -> Option<i64> {
+    fn best_of_first_one_way_us(&self, j: usize) -> Option<i64> {
         self.one_way
             .iter()
             .take(j)
