@@ -887,9 +887,11 @@ mod tests {
         let animated = runner.net.animated_segments();
         assert!(animated > hosts, "animated {animated}");
         assert!(animated <= (k + 2) * hosts, "animated {animated} segments");
-        // 25 simulated minutes is more than a ring revolution.
+        // 25 simulated minutes is many ring revolutions: the queue holds
+        // ~90 KB here, a private buffer per ring bucket it ever filled
+        // would be ~600 KB.
         let held = runner.q.approx_bytes();
-        assert!(held < 1 << 20, "the event queue retains {held} bytes");
+        assert!(held < 1 << 18, "the event queue retains {held} bytes");
         // And the accumulators hold a row per declared pair and method
         // (one method, ten 8-byte counters), not one per ordered pair.
         assert!(runner.loss.summary(0).pairs > 1_000);

@@ -14,32 +14,31 @@
 //! allocation; the wheel exploits the short scheduling horizon instead:
 //!
 //! * the timeline is cut into `SLOT_WIDTH_US`-microsecond (131 ms)
-//!   windows; `N_SLOTS` (8192) consecutive windows form a ring covering
-//!   a `HORIZON_US` (~18 min) horizon ahead of the cursor;
+//!   windows; `N_SLOTS` (256) consecutive windows form a ring covering
+//!   a `HORIZON_US` (~33.5 s) horizon ahead of the cursor;
 //! * the **open** window (the one containing "now") is a tiny binary
 //!   heap ordered by `(time, seq)` — tens of entries, L1-resident, so
 //!   the short packet delays that dominate traffic cost a few hot
 //!   compares instead of sifting through one big cold heap;
 //! * `push` into a future window appends to its ring bucket in `O(1)`;
 //!   a bucket is heapified only once, when the cursor reaches it;
-//! * the handful of events scheduled beyond the horizon go to a small
-//!   overflow heap and migrate into the ring as the cursor advances.
+//! * the few events scheduled beyond the horizon (a timer longer than
+//!   ~33 s) go to a small overflow heap and migrate into the ring as the
+//!   cursor advances.
 //!
 //! ## What a queue holds
 //!
-//! The ring's 8192 bucket headers (~200 KB, allocated once), and one
+//! The ring's 256 bucket headers (6 KB, allocated once), and one
 //! entry buffer per *simultaneously occupied* bucket — about a hundred
 //! at a 15 s probe interval, whatever the length of the run. A bucket
 //! the cursor drains hands its buffer to a queue-owned spare list, and
 //! a push into a bucket that has none takes the most recently returned
 //! one (still cache-hot), so steady-state pushes allocate nothing. The
 //! buffer must **not** go back to the slot it came from: the cursor
-//! will not revisit that slot for a full ring revolution (~18 simulated
-//! minutes), so a long run would leave a private, empty buffer parked
-//! in every one of the 8192 slots — 20 MB for the 38 events pending at
-//! the end of a 2-hour, 30-host campaign. Resident memory follows what
-//! is pending, not what was ever scheduled; [`EventQueue::approx_bytes`]
-//! reports it.
+//! will not revisit that slot for a full ring revolution, so a long run
+//! would leave a private, empty buffer parked in every slot it ever
+//! filled. Resident memory follows what is pending, not what was ever
+//! scheduled; [`EventQueue::approx_bytes`] reports it.
 //!
 //! Keys `(time, seq)` are unique and totally ordered, so heap pops are
 //! deterministic and the pop sequence is **identical** to an ordered
@@ -60,12 +59,13 @@ const SLOT_WIDTH_US: u64 = 1 << SLOT_BITS;
 const SLOT_BITS: u32 = 17;
 /// Number of windows on the ring (a power of two, so the slot for an
 /// instant is a shift and a mask).
-const N_SLOTS: usize = 1 << 13;
+const N_SLOTS: usize = 1 << 8;
 /// The scheduling horizon the ring covers ahead of the cursor, in
-/// microseconds (2^30 µs ≈ 17.9 simulated minutes). Everything the
-/// experiment schedules — packet delays, probe pacing, sweeps, timer
-/// re-arms — lands far inside it; events beyond it wait in the overflow
-/// heap and migrate as the cursor advances.
+/// microseconds (2^25 µs ≈ 33.5 simulated seconds). Everything the
+/// experiment schedules lands inside it — packet delays, pacing waits
+/// (≤ 1.2 s), the crash retry (5 s), sweeps (10 s apart) and prober
+/// re-arms (≤ 15 s × 1.2); events beyond it wait in the overflow heap
+/// and migrate as the cursor advances.
 const HORIZON_US: u64 = (N_SLOTS as u64) << SLOT_BITS;
 
 struct Entry<E> {
@@ -353,7 +353,7 @@ mod tests {
     #[test]
     fn far_future_events_survive_the_horizon() {
         let mut q = EventQueue::new();
-        q.push(SimTime::from_secs(3_600), "far"); // >> the ~18 min horizon
+        q.push(SimTime::from_secs(3_600), "far"); // >> the ~33 s horizon
         q.push(SimTime::from_millis(1), "near");
         assert_eq!(q.peek_time(), Some(SimTime::from_millis(1)));
         assert_eq!(q.pop().unwrap().1, "near");
@@ -373,12 +373,12 @@ mod tests {
     fn peek_sees_overflow_entries_inside_the_advanced_horizon() {
         let mut q = EventQueue::new();
         q.push(SimTime::from_micros(400_000), "b");
-        // Just beyond the initial 2^30 µs horizon: goes to overflow.
-        q.push(SimTime::from_micros(1_073_741_874), "o");
+        // Just beyond the initial 2^25 µs horizon: goes to overflow.
+        q.push(SimTime::from_micros(33_554_482), "o");
         assert_eq!(q.pop().unwrap().1, "b"); // advances wheel_start
         // Now inside the horizon as seen from the advanced cursor: ring.
-        q.push(SimTime::from_micros(1_074_000_000), "r");
-        assert_eq!(q.peek_time(), Some(SimTime::from_micros(1_073_741_874)));
+        q.push(SimTime::from_micros(33_800_000), "r");
+        assert_eq!(q.peek_time(), Some(SimTime::from_micros(33_554_482)));
         assert_eq!(q.pop().unwrap().1, "o");
         assert_eq!(q.pop().unwrap().1, "r");
         assert_eq!(q.pop(), None);
@@ -395,6 +395,14 @@ mod tests {
         q.push(SimTime::from_secs(1), "past");
         assert_eq!(q.pop().unwrap().1, "past");
         assert_eq!(q.pop().unwrap().1, "same-window");
+    }
+
+    /// An empty queue holds the ring's bucket headers and nothing else.
+    #[test]
+    fn an_empty_queue_holds_only_its_ring_headers() {
+        let q = EventQueue::<u64>::new();
+        assert_eq!(q.approx_bytes(), N_SLOTS * std::mem::size_of::<Vec<Entry<u64>>>());
+        assert!(q.approx_bytes() <= 8 << 10, "{} bytes of ring headers", q.approx_bytes());
     }
 
     /// Dense same-instant bursts spread across several windows keep

@@ -138,15 +138,10 @@ impl GilbertElliott {
     }
 
     /// Advances the chain to `now` and reports whether the segment is in a
-    /// congestion burst.
-    pub fn is_bad(&mut self, now: SimTime, intensity: f64, rng: &mut Rng) -> bool {
-        self.is_bad_with(now, || intensity, rng)
-    }
-
-    /// [`Self::is_bad`] with the load intensity as a thunk: it is only
-    /// read when a sojourn must be drawn (a crossing in fifty on the
-    /// paper's campaign), so the caller's diurnal `sin` and hot-window
-    /// scan run on that path alone. Same draws, same bits.
+    /// congestion burst. The load intensity is a thunk: it is only read
+    /// when a sojourn must be drawn (a crossing in fifty on the paper's
+    /// campaign), so the caller's diurnal `sin` and hot-window scan run
+    /// on that path alone.
     fn is_bad_with(
         &mut self,
         now: SimTime,
@@ -188,7 +183,7 @@ impl GilbertElliott {
     }
 
     /// [`Self::observe`] with the load intensity as a thunk, read only
-    /// when a sojourn must be drawn (see [`Self::is_bad`]).
+    /// when a sojourn must be drawn (see `is_bad_with`).
     pub fn observe_with(
         &mut self,
         now: SimTime,
@@ -209,7 +204,7 @@ mod tests {
     proptest! {
         /// The thunk form is the eager form minus the evaluations nobody
         /// reads: over any crossing schedule it calls its closure exactly
-        /// on the crossings where `is_bad` draws a sojourn (the only draws
+        /// on the crossings where `is_bad_with` draws a sojourn (the only draws
         /// it makes), and returns the same `(bad, lost)` stream and leaves
         /// the RNG in the same state as the `f64` form.
         #[test]
@@ -226,7 +221,7 @@ mod tests {
             for (i, gap) in gaps.into_iter().enumerate() {
                 now += SimDuration::from_micros(gap);
                 let intensity = 0.4 + (i % 7) as f64 * 0.2;
-                // `is_bad`, then the crossing's own loss draw: `observe`.
+                // `is_bad_with`, then the crossing's own loss draw: `observe`.
                 let before = format!("{lazy_rng:?}");
                 let mut reads = 0;
                 let bad = lazy.is_bad_with(now, || { reads += 1; intensity }, &mut lazy_rng);

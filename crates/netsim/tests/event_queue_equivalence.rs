@@ -28,23 +28,27 @@ fn reference_queue_matches_on_a_fixed_schedule() {
 }
 
 /// One delay of a campaign-shaped schedule, µs: 70% packet flights
-/// (5–150 ms), 25% probe-pacing waits (0.6–1.2 s), 5% timers (1–15 s).
+/// (5–150 ms), 25% probe-pacing waits (0.6–1.2 s), 4% timers (1–15 s)
+/// and 1% long timers (20–60 s, a slow prober's interval), most of which
+/// land beyond the ring's ~33 s horizon, in the overflow heap.
 fn campaign_delay(rng: &mut Rng) -> SimDuration {
     let kind = rng.below(100);
     let (lo, hi) = match kind {
         0..=69 => (5_000, 150_000),
         70..=94 => (600_000, 1_200_000),
-        _ => (1_000_000, 15_000_000),
+        95..=98 => (1_000_000, 15_000_000),
+        _ => (20_000_000, 60_000_000),
     };
     SimDuration::from_micros(lo + rng.below(hi - lo))
 }
 
-/// The proptests below stop after a few hundred operations, inside the
-/// ring's first revolution. This one goes round more than three times
-/// (the ring spans ~18 simulated minutes) at a steady occupancy of 200,
-/// so nearly every push lands in a bucket whose buffer was recycled
-/// from another — and holds the queue to the memory that implies: what
-/// is pending, not a buffer for every bucket the run ever touched.
+/// The proptests below stop after a few hundred operations. This one
+/// goes round the ring (~33 simulated seconds) over a hundred times at a
+/// steady occupancy of 200, so nearly every push lands in a bucket whose
+/// buffer was recycled from another and long timers migrate out of the
+/// overflow heap on every revolution — and holds the queue to the memory
+/// that implies: what is pending, not a buffer for every bucket the run
+/// ever touched.
 #[test]
 fn long_haul_matches_reference_and_retains_only_what_is_pending() {
     const OCCUPANCY: usize = 200;
@@ -73,13 +77,14 @@ fn long_haul_matches_reference_and_retains_only_what_is_pending() {
 
     // Entries are (instant, sequence number, payload).
     let entry = std::mem::size_of::<(SimTime, u64, u64)>();
-    let ring_headers = (1 << 13) * std::mem::size_of::<Vec<u64>>();
+    let ring_headers = EventQueue::<u64>::new().approx_bytes();
     let held = cal.approx_bytes();
     assert!(held >= ring_headers + OCCUPANCY * entry, "approx_bytes {held} misses something");
-    // One private buffer per ring bucket, the shape this guards
-    // against, would be 8192 x 4 entries at the very least.
+    // Recycled buffers settle at ~26 entries per pending event here; one
+    // private buffer per ring bucket, the shape this guards against,
+    // holds ~51.
     assert!(
-        held <= ring_headers + 64 * OCCUPANCY * entry,
+        held <= ring_headers + 32 * OCCUPANCY * entry,
         "queue retains {held} bytes for {OCCUPANCY} pending events"
     );
 
@@ -98,9 +103,11 @@ fn drained_queue_refills_from_its_spares() {
     let mut heap = ReferenceEventQueue::new();
     let mut held = Vec::new();
     for pass in 0..3u64 {
-        // 150 events over 50 (2^17 µs) windows, all ahead of the open one.
+        // 150 events over 50 (2^17 µs) windows, all ahead of the open one
+        // and inside the ring's horizon (which the overflow heap's own
+        // buffer would otherwise add to the first reuse).
         for i in 0..150u64 {
-            let at = SimTime::from_micros(((pass * 500 + 1 + i % 50) << 17) + i / 50);
+            let at = SimTime::from_micros(((pass * 100 + 1 + i % 50) << 17) + i / 50);
             cal.push(at, i);
             heap.push(at, i);
         }
@@ -126,15 +133,16 @@ enum Op {
 }
 
 /// Instants spanning every regime of the wheel: inside one window,
-/// across ring windows, beyond the ~18 min horizon, and colliding
-/// exactly.
+/// across ring windows, around and beyond the ~33 s horizon, and
+/// colliding exactly.
 fn arb_time() -> impl Strategy<Value = u64> {
     prop_oneof![
         Just(0u64),
         Just(5_000_000u64), // popular instant: forced same-time collisions
         0u64..10_000,                   // sub-window
         0u64..1_000_000,                // a few windows
-        0u64..600_000_000,              // across the ring
+        0u64..40_000_000,               // the ring and just past it
+        0u64..600_000_000,              // many revolutions
         0u64..10_000_000_000,           // far beyond the horizon
         0u64..1_000_000_000_000,        // days out: overflow + cursor jumps
     ]

@@ -11,26 +11,23 @@
 //! ## Hot-path layout
 //!
 //! Millions of probes per campaign flow through `on_send` → `on_recv` →
-//! `advance`, so the matcher avoids the obvious `HashMap<u64,
-//! PendingProbe>` + deadline `BinaryHeap` shape:
+//! `advance`, and every pair stays open for its receive window, so the
+//! collector holds one record per open pair and nothing else:
 //!
-//! * probe state lives in a **slab** (`Vec<Option<PendingProbe>>` plus a
-//!   free list), so the per-probe bytes are reused and receives touch one
-//!   contiguous allocation. Legs are an inline `[PendingLeg;
-//!   MAX_PROBE_LEGS]` with a 2-bit state machine per slot instead of
-//!   nested `Option`s — the 4-leg record is *smaller* than the old
-//!   2-leg `[Option<PendingLeg>; 2]`, whose inner `Option<RecvEvent>`
-//!   cost 40 niche-less bytes per leg;
-//! * the id → slot index goes through a **64-bit Fx hash** ([`FxU64`])
-//!   instead of SipHash — probe ids are already uniform random u64s, so
-//!   a single multiply is enough;
-//! * deadlines are `first_sent + receive_window` with a **constant**
-//!   window over nondecreasing send times, so they are already monotone:
-//!   a `VecDeque` **ring in insertion order** replaces the heap. Pairs
-//!   sharing an exact deadline resolve in ascending id order — the same
-//!   tie-break the old `BinaryHeap<Reverse<(SimTime, u64)>>` applied —
-//!   so the outcome stream, and therefore every downstream f64
-//!   accumulator bit and run fingerprint, is unchanged;
+//! * the open pairs live in one `VecDeque` **ring in deadline order**. A
+//!   deadline is `first_sent + receive_window` with a **constant** window
+//!   over time-ordered sends, so deadline order is send order: new pairs
+//!   go on the back, expired ones come off the front, and no deadline is
+//!   stored. A straggler from an imperfectly merged log is inserted at
+//!   its sorted place and the pairs behind it are re-indexed;
+//! * a record keeps its legs as columns (local send and receive stamps,
+//!   route tags, a state byte per leg): 96 bytes for four legs;
+//! * a **64-bit Fx hash** ([`FxU64`]) maps an id to the pair's absolute
+//!   ring position (`head` + offset) — probe ids are already uniform
+//!   random u64s, so one multiply does what SipHash would;
+//! * pairs sharing an exact deadline resolve in ascending id order, the
+//!   tie-break of the original `BinaryHeap<Reverse<(SimTime, u64)>>`, so
+//!   the outcome stream and every fingerprint downstream are unchanged;
 //! * [`Collector::drain_into`] swaps the caller's buffer with the
 //!   internal one instead of allocating a fresh `Vec` per sweep.
 
@@ -41,7 +38,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 
 /// An FxHash-style hasher for 64-bit probe ids: one XOR and one multiply
 /// by a Fibonacci-style odd constant. Probe ids are uniform random u64s
-/// (and the slab index map is the innermost lookup of the collector), so
+/// (and the id index is the innermost lookup of the collector), so
 /// SipHash's flooding resistance buys nothing here but costs ~2× on
 /// `on_send`/`on_recv`.
 #[derive(Default)]
@@ -66,7 +63,7 @@ impl Hasher for FxU64 {
 
 #[allow(
     clippy::disallowed_types,
-    reason = "lookup-only id→slot index: outcome order comes from the slab and deadline ring \
+    reason = "lookup-only id→position index: outcome order comes from the deadline ring \
               (see `finish`), never from map iteration; the hasher is fixed-seed Fx besides"
 )]
 type FxMap<V> = std::collections::HashMap<u64, V, BuildHasherDefault<FxU64>>;
@@ -140,28 +137,25 @@ impl Default for CollectorConfig {
 }
 
 /// Per-leg state machine: a slot is untouched, sent, or sent+received.
-/// Encoded as a plain byte (not nested `Option`s) so the inline leg
-/// array stays compact and branch-predictable.
+/// Encoded as a plain byte (not nested `Option`s) so the record stays
+/// compact and branch-predictable.
 const LEG_UNSENT: u8 = 0;
 const LEG_SENT: u8 = 1;
 const LEG_RECEIVED: u8 = 2;
 
-#[derive(Debug, Clone, Copy, Default)]
-struct PendingLeg {
-    route: u8,
-    state: u8,
-    sent_local_us: i64,
-    recv_local_us: i64,
-}
-
+/// One open probe pair. Per-leg state is kept as columns so the record
+/// packs into 96 bytes; its deadline is `first_sent + receive_window`.
 #[derive(Debug)]
 struct PendingProbe {
     id: u64,
-    method: u8,
+    first_sent: SimTime,
+    sent_local_us: [i64; MAX_PROBE_LEGS],
+    recv_local_us: [i64; MAX_PROBE_LEGS],
     src: HostId,
     dst: HostId,
-    first_sent: SimTime,
-    legs: [PendingLeg; MAX_PROBE_LEGS],
+    method: u8,
+    route: [u8; MAX_PROBE_LEGS],
+    state: [u8; MAX_PROBE_LEGS],
 }
 
 #[derive(Debug, Clone, Default)]
@@ -210,23 +204,17 @@ impl HostActivity {
     }
 }
 
-/// Slot indices are `u32`: the pending set is bounded by sends within
-/// one receive window, far below 4 billion.
-type SlotIdx = u32;
-
 /// Streaming collector; see module docs.
 pub struct Collector {
     cfg: CollectorConfig,
-    /// Probe id → slab slot of the open probe.
-    index: FxMap<SlotIdx>,
-    /// Probe slab; freed slots are recycled via `free`.
-    slots: Vec<Option<PendingProbe>>,
-    free: Vec<SlotIdx>,
-    /// Expiry ring, nondecreasing in deadline (constant receive window
-    /// over time-ordered sends). Replaces the old deadline heap.
-    deadlines: VecDeque<(SimTime, SlotIdx)>,
+    /// Probe id → absolute position (`head` + offset) of the open pair.
+    index: FxMap<u64>,
+    /// The open pairs, nondecreasing in deadline.
+    pending: VecDeque<PendingProbe>,
+    /// Absolute position of `pending[0]` (the pairs ever popped).
+    head: u64,
     /// Scratch for resolving one equal-deadline group in id order.
-    batch: Vec<(u64, SlotIdx)>,
+    batch: Vec<PendingProbe>,
     activity: Vec<HostActivity>,
     finalized: Vec<PairOutcome>,
     discarded: u64,
@@ -243,9 +231,8 @@ impl Collector {
         Collector {
             cfg,
             index: FxMap::default(),
-            slots: Vec::new(),
-            free: Vec::new(),
-            deadlines: VecDeque::new(),
+            pending: VecDeque::new(),
+            head: 0,
             batch: Vec::new(),
             activity: vec![HostActivity::default(); n],
             finalized: Vec::new(),
@@ -271,57 +258,64 @@ impl Collector {
             self.malformed_sends += 1;
             return;
         }
-        let idx = *self.index.entry(e.id).or_insert_with(|| {
-            let probe = PendingProbe {
-                id: e.id,
-                method: e.method,
-                src: e.src,
-                dst: e.dst,
-                first_sent: e.sent,
-                legs: [PendingLeg::default(); MAX_PROBE_LEGS],
-            };
-            let idx = match self.free.pop() {
-                Some(i) => {
-                    self.slots[i as usize] = Some(probe);
-                    i
-                }
-                None => {
-                    self.slots.push(Some(probe));
-                    (self.slots.len() - 1) as SlotIdx
-                }
-            };
-            let deadline = e.sent + self.cfg.receive_window;
-            match self.deadlines.back() {
-                // Straggler: walk to its sorted position (position within
-                // an equal-deadline run is irrelevant — groups resolve in
-                // id order).
-                Some(&(last, _)) if last > deadline => {
-                    let at = self.deadlines.partition_point(|&(d, _)| d <= deadline);
-                    self.deadlines.insert(at, (deadline, idx));
-                }
-                _ => self.deadlines.push_back((deadline, idx)),
-            }
-            idx
-        });
-        let probe = self.slots[idx as usize].as_mut().expect("indexed slot is occupied");
-        probe.legs[e.leg as usize] =
-            PendingLeg { route: e.route, state: LEG_SENT, sent_local_us: e.sent_local_us, recv_local_us: 0 };
+        let at = match self.index.get(&e.id) {
+            Some(&pos) => (pos - self.head) as usize,
+            None => self.open(&e),
+        };
+        let (probe, leg) = (&mut self.pending[at], e.leg as usize);
+        probe.route[leg] = e.route;
+        probe.state[leg] = LEG_SENT;
+        probe.sent_local_us[leg] = e.sent_local_us;
         // The pending set only grows in `on_send`, so sampling here
         // captures the exact high-water mark.
-        self.peak_pending = self.peak_pending.max(self.index.len() as u64);
+        self.peak_pending = self.peak_pending.max(self.pending.len() as u64);
+    }
+
+    /// Opens a pair for `e`'s probe at its deadline's place in the ring
+    /// and returns its offset there.
+    fn open(&mut self, e: &SendEvent) -> usize {
+        let probe = PendingProbe {
+            id: e.id,
+            first_sent: e.sent,
+            sent_local_us: [0; MAX_PROBE_LEGS],
+            recv_local_us: [0; MAX_PROBE_LEGS],
+            src: e.src,
+            dst: e.dst,
+            method: e.method,
+            route: [0; MAX_PROBE_LEGS],
+            state: [LEG_UNSENT; MAX_PROBE_LEGS],
+        };
+        let at = match self.pending.back() {
+            // Straggler: insert it in deadline order (groups resolve in
+            // id order) and re-index every pair behind it.
+            Some(last) if last.first_sent > e.sent => {
+                let at = self.pending.partition_point(|p| p.first_sent <= e.sent);
+                self.pending.insert(at, probe);
+                for (pos, p) in (self.head..).zip(&self.pending).skip(at + 1) {
+                    self.index.insert(p.id, pos);
+                }
+                at
+            }
+            _ => {
+                self.pending.push_back(probe);
+                self.pending.len() - 1
+            }
+        };
+        self.index.insert(e.id, self.head + at as u64);
+        at
     }
 
     /// Ingests a receive event.
     pub fn on_recv(&mut self, e: RecvEvent) {
-        let Some(&idx) = self.index.get(&e.id) else {
+        let Some(&pos) = self.index.get(&e.id) else {
             self.late_receives += 1;
             return;
         };
-        let probe = self.slots[idx as usize].as_mut().expect("indexed slot is occupied");
-        match probe.legs.get_mut(e.leg as usize) {
-            Some(leg) if leg.state != LEG_UNSENT => {
-                leg.state = LEG_RECEIVED;
-                leg.recv_local_us = e.recv_local_us;
+        let probe = &mut self.pending[(pos - self.head) as usize];
+        match probe.state.get_mut(e.leg as usize) {
+            Some(state) if *state != LEG_UNSENT => {
+                *state = LEG_RECEIVED;
+                probe.recv_local_us[e.leg as usize] = e.recv_local_us;
             }
             // A receive for a leg that can't exist or was never sent:
             // count it instead of losing it invisibly.
@@ -331,52 +325,46 @@ impl Collector {
 
     /// Resolves every pair whose receive window has expired by `now`.
     pub fn advance(&mut self, now: SimTime) {
-        while let Some(&(deadline, _)) = self.deadlines.front() {
-            if deadline > now {
+        while let Some(sent) = self.pending.front().map(|p| p.first_sent) {
+            if sent + self.cfg.receive_window > now {
                 break;
             }
-            self.resolve_deadline_group(deadline, now);
+            self.resolve_deadline_group(sent, now);
         }
     }
 
-    /// Pops every ring entry sharing `deadline` and resolves the group in
-    /// ascending id order — exactly the pop order of the old
-    /// `BinaryHeap<Reverse<(SimTime, u64)>>`, so outcome-stream order
-    /// (and everything fingerprinted downstream) is preserved.
-    fn resolve_deadline_group(&mut self, deadline: SimTime, now: SimTime) {
+    /// Pops every pair first sent at `sent` (so sharing a deadline) off
+    /// the front of the ring and resolves the group in ascending id order
+    /// — exactly the pop order of the original
+    /// `BinaryHeap<Reverse<(SimTime, u64)>>`, so outcome-stream order (and
+    /// everything fingerprinted downstream) is preserved.
+    fn resolve_deadline_group(&mut self, sent: SimTime, now: SimTime) {
         let mut batch = std::mem::take(&mut self.batch);
         batch.clear();
-        while let Some(&(d, idx)) = self.deadlines.front() {
-            if d != deadline {
-                break;
-            }
-            self.deadlines.pop_front();
-            let id = self.slots[idx as usize].as_ref().expect("ring slot is occupied").id;
-            batch.push((id, idx));
+        while self.pending.front().is_some_and(|p| p.first_sent == sent) {
+            let probe = self.pending.pop_front().expect("front was checked");
+            self.head += 1;
+            self.index.remove(&probe.id);
+            batch.push(probe);
         }
-        if batch.len() > 1 {
-            batch.sort_unstable_by_key(|&(id, _)| id);
-        }
-        for &(id, idx) in &batch {
-            self.index.remove(&id);
-            let pair = self.slots[idx as usize].take().expect("ring slot is occupied");
-            self.free.push(idx);
-            let outcome = self.resolve(pair, now);
+        batch.sort_unstable_by_key(|p| p.id);
+        for p in &batch {
+            let outcome = self.resolve(p, now);
             self.finalized.push(outcome);
         }
         self.batch = batch;
     }
 
-    fn resolve(&mut self, p: PendingProbe, now: SimTime) -> PairOutcome {
+    fn resolve(&mut self, p: &PendingProbe, now: SimTime) -> PairOutcome {
         self.resolved += 1;
-        let mk = |l: PendingLeg| match l.state {
+        let legs = std::array::from_fn(|i| match p.state[i] {
             LEG_UNSENT => None,
             state => Some(LegOutcome {
-                route: l.route,
+                route: p.route[i],
                 lost: state != LEG_RECEIVED,
-                one_way_us: (state == LEG_RECEIVED).then(|| l.recv_local_us - l.sent_local_us),
+                one_way_us: (state == LEG_RECEIVED).then(|| p.recv_local_us[i] - p.sent_local_us[i]),
             }),
-        };
+        });
         // §4.1 host-failure filter: if the destination host's measurement
         // process was silent around the send instant, the sample tells us
         // about the host, not the network — discard it.
@@ -384,7 +372,7 @@ impl Collector {
         if discarded {
             self.discarded += 1;
         }
-        PairOutcome::from_legs(p.id, p.method, p.src, p.dst, p.first_sent, p.legs.map(mk), discarded)
+        PairOutcome::from_legs(p.id, p.method, p.src, p.dst, p.first_sent, legs, discarded)
     }
 
     /// Takes all outcomes finalized so far.
@@ -405,15 +393,24 @@ impl Collector {
 
     /// Flushes every pending pair regardless of window (end of run).
     ///
-    /// Pairs resolve in `(deadline, id)` order via the expiry ring — the
-    /// same order [`advance`](Self::advance) would have used — so the
+    /// Pairs resolve in `(deadline, id)` order off the ring — the same
+    /// order [`advance`](Self::advance) would have used — so the
     /// end-of-run outcome stream is identical across runs and processes
     /// (this used to drain a `HashMap` in iteration order, which is not).
     pub fn finish(&mut self, now: SimTime) {
-        while let Some(&(deadline, _)) = self.deadlines.front() {
-            self.resolve_deadline_group(deadline, now);
+        while let Some(sent) = self.pending.front().map(|p| p.first_sent) {
+            self.resolve_deadline_group(sent, now);
         }
-        debug_assert!(self.index.is_empty(), "every pending pair is on the ring");
+        debug_assert!(self.index.is_empty(), "every indexed pair is on the ring");
+    }
+
+    /// Approximate heap bytes of the open pairs: the ring, the id index
+    /// and the equal-deadline scratch. It follows the high-water mark of
+    /// open pairs ([`CollectorStats::peak_pending`]), not the run length.
+    pub fn approx_bytes(&self) -> usize {
+        use std::mem::size_of;
+        (self.pending.capacity() + self.batch.capacity()) * size_of::<PendingProbe>()
+            + self.index.capacity() * (size_of::<(u64, u64)>() + 1)
     }
 
     /// (resolved, discarded-by-host-filter, receives-after-window).
@@ -749,8 +746,9 @@ mod tests {
     }
 
     #[test]
-    fn slab_slots_are_recycled() {
+    fn ring_capacity_follows_open_pairs() {
         let mut c = Collector::new(4, cfg());
+        let mut held = Vec::new();
         for wave in 0..5u64 {
             let t = wave * 100;
             for i in 0..50u64 {
@@ -758,12 +756,36 @@ mod tests {
             }
             c.advance(SimTime::from_secs(t + 90));
             c.drain();
+            held.push(c.approx_bytes());
         }
-        assert!(
-            c.slots.len() <= 50,
-            "slab must recycle freed slots, got {} for 50 concurrent pairs",
-            c.slots.len()
-        );
+        assert!(c.pending.capacity() < 100, "ring capacity {} for 50 open pairs", c.pending.capacity());
+        assert!(held.iter().all(|&b| b == held[0]), "bytes grew with resolved waves: {held:?}");
+    }
+
+    #[test]
+    fn a_pair_costs_one_record_and_bytes_track_open_pairs() {
+        assert!(std::mem::size_of::<PendingProbe>() <= 96);
+        let record = std::mem::size_of::<PendingProbe>();
+        let mut c = Collector::new(4, cfg());
+        assert_eq!(c.approx_bytes(), 0);
+        // 1 000 open pairs, 4 per instant: the ring, a 16-byte index slot
+        // per pair and a 4-pair scratch, each within a doubling.
+        for i in 0..1_000u64 {
+            c.on_send(send(i, 0, 0, 1, i / 4));
+        }
+        let open = c.approx_bytes();
+        assert!(open >= 1_000 * (record + 16), "approx_bytes {open} misses something");
+        assert!(open <= 2 * 1_000 * (record + 17) + 4 * record, "{open} bytes for 1 000 open pairs");
+        // Resolving them frees nothing, and 1 000 more reuse the space.
+        c.advance(SimTime::from_secs(1_000));
+        assert_eq!(c.drain().len(), 1_000);
+        let held = c.approx_bytes();
+        assert_eq!(held, open + 4 * record, "the ring and index keep their capacity");
+        for i in 0..1_000u64 {
+            c.on_send(send(10_000 + i, 0, 0, 1, 1_000 + i / 4));
+        }
+        c.advance(SimTime::from_secs(2_000));
+        assert_eq!(c.approx_bytes(), held);
     }
 
     #[test]
