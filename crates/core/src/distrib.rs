@@ -9,14 +9,11 @@
 //! to *workers* ([`run_worker`]) over a small TCP protocol; each worker
 //! rebuilds the identical plan locally from the [`CampaignJob`] it
 //! received at handshake, simulates the leased slice, and ships the
-//! [`ExperimentOutput`] back. The coordinator is one more source for the
-//! one merger: each accepted result goes to the same
-//! [`crate::shard::SliceMerger`] the in-process executor feeds, which
-//! folds it the moment its predecessors are in — so the distributed
-//! report is byte-identical to [`crate::run_experiment`] on one machine,
-//! for any number of workers, joining and leaving in any order, and the
-//! coordinator holds one accumulator plus whatever arrived early, never
-//! every slice output.
+//! [`ExperimentOutput`] back. The coordinator drives the lease book and
+//! merger the in-process executor drives (see [`crate::shard`]), with
+//! real deadlines, so the distributed report is byte-identical to
+//! [`crate::run_experiment`] on one machine, for any number of workers,
+//! joining and leaving in any order.
 //!
 //! # Wire format
 //!
@@ -63,13 +60,14 @@
 //! campaign, and the hint may be long), and a `Done` makes it drop the
 //! unsent result (`Done` means every slice already has one).
 //!
+//! A `Wait` also answers a `Ready` while the merge window is full: the
+//! coordinator leases only slices fewer than twice the most leases ever
+//! outstanding at once past the oldest unmerged one, so the results
+//! parked behind a slow slice stay that few.
+//!
 //! A worker may pipeline: it holds up to [`WorkerOptions::jobs`] leases
 //! at once (acquired by extra `Ready` round-trips), simulates them on a
 //! local thread pool, and ships each `Result` as that slice finishes.
-//! The grammar is unchanged — the coordinator already tracked leases per
-//! slice, heartbeats already named their slice, and results were always
-//! slice-indexed — so a pipelined worker and a sequential one are
-//! indistinguishable on the wire except for frame interleaving.
 //!
 //! Heartbeats run on a deadline: once [`WorkerOptions::heartbeat`] has
 //! passed since the last re-arm, the next time the worker's socket
@@ -82,21 +80,22 @@
 //! Leases expire. A worker that dies mid-slice (its connection drops)
 //! has its leases zeroed immediately; one that merely stalls stops
 //! heartbeating and its lease times out. Either way the next `Ready`
-//! from any worker re-leases the slice. Because slice `k` is a pure
-//! function of the job, *duplicate* results — the original worker was
-//! slow, not dead, and both finish — are byte-identical, and the
-//! coordinator keeps the first copy per slice index and counts the rest
-//! ([`ServeReport::duplicates`]). Re-leasing therefore never risks the
-//! merge: the merger sees each slice index exactly once.
+//! from any worker re-leases the slice. A slow slice that keeps
+//! heartbeating is never leased twice: once the merge window ahead of it
+//! is full, every `Ready` is answered `Wait` until it lands. Because
+//! slice `k` is a pure function of the job, *duplicate* results — the
+//! original worker was slow, not dead, and both finish — are
+//! byte-identical, and the coordinator keeps the first copy per slice
+//! index and counts the rest ([`ServeReport::duplicates`]). Re-leasing
+//! therefore never risks the merge: the merger sees each index once.
 //!
 //! A result is bytes from outside the process. Beyond the strict serde
 //! of every field, its scenario digest and its whole *shape* (method
-//! names, host count, accumulator dimensions, the pairs the accumulators
-//! are rowed by — the job's probe mesh, derived here from spec and seed
-//! — and no open windows) are
-//! checked against the job before it may reach the merger; a lying
-//! worker loses its connection and its leases, like any protocol error,
-//! and the campaign goes on.
+//! names, host count, accumulator dimensions, the pairs its rows stand
+//! for — the job's probe mesh, derived here from spec and seed — and no
+//! open windows) are checked against the job before it may reach the
+//! merger; a lying worker loses its connection and its leases, like any
+//! protocol error, and the campaign goes on.
 //!
 //! Workers treat a vanished coordinator *after* handshake as "campaign
 //! finished without me" and exit cleanly
@@ -149,11 +148,11 @@
               no clock read reaches a simulated slice"
 )]
 
-use crate::experiment::{run_slice, ExperimentConfig, ExperimentOutput, OUTPUT_WIRE_VERSION};
+use crate::experiment::{ExperimentConfig, ExperimentOutput, OUTPUT_WIRE_VERSION};
 use crate::scenario::ScenarioSpec;
-use crate::shard::{SliceMerger, SlicePlan};
+use crate::shard::{Grant, LeaseBook, SlicePlan};
 use analysis::PairIndex;
-use netsim::{SimDuration, Topology};
+use netsim::SimDuration;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
@@ -258,16 +257,8 @@ impl CampaignJob {
     ///
     /// If `k` is outside the plan (callers bounds-check leases first).
     pub fn run_slice_index(&self, k: usize) -> ExperimentOutput {
-        self.run_slice_on(Arc::new(self.spec.topology(self.seed)), k)
-    }
-
-    /// [`Self::run_slice_index`] on the job's topology the caller
-    /// already holds: building one costs several clones, so a worker
-    /// builds it once and every leased slice shares it.
-    fn run_slice_on(&self, topo: Arc<Topology>, k: usize) -> ExperimentOutput {
         let cfg = self.config();
-        let plan = SlicePlan::new(&cfg);
-        run_slice(topo, plan.slice_config(&cfg, k), plan.slices()[k].start).0
+        SlicePlan::new(&cfg).run(Arc::new(self.spec.topology(self.seed)), &cfg, k).0
     }
 }
 
@@ -366,10 +357,6 @@ pub fn encode_msg(msg: &Msg) -> Vec<u8> {
     frame
 }
 
-fn decode_body(body: &[u8]) -> io::Result<Msg> {
-    serde_json::from_slice(body).map_err(|e| proto_err(format!("bad frame: {e}")))
-}
-
 /// Sends one frame — unless the receiver is known to refuse it: a body
 /// over the 64 MiB frame cap is `InvalidData` here, before a byte is
 /// written, so the sender fails with the reason instead of being hung
@@ -424,7 +411,7 @@ fn read_frame<R: Read>(r: &mut R, cap: usize) -> io::Result<Option<Msg>> {
     }
     let mut body = vec![0u8; len];
     r.read_exact(&mut body)?;
-    decode_body(&body).map(Some)
+    serde_json::from_slice(&body).map(Some).map_err(|e| proto_err(format!("bad frame: {e}")))
 }
 
 /// Coordinator tuning.
@@ -458,10 +445,8 @@ pub struct ServeReport {
     pub releases: u64,
     /// Duplicate slice results received and ignored.
     pub duplicates: u64,
-    /// [`SliceMerger::peak_parked`] of the campaign's merge: the
-    /// high-water mark of results held at once while waiting for a
-    /// predecessor slice. Purely in-order arrival peaks at 1 (each
-    /// result is folded the moment it lands).
+    /// [`crate::shard::SliceMerger::peak_parked`] of the campaign's merge,
+    /// at most its window; purely in-order arrival peaks at 1.
     pub peak_buffered: usize,
 }
 
@@ -469,12 +454,9 @@ pub struct ServeReport {
 #[derive(Debug, Clone, Copy)]
 pub struct WorkerOptions {
     /// Heartbeat cadence while slices simulate. Must beat the
-    /// coordinator's [`ServeOptions::lease_timeout`] comfortably. Once
-    /// this much time has passed since the last re-arm, whatever else
-    /// happened meanwhile, the worker re-arms *every* outstanding lease —
-    /// one [`Msg::Heartbeat`] frame per leased slice, the same frame a
-    /// single-slice worker sends — so multi-lease liveness needs no new
-    /// protocol message.
+    /// coordinator's [`ServeOptions::lease_timeout`] comfortably. Each
+    /// time it passes, whatever else happened meanwhile, the worker sends
+    /// one [`Msg::Heartbeat`] per outstanding lease.
     pub heartbeat: Duration,
     /// Slices this worker leases and simulates concurrently (its local
     /// compute-thread count). `1` reproduces the sequential worker
@@ -499,37 +481,14 @@ pub struct WorkerReport {
     pub coordinator_closed: bool,
 }
 
-enum SliceState {
-    Unleased,
-    Leased { deadline: Instant, holder: u64 },
-    Done,
-}
-
-struct CoordState {
-    slices: Vec<SliceState>,
-    /// Fingerprint of the first accepted result per slice, kept after the
-    /// output itself has been folded away so a late duplicate can still
-    /// be checked against the copy that won.
-    fingerprints: Vec<Option<u64>>,
-    /// The streaming in-order fold: results never pile up waiting for
-    /// the end of the campaign — each is merged the moment its
-    /// predecessors are.
-    merger: SliceMerger,
-    pending: usize,
-    connections: u64,
-    releases: u64,
-    duplicates: u64,
-}
-
 struct Coord {
     job: CampaignJob,
-    /// `job.config()` and the pairs the job's probe mesh declares, kept
-    /// to hold every result to the job's stamp and shape before it can
-    /// reach the merger's asserts.
+    /// `job.config()` and its probe mesh's pairs: every result is held to
+    /// the job's stamp and shape before it can reach the merger's asserts.
     cfg: ExperimentConfig,
     pairs: PairIndex,
     opts: ServeOptions,
-    state: Mutex<CoordState>,
+    book: Mutex<LeaseBook<Instant>>,
 }
 
 impl Coord {
@@ -537,133 +496,22 @@ impl Coord {
         let cfg = job.config();
         let mesh = job.spec.probe_mesh(job.seed);
         let pairs = PairIndex::new(job.spec.topology.hosts(), mesh.as_deref());
-        Coord {
-            job,
-            cfg,
-            pairs,
-            opts,
-            state: Mutex::new(CoordState {
-                slices: (0..slices).map(|_| SliceState::Unleased).collect(),
-                fingerprints: vec![None; slices],
-                merger: SliceMerger::default(),
-                pending: slices,
-                connections: 0,
-                releases: 0,
-                duplicates: 0,
-            }),
-        }
+        let book = Mutex::new(LeaseBook::new(slices, opts.lease_timeout));
+        Coord { job, cfg, pairs, opts, book }
     }
 
-    fn next_conn(&self) -> u64 {
-        let mut st = self.state.lock().unwrap();
-        st.connections += 1;
-        st.connections
-    }
-
-    /// Answers a `Ready`: first unleased slice, else the most-overdue
-    /// expired lease, else a back-off hint, else `Done`.
-    fn grant_at(&self, conn: u64, now: Instant) -> Msg {
-        let mut st = self.state.lock().unwrap();
-        if st.pending == 0 {
-            return Msg::Done;
-        }
-        let deadline = now + self.opts.lease_timeout;
-        if let Some(k) = st.slices.iter().position(|s| matches!(s, SliceState::Unleased)) {
-            st.slices[k] = SliceState::Leased { deadline, holder: conn };
-            return Msg::Lease { slice: k as u64 };
-        }
-        let mut expired: Option<(usize, Instant)> = None;
-        let mut nearest: Option<Instant> = None;
-        for (k, s) in st.slices.iter().enumerate() {
-            if let SliceState::Leased { deadline: d, .. } = s {
-                if *d <= now {
-                    if expired.is_none_or(|(_, best)| *d < best) {
-                        expired = Some((k, *d));
-                    }
-                } else if nearest.is_none_or(|near| *d < near) {
-                    nearest = Some(*d);
-                }
-            }
-        }
-        if let Some((k, _)) = expired {
-            st.releases += 1;
-            st.slices[k] = SliceState::Leased { deadline, holder: conn };
-            return Msg::Lease { slice: k as u64 };
-        }
-        let mut poll_ms = self.opts.poll_ms;
-        if let Some(near) = nearest {
-            let until = near.saturating_duration_since(now).as_millis() as u64;
-            poll_ms = poll_ms.min(until.max(10));
-        }
-        Msg::Wait { poll_ms: poll_ms.max(10) }
-    }
-
-    /// Extends a live lease the heartbeating connection still holds.
-    /// Stale heartbeats (the slice was re-leased or finished) are
-    /// ignored.
-    fn heartbeat_at(&self, conn: u64, slice: usize, now: Instant) {
-        let mut st = self.state.lock().unwrap();
-        if let Some(SliceState::Leased { deadline, holder }) = st.slices.get_mut(slice) {
-            if *holder == conn {
-                *deadline = now + self.opts.lease_timeout;
-            }
-        }
-    }
-
-    /// Records a slice result idempotently and hands it to the streaming
-    /// merge. The first copy per index wins; later copies must carry
-    /// the same fingerprint (slices are pure functions of the job, so a
-    /// disagreeing duplicate means a nondeterministic worker — a
-    /// campaign-poisoning bug, rejected loudly) and only bump
-    /// [`ServeReport::duplicates`].
-    ///
-    /// A result is input from outside the process: its scenario stamp
-    /// and its whole shape are checked against the job *before* the
-    /// state lock is taken, because the merge asserts on a mismatch, and
-    /// a panic under the lock would poison it for every other connection.
+    /// Completes a slice with a result from outside the process. Its stamp
+    /// and shape are checked against the job first: the merge asserts on a
+    /// mismatch, and a panic under the book's lock would poison it for
+    /// every connection. Its fingerprint (~0.7 ms) is taken before the lock.
     fn record(&self, slice: usize, output: ExperimentOutput) -> io::Result<()> {
         if let Some(field) = output.shape_mismatch(&self.cfg, &self.pairs) {
             return Err(proto_err(format!(
                 "result for slice {slice} does not fit the campaign: {field}"
             )));
         }
-        let mut st = self.state.lock().unwrap();
-        let Some(&slot) = st.fingerprints.get(slice) else {
-            return Err(proto_err(format!("result for slice {slice} outside the plan")));
-        };
-        if let Some(first) = slot {
-            let fp = output.fingerprint();
-            if fp != first {
-                return Err(proto_err(format!(
-                    "duplicate result for slice {slice} fingerprints {fp:#018x}, \
-                     first copy was {first:#018x}: worker is nondeterministic"
-                )));
-            }
-            st.duplicates += 1;
-            return Ok(());
-        }
-        st.fingerprints[slice] = Some(output.fingerprint());
-        st.slices[slice] = SliceState::Done;
-        st.pending -= 1;
-        st.merger.push(slice, output);
-        Ok(())
-    }
-
-    /// Expires every lease `conn` held, so the next `Ready` from any
-    /// worker re-issues those slices immediately.
-    fn release_all_at(&self, conn: u64, now: Instant) {
-        let mut st = self.state.lock().unwrap();
-        for s in st.slices.iter_mut() {
-            if let SliceState::Leased { deadline, holder } = s {
-                if *holder == conn {
-                    *deadline = now;
-                }
-            }
-        }
-    }
-
-    fn finished(&self) -> bool {
-        self.state.lock().unwrap().pending == 0
+        let fingerprint = output.fingerprint();
+        self.book.lock().unwrap().complete(slice, output, Some(fingerprint)).map_err(proto_err)
     }
 }
 
@@ -724,17 +572,26 @@ fn drive_conn(
         let Some(msg) = read_msg_blocking(stream)? else { return Ok(()) };
         match msg {
             Msg::Ready => {
-                let grant = coord.grant_at(conn, Instant::now());
-                let done = matches!(grant, Msg::Done);
-                write_msg_blocking(stream, &grant)?;
-                if done {
-                    return Ok(());
-                }
+                let now = Instant::now();
+                let grant = coord.book.lock().unwrap().grant(conn, now);
+                let reply = match grant {
+                    Grant::Lease(k) => Msg::Lease { slice: k as u64 },
+                    // `poll_ms`, cut to the time left until the nearest
+                    // lease deadline, never under 10 ms.
+                    Grant::Wait(until) => {
+                        let until = until.saturating_duration_since(now).as_millis() as u64;
+                        Msg::Wait { poll_ms: coord.opts.poll_ms.min(until).max(10) }
+                    }
+                    Grant::Done => return write_msg_blocking(stream, &Msg::Done),
+                };
+                write_msg_blocking(stream, &reply)?;
             }
-            Msg::Heartbeat { slice } => coord.heartbeat_at(conn, slice as usize, Instant::now()),
+            Msg::Heartbeat { slice } => {
+                coord.book.lock().unwrap().renew(conn, slice as usize, Instant::now());
+            }
             Msg::Result { slice, output } => {
                 coord.record(slice as usize, *output)?;
-                if coord.finished() {
+                if coord.book.lock().unwrap().is_done() {
                     // This worker's next `Ready` is owed a `Done`, so its
                     // read half stays out of the accept loop's shutdown.
                     conns.lock().unwrap().remove(&conn);
@@ -752,17 +609,6 @@ fn drive_conn(
                 return Err(proto_err(format!("unexpected {} from worker", other.kind())));
             }
         }
-    }
-}
-
-fn serve_conn(mut stream: TcpStream, coord: &Coord, conn: u64, wake: SocketAddr, conns: &Conns) {
-    let res = drive_conn(&mut stream, coord, conn, wake, conns);
-    // Dropping the leases *after* the connection ends covers every exit:
-    // clean Done (no leases left), worker death (re-lease now), protocol
-    // error (ditto).
-    coord.release_all_at(conn, Instant::now());
-    if let Err(e) = res {
-        eprintln!("mpath coordinator: worker connection {conn} failed: {e}");
     }
 }
 
@@ -788,21 +634,23 @@ pub fn serve_campaign(
     let coord = Coord::new(job, slices, opts);
     let wake = wake_addr(&listener)?;
     let conns: Conns = Mutex::new(BTreeMap::new());
+    let mut connections = 0;
     thread::scope(|s| {
         let (coord, conns) = (&coord, &conns);
         let accepted = loop {
-            let stream = match listener.accept() {
+            let mut stream = match listener.accept() {
                 Ok((stream, _peer)) => stream,
                 // A peer that connected and reset before we accepted is
                 // not the listener's failure; keep accepting.
                 Err(e) if e.kind() == io::ErrorKind::ConnectionAborted => continue,
                 Err(e) => break Err(e),
             };
-            if coord.finished() {
+            if coord.book.lock().unwrap().is_done() {
                 // The wake-up call (or a latecomer), not a worker.
                 break Ok(());
             }
-            let conn = coord.next_conn();
+            connections += 1;
+            let conn = connections;
             let handle = match stream.try_clone() {
                 Ok(handle) => handle,
                 Err(e) => {
@@ -812,8 +660,15 @@ pub fn serve_campaign(
             };
             conns.lock().unwrap().insert(conn, handle);
             s.spawn(move || {
-                serve_conn(stream, coord, conn, wake, conns);
+                let res = drive_conn(&mut stream, coord, conn, wake, conns);
+                // Dropping the leases *after* the connection ends covers
+                // every exit: clean Done (no leases left), worker death
+                // (re-lease now), protocol error (ditto).
+                coord.book.lock().unwrap().release(conn, Instant::now());
                 conns.lock().unwrap().remove(&conn);
+                if let Err(e) = res {
+                    eprintln!("mpath coordinator: worker connection {conn} failed: {e}");
+                }
             });
         };
         // Connection threads blocked in `read` (an idle or stalled
@@ -824,14 +679,14 @@ pub fn serve_campaign(
         }
         accepted
     })?;
-    let st = coord.state.into_inner().unwrap();
+    let book = coord.book.into_inner().unwrap();
     Ok(ServeReport {
-        peak_buffered: st.merger.peak_parked(),
-        output: st.merger.finish(slices),
+        peak_buffered: book.peak_parked(),
+        releases: book.releases,
+        duplicates: book.duplicates,
+        output: book.finish(),
         slices,
-        connections: st.connections,
-        releases: st.releases,
-        duplicates: st.duplicates,
+        connections,
     })
 }
 
@@ -854,13 +709,8 @@ fn closed_cleanly(e: &io::Error) -> bool {
 /// [`WorkerReport::coordinator_closed`]).
 ///
 /// Each leased slice simulates, and encodes its [`Msg::Result`], on its
-/// own OS thread while the calling thread owns the socket: when a slice
-/// finishes it first tops the lease set up with `Ready`, then ships that
-/// result (slices complete out of order; the coordinator's merge is
-/// slice-indexed, so delivery order is free), and once per heartbeat
-/// interval it re-arms every outstanding lease. The exchange stays
-/// strictly request/response — the coordinator only ever speaks when
-/// spoken to — so pipelining needs no protocol change at all.
+/// own OS thread while the calling thread owns the socket (see the
+/// module docs' *Protocol* and *I/O model*).
 pub fn run_worker<A: ToSocketAddrs + Send + 'static>(
     addr: A,
     opts: WorkerOptions,
@@ -894,7 +744,9 @@ fn lease_loop(
     slices_run: &mut u64,
 ) -> io::Result<()> {
     let jobs = opts.jobs.max(1);
-    let plan_len = job.plan().len() as u64;
+    let cfg = Arc::new(job.config());
+    let plan = Arc::new(SlicePlan::new(&cfg));
+    let plan_len = plan.len() as u64;
     let topo = Arc::new(job.spec.topology(job.seed));
     // Finished computes flow back over one channel, each as its encoded
     // `Result` frame. Capacity `jobs` means a compute thread's `send`
@@ -938,14 +790,15 @@ fn lease_loop(
                             "lease {slice} outside the {plan_len}-slice plan"
                         )));
                     }
-                    let (job, topo, tx) = (job.clone(), topo.clone(), tx.clone());
+                    let (cfg, plan, topo) = (cfg.clone(), plan.clone(), topo.clone());
+                    let tx = tx.clone();
                     thread::spawn(move || {
                         // Encoding here frees the output before a new
                         // slice can start beside it, and keeps the I/O
                         // thread's work per result to one write.
                         let frame = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
                             move || {
-                                let output = Box::new(job.run_slice_on(topo, slice as usize));
+                                let output = Box::new(plan.run(topo, &cfg, slice as usize).0);
                                 encode_msg(&Msg::Result { slice, output })
                             },
                         ));
@@ -1087,30 +940,6 @@ mod tests {
     }
 
     #[test]
-    fn grant_walks_plan_then_backs_off_then_relieves_expired() {
-        let job = small_job();
-        let opts =
-            ServeOptions { lease_timeout: Duration::from_millis(100), ..ServeOptions::default() };
-        let coord = Coord::new(job.clone(), 3, opts);
-        let t0 = Instant::now();
-        assert!(matches!(coord.grant_at(1, t0), Msg::Lease { slice: 0 }));
-        assert!(matches!(coord.grant_at(2, t0), Msg::Lease { slice: 1 }));
-        assert!(matches!(coord.grant_at(2, t0), Msg::Lease { slice: 2 }));
-        // Plan exhausted, all leases live: back off.
-        assert!(matches!(coord.grant_at(3, t0), Msg::Wait { .. }));
-        // Heartbeats keep conn 2's leases alive past the timeout;
-        // conn 1 went silent, so slice 0 is the one re-issued.
-        let later = t0 + Duration::from_millis(150);
-        coord.heartbeat_at(2, 1, later);
-        coord.heartbeat_at(2, 2, later);
-        assert!(matches!(coord.grant_at(3, later), Msg::Lease { slice: 0 }));
-        assert_eq!(coord.state.lock().unwrap().releases, 1);
-        // A worker disconnect expires its leases with no wait at all.
-        coord.release_all_at(2, later);
-        assert!(matches!(coord.grant_at(3, later), Msg::Lease { .. }));
-    }
-
-    #[test]
     fn record_is_idempotent_and_bounds_checked() {
         let job = small_job();
         let coord = Coord::new(job.clone(), 2, ServeOptions::default());
@@ -1119,9 +948,9 @@ mod tests {
         coord.record(0, out0).unwrap();
         coord.record(0, out0_dup).unwrap();
         {
-            let st = coord.state.lock().unwrap();
-            assert_eq!(st.duplicates, 1);
-            assert_eq!(st.pending, 1);
+            let book = coord.book.lock().unwrap();
+            assert_eq!(book.duplicates, 1);
+            assert!(!book.is_done());
         }
         let err = coord.record(7, job.run_slice_index(1)).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
@@ -1141,7 +970,7 @@ mod tests {
         let msg = err.to_string();
         assert!(msg.contains("slice 1") && msg.contains("`names`"), "got: {msg}");
         coord.record(1, job.run_slice_index(1)).unwrap();
-        assert!(coord.finished());
+        assert!(coord.book.lock().unwrap().is_done());
     }
 
     #[test]

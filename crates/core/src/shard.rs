@@ -31,25 +31,27 @@
 //!   probe cycles of every slice. How much that moves the reactive rows
 //!   at narrow slice widths is ROADMAP item 5(b).
 //!
-//! # One executor, one merger
+//! # One lease book, one merger
 //!
 //! Every way of running a campaign is the same three steps: derive the
-//! plan, simulate slices in any order on any worker, and hand each
-//! `(slice index, output)` to a [`SliceMerger`]. The merger is the only
-//! code that folds slice outputs ([`crate::report::merge_outputs`]): it
-//! folds a result the moment all of its predecessors are in and parks
-//! it until then, so the fold always runs **in ascending slice order** —
-//! u64 counters sum exactly, the f64 latency sums always fold in the
-//! same order, and the merged report is bit-stable — while the resident
-//! set is one accumulator plus whatever arrived early, never every
-//! slice output. [`run_sharded`] feeds it from local threads;
-//! [`crate::distrib`] feeds it from TCP workers.
+//! plan, lease slices to workers in any order, and hand each
+//! `(slice index, output)` to a [`SliceMerger`], the only code that
+//! folds slice outputs ([`crate::report::merge_outputs`]). It folds a
+//! result the moment all of its predecessors are in and parks it until
+//! then, so the fold always runs **in ascending slice order** and the
+//! merged report is bit-stable. One lease book, with no clock and no
+//! I/O, schedules every slice and owns the merger. It leases slice `k`
+//! only inside the *merge window*: fewer than twice the most leases ever
+//! outstanding at once past the oldest unmerged slice. So a slice that
+//! stalls but stays alive holds back that many parked results at most,
+//! never a plan's worth. [`run_sharded`] drives the book from local
+//! threads whose leases never expire; [`crate::distrib`] from TCP workers.
 //!
 //! # The determinism invariant
 //!
 //! **Results depend on `(seed, duration, slice_width)` and never on
-//! [`ExperimentConfig::shards`].** Shards are worker threads claiming
-//! slice indices from a shared counter; scheduling decides only *when*
+//! [`ExperimentConfig::shards`].** Shards are worker threads leasing
+//! slice indices from the one lease book; scheduling decides only *when*
 //! a slice's output reaches the merger, never where it folds, so thread
 //! scheduling is invisible. `shards = 8` on a laptop, `shards = 1` in
 //! CI and `shards = 96` on a build server all produce byte-identical
@@ -65,7 +67,10 @@ use crate::experiment::{run_slice, ExperimentConfig, ExperimentOutput};
 use crate::report;
 use netsim::{Rng, SimDuration, SimTime, Topology};
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::ops::Add;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::Duration;
 
 /// One independently simulated slice of the campaign.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -94,13 +99,10 @@ impl SlicePlan {
     ///
     /// # Panics
     ///
-    /// On a zero `slice_width`. The width used to be silently clamped
-    /// to 1 µs, turning a default-free config into one slice *per
-    /// microsecond of campaign* — validation at the scenario
-    /// ([`crate::scenario::ScenarioSpec::validate`]) and job
-    /// ([`crate::distrib::CampaignJob::validate`]) layers reports this
-    /// readably before any plan is built; the assert is the backstop
-    /// for hand-assembled configs.
+    /// On a zero `slice_width`, which would make one slice per
+    /// microsecond. [`crate::scenario::ScenarioSpec::validate`] and
+    /// [`crate::distrib::CampaignJob::validate`] refuse it readably
+    /// first; the assert is the backstop for hand-assembled configs.
     pub fn new(cfg: &ExperimentConfig) -> SlicePlan {
         assert!(
             cfg.slice_width.as_micros() > 0,
@@ -142,18 +144,20 @@ impl SlicePlan {
         &self.slices
     }
 
-    /// The configuration slice `k` simulates under: the campaign's,
-    /// with the slice's own RNG universe and measurement period.
-    ///
-    /// # Panics
-    ///
-    /// If `k` is outside the plan.
-    pub fn slice_config(&self, campaign: &ExperimentConfig, k: usize) -> ExperimentConfig {
+    /// Simulates slice `k` of `campaign`, with the slice's own RNG
+    /// universe and period from its absolute start: how every executor
+    /// runs a slice. Panics if `k` is outside the plan.
+    pub(crate) fn run(
+        &self,
+        topo: Arc<Topology>,
+        campaign: &ExperimentConfig,
+        k: usize,
+    ) -> (ExperimentOutput, u64) {
         let s = &self.slices[k];
         let mut cfg = campaign.clone();
         cfg.seed = s.seed;
         cfg.duration = s.duration;
-        cfg
+        run_slice(topo, cfg, s.start)
     }
 
     /// Number of slices.
@@ -204,8 +208,7 @@ impl SliceMerger {
     ///
     /// # Panics
     ///
-    /// If `index` was pushed before (sources deduplicate: the local
-    /// executor claims each index once, the coordinator keeps the first
+    /// If `index` was pushed before (the lease book keeps the first
     /// copy per slice), or if the output's shape disagrees with its
     /// predecessors' (see [`report::merge_outputs`]).
     pub fn push(&mut self, index: usize, output: ExperimentOutput) {
@@ -254,8 +257,146 @@ pub struct CampaignDiag {
     /// [`overlay::table::LinkStateTable::approx_bytes`], sampled at each
     /// slice's end.
     pub peak_table_bytes: u64,
-    /// [`SliceMerger::peak_parked`] of the run's merge.
-    pub peak_parked: usize,
+}
+
+/// What [`LeaseBook::grant`] answers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Grant<T> {
+    /// Simulate this slice.
+    Lease(usize),
+    /// Ask again after a completion, or at this nearest lease deadline.
+    Wait(T),
+    /// Every slice has its output.
+    Done,
+}
+
+enum Slot<T> {
+    Open,
+    Leased { holder: u64, deadline: T },
+    /// With the winning copy's fingerprint, if its source took one.
+    Done(Option<u64>),
+}
+
+/// The one slice scheduler, sans I/O: which holder leases which slice
+/// until when, and the in-order merge of what came back. `T` is the
+/// caller's clock; the book never reads one, every call is given `now`.
+pub(crate) struct LeaseBook<T> {
+    slots: Vec<Slot<T>>,
+    /// How long a grant or a renewal keeps a lease live.
+    ttl: Duration,
+    merger: SliceMerger,
+    leased: usize,
+    peak_leased: usize,
+    /// Expired leases granted again.
+    pub(crate) releases: u64,
+    /// Later copies of completed slices, counted and dropped.
+    pub(crate) duplicates: u64,
+}
+
+impl<T: Copy + Ord + Add<Duration, Output = T>> LeaseBook<T> {
+    pub(crate) fn new(slices: usize, ttl: Duration) -> Self {
+        let slots = (0..slices).map(|_| Slot::Open).collect();
+        let merger = SliceMerger::default();
+        LeaseBook { slots, ttl, merger, leased: 0, peak_leased: 0, releases: 0, duplicates: 0 }
+    }
+
+    /// Leases `holder` the first open slice of the merge window, else
+    /// the window's most overdue expired lease. A full window answers
+    /// `Wait`, never a second lease on a live slice.
+    pub(crate) fn grant(&mut self, holder: u64, now: T) -> Grant<T> {
+        let next = self.merger.next;
+        if self.is_done() {
+            return Grant::Done;
+        }
+        // The merge window: twice the most leases ever outstanding at
+        // once, this grant's included. It never shrinks: every lease is in.
+        let window = next..self.slots.len().min(next + 2 * self.peak_leased.max(self.leased + 1));
+        // Open slices first (`None` sorts low), then the oldest deadline.
+        let pick = window.clone().filter_map(|k| match self.slots[k] {
+            Slot::Open => Some((None, k)),
+            Slot::Leased { deadline, .. } if deadline <= now => Some((Some(deadline), k)),
+            _ => None,
+        });
+        let Some((expired, k)) = pick.min() else {
+            let live = window.filter_map(|k| match self.slots[k] {
+                Slot::Leased { deadline, .. } => Some(deadline),
+                _ => None,
+            });
+            return Grant::Wait(live.min().expect("the oldest unmerged slice is leased"));
+        };
+        if expired.is_some() {
+            self.releases += 1;
+        } else {
+            self.leased += 1;
+            self.peak_leased = self.peak_leased.max(self.leased);
+        }
+        self.slots[k] = Slot::Leased { holder, deadline: now + self.ttl };
+        Grant::Lease(k)
+    }
+
+    /// Extends slice `k`'s lease if `holder` still holds it; a stale
+    /// renewal (the slice was re-leased or completed) is ignored.
+    pub(crate) fn renew(&mut self, holder: u64, k: usize, now: T) {
+        if let Some(Slot::Leased { holder: h, deadline }) = self.slots.get_mut(k) {
+            if *h == holder {
+                *deadline = now + self.ttl;
+            }
+        }
+    }
+
+    /// Expires every lease `holder` holds, so the next grant re-leases
+    /// them without waiting out their deadlines.
+    pub(crate) fn release(&mut self, holder: u64, now: T) {
+        for slot in &mut self.slots {
+            if let Slot::Leased { holder: h, deadline } = slot {
+                if *h == holder {
+                    *deadline = now;
+                }
+            }
+        }
+    }
+
+    /// Hands slice `k`'s output to the merge, leased or not. The first
+    /// copy wins; a later one is counted and dropped, unless both carry
+    /// a `fingerprint` and they disagree: slices are pure functions of
+    /// the job, so that copy came from a nondeterministic source.
+    pub(crate) fn complete(
+        &mut self,
+        k: usize,
+        output: ExperimentOutput,
+        fingerprint: Option<u64>,
+    ) -> Result<(), String> {
+        match (self.slots.get(k), fingerprint) {
+            (None, _) => return Err(format!("result for slice {k} outside the plan")),
+            (Some(&Slot::Done(Some(first))), Some(fp)) if fp != first => {
+                return Err(format!(
+                    "duplicate result for slice {k} fingerprints {fp:#018x}, \
+                     first copy was {first:#018x}: worker is nondeterministic"
+                ));
+            }
+            (Some(Slot::Done(_)), _) => self.duplicates += 1,
+            (Some(slot), _) => {
+                self.leased -= usize::from(matches!(slot, Slot::Leased { .. }));
+                self.slots[k] = Slot::Done(fingerprint);
+                self.merger.push(k, output);
+            }
+        }
+        Ok(())
+    }
+
+    pub(crate) fn is_done(&self) -> bool {
+        self.merger.next == self.slots.len()
+    }
+
+    /// [`SliceMerger::peak_parked`] of the merge: at most the window.
+    pub(crate) fn peak_parked(&self) -> usize {
+        self.merger.peak_parked()
+    }
+
+    /// The merged output of the plan; panics unless every slice is in.
+    pub(crate) fn finish(self) -> ExperimentOutput {
+        self.merger.finish(self.slots.len())
+    }
 }
 
 /// Executes the campaign's slice plan on up to `shards` worker threads,
@@ -267,53 +408,57 @@ pub fn run_sharded(topo: Topology, cfg: ExperimentConfig) -> (ExperimentOutput, 
     let plan = SlicePlan::new(&cfg);
     let workers = resolve_shards(&cfg).min(plan.len());
     let topo = Arc::new(topo);
-    execute(&plan, workers, |s| run_slice(topo.clone(), plan.slice_config(&cfg, s.index), s.start))
+    let (book, diag) = execute(plan.len(), workers, |k| plan.run(topo.clone(), &cfg, k));
+    (book.finish(), diag)
 }
 
-/// What the workers of one [`execute`] share.
-struct Exec {
-    /// Next unclaimed slice index.
-    next: usize,
-    merger: SliceMerger,
-    diag: CampaignDiag,
-}
-
-/// The one slice executor: `workers` claim slice indices in order, `run`
-/// each, and feed the merger.
-fn execute<R>(plan: &SlicePlan, workers: usize, run: R) -> (ExperimentOutput, CampaignDiag)
+/// The local executor: `workers` threads lease slices from one
+/// [`LeaseBook`] whose leases never expire, `run` each, and complete it.
+/// A thread the merge window holds back sleeps until a slice lands.
+fn execute<R>(slices: usize, workers: usize, run: R) -> (LeaseBook<Duration>, CampaignDiag)
 where
-    R: Fn(&Slice) -> (ExperimentOutput, u64) + Sync,
+    R: Fn(usize) -> (ExperimentOutput, u64) + Sync,
 {
     const POISONED: &str = "another slice worker panicked";
-    let shared = Mutex::new(Exec {
-        next: 0,
-        merger: SliceMerger::default(),
-        diag: CampaignDiag::default(),
-    });
-    let work = || loop {
-        let slice = {
-            let mut st = shared.lock().expect(POISONED);
-            let Some(slice) = plan.slices().get(st.next) else { break };
-            st.next += 1;
-            slice
-        };
-        let (out, table_bytes) = run(slice);
+    let shared = Mutex::new((LeaseBook::new(slices, Duration::MAX), CampaignDiag::default()));
+    let landed = Condvar::new();
+    let work = |holder: u64| {
         let mut st = shared.lock().expect(POISONED);
-        st.diag.peak_table_bytes = st.diag.peak_table_bytes.max(table_bytes);
-        st.merger.push(slice.index, out);
+        loop {
+            let k = match st.0.grant(holder, Duration::ZERO) {
+                Grant::Lease(k) => k,
+                Grant::Wait(_) => {
+                    st = landed.wait(st).expect(POISONED);
+                    continue;
+                }
+                Grant::Done => return,
+            };
+            drop(st);
+            let (out, table_bytes) = match catch_unwind(AssertUnwindSafe(|| run(k))) {
+                Ok(done) => done,
+                Err(panic) => {
+                    // Unwinding with the lock held poisons it, so a thread
+                    // waiting on this slice wakes and panics too.
+                    let _poison = shared.lock();
+                    landed.notify_all();
+                    resume_unwind(panic)
+                }
+            };
+            st = shared.lock().expect(POISONED);
+            st.1.peak_table_bytes = st.1.peak_table_bytes.max(table_bytes);
+            st.0.complete(k, out, None).expect("a local slice completes once");
+            landed.notify_all();
+        }
     };
-    if workers > 1 {
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(work);
-            }
-        });
-    } else {
-        work();
-    }
-    let mut st = shared.into_inner().expect(POISONED);
-    st.diag.peak_parked = st.merger.peak_parked();
-    (st.merger.finish(plan.len()), st.diag)
+    // The calling thread is worker 0.
+    std::thread::scope(|scope| {
+        for holder in 1..workers as u64 {
+            let work = &work;
+            scope.spawn(move || work(holder));
+        }
+        work(0);
+    });
+    shared.into_inner().expect(POISONED)
 }
 
 #[cfg(test)]
@@ -399,10 +544,11 @@ mod tests {
 
     #[test]
     fn one_worker_feeds_the_merger_in_order() {
-        let mut c = cfg(8, 1);
-        c.shards = 1;
-        let (_, diag) = run_sharded(Topology::synthetic(4, 0.02, 5), c);
-        assert_eq!(diag.peak_parked, 1, "each slice folds the moment it lands");
+        let c = cfg(8, 1);
+        let plan = SlicePlan::new(&c);
+        let topo = Arc::new(Topology::synthetic(4, 0.02, 5));
+        let (book, diag) = execute(plan.len(), 1, |k| plan.run(topo.clone(), &c, k));
+        assert_eq!(book.peak_parked(), 1, "each slice folds the moment it lands");
         assert!(diag.peak_table_bytes > 0);
     }
 
@@ -418,14 +564,166 @@ mod tests {
         assert_eq!(plan.len(), 8);
         let lockstep = std::sync::Barrier::new(2);
         let topo = Arc::new(Topology::synthetic(4, 0.02, 5));
-        let (out, diag) = execute(&plan, 2, |s| {
-            let done = run_slice(topo.clone(), plan.slice_config(&c, s.index), s.start);
+        let (book, _) = execute(plan.len(), 2, |k| {
+            let done = plan.run(topo.clone(), &c, k);
             lockstep.wait();
             done
         });
-        assert!(diag.peak_parked <= 2, "parked {} results on 2 workers", diag.peak_parked);
+        let parked = book.peak_parked();
+        assert!(parked <= 2, "parked {parked} results on 2 workers");
         let (seq, _) = run_sharded(Topology::synthetic(4, 0.02, 5), c);
-        assert_eq!(out.fingerprint(), seq.fingerprint());
+        assert_eq!(book.finish().fingerprint(), seq.fingerprint());
+    }
+
+    #[test]
+    fn a_stalled_slice_holds_two_workers_to_the_merge_window() {
+        // Slice 0 stalls, alive, until the other worker has run every
+        // other slice or gone quiet. Two leases at once make a window of
+        // four, so the other worker runs slices 1–3 and then waits: three
+        // results parked, not seven, and the same bits as one thread.
+        let c = cfg(8, 1);
+        let plan = SlicePlan::new(&c);
+        let topo = Arc::new(Topology::synthetic(4, 0.02, 5));
+        let (ran, others) = std::sync::mpsc::channel();
+        let others = Mutex::new(others);
+        let during_stall = Mutex::new(0);
+        let (book, _) = execute(plan.len(), 2, |k| {
+            if k == 0 {
+                let others = others.lock().unwrap();
+                let quiet = Duration::from_millis(300);
+                let seen = (1..plan.len()).take_while(|_| others.recv_timeout(quiet).is_ok());
+                *during_stall.lock().unwrap() = seen.count();
+            }
+            let done = plan.run(topo.clone(), &c, k);
+            ran.send(k).unwrap();
+            done
+        });
+        let during_stall = *during_stall.lock().unwrap();
+        assert!(during_stall <= 3, "{during_stall} slices ran past a window of 4");
+        let parked = book.peak_parked();
+        assert!(parked <= 4, "parked {parked} results behind a window of 4");
+        let (seq, _) = run_sharded(Topology::synthetic(4, 0.02, 5), c);
+        assert_eq!(book.finish().fingerprint(), seq.fingerprint());
+    }
+
+    #[test]
+    fn a_panicking_slice_ends_the_run_instead_of_stranding_the_other_worker() {
+        // Slice 0 panics once the other worker has filled the window
+        // behind it and is waiting for it to land: the panic must wake
+        // that worker and end the run, not leave it waiting.
+        let c = cfg(8, 1);
+        let plan = SlicePlan::new(&c);
+        let topo = Arc::new(Topology::synthetic(4, 0.02, 5));
+        let (ran, others) = std::sync::mpsc::channel();
+        let others = Mutex::new(others);
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            execute(plan.len(), 2, |k| {
+                if k == 0 {
+                    let others = others.lock().unwrap();
+                    for _ in 1..4 {
+                        others.recv().unwrap();
+                    }
+                    panic!("slice 0 panicked on purpose");
+                }
+                let done = plan.run(topo.clone(), &c, k);
+                ran.send(k).unwrap();
+                done
+            })
+        }));
+        assert!(run.is_err(), "the panic must end the run");
+    }
+
+    /// A small real output to complete book slots with: the merge folds
+    /// any outputs of one shape.
+    fn tiny() -> ExperimentOutput {
+        run_sharded(Topology::synthetic(4, 0.02, 5), cfg(1, 1)).0
+    }
+
+    const fn ms(n: u64) -> Duration {
+        Duration::from_millis(n)
+    }
+
+    /// A book on a synthetic clock with 100 ms leases.
+    fn new_book(slices: usize) -> LeaseBook<Duration> {
+        LeaseBook::new(slices, ms(100))
+    }
+
+    #[test]
+    fn grant_walks_plan_then_backs_off_then_relieves_expired() {
+        let mut book = new_book(3);
+        let t0 = ms(5_000);
+        assert_eq!(book.grant(1, t0), Grant::Lease(0));
+        assert_eq!(book.grant(2, t0), Grant::Lease(1));
+        assert_eq!(book.grant(2, t0), Grant::Lease(2));
+        // Plan exhausted, all leases live: back off until the nearest
+        // deadline.
+        assert_eq!(book.grant(3, t0), Grant::Wait(t0 + ms(100)));
+        // Renewals keep holder 2's leases alive past the timeout (a
+        // stale one from holder 1 changes nothing); holder 1 went
+        // silent, so slice 0 is the one re-issued.
+        let later = t0 + ms(150);
+        book.renew(2, 1, later);
+        book.renew(2, 2, later);
+        book.renew(1, 2, t0 + ms(400));
+        assert_eq!(book.grant(3, later), Grant::Lease(0));
+        assert_eq!(book.releases, 1);
+        assert_eq!(book.grant(4, later), Grant::Wait(later + ms(100)));
+        // A holder's release expires its leases with no wait at all,
+        // most overdue first.
+        book.release(2, later);
+        assert_eq!(book.grant(3, later), Grant::Lease(1));
+        assert_eq!(book.grant(3, later), Grant::Lease(2));
+        assert_eq!(book.releases, 3);
+    }
+
+    #[test]
+    fn complete_keeps_the_first_copy_and_counts_the_rest() {
+        let mut book = new_book(2);
+        assert_eq!(book.grant(1, ms(0)), Grant::Lease(0));
+        book.complete(0, tiny(), Some(7)).unwrap();
+        book.complete(0, tiny(), Some(7)).unwrap();
+        assert_eq!(book.duplicates, 1);
+        assert!(!book.is_done());
+        let err = book.complete(7, tiny(), Some(7)).unwrap_err();
+        assert!(err.contains("slice 7 outside the plan"), "got: {err}");
+        let err = book.complete(0, tiny(), Some(8)).unwrap_err();
+        assert!(err.contains("nondeterministic"), "got: {err}");
+        assert_eq!(book.duplicates, 1, "a refused copy is not counted");
+        // A slice nobody leased is accepted all the same.
+        book.complete(1, tiny(), Some(9)).unwrap();
+        assert!(book.is_done());
+        assert_eq!(book.grant(1, ms(0)), Grant::Done);
+        // Without fingerprints there is nothing to hold a copy to.
+        let mut book = new_book(1);
+        book.complete(0, tiny(), None).unwrap();
+        book.complete(0, tiny(), Some(8)).unwrap();
+        assert_eq!(book.duplicates, 1);
+        book.finish();
+    }
+
+    #[test]
+    fn a_full_window_waits_on_a_live_laggard_and_re_leases_an_expired_one() {
+        let mut book = new_book(10);
+        let t0 = ms(0);
+        assert_eq!(book.grant(1, t0), Grant::Lease(0));
+        // Two leases at once make the window four slices wide.
+        for k in 1..4 {
+            assert_eq!(book.grant(2, t0), Grant::Lease(k));
+            book.complete(k, tiny(), None).unwrap();
+        }
+        assert_eq!(book.grant(2, t0), Grant::Wait(t0 + ms(100)));
+        book.renew(1, 0, t0 + ms(90));
+        assert_eq!(book.grant(2, t0 + ms(150)), Grant::Wait(t0 + ms(190)));
+        assert_eq!(book.peak_parked(), 3);
+        assert_eq!(book.releases, 0);
+        // Past its deadline the laggard is leased again, once.
+        assert_eq!(book.grant(2, t0 + ms(200)), Grant::Lease(0));
+        assert_eq!(book.grant(3, t0 + ms(200)), Grant::Wait(t0 + ms(300)));
+        assert_eq!(book.releases, 1);
+        // Its landing slides the window past the parked three.
+        book.complete(0, tiny(), None).unwrap();
+        assert_eq!(book.peak_parked(), 4, "each arrival counts before it folds");
+        assert_eq!(book.grant(3, t0 + ms(200)), Grant::Lease(4));
     }
 
     #[test]
