@@ -148,6 +148,12 @@ impl Histogram {
         self.bins.len()
     }
 
+    /// The largest counter [`Self::merge`] adds up: the total, the zero
+    /// bucket or a bin.
+    pub fn max_count(&self) -> u64 {
+        self.bins.iter().fold(self.count.max(self.zeros), |m, &b| m.max(b))
+    }
+
     /// Total recorded values.
     pub fn count(&self) -> u64 {
         self.count

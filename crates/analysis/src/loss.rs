@@ -292,6 +292,25 @@ impl LossAccum {
         sum(&mut a.lat_cnt, &b.lat_cnt);
     }
 
+    /// The largest counter [`Self::merge`] adds up: a cell's (the latency
+    /// sums are floats, which do not wrap) or a deep prefix count.
+    pub fn max_count(&self) -> u64 {
+        let c = &self.cells;
+        let columns = [
+            &c.pairs,
+            &c.pairs_lost,
+            &c.l1_sent,
+            &c.l1_lost,
+            &c.l2_sent,
+            &c.l2_lost,
+            &c.both_lost,
+            &c.first_lost_with_second,
+            &c.lat_cnt,
+            &self.deep,
+        ];
+        columns.into_iter().flatten().copied().max().unwrap_or(0)
+    }
+
     /// Feeds the accumulator's exact state (every counter and the bit
     /// patterns of every latency sum) into a fingerprint fold.
     ///

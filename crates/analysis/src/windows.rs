@@ -248,6 +248,14 @@ impl WindowAccum {
         }
     }
 
+    /// The largest counter [`Self::merge`] adds up: a histogram's, a
+    /// threshold count or a window count.
+    pub fn max_count(&self) -> u64 {
+        let hist = self.hist.iter().map(Histogram::max_count);
+        let counts = self.thresholds.iter().flatten().chain(&self.windows).copied();
+        hist.chain(counts).max().unwrap_or(0)
+    }
+
     /// The per-method loss-rate histogram (Figure 3's raw material).
     pub fn histogram(&self, method: u8) -> &Histogram {
         &self.hist[method as usize]

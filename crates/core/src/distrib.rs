@@ -487,6 +487,9 @@ struct Coord {
     /// the job's stamp and shape before it can reach the merger's asserts.
     cfg: ExperimentConfig,
     pairs: PairIndex,
+    /// The largest counter a result may carry: `u64::MAX / slices`, so
+    /// no sum of accepted results can overflow.
+    max_count: u64,
     opts: ServeOptions,
     book: Mutex<LeaseBook<Instant>>,
 }
@@ -497,18 +500,23 @@ impl Coord {
         let mesh = job.spec.probe_mesh(job.seed);
         let pairs = PairIndex::new(job.spec.topology.hosts(), mesh.as_deref());
         let book = Mutex::new(LeaseBook::new(slices, opts.lease_timeout));
-        Coord { job, cfg, pairs, opts, book }
+        let max_count = u64::MAX / slices.max(1) as u64;
+        Coord { job, cfg, pairs, max_count, opts, book }
     }
 
-    /// Completes a slice with a result from outside the process. Its stamp
-    /// and shape are checked against the job first: the merge asserts on a
-    /// mismatch, and a panic under the book's lock would poison it for
-    /// every connection. Its fingerprint (~0.7 ms) is taken before the lock.
+    /// Completes a slice with a result from outside the process. Its stamp,
+    /// shape and counts are checked against the job first: the merge
+    /// asserts on a mismatch and adds counts up, and a panic under the
+    /// book's lock would poison it for every connection. Its fingerprint
+    /// (~0.7 ms) is taken before the lock.
     fn record(&self, slice: usize, output: ExperimentOutput) -> io::Result<()> {
+        let unfit = |why: String| proto_err(format!("result for slice {slice} does not fit the campaign: {why}"));
         if let Some(field) = output.shape_mismatch(&self.cfg, &self.pairs) {
-            return Err(proto_err(format!(
-                "result for slice {slice} does not fit the campaign: {field}"
-            )));
+            return Err(unfit(field));
+        }
+        let (field, count) = output.max_count();
+        if count > self.max_count {
+            return Err(unfit(format!("`{field}` counts {count}, above the {} one slice may hold", self.max_count)));
         }
         let fingerprint = output.fingerprint();
         self.book.lock().unwrap().complete(slice, output, Some(fingerprint)).map_err(proto_err)

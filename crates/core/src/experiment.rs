@@ -198,6 +198,33 @@ impl ExperimentOutput {
             .or_else(|| differs("win60", self.win60.shape(), window(WIN60)))
     }
 
+    /// The largest counter [`crate::report::merge_outputs`] adds up, and
+    /// the field that holds it. `k` results that each stay at or below
+    /// `u64::MAX / k` sum without overflow, so the coordinator refuses a
+    /// wire-received result above that instead of letting its merge
+    /// panic (debug) or wrap (release).
+    pub fn max_count(&self) -> (&'static str, u64) {
+        let (n, c) = (&self.net, &self.collector);
+        let net = [n.sent, n.delivered, n.dropped_outage, n.dropped_congestion, n.lsa_bytes, n.lsa_entries];
+        let collector =
+            [c.resolved, c.discarded, c.late_receives, c.malformed_receives, c.malformed_sends, c.peak_pending];
+        let routes = self.route_usage.iter().flat_map(|&(legs, detoured)| [legs, detoured]);
+        [
+            ("loss", self.loss.max_count()),
+            ("win20", self.win20.max_count()),
+            ("win60", self.win60.max_count()),
+            ("net", net.into_iter().max().unwrap_or(0)),
+            ("overlay_probes", self.overlay_probes),
+            ("measure_legs", self.measure_legs),
+            ("collector", collector.into_iter().max().unwrap_or(0)),
+            ("route_usage", routes.max().unwrap_or(0)),
+            ("duration", self.duration.as_micros()),
+        ]
+        .into_iter()
+        .max_by_key(|&(_, count)| count)
+        .expect("the list is not empty")
+    }
+
     /// A stable 64-bit fingerprint over the *entire* output state —
     /// every accumulator cell, histogram bucket, counter and the exact
     /// bit patterns of all floating-point sums.
@@ -869,9 +896,9 @@ mod tests {
     /// the via → dst core links) the network has animated the segments
     /// its packets crossed — each host's two access links and the core
     /// links to its k mesh neighbours — not one per ordered host pair,
-    /// the event queue holds buffers for what is pending, not for every
-    /// bucket it ever filled, and the accumulators a row per declared
-    /// pair, not per ordered host pair.
+    /// and holds a box per animated segment, the event queue holds slots
+    /// for what is pending, not for every bucket it ever filled, and the
+    /// accumulators a row per declared pair, not per ordered host pair.
     #[test]
     fn a_run_holds_state_for_what_it_used() {
         let (hosts, k) = (60, 6);
@@ -887,17 +914,40 @@ mod tests {
         let animated = runner.net.animated_segments();
         assert!(animated > hosts, "animated {animated}");
         assert!(animated <= (k + 2) * hosts, "animated {animated} segments");
+        // The network's bytes are those segments' boxes and the few
+        // latency episodes they own, beside an 8-byte slot per segment of
+        // the testbed and a process per host.
+        let slots = runner.net.topo().segments() * 8 + hosts * std::mem::size_of::<netsim::OutageProcess>();
+        let net = runner.net.approx_bytes() - slots;
+        let boxed = animated * std::mem::size_of::<netsim::Segment>();
+        assert!((boxed..boxed + 4096).contains(&net), "{net} bytes for {animated} segments");
         // 25 simulated minutes is many ring revolutions: the queue holds
-        // ~90 KB here, a private buffer per ring bucket it ever filled
-        // would be ~600 KB.
+        // ~26 KB here; buffers recycled between buckets, each as large as
+        // the largest bucket it served, held ~90 KB, and a private buffer
+        // per ring bucket it ever filled would be ~600 KB.
         let held = runner.q.approx_bytes();
-        assert!(held < 1 << 18, "the event queue retains {held} bytes");
+        assert!(held < 1 << 15, "the event queue retains {held} bytes");
         // And the accumulators hold a row per declared pair and method
         // (one method, ten 8-byte counters), not one per ordered pair.
         assert!(runner.loss.summary(0).pairs > 1_000);
         let index = runner.loss.pairs().approx_bytes();
         assert_eq!(runner.loss.approx_bytes() - index, 80 * hosts * k, "hosts x k loss rows");
         assert!(runner.win20.approx_bytes() - index < 16 * hosts * k + 4096);
+    }
+
+    /// The refusal test names the largest counter a merge would add up,
+    /// wherever it sits.
+    #[test]
+    fn max_count_names_the_largest_summed_counter() {
+        let topo = Topology::synthetic(4, 0.01, 23);
+        let mut out = run_experiment(topo, quick_cfg(MethodSet::ron2003(), 23, 20));
+        // Twenty minutes in microseconds outnumber every event count.
+        assert_eq!(out.max_count(), ("duration", out.duration.as_micros()));
+        let sent = out.net.sent;
+        assert!(out.loss.max_count() > 0 && out.loss.max_count() < sent);
+        assert!(out.win20.max_count() > 0 && out.win20.max_count() < sent);
+        out.route_usage[3].1 = u64::MAX;
+        assert_eq!(out.max_count(), ("route_usage", u64::MAX));
     }
 
     #[test]

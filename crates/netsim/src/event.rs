@@ -28,17 +28,17 @@
 //!
 //! ## What a queue holds
 //!
-//! The ring's 256 bucket headers (6 KB, allocated once), and one
-//! entry buffer per *simultaneously occupied* bucket — about a hundred
-//! at a 15 s probe interval, whatever the length of the run. A bucket
-//! the cursor drains hands its buffer to a queue-owned spare list, and
-//! a push into a bucket that has none takes the most recently returned
-//! one (still cache-hot), so steady-state pushes allocate nothing. The
-//! buffer must **not** go back to the slot it came from: the cursor
-//! will not revisit that slot for a full ring revolution, so a long run
-//! would leave a private, empty buffer parked in every slot it ever
-//! filled. Resident memory follows what is pending, not what was ever
-//! scheduled; [`EventQueue::approx_bytes`] reports it.
+//! The ring's 256 bucket heads (1 KB, allocated once), one pool of entry
+//! slots that every ring bucket shares, the open window's heap and the
+//! overflow heap. A bucket is a singly linked list threaded through the
+//! pool: a push takes the most recently freed slot (still cache-hot)
+//! and links it in front of its bucket, and the cursor hands a drained
+//! bucket's slots back to the pool's free list. So the pool holds as
+//! many slots as were ever pending on the ring at once — a bucket owns
+//! no buffer, and no buffer keeps the capacity of the largest bucket it
+//! once served — and steady-state pushes allocate nothing. Resident
+//! memory follows what is pending, not what was ever scheduled;
+//! [`EventQueue::approx_bytes`] reports it.
 //!
 //! Keys `(time, seq)` are unique and totally ordered, so heap pops are
 //! deterministic and the pop sequence is **identical** to an ordered
@@ -67,6 +67,8 @@ const N_SLOTS: usize = 1 << 8;
 /// re-arms (≤ 15 s × 1.2); events beyond it wait in the overflow heap
 /// and migrate as the cursor advances.
 const HORIZON_US: u64 = (N_SLOTS as u64) << SLOT_BITS;
+/// The end of a bucket list or of the free list.
+const NIL: u32 = u32::MAX;
 
 struct Entry<E> {
     at: SimTime,
@@ -99,6 +101,13 @@ impl<E> Ord for Entry<E> {
     }
 }
 
+/// A slot of the ring's entry pool: an entry of some bucket, or free,
+/// and the next slot of the same list.
+struct Slot<E> {
+    entry: Option<Entry<E>>,
+    next: u32,
+}
+
 /// A time-ordered event queue with FIFO semantics for simultaneous
 /// events, implemented as a calendar queue (see the module docs).
 pub struct EventQueue<E> {
@@ -106,11 +115,13 @@ pub struct EventQueue<E> {
     /// as a min-first heap over the unique `(at, seq)` keys. The global
     /// minimum is always at its top while this is non-empty.
     current: BinaryHeap<Entry<E>>,
-    /// The ring of future windows; bucket `i` holds the (unsorted)
-    /// entries of exactly one window. An empty bucket owns no buffer.
-    slots: Vec<Vec<Entry<E>>>,
-    /// Emptied buffers of drained buckets, most recently drained last.
-    spare: Vec<Vec<Entry<E>>>,
+    /// The ring of future windows: bucket `i` is the list, starting at
+    /// `heads[i]`, of the (unsorted) entries of exactly one window.
+    heads: Vec<u32>,
+    /// The slots every bucket list and the free list thread through.
+    pool: Vec<Slot<E>>,
+    /// First free slot of `pool`, most recently freed first.
+    free: u32,
     /// Ring index of the open window.
     cursor: usize,
     /// Start instant (µs, window-aligned) of the open window. Monotone.
@@ -133,8 +144,9 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             current: BinaryHeap::new(),
-            slots: (0..N_SLOTS).map(|_| Vec::new()).collect(),
-            spare: Vec::new(),
+            heads: vec![NIL; N_SLOTS],
+            pool: Vec::new(),
+            free: NIL,
             cursor: 0,
             wheel_start: 0,
             overflow: BinaryHeap::new(),
@@ -165,13 +177,18 @@ impl<E> EventQueue<E> {
         } else if offset < HORIZON_US {
             let slot = ((entry.at.as_micros() >> SLOT_BITS) as usize) & (N_SLOTS - 1);
             debug_assert_ne!(slot, self.cursor, "ring bucket would alias the open window");
-            let bucket = &mut self.slots[slot];
-            if bucket.capacity() == 0 {
-                if let Some(buffer) = self.spare.pop() {
-                    *bucket = buffer;
-                }
-            }
-            bucket.push(entry);
+            let next = self.heads[slot];
+            self.heads[slot] = if self.free == NIL {
+                let i = u32::try_from(self.pool.len()).ok().filter(|&i| i != NIL);
+                self.pool.push(Slot { entry: Some(entry), next });
+                i.expect("fewer than 2^32 - 1 events on the ring")
+            } else {
+                let i = self.free;
+                let taken = &mut self.pool[i as usize];
+                self.free = taken.next;
+                *taken = Slot { entry: Some(entry), next };
+                i
+            };
         } else {
             self.overflow.push(entry);
         }
@@ -197,16 +214,24 @@ impl<E> EventQueue<E> {
                 return;
             }
             // The earliest non-empty ring bucket becomes the open window.
-            if let Some(d) = (0..N_SLOTS).find(|d| !self.slots[(self.cursor + d) & (N_SLOTS - 1)].is_empty()) {
+            if let Some(d) = (0..N_SLOTS).find(|d| self.heads[(self.cursor + d) & (N_SLOTS - 1)] != NIL) {
                 let slot = (self.cursor + d) & (N_SLOTS - 1);
-                let mut bucket = std::mem::take(&mut self.slots[slot]);
-                // Every entry in a bucket belongs to one window, so the
-                // bucket's own entries define the new window start.
-                self.wheel_start = (bucket[0].at.as_micros() >> SLOT_BITS) << SLOT_BITS;
+                let mut i = std::mem::replace(&mut self.heads[slot], NIL);
+                // Every entry in a bucket belongs to one window, so any
+                // of its entries defines the new window start.
+                let first = self.pool[i as usize].entry.as_ref().expect("a bucket links only occupied slots");
+                self.wheel_start = (first.at.as_micros() >> SLOT_BITS) << SLOT_BITS;
                 self.cursor = slot;
-                self.current.extend(bucket.drain(..));
-                // To the spare list, not back to its slot (module docs).
-                self.spare.push(bucket);
+                // `current` is empty: fill its buffer and heapify once.
+                let mut window = std::mem::take(&mut self.current).into_vec();
+                while i != NIL {
+                    let freed = &mut self.pool[i as usize];
+                    window.push(freed.entry.take().expect("a bucket links only occupied slots"));
+                    let next = std::mem::replace(&mut freed.next, self.free);
+                    self.free = i;
+                    i = next;
+                }
+                self.current = BinaryHeap::from(window);
                 return;
             }
             // Ring empty: jump the cursor straight to the earliest
@@ -242,9 +267,9 @@ impl<E> EventQueue<E> {
         // `wheel_start`, an old overflow entry can sit inside the new
         // horizon while later pushes land in the ring — compare both.
         let ring_min = (0..N_SLOTS)
-            .map(|d| &self.slots[(self.cursor + d) & (N_SLOTS - 1)])
-            .find(|bucket| !bucket.is_empty())
-            .and_then(|bucket| bucket.iter().map(|e| e.at).min());
+            .map(|d| self.heads[(self.cursor + d) & (N_SLOTS - 1)])
+            .find(|&head| head != NIL)
+            .and_then(|head| self.bucket(head).map(|e| e.at).min());
         let overflow_min = self.overflow.peek().map(|e| e.at);
         match (ring_min, overflow_min) {
             (Some(a), Some(b)) => Some(a.min(b)),
@@ -272,16 +297,23 @@ impl<E> EventQueue<E> {
         self.popped
     }
 
-    /// Heap bytes the queue holds right now: the ring's bucket headers
-    /// plus the capacity of every entry buffer — occupied buckets, the
-    /// spare list, the open window and the overflow heap.
+    /// The entries of the bucket list starting at `head`.
+    fn bucket(&self, head: u32) -> impl Iterator<Item = &Entry<E>> {
+        let mut i = head;
+        std::iter::from_fn(move || {
+            let slot = self.pool.get(i as usize)?;
+            i = slot.next;
+            slot.entry.as_ref()
+        })
+    }
+
+    /// Heap bytes the queue holds right now: the ring's bucket heads,
+    /// the entry pool, the open window and the overflow heap.
     pub fn approx_bytes(&self) -> usize {
-        let header = std::mem::size_of::<Vec<Entry<E>>>();
-        let entries: usize = self.slots.iter().chain(&self.spare).map(Vec::capacity).sum::<usize>()
-            + self.current.capacity()
-            + self.overflow.capacity();
-        (self.slots.capacity() + self.spare.capacity()) * header
-            + entries * std::mem::size_of::<Entry<E>>()
+        use std::mem::size_of;
+        self.heads.capacity() * size_of::<u32>()
+            + self.pool.capacity() * size_of::<Slot<E>>()
+            + (self.current.capacity() + self.overflow.capacity()) * size_of::<Entry<E>>()
     }
 }
 
@@ -397,12 +429,12 @@ mod tests {
         assert_eq!(q.pop().unwrap().1, "same-window");
     }
 
-    /// An empty queue holds the ring's bucket headers and nothing else.
+    /// An empty queue holds the ring's bucket heads and nothing else.
     #[test]
     fn an_empty_queue_holds_only_its_ring_headers() {
         let q = EventQueue::<u64>::new();
-        assert_eq!(q.approx_bytes(), N_SLOTS * std::mem::size_of::<Vec<Entry<u64>>>());
-        assert!(q.approx_bytes() <= 8 << 10, "{} bytes of ring headers", q.approx_bytes());
+        assert_eq!(q.approx_bytes(), N_SLOTS * std::mem::size_of::<u32>());
+        assert!(q.approx_bytes() <= 1 << 10, "{} bytes of ring heads", q.approx_bytes());
     }
 
     /// Dense same-instant bursts spread across several windows keep

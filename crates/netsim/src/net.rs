@@ -229,6 +229,18 @@ impl Network {
     pub fn animated_segments(&self) -> usize {
         self.animated
     }
+
+    /// Heap bytes of the live network state: the segment slot table,
+    /// every animated segment's box and the windows and episodes it
+    /// owns, and the host processes. The topology is shared between
+    /// slices and reports itself ([`Topology::approx_bytes`]).
+    pub fn approx_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let animated = self.segments.iter().flatten();
+        self.segments.capacity() * size_of::<Option<Box<Segment>>>()
+            + animated.map(|s| size_of::<Segment>() + s.heap_bytes()).sum::<usize>()
+            + self.host_proc.capacity() * size_of::<OutageProcess>()
+    }
 }
 
 #[cfg(test)]
@@ -329,8 +341,32 @@ mod tests {
         // Crossing the same three segments again animates nothing new.
         net.transmit(SimTime::from_secs(10), HostId(7), HostId(9));
         let after_first = net.animated_segments();
+        let bytes = net.approx_bytes();
         net.transmit(SimTime::from_secs(11), HostId(7), HostId(9));
         assert_eq!(net.animated_segments(), after_first);
+        assert_eq!(net.approx_bytes(), bytes);
+    }
+
+    /// The reported bytes are the slot table, the host processes, a box
+    /// per animated segment and the windows each box owns.
+    #[test]
+    fn approx_bytes_counts_the_slot_table_and_each_animated_segment() {
+        let mut topo = Topology::synthetic(8, 0.01, 6);
+        let (a, b) = (HostId(0), HostId(1));
+        let down = (SimTime::from_secs(50), SimTime::from_secs(60));
+        topo.push_down(topo.seg_core(a, b), down);
+        let mut net = Network::new(topo, 6);
+        let table = net.topo().segments() * std::mem::size_of::<Option<Box<Segment>>>()
+            + 8 * std::mem::size_of::<OutageProcess>();
+        assert_eq!(net.approx_bytes(), table, "nothing animated yet");
+        net.transmit(SimTime::from_secs(1), a, b);
+        assert_eq!(net.animated_segments(), 3);
+        let boxes = 3 * std::mem::size_of::<Segment>();
+        // The down window's vector holds at least it, within a small
+        // vector's first allocation.
+        let window = std::mem::size_of_val(&down);
+        let bytes = net.approx_bytes() - table - boxes;
+        assert!((window..=4 * window).contains(&bytes), "{bytes} bytes beside the boxes");
     }
 
     /// A segment's stream derives from the seed and its own id, so the

@@ -114,6 +114,15 @@ impl Segment {
         self.id
     }
 
+    /// Heap bytes this segment owns beside itself: its scripted hot and
+    /// down windows and its latency episodes.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        fn heap<T>(v: &Vec<T>) -> usize {
+            v.capacity() * std::mem::size_of::<T>()
+        }
+        heap(&self.hot) + heap(&self.down) + heap(&self.latency.episodes)
+    }
+
     /// Passes one packet across the segment at `now` under the global
     /// `load`. The loss process reads the intensity (load × hot windows)
     /// only on the crossings that draw a sojourn, so it is a thunk.

@@ -74,16 +74,18 @@ impl RemoteMetric {
 
 /// One peer's advertised entries, stored sparse and as they arrived:
 /// the wire entries sorted by destination, one per destination the peer
-/// has actually *advertised*, beside a column of the instants each was
-/// learned, looked up by binary search. Under a sparse probe mesh a peer
-/// advertises O(k) destinations, so a node's full table is O(n·k)
-/// instead of the dense layout's O(n²) — the dominant per-node
-/// allocation at thousands of hosts.
+/// has actually *advertised*, looked up by binary search. Under a sparse
+/// probe mesh a peer advertises O(k) destinations, so a node's full
+/// table is O(n·k) instead of the dense layout's O(n²) — the dominant
+/// per-node allocation at thousands of hosts.
 ///
 /// Staleness is per *entry*, not per vector: delta dissemination
 /// refreshes entries individually, and an entry a silent peer last
 /// advertised long ago must age out of route selection even if the peer
-/// still chatters about other destinations.
+/// still chatters about other destinations. But a full advertisement
+/// stamps every entry with one instant, so the vector keeps one stamp
+/// (`learned`) and builds the per-entry column (`stamps`) only when a
+/// merge stamps entries one by one at another instant.
 ///
 /// A peer that has advertised nothing is the empty vector (no heap).
 /// Advertisements arrive sorted by destination — senders emit them in
@@ -94,8 +96,11 @@ impl RemoteMetric {
 #[derive(Debug, Clone, Default)]
 struct PeerVector {
     entries: Vec<MetricEntry>,
-    /// When `entries[i]` was learned.
+    /// When `entries[i]` was learned; empty when every entry was
+    /// learned at `learned`.
     stamps: Vec<SimTime>,
+    /// When every entry was learned, while `stamps` is empty.
+    learned: SimTime,
 }
 
 /// Whether `entries` is what every sender emits: strictly ascending by
@@ -110,30 +115,41 @@ fn well_formed(entries: &[MetricEntry], n: usize) -> bool {
 impl PeerVector {
     /// The entry toward `dst` and when it was learned.
     #[inline]
-    fn get(&self, dst: u16) -> Option<(&MetricEntry, &SimTime)> {
+    fn get(&self, dst: u16) -> Option<(&MetricEntry, SimTime)> {
         // A verified hint: a peer that advertises everyone but itself
         // (a clique's steady state) keeps `dst` at index `dst` or one
         // below. Whatever the contents, a hit is checked by key and a
         // miss falls through to the search.
         let guess = usize::from(dst).min(self.entries.len().saturating_sub(1));
-        for at in [guess, guess.wrapping_sub(1)] {
-            if self.entries.get(at).is_some_and(|e| e.peer.0 == dst) {
-                return Some((&self.entries[at], &self.stamps[at]));
-            }
-        }
-        let i = self.entries.binary_search_by_key(&dst, |e| e.peer.0).ok()?;
-        Some((&self.entries[i], &self.stamps[i]))
+        let at = [guess, guess.wrapping_sub(1)]
+            .into_iter()
+            .find(|&at| self.entries.get(at).is_some_and(|e| e.peer.0 == dst))
+            .or_else(|| self.entries.binary_search_by_key(&dst, |e| e.peer.0).ok())?;
+        Some((&self.entries[at], self.stamps.get(at).copied().unwrap_or(self.learned)))
     }
 
-    /// Stores `e` learned `now` at index `at`, over the entry there when
-    /// it has the same destination.
+    /// Empties the vector for a full advertisement learned `now`,
+    /// keeping its buffers.
+    fn reset(&mut self, now: SimTime) {
+        self.entries.clear();
+        self.stamps.clear();
+        self.learned = now;
+    }
+
+    /// Stores `e` at index `at`, over the entry there when it has the
+    /// same destination; with a stamp column, stamps it `now`.
     fn put(&mut self, at: usize, e: &MetricEntry, now: SimTime) {
+        let column = !self.stamps.is_empty();
         if self.entries.get(at).is_some_and(|old| old.peer == e.peer) {
             self.entries[at] = *e;
-            self.stamps[at] = now;
+            if column {
+                self.stamps[at] = now;
+            }
         } else {
             self.entries.insert(at, *e);
-            self.stamps.insert(at, now);
+            if column {
+                self.stamps.insert(at, now);
+            }
         }
     }
 
@@ -147,7 +163,16 @@ impl PeerVector {
     /// `at - 1` belongs at `at` or later whatever came before; any
     /// other entry — shuffled or duplicated input — is placed by binary
     /// search.
+    ///
+    /// A vector whose entries were all learned `now` (an empty one
+    /// included) stays on its one stamp; any other builds its column.
     fn merge(&mut self, entries: &[MetricEntry], n: usize, now: SimTime) {
+        if self.entries.is_empty() {
+            self.reset(now);
+        } else if self.stamps.is_empty() && self.learned != now {
+            self.stamps.reserve_exact(self.entries.len());
+            self.stamps.resize(self.entries.len(), self.learned);
+        }
         let mut at = 0;
         for e in entries {
             if e.peer.idx() >= n {
@@ -351,14 +376,12 @@ impl LinkStateTable {
     /// known entry is discarded and the new ones are stamped `now`.
     pub fn ingest_full(&mut self, from: HostId, entries: &[MetricEntry], now: SimTime) {
         let Some(slot) = self.peers.slot(from) else { return };
-        // Reuse the buffers; grow them (rarely, and to the exact size, as
-        // a fresh vector would be) only when the peer advertises more
-        // than it ever has.
+        // Reuse the buffer; grow it (rarely, and to the exact size, as a
+        // fresh vector would be) only when the peer advertises more than
+        // it ever has. Every entry is learned `now`: one stamp.
         let v = &mut self.vectors[slot];
-        v.entries.clear();
-        v.stamps.clear();
+        v.reset(now);
         v.entries.reserve_exact(entries.len());
-        v.stamps.reserve_exact(entries.len());
         v.merge(entries, self.peers.n(), now);
     }
 
@@ -373,9 +396,7 @@ impl LinkStateTable {
             return self.ingest_full(from, &entries, now);
         }
         let v = &mut self.vectors[slot];
-        v.stamps.clear();
-        v.stamps.reserve_exact(entries.len());
-        v.stamps.resize(entries.len(), now);
+        v.reset(now);
         v.entries = entries;
     }
 
@@ -414,7 +435,7 @@ impl LinkStateTable {
     /// so convergence tests can compare tables fed by different
     /// dissemination strategies.
     pub fn remote_metric(&self, from: HostId, dst: HostId, now: SimTime) -> Option<RemoteMetric> {
-        let (e, &at) = self.vectors[self.peers.slot(from)?].get(dst.0)?;
+        let (e, at) = self.vectors[self.peers.slot(from)?].get(dst.0)?;
         self.is_fresh(at, now).then(|| RemoteMetric::from_entry(e))
     }
 
@@ -550,7 +571,7 @@ impl LinkStateTable {
             if score(first, &RemoteMetric::PERFECT) >= best_score {
                 continue;
             }
-            let Some((e, &at)) = vector.get(dst.0) else { continue };
+            let Some((e, at)) = vector.get(dst.0) else { continue };
             let rm = RemoteMetric::from_entry(e);
             if !rm.alive {
                 continue;
@@ -591,7 +612,7 @@ impl LinkStateTable {
             if 1.0 - first >= best_score {
                 continue;
             }
-            let Some((e, &at)) = vector.get(dst.0) else { continue };
+            let Some((e, at)) = vector.get(dst.0) else { continue };
             let rm = RemoteMetric::from_entry(e);
             if !rm.alive {
                 continue;
@@ -620,7 +641,7 @@ impl LinkStateTable {
             if lat1 >= best_score {
                 continue;
             }
-            let Some((e, &at)) = vector.get(dst.0) else { continue };
+            let Some((e, at)) = vector.get(dst.0) else { continue };
             let rm = RemoteMetric::from_entry(e);
             if !rm.alive || rm.lat_us <= 0.0 {
                 continue;
@@ -931,7 +952,8 @@ mod tests {
     fn a_stored_entry_costs_its_wire_bytes_and_a_stamp() {
         // Every peer of a 30-host clique advertises the other 29 hosts,
         // ascending, as senders do; owned and borrowed ingest alike
-        // store 12 + 8 bytes per entry beside the empty table.
+        // store 12 bytes per entry beside the empty table, whose vectors
+        // already hold their one stamp each.
         const N: u16 = 30;
         let now = SimTime::from_secs(5);
         let vector = |from: u16| {
@@ -940,17 +962,33 @@ mod tests {
             v.extend((0..N).filter(|&j| j != from).map(entry));
             v
         };
+        assert_eq!(std::mem::size_of::<PeerVector>(), 2 * std::mem::size_of::<Vec<u8>>() + 8);
         let (mut owned, mut borrowed) = (table(usize::from(N)), table(usize::from(N)));
         let empty = owned.approx_bytes();
         for from in 1..N {
             owned.adopt_full(HostId(from), vector(from), now);
             borrowed.ingest_full(HostId(from), &vector(from), now);
         }
-        let per_entry = std::mem::size_of::<MetricEntry>() + std::mem::size_of::<SimTime>();
-        assert_eq!(per_entry, 20);
-        let grown = 29 * 29 * per_entry;
+        assert_eq!(std::mem::size_of::<MetricEntry>(), 12);
+        let grown = 29 * 29 * 12;
         assert_eq!(owned.approx_bytes(), empty + grown);
         assert_eq!(borrowed.approx_bytes(), empty + grown);
+        // A delta learned at another instant stamps entries one by one:
+        // that vector, and only that one, builds its 8-byte column.
+        let delta = [MetricEntry { peer: HostId(7), loss_e4: 0, lat_us: 1_000, alive: true }];
+        owned.ingest_delta(HostId(3), &delta, now);
+        assert_eq!(owned.approx_bytes(), empty + grown, "a delta at the vector's own instant");
+        let later = now + SimDuration::from_secs(1);
+        owned.ingest_delta(HostId(3), &delta, later);
+        assert_eq!(owned.approx_bytes(), empty + grown + 29 * 8);
+        assert_eq!(owned.remote_metric(HostId(3), HostId(7), later).unwrap().lat_us, 1_000.0);
+        let staleness = SimDuration::from_secs(90);
+        let past_first = now + staleness + SimDuration::from_micros(1);
+        assert!(owned.remote_metric(HostId(3), HostId(8), past_first).is_none(), "8 was learned at `now`");
+        assert!(owned.remote_metric(HostId(3), HostId(7), past_first).is_some(), "7 was learned later");
+        // The next full advertisement is one instant again.
+        owned.adopt_full(HostId(3), vector(3), later);
+        assert!(owned.remote_metric(HostId(3), HostId(8), past_first).is_some());
     }
 }
 

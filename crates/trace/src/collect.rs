@@ -12,16 +12,25 @@
 //!
 //! Millions of probes per campaign flow through `on_send` → `on_recv` →
 //! `advance`, and every pair stays open for its receive window, so the
-//! collector holds one record per open pair and nothing else:
+//! collector holds the open pairs and nothing else:
 //!
 //! * the open pairs live in one `VecDeque` **ring in deadline order**. A
 //!   deadline is `first_sent + receive_window` with a **constant** window
 //!   over time-ordered sends, so deadline order is send order: new pairs
 //!   go on the back, expired ones come off the front, and no deadline is
 //!   stored. A straggler from an imperfectly merged log is inserted at
-//!   its sorted place and the pairs behind it are re-indexed;
-//! * a record keeps its legs as columns (local send and receive stamps,
-//!   route tags, a state byte per leg): 96 bytes for four legs;
+//!   its sorted place, its legs with it, and the pairs behind it are
+//!   re-indexed;
+//! * a pair is a 24-byte header (id, first send, endpoints, method) on
+//!   that ring, and its legs (local send and receive stamps, route tag,
+//!   state byte: 24 bytes each) sit on a second ring in the same order,
+//!   as many per pair as the highest leg any send has named so far. The
+//!   leg ring widens the first time a send names a higher leg, so a run
+//!   of one- and two-leg methods pays 48 or 72 bytes per open pair, not
+//!   [`MAX_PROBE_LEGS`] slots;
+//! * both rings grow by a quarter of their capacity (at least
+//!   `GROWTH_MIN` = 64 pairs) when full, not by doubling, so what they hold
+//!   stays within 1.25 × the most pairs ever open at once, plus 64;
 //! * a **64-bit Fx hash** ([`FxU64`]) maps an id to the pair's absolute
 //!   ring position (`head` + offset) — probe ids are already uniform
 //!   random u64s, so one multiply does what SipHash would;
@@ -137,25 +146,38 @@ impl Default for CollectorConfig {
 }
 
 /// Per-leg state machine: a slot is untouched, sent, or sent+received.
-/// Encoded as a plain byte (not nested `Option`s) so the record stays
+/// Encoded as a plain byte (not nested `Option`s) so the slot stays
 /// compact and branch-predictable.
 const LEG_UNSENT: u8 = 0;
 const LEG_SENT: u8 = 1;
 const LEG_RECEIVED: u8 = 2;
 
-/// One open probe pair. Per-leg state is kept as columns so the record
-/// packs into 96 bytes; its deadline is `first_sent + receive_window`.
-#[derive(Debug)]
+/// The fewest pairs a full ring grows by; above four times this it grows
+/// by a quarter of its capacity.
+const GROWTH_MIN: usize = 64;
+
+/// One open probe pair; its deadline is `first_sent + receive_window`,
+/// and its legs sit on the leg ring (see [`Collector::legs`]).
+#[derive(Debug, Clone, Copy)]
 struct PendingProbe {
     id: u64,
     first_sent: SimTime,
-    sent_local_us: [i64; MAX_PROBE_LEGS],
-    recv_local_us: [i64; MAX_PROBE_LEGS],
     src: HostId,
     dst: HostId,
     method: u8,
-    route: [u8; MAX_PROBE_LEGS],
-    state: [u8; MAX_PROBE_LEGS],
+}
+
+/// One leg slot of an open pair.
+#[derive(Debug, Clone, Copy)]
+struct Leg {
+    sent_local_us: i64,
+    recv_local_us: i64,
+    route: u8,
+    state: u8,
+}
+
+impl Leg {
+    const UNSENT: Leg = Leg { sent_local_us: 0, recv_local_us: 0, route: 0, state: LEG_UNSENT };
 }
 
 #[derive(Debug, Clone, Default)]
@@ -211,10 +233,16 @@ pub struct Collector {
     index: FxMap<u64>,
     /// The open pairs, nondecreasing in deadline.
     pending: VecDeque<PendingProbe>,
+    /// The open pairs' legs, `width` per pair in ring order: the pair at
+    /// offset `i` owns `legs[i * width..(i + 1) * width]`.
+    legs: VecDeque<Leg>,
+    /// Leg slots per pair: one above the highest leg any send has named.
+    width: usize,
     /// Absolute position of `pending[0]` (the pairs ever popped).
     head: u64,
-    /// Scratch for resolving one equal-deadline group in id order.
-    batch: Vec<PendingProbe>,
+    /// Scratch for resolving one equal-deadline group in id order: each
+    /// pair's id and ring offset.
+    batch: Vec<(u64, usize)>,
     activity: Vec<HostActivity>,
     finalized: Vec<PairOutcome>,
     discarded: u64,
@@ -232,6 +260,8 @@ impl Collector {
             cfg,
             index: FxMap::default(),
             pending: VecDeque::new(),
+            legs: VecDeque::new(),
+            width: 0,
             head: 0,
             batch: Vec::new(),
             activity: vec![HostActivity::default(); n],
@@ -251,46 +281,61 @@ impl Collector {
     /// into deadline order.
     pub fn on_send(&mut self, e: SendEvent) {
         self.activity[e.src.idx()].on_send(e.sent, self.cfg.fail_gap);
-        if e.leg as usize >= MAX_PROBE_LEGS {
+        let leg = e.leg as usize;
+        if leg >= MAX_PROBE_LEGS {
             // A leg the wire format cannot carry: only a corrupt host
             // log can produce it. Count it loudly (the liveness signal
             // above still stands — the host did send *something*).
             self.malformed_sends += 1;
             return;
         }
+        if leg >= self.width {
+            self.widen(leg + 1);
+        }
         let at = match self.index.get(&e.id) {
             Some(&pos) => (pos - self.head) as usize,
             None => self.open(&e),
         };
-        let (probe, leg) = (&mut self.pending[at], e.leg as usize);
-        probe.route[leg] = e.route;
-        probe.state[leg] = LEG_SENT;
-        probe.sent_local_us[leg] = e.sent_local_us;
+        let slot = &mut self.legs[at * self.width + leg];
+        slot.route = e.route;
+        slot.state = LEG_SENT;
+        slot.sent_local_us = e.sent_local_us;
         // The pending set only grows in `on_send`, so sampling here
         // captures the exact high-water mark.
         self.peak_pending = self.peak_pending.max(self.pending.len() as u64);
     }
 
+    /// Re-lays the leg ring at `width` slots per pair, the new slots
+    /// unsent, with room for as many pairs as the pair ring has.
+    fn widen(&mut self, width: usize) {
+        let mut legs = VecDeque::with_capacity(self.pending.capacity() * width);
+        for pair in 0..self.pending.len() {
+            legs.extend(self.legs.range(pair * self.width..(pair + 1) * self.width));
+            legs.extend(std::iter::repeat_n(Leg::UNSENT, width - self.width));
+        }
+        self.legs = legs;
+        self.width = width;
+    }
+
     /// Opens a pair for `e`'s probe at its deadline's place in the ring
     /// and returns its offset there.
     fn open(&mut self, e: &SendEvent) -> usize {
-        let probe = PendingProbe {
-            id: e.id,
-            first_sent: e.sent,
-            sent_local_us: [0; MAX_PROBE_LEGS],
-            recv_local_us: [0; MAX_PROBE_LEGS],
-            src: e.src,
-            dst: e.dst,
-            method: e.method,
-            route: [0; MAX_PROBE_LEGS],
-            state: [LEG_UNSENT; MAX_PROBE_LEGS],
-        };
+        if self.pending.len() == self.pending.capacity() {
+            // Grow by a quarter, not by doubling (module docs); the leg
+            // ring follows to the same number of pairs.
+            self.pending.reserve_exact((self.pending.capacity() / 4).max(GROWTH_MIN));
+            self.legs.reserve_exact(self.pending.capacity() * self.width - self.legs.len());
+        }
+        let probe = PendingProbe { id: e.id, first_sent: e.sent, src: e.src, dst: e.dst, method: e.method };
         let at = match self.pending.back() {
-            // Straggler: insert it in deadline order (groups resolve in
-            // id order) and re-index every pair behind it.
+            // Straggler: insert it and its legs in deadline order (groups
+            // resolve in id order) and re-index every pair behind it.
             Some(last) if last.first_sent > e.sent => {
                 let at = self.pending.partition_point(|p| p.first_sent <= e.sent);
                 self.pending.insert(at, probe);
+                for slot in at * self.width..(at + 1) * self.width {
+                    self.legs.insert(slot, Leg::UNSENT);
+                }
                 for (pos, p) in (self.head..).zip(&self.pending).skip(at + 1) {
                     self.index.insert(p.id, pos);
                 }
@@ -298,6 +343,9 @@ impl Collector {
             }
             _ => {
                 self.pending.push_back(probe);
+                for _ in 0..self.width {
+                    self.legs.push_back(Leg::UNSENT);
+                }
                 self.pending.len() - 1
             }
         };
@@ -311,16 +359,18 @@ impl Collector {
             self.late_receives += 1;
             return;
         };
-        let probe = &mut self.pending[(pos - self.head) as usize];
-        match probe.state.get_mut(e.leg as usize) {
-            Some(state) if *state != LEG_UNSENT => {
-                *state = LEG_RECEIVED;
-                probe.recv_local_us[e.leg as usize] = e.recv_local_us;
+        let leg = e.leg as usize;
+        if leg < self.width {
+            let slot = &mut self.legs[(pos - self.head) as usize * self.width + leg];
+            if slot.state != LEG_UNSENT {
+                slot.state = LEG_RECEIVED;
+                slot.recv_local_us = e.recv_local_us;
+                return;
             }
-            // A receive for a leg that can't exist or was never sent:
-            // count it instead of losing it invisibly.
-            _ => self.malformed_receives += 1,
         }
+        // A receive for a leg that can't exist or was never sent: count
+        // it instead of losing it invisibly.
+        self.malformed_receives += 1;
     }
 
     /// Resolves every pair whose receive window has expired by `now`.
@@ -333,37 +383,43 @@ impl Collector {
         }
     }
 
-    /// Pops every pair first sent at `sent` (so sharing a deadline) off
-    /// the front of the ring and resolves the group in ascending id order
-    /// — exactly the pop order of the original
-    /// `BinaryHeap<Reverse<(SimTime, u64)>>`, so outcome-stream order (and
-    /// everything fingerprinted downstream) is preserved.
+    /// Resolves every pair first sent at `sent` (so sharing a deadline)
+    /// at the front of the ring in ascending id order — exactly the pop
+    /// order of the original `BinaryHeap<Reverse<(SimTime, u64)>>`, so
+    /// outcome-stream order (and everything fingerprinted downstream) is
+    /// preserved — then pops the group and its legs.
     fn resolve_deadline_group(&mut self, sent: SimTime, now: SimTime) {
         let mut batch = std::mem::take(&mut self.batch);
         batch.clear();
-        while self.pending.front().is_some_and(|p| p.first_sent == sent) {
-            let probe = self.pending.pop_front().expect("front was checked");
-            self.head += 1;
-            self.index.remove(&probe.id);
-            batch.push(probe);
-        }
-        batch.sort_unstable_by_key(|p| p.id);
-        for p in &batch {
-            let outcome = self.resolve(p, now);
+        batch.extend(self.pending.iter().take_while(|p| p.first_sent == sent).map(|p| p.id).zip(0..));
+        batch.sort_unstable_by_key(|&(id, _)| id);
+        for &(_, at) in &batch {
+            let outcome = self.resolve(at, now);
             self.finalized.push(outcome);
         }
+        for _ in 0..batch.len() {
+            let p = self.pending.pop_front().expect("the group is on the ring");
+            self.index.remove(&p.id);
+            for _ in 0..self.width {
+                self.legs.pop_front();
+            }
+        }
+        self.head += batch.len() as u64;
         self.batch = batch;
     }
 
-    fn resolve(&mut self, p: &PendingProbe, now: SimTime) -> PairOutcome {
+    /// The outcome of the pair at ring offset `at`.
+    fn resolve(&mut self, at: usize, now: SimTime) -> PairOutcome {
         self.resolved += 1;
-        let legs = std::array::from_fn(|i| match p.state[i] {
-            LEG_UNSENT => None,
-            state => Some(LegOutcome {
-                route: p.route[i],
-                lost: state != LEG_RECEIVED,
-                one_way_us: (state == LEG_RECEIVED).then(|| p.recv_local_us[i] - p.sent_local_us[i]),
-            }),
+        let p = self.pending[at];
+        let legs = std::array::from_fn(|i| {
+            let leg = (i < self.width).then(|| self.legs[at * self.width + i])?;
+            let received = leg.state == LEG_RECEIVED;
+            (leg.state != LEG_UNSENT).then(|| LegOutcome {
+                route: leg.route,
+                lost: !received,
+                one_way_us: received.then(|| leg.recv_local_us - leg.sent_local_us),
+            })
         });
         // §4.1 host-failure filter: if the destination host's measurement
         // process was silent around the send instant, the sample tells us
@@ -404,12 +460,15 @@ impl Collector {
         debug_assert!(self.index.is_empty(), "every indexed pair is on the ring");
     }
 
-    /// Approximate heap bytes of the open pairs: the ring, the id index
-    /// and the equal-deadline scratch. It follows the high-water mark of
-    /// open pairs ([`CollectorStats::peak_pending`]), not the run length.
+    /// Approximate heap bytes of the open pairs: the pair and leg rings,
+    /// the id index and the equal-deadline scratch. It follows the
+    /// high-water mark of open pairs ([`CollectorStats::peak_pending`])
+    /// and the widest probe, not the run length.
     pub fn approx_bytes(&self) -> usize {
         use std::mem::size_of;
-        (self.pending.capacity() + self.batch.capacity()) * size_of::<PendingProbe>()
+        self.pending.capacity() * size_of::<PendingProbe>()
+            + self.legs.capacity() * size_of::<Leg>()
+            + self.batch.capacity() * size_of::<(u64, usize)>()
             + self.index.capacity() * (size_of::<(u64, u64)>() + 1)
     }
 
@@ -745,47 +804,112 @@ mod tests {
         assert!(cap > 0);
     }
 
+    /// The bytes the pair and leg rings hold.
+    fn ring_bytes(c: &Collector) -> usize {
+        c.pending.capacity() * std::mem::size_of::<PendingProbe>() + c.legs.capacity() * std::mem::size_of::<Leg>()
+    }
+
     #[test]
     fn ring_capacity_follows_open_pairs() {
         let mut c = Collector::new(4, cfg());
-        let mut held = Vec::new();
-        for wave in 0..5u64 {
-            let t = wave * 100;
-            for i in 0..50u64 {
-                c.on_send(send(wave * 1_000 + i, 0, 0, 1, t));
+        let (mut held, mut rings) = (Vec::new(), Vec::new());
+        // Waves of 50 and then of 3 000 open pairs, each resolved before
+        // the next: the rings hold at most a quarter (at least 64 pairs)
+        // above the widest wave, however many waves resolved.
+        for (waves, per_wave) in [(0..5u64, 50u64), (5..8, 3_000)] {
+            for wave in waves {
+                let t = wave * 100;
+                for i in 0..per_wave {
+                    c.on_send(send(wave * 1_000 + i, 0, 0, 1, t));
+                }
+                let cap = c.pending.capacity();
+                assert!(4 * cap <= 5 * per_wave as usize + 4 * GROWTH_MIN, "capacity {cap} for {per_wave} open pairs");
+                assert_eq!(c.legs.capacity(), cap, "one-leg probes keep one leg slot per pair");
+                c.advance(SimTime::from_secs(t + 90));
+                c.drain();
+                held.push(c.approx_bytes());
+                rings.push(ring_bytes(&c));
             }
-            c.advance(SimTime::from_secs(t + 90));
-            c.drain();
-            held.push(c.approx_bytes());
         }
-        assert!(c.pending.capacity() < 100, "ring capacity {} for 50 open pairs", c.pending.capacity());
-        assert!(held.iter().all(|&b| b == held[0]), "bytes grew with resolved waves: {held:?}");
+        assert_eq!(c.stats().peak_pending, 3_000);
+        assert!(held[..5].iter().all(|&b| b == held[0]), "bytes grew with resolved waves: {held:?}");
+        assert!(rings[5..].iter().all(|&b| b == rings[5]), "rings grew with resolved waves: {rings:?}");
     }
 
     #[test]
     fn a_pair_costs_one_record_and_bytes_track_open_pairs() {
-        assert!(std::mem::size_of::<PendingProbe>() <= 96);
-        let record = std::mem::size_of::<PendingProbe>();
+        // A two-leg pair is a 24-byte header and two 24-byte leg slots.
+        let two_leg = std::mem::size_of::<PendingProbe>() + 2 * std::mem::size_of::<Leg>();
+        assert!(two_leg <= 72, "{two_leg} bytes per two-leg pair");
         let mut c = Collector::new(4, cfg());
         assert_eq!(c.approx_bytes(), 0);
-        // 1 000 open pairs, 4 per instant: the ring, a 16-byte index slot
-        // per pair and a 4-pair scratch, each within a doubling.
-        for i in 0..1_000u64 {
-            c.on_send(send(i, 0, 0, 1, i / 4));
-        }
+        // 1 000 open two-leg pairs, 4 per instant: the rings within a
+        // quarter (at least 64 pairs) of them, a 16-byte index slot per
+        // pair within a doubling and a 4-pair scratch.
+        let open_pairs = |c: &mut Collector, first: u64, t0: u64| {
+            for i in 0..1_000u64 {
+                c.on_send(send(first + i, 0, 0, 1, t0 + i / 4));
+                c.on_send(send(first + i, 1, 0, 1, t0 + i / 4));
+            }
+        };
+        open_pairs(&mut c, 0, 0);
+        assert_eq!(c.width, 2);
+        let cap = c.pending.capacity();
+        assert!(4 * cap <= 5 * 1_000 + 4 * GROWTH_MIN, "ring capacity {cap} for 1 000 open pairs");
+        assert!(ring_bytes(&c) <= 72 * cap, "{} ring bytes for {cap} pair slots", ring_bytes(&c));
         let open = c.approx_bytes();
-        assert!(open >= 1_000 * (record + 16), "approx_bytes {open} misses something");
-        assert!(open <= 2 * 1_000 * (record + 17) + 4 * record, "{open} bytes for 1 000 open pairs");
+        assert!(open >= 1_000 * (two_leg + 16), "approx_bytes {open} misses something");
+        assert!(open <= 72 * cap + 2 * 1_000 * 17, "{open} bytes for 1 000 open pairs");
         // Resolving them frees nothing, and 1 000 more reuse the space.
         c.advance(SimTime::from_secs(1_000));
         assert_eq!(c.drain().len(), 1_000);
         let held = c.approx_bytes();
-        assert_eq!(held, open + 4 * record, "the ring and index keep their capacity");
-        for i in 0..1_000u64 {
-            c.on_send(send(10_000 + i, 0, 0, 1, 1_000 + i / 4));
-        }
+        assert_eq!(held, open + 4 * 16, "the rings and index keep their capacity");
+        open_pairs(&mut c, 10_000, 1_000);
         c.advance(SimTime::from_secs(2_000));
         assert_eq!(c.approx_bytes(), held);
+    }
+
+    #[test]
+    fn a_wider_probe_and_a_straggler_keep_every_pairs_legs() {
+        let mut c = Collector::new(4, cfg());
+        heartbeat(&mut c, &[0, 1, 2], 0);
+        // One-leg pairs at t = 1, 2 and 4, their legs received.
+        for (id, t) in [(10, 1), (20, 2), (40, 4)] {
+            c.on_send(send(id, 0, 0, 1, t));
+            c.on_recv(recv(id, 0, t * 1_000_000 + id * 1_000));
+        }
+        assert_eq!(c.width, 1);
+        // A three-leg probe widens the ring; the open pairs keep theirs.
+        for leg in 0..3 {
+            let mut e = send(50, leg, 0, 1, 5);
+            e.route = 7 + leg;
+            c.on_send(e);
+        }
+        c.on_recv(recv(50, 2, 5_050_000));
+        assert_eq!(c.width, 3);
+        // A straggler from t = 3 lands between 20 and 40 with its legs.
+        c.on_send(send(30, 0, 0, 1, 3));
+        c.on_send(send(30, 1, 0, 1, 3));
+        c.on_recv(recv(30, 1, 3_030_000));
+        // A leg no pair sent is malformed, below the width or above it.
+        c.on_recv(recv(40, 1, 4_000_000));
+        c.on_recv(recv(40, 3, 4_000_000));
+        assert_eq!(c.stats().malformed_receives, 2);
+        c.advance(SimTime::from_secs(60));
+        let outs: Vec<PairOutcome> = c.drain().into_iter().filter(|o| o.id < 1_000).collect();
+        assert_eq!(outs.iter().map(|o| o.id).collect::<Vec<_>>(), [10, 20, 30, 40, 50]);
+        for o in [&outs[0], &outs[1], &outs[3]] {
+            assert_eq!(o.leg_count(), 1);
+            assert_eq!(o.leg(0).unwrap().one_way_us, Some(o.id as i64 * 1_000), "pair {}", o.id);
+        }
+        assert_eq!(outs[2].leg_count(), 2);
+        assert!(outs[2].leg(0).unwrap().lost);
+        assert_eq!(outs[2].leg(1).unwrap().one_way_us, Some(30_000));
+        assert_eq!(outs[4].leg_count(), 3);
+        assert!(outs[4].prefix_all_lost(2) && !outs[4].all_lost());
+        assert_eq!(outs[4].leg(2).unwrap().route, 9);
+        assert_eq!(outs[4].leg(2).unwrap().one_way_us, Some(50_000));
     }
 
     #[test]

@@ -699,6 +699,41 @@ fn lying_worker_is_dropped_and_the_campaign_still_merges_to_sequential_bits() {
 }
 
 #[test]
+fn counts_that_would_overflow_the_merge_are_refused() {
+    // Two shape-correct results whose `net.sent` counts are each just
+    // over half of `u64::MAX`: their sum overflows. The coordinator must
+    // refuse them as a protocol error, before the merge adds them up
+    // under the book's lock, and the campaign must still merge to the
+    // sequential bits.
+    let j = job("ron-narrow");
+    let (coordinator, addr) = spawn_coordinator(&j);
+    for _ in 0..2 {
+        let mut liar = fake_handshake(addr);
+        let slice = lease_slice(&mut liar);
+        let mut output = Box::new(j.run_slice_index(slice as usize));
+        output.net.sent = u64::MAX / 2 + 1;
+        // What the coordinator will name in its refusal.
+        assert_eq!(output.max_count(), ("net", u64::MAX / 2 + 1));
+        write_msg_blocking(&mut liar, &Msg::Result { slice, output }).unwrap();
+        // An accepted result would be followed by an answer to this;
+        // a refused one ended the connection.
+        let _ = write_msg_blocking(&mut liar, &Msg::Ready);
+        assert!(
+            !matches!(read_msg_blocking(&mut liar), Ok(Some(_))),
+            "an over-limit result must end the connection"
+        );
+    }
+    let workers = spawn_workers(addr, 1);
+    let rep = coordinator.join().expect("coordinator thread");
+    for w in workers {
+        w.join().expect("worker thread");
+    }
+    assert!(rep.releases >= 2, "both liars' leases must be re-issued");
+    assert_eq!(rep.duplicates, 0, "nothing a liar sent was recorded");
+    assert_eq!(rep.output.fingerprint(), sequential(&j).fingerprint());
+}
+
+#[test]
 fn stalled_worker_times_out_and_the_slice_is_re_leased() {
     let j = job("ron-narrow");
     let (coordinator, addr) = spawn_coordinator(&j);
