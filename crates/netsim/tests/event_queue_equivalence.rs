@@ -1,8 +1,8 @@
-//! The calendar queue's executable contract: for **any** interleaved
+//! The event queue's executable contract: for **any** interleaved
 //! schedule of pushes and pops — including dense same-instant bursts,
-//! events beyond the ring horizon, and events scheduled into the past —
+//! events hours and days out, and events scheduled into the past —
 //! [`EventQueue`] pops the exact `(time, event)` sequence of
-//! [`ReferenceEventQueue`], the original ordered binary heap.
+//! [`ReferenceEventQueue`], an ordered binary heap of whole entries.
 
 mod support;
 
@@ -23,14 +23,11 @@ fn reference_queue_matches_on_a_fixed_schedule() {
         assert_eq!(a.pop(), Some(x));
     }
     assert_eq!(a.pop(), None);
-    assert_eq!(a.scheduled(), b.scheduled());
-    assert_eq!(a.dispatched(), b.dispatched());
 }
 
 /// One delay of a campaign-shaped schedule, µs: 70% packet flights
 /// (5–150 ms), 25% probe-pacing waits (0.6–1.2 s), 4% timers (1–15 s)
-/// and 1% long timers (20–60 s, a slow prober's interval), most of which
-/// land beyond the ring's ~33 s horizon, in the overflow heap.
+/// and 1% long timers (20–60 s, a slow prober's interval).
 fn campaign_delay(rng: &mut Rng) -> SimDuration {
     let kind = rng.below(100);
     let (lo, hi) = match kind {
@@ -43,12 +40,10 @@ fn campaign_delay(rng: &mut Rng) -> SimDuration {
 }
 
 /// The proptests below stop after a few hundred operations. This one
-/// goes round the ring (~33 simulated seconds) over a hundred times at a
-/// steady occupancy of 200, so nearly every push lands in a bucket whose
-/// buffer was recycled from another and long timers migrate out of the
-/// overflow heap on every revolution — and holds the queue to the memory
-/// that implies: what is pending, not a buffer for every bucket the run
-/// ever touched.
+/// runs a simulated hour (over half a million pushes) at a steady
+/// occupancy of 200, so nearly every push reuses a freed payload slot —
+/// and holds the queue to the memory that implies: what is pending, not
+/// a slot for every event the run ever scheduled.
 #[test]
 fn long_haul_matches_reference_and_retains_only_what_is_pending() {
     const OCCUPANCY: usize = 200;
@@ -75,17 +70,16 @@ fn long_haul_matches_reference_and_retains_only_what_is_pending() {
     }
     assert!(payload > 500_000, "only {payload} events in an hour");
 
-    // Entries are (instant, sequence number, payload).
-    let entry = std::mem::size_of::<(SimTime, u64, u64)>();
-    let ring_headers = EventQueue::<u64>::new().approx_bytes();
+    // A pending event is a 24-byte key (instant, sequence number, slot)
+    // and a payload slot; a free slot is a 4-byte free-list entry.
+    let entry = std::mem::size_of::<(SimTime, u64, u32)>() + std::mem::size_of::<Option<u64>>();
+    let free_list = OCCUPANCY * std::mem::size_of::<u32>();
     let held = cal.approx_bytes();
-    assert!(held >= ring_headers + OCCUPANCY * entry, "approx_bytes {held} misses something");
-    // The shared slot pool, the open window and the overflow heap hold
-    // ~3 entries per pending event here; buffers recycled between
-    // buckets, each as large as the largest bucket it served, held ~26,
-    // and one private buffer per ring bucket ~51.
+    assert!(held >= OCCUPANCY * entry, "approx_bytes {held} misses something");
+    // Vec doubling leaves at most twice the occupancy in each buffer;
+    // the queue holds ~10 KB here.
     assert!(
-        held <= ring_headers + 4 * OCCUPANCY * entry,
+        held <= 2 * OCCUPANCY * entry + free_list,
         "queue retains {held} bytes for {OCCUPANCY} pending events"
     );
 
@@ -96,7 +90,7 @@ fn long_haul_matches_reference_and_retains_only_what_is_pending() {
 }
 
 /// A queue drained to empty and used again (the per-slice pattern, if a
-/// queue is ever reused) keeps working, and keeps its spare buffers: the
+/// queue is ever reused) keeps working, and keeps its buffers: the
 /// second pass allocates nothing.
 #[test]
 fn drained_queue_refills_from_its_spares() {
@@ -104,9 +98,8 @@ fn drained_queue_refills_from_its_spares() {
     let mut heap = ReferenceEventQueue::new();
     let mut held = Vec::new();
     for pass in 0..3u64 {
-        // 150 events over 50 (2^17 µs) windows, all ahead of the open one
-        // and inside the ring's horizon (which the overflow heap's own
-        // buffer would otherwise add to the first reuse).
+        // 150 events at 50 instants 2^17 µs apart, each pass later than
+        // the last.
         for i in 0..150u64 {
             let at = SimTime::from_micros(((pass * 100 + 1 + i % 50) << 17) + i / 50);
             cal.push(at, i);
@@ -133,19 +126,17 @@ enum Op {
     Pop,
 }
 
-/// Instants spanning every regime of the wheel: inside one window,
-/// across ring windows, around and beyond the ~33 s horizon, and
-/// colliding exactly.
+/// Instants from microseconds to days out, many colliding exactly.
 fn arb_time() -> impl Strategy<Value = u64> {
     prop_oneof![
         Just(0u64),
         Just(5_000_000u64), // popular instant: forced same-time collisions
-        0u64..10_000,                   // sub-window
-        0u64..1_000_000,                // a few windows
-        0u64..40_000_000,               // the ring and just past it
-        0u64..600_000_000,              // many revolutions
-        0u64..10_000_000_000,           // far beyond the horizon
-        0u64..1_000_000_000_000,        // days out: overflow + cursor jumps
+        0u64..10_000,
+        0u64..1_000_000,
+        0u64..40_000_000,
+        0u64..600_000_000,
+        0u64..10_000_000_000,
+        0u64..1_000_000_000_000,
     ]
 }
 
@@ -196,8 +187,6 @@ proptest! {
                 break;
             }
         }
-        prop_assert_eq!(cal.scheduled(), heap.scheduled());
-        prop_assert_eq!(cal.dispatched(), heap.dispatched());
         prop_assert!(cal.is_empty());
     }
 
@@ -239,6 +228,5 @@ proptest! {
             }
         }
         prop_assert!(cal.is_empty());
-        prop_assert_eq!(cal.dispatched(), heap.dispatched());
     }
 }

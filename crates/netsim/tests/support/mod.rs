@@ -1,4 +1,4 @@
-//! Test support: the reference the calendar queue is held to.
+//! Test support: the reference the event queue is held to.
 
 use netsim::SimTime;
 use std::cmp::Ordering;
@@ -35,7 +35,7 @@ impl<E> Ord for Entry<E> {
     }
 }
 
-/// The original binary-heap event queue, kept as the executable
+/// A binary heap of whole entries, kept as the executable
 /// specification of the ordering contract: pop order is ascending
 /// `(time, seq)`, i.e. time-ordered with FIFO ties.
 ///
@@ -45,13 +45,12 @@ impl<E> Ord for Entry<E> {
 pub struct ReferenceEventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
     seq: u64,
-    popped: u64,
 }
 
 impl<E> ReferenceEventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
-        ReferenceEventQueue { heap: BinaryHeap::new(), seq: 0, popped: 0 }
+        ReferenceEventQueue { heap: BinaryHeap::new(), seq: 0 }
     }
 
     /// Schedules `event` at instant `at`.
@@ -63,10 +62,7 @@ impl<E> ReferenceEventQueue<E> {
 
     /// Removes and returns the earliest event.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.heap.pop().map(|e| {
-            self.popped += 1;
-            (e.at, e.event)
-        })
+        self.heap.pop().map(|e| (e.at, e.event))
     }
 
     /// The instant of the next event without removing it.
@@ -77,15 +73,5 @@ impl<E> ReferenceEventQueue<E> {
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
-    }
-
-    /// Total number of events ever scheduled.
-    pub fn scheduled(&self) -> u64 {
-        self.seq
-    }
-
-    /// Total number of events ever dispatched.
-    pub fn dispatched(&self) -> u64 {
-        self.popped
     }
 }

@@ -472,11 +472,6 @@ impl Collector {
             + self.index.capacity() * (size_of::<(u64, u64)>() + 1)
     }
 
-    /// (resolved, discarded-by-host-filter, receives-after-window).
-    pub fn counters(&self) -> (u64, u64, u64) {
-        (self.resolved, self.discarded, self.late_receives)
-    }
-
     /// The aggregate counters in mergeable struct form.
     pub fn stats(&self) -> CollectorStats {
         CollectorStats {
@@ -594,7 +589,7 @@ mod tests {
         let outs = c.drain();
         let o = outs.iter().find(|o| o.id == 45).unwrap();
         assert!(o.leg(0).unwrap().lost, "late receive must not resurrect the pair");
-        assert_eq!(c.counters().2, 1, "late receive counted");
+        assert_eq!(c.stats().late_receives, 1, "late receive counted");
     }
 
     #[test]
@@ -609,7 +604,7 @@ mod tests {
         // A well-formed receive still lands:
         c.on_recv(recv(50, 0, 1_030_000));
         assert_eq!(c.stats().malformed_receives, 2);
-        assert_eq!(c.counters().2, 0, "malformed is not 'late'");
+        assert_eq!(c.stats().late_receives, 0, "malformed is not 'late'");
         c.advance(SimTime::from_secs(60));
         let outs = c.drain();
         let o = outs.iter().find(|o| o.id == 50).unwrap();
