@@ -161,20 +161,36 @@ mod tests {
     /// Pins the sweep to the exact values the streaming sender /
     /// interleaver / receiver pipeline produced, so a rewrite of the
     /// transmit loop that moves a slot, an RNG draw or a residual count
-    /// shows here.
+    /// shows here. The second row has a padded last group, short last
+    /// blocks and r = 2.
     #[test]
     fn sweep_values_are_pinned() {
-        let pts = fec_sweep(&small_cfg(), &[1, 8, 32]);
-        let got: Vec<(usize, f64, f64)> =
-            pts.iter().map(|p| (p.depth, p.raw_loss, p.residual_loss)).collect();
-        assert_eq!(
-            got,
-            [
-                (1, 0.01951388888888889, 0.0172),
-                (8, 0.020194444444444445, 0.015583333333333333),
-                (32, 0.018916666666666665, 0.008433333333333333),
-            ]
-        );
+        let rows = [
+            (
+                small_cfg(),
+                [
+                    (1, 0.01951388888888889, 0.0172),
+                    (8, 0.020194444444444445, 0.015583333333333333),
+                    (32, 0.018916666666666665, 0.008433333333333333),
+                ],
+            ),
+            (
+                FecSweepConfig { k: 4, r: 2, packets: 12_345, ..FecSweepConfig::default() },
+                [
+                    (1, 0.015873015873015872, 0.01239067055393586),
+                    (5, 0.02982740021574973, 0.021865889212827987),
+                    (32, 0.01600085910652921, 0.0008098477486232588),
+                ],
+            ),
+        ];
+        for (cfg, want) in rows {
+            let depths = want.map(|(d, _, _)| d);
+            let got: Vec<(usize, f64, f64)> = fec_sweep(&cfg, &depths)
+                .iter()
+                .map(|p| (p.depth, p.raw_loss, p.residual_loss))
+                .collect();
+            assert_eq!(got, want, "k {} r {} packets {}", cfg.k, cfg.r, cfg.packets);
+        }
     }
 
     #[test]
