@@ -285,13 +285,17 @@ mod tests {
         let cluster = Cluster::spawn(3, Impairment::none(), 16).unwrap();
         let (src, dst) = (&cluster.nodes()[0], &cluster.nodes()[1]);
         // Nobody drains node 1's events: 4096 fit, the rest are counted.
-        for seq in 0..5000 {
-            src.send_data(HostId(1), 1, seq, b"x".to_vec(), Policy::Direct);
-            if seq % 50 == 0 {
-                thread::sleep(Duration::from_millis(1));
+        // Loopback drops datagrams while node 1's receive buffer is full,
+        // so no fixed number sent is sure to fill the channel: send
+        // paced batches until a drop is counted.
+        let mut seq = 0;
+        assert!(eventually(Duration::from_secs(10), || {
+            for _ in 0..100 {
+                src.send_data(HostId(1), 1, seq, b"x".to_vec(), Policy::Direct);
+                seq += 1;
             }
-        }
-        assert!(eventually(Duration::from_secs(2), || dst.counters().events_dropped > 0));
+            dst.counters().events_dropped > 0
+        }));
         // Joined first, so nothing refills the slots the count frees.
         cluster.shutdown();
         assert_eq!(dst.take_events().expect("events").try_iter().count(), 4096);

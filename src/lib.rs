@@ -7,13 +7,11 @@
 //! * [`overlay`] — RON-style overlay node (probing, link state, routing);
 //! * [`core`] — routing strategies, the measurement-study
 //!   experiment driver, and the §5 analytic model;
-//! * [`fec`] — packet-level Reed–Solomon erasure coding;
 //! * [`trace`] — probe records and the central collector;
 //! * [`analysis`] — loss/latency statistics, CDFs and table renderers;
 //! * [`live`] — std-thread UDP driver for real deployments.
 
 pub use analysis;
-pub use fec;
 pub use mpath_core as core;
 pub use mpath_live as live;
 pub use netsim;

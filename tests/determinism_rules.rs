@@ -11,7 +11,7 @@ use std::path::Path;
 
 /// Crates whose code runs inside a simulated campaign or merges its
 /// results.
-const DETERMINISTIC: [&str; 6] = ["netsim", "trace", "analysis", "overlay", "fec", "core"];
+const DETERMINISTIC: [&str; 5] = ["netsim", "trace", "analysis", "overlay", "core"];
 
 const PARTIAL_CMP: &str = "core::cmp::PartialOrd::partial_cmp";
 

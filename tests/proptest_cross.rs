@@ -1,7 +1,6 @@
 //! Cross-crate property tests: invariants that must hold for *any*
 //! input, not just the scripted scenarios.
 
-use mpath::fec::ErasureCode;
 use mpath::netsim::{HostId, Rng, SimTime, Topology};
 use mpath::overlay::{MeasureKind, MetricEntry, Packet, RouteTag, WireError};
 use proptest::prelude::*;
@@ -123,36 +122,6 @@ proptest! {
     #[test]
     fn decode_never_panics_on_arbitrary_bytes(data in proptest::collection::vec(any::<u8>(), 0..512)) {
         let _ = Packet::decode(&data);
-    }
-
-    #[test]
-    fn rs_recovers_any_pattern_within_budget(
-        k in 1usize..12,
-        r in 0usize..5,
-        seed in any::<u64>(),
-    ) {
-        let code = ErasureCode::new(k, r).unwrap();
-        let mut rng = Rng::new(seed);
-        let data: Vec<Vec<u8>> = (0..k)
-            .map(|_| (0..24).map(|_| rng.next_u64() as u8).collect())
-            .collect();
-        let refs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
-        let parity = code.encode(&refs).unwrap();
-        let mut shards: Vec<Option<Vec<u8>>> = data
-            .iter().cloned().map(Some)
-            .chain(parity.into_iter().map(Some))
-            .collect();
-        // Erase up to r shards at random positions.
-        let erasures = (rng.next_u64() % (r as u64 + 1)) as usize;
-        let mut positions: Vec<usize> = (0..k + r).collect();
-        rng.shuffle(&mut positions);
-        for &p in positions.iter().take(erasures) {
-            shards[p] = None;
-        }
-        code.decode(&mut shards).unwrap();
-        for i in 0..k {
-            prop_assert_eq!(shards[i].as_ref().unwrap(), &data[i]);
-        }
     }
 
     #[test]
